@@ -40,7 +40,7 @@ from .stochastic import (Ensemble, TransitionParams, bohmian_trajectories,
                          center_of_mass_report, draw_initial_positions,
                          drift_velocity_field, fluctuation_covariance,
                          max_deviation_from_deterministic, path_length_scaling,
-                         sample_step, scaling_exponent, simulate_ensemble,
+                         scaling_exponent, simulate_ensemble,
                          velocity_increment_stats, with_eta)
 from .geometry import (EPhasePoint, EPhaseTangent, apply_J,
                        commutator_identity_gap, embedding_metric,

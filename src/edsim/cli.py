@@ -27,7 +27,8 @@ import numpy as np
 from .entropic import (MaxEntProblem, bayes_reverse, chapman_kolmogorov_step,
                        maxent_transition, verify_maximizer)
 from .geometry import geometry_battery
-from .grids import ConfigGrid, ScalarField, VectorField, single_particle
+from .grids import (MAX_POINTS_PER_AXIS, ConfigGrid, ScalarField, VectorField,
+                    single_particle)
 from .io import RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
 from .quantum import energy, evolve_trajectory, madelung, position_moments
@@ -287,11 +288,24 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (no upper bound when hi is None).
+    Anything else is a usage error, exit code 2."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(
+                f"must be an integer in [{lo}, {hi or 'inf'}], got {value}")
+        return value
+    return integer
+
+
 def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--preset", default="free", choices=sorted(PRESETS))
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=_int_in(2, MAX_POINTS_PER_AXIS),
+                   default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_int_in(1), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="integrate a preset wave state")
     _add_scenario_flags(p)
-    p.add_argument("--snapshots", type=int, default=5)
+    p.add_argument("--snapshots", type=_int_in(1), default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evolve)
 
@@ -312,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["ES", "OU", "fractional"])
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--walkers", type=int, default=20000)
-    p.add_argument("--checkpoints", type=int, default=6)
-    p.add_argument("--calibration", type=int, default=200)
+    p.add_argument("--walkers", type=_int_in(1), default=20000)
+    p.add_argument("--checkpoints", type=_int_in(1), default=6)
+    p.add_argument("--calibration", type=_int_in(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble)
@@ -329,13 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="vanishing-noise and CM studies")
     _add_scenario_flags(p)
-    p.add_argument("--walkers", type=int, default=300)
+    p.add_argument("--walkers", type=_int_in(1), default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("entropic-step", help="one maximum-entropy transition")
-    p.add_argument("--points", type=int, default=128)
+    p.add_argument("--points", type=_int_in(2, MAX_POINTS_PER_AXIS),
+                   default=128)
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)

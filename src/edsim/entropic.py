@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ConfigGrid, ParticleSystem, ScalarField, VectorField, integrate
+from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
+                    VectorField, integrate)
 
-RHO_FLOOR_REL = 1e-12
 KERNEL_TRUNCATION_SIGMAS = 6.0
 
 

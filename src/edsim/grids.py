@@ -26,6 +26,9 @@ import numpy as np
 
 MAX_AXES = 3
 MAX_POINTS_PER_AXIS = 512
+# densities below this fraction of the peak count as nodes: logs, ratios and
+# supports are floored or cut there
+RHO_FLOOR_REL = 1e-12
 
 
 def _as_tuple(x, n: int, kind=float) -> tuple:
@@ -439,12 +442,7 @@ class ParticleSystem:
 
     @property
     def process_label(self) -> str:
-        g = self.gamma_exponent
-        if g == 1.0:
-            return "ES"
-        if g == 3.0:
-            return "OU"
-        return "fractional"
+        return process_label(self.gamma_exponent)
 
     def describe(self) -> dict:
         return {
@@ -456,6 +454,12 @@ class ParticleSystem:
             "eta": self.eta,
             "gamma_exponent": self.gamma_exponent,
         }
+
+
+def process_label(gamma_exponent: float) -> str:
+    """Name of the sampled process: "ES" for gamma = 1, "OU" for gamma = 3,
+    "fractional" otherwise."""
+    return {1.0: "ES", 3.0: "OU"}.get(gamma_exponent, "fractional")
 
 
 def single_particle(dim: int = 1, mass: float = 1.0, charge: float = 0.0,

@@ -22,10 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import (ConfigGrid, ParticleSystem, ScalarField, VectorField,
-                    _shift, gradient)
-
-RHO_FLOOR_REL = 1e-12
+from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
+                    VectorField, _shift, gradient)
 
 
 # ---------------------------------------------------------------------------

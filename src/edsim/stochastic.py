@@ -21,15 +21,21 @@ streams), so a run is bit-reproducible for fixed (seed, walkers, timeline).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .grids import ConfigGrid, ParticleSystem, ScalarField, VectorField, gradient
+from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
+                    VectorField, gradient, process_label)
 from .quantum import MadelungPair, Potentials, WaveState, madelung, phase_gradient
 
-RHO_FLOOR_REL = 1e-12
+# resampling factor of the spectral flow tables of 1-D rings
+REFINE = 4
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,6 @@ class TransitionParams:
     dt: float
     eta: float
     gamma_exponent: float
-    process_label: str = ""
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -48,12 +53,10 @@ class TransitionParams:
             raise ValueError("eta must be non-negative")
         if self.gamma_exponent <= 0:
             raise ValueError("gamma_exponent must be positive")
-        if not self.process_label:
-            g = self.gamma_exponent
-            label = "ES" if g == 1.0 else ("OU" if g == 3.0 else "fractional")
-            object.__setattr__(self, "process_label", label)
-        elif self.process_label not in ("ES", "OU", "fractional"):
-            raise ValueError(f"unknown process label {self.process_label!r}")
+
+    @property
+    def process_label(self) -> str:
+        return process_label(self.gamma_exponent)
 
     @classmethod
     def from_system(cls, system: ParticleSystem, dt: float) -> "TransitionParams":
@@ -111,50 +114,58 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
     return VectorField(grid, np.stack(comps))
 
 
+def _cell(grid: ConfigGrid, axis: int, n: int,
+          x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper node indices of the cell holding each coordinate on an
+    n-node lattice along `axis`, and the weight of the upper node."""
+    if grid.periodic[axis]:
+        h = grid.extents[axis] / n
+        t = np.mod((x - grid.origin[axis]) / h, n)
+        f = np.floor(t)
+        i0 = f.astype(int)
+        # the float mod can round up to n itself, so the indices wrap too
+        return np.mod(i0, n), np.mod(i0 + 1, n), t - f
+    h = grid.extents[axis] / (n + 1)
+    t = np.clip((x - (grid.origin[axis] + h)) / h, 0.0, n - 1.0)
+    f = np.minimum(np.floor(t), n - 2.0)
+    i0 = f.astype(int)
+    return i0, i0 + 1, t - f
+
+
 def interpolate_vector(grid: ConfigGrid, values: np.ndarray,
                        positions: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of per-axis node fields at walker positions.
+    """Multilinear interpolation of stacked node tables at walker positions.
 
-    Periodic axes wrap; non-periodic axes clamp to the node range (constant
-    extrapolation past the outermost nodes).
+    `values` has shape (k, n_0, ..., n_{dim-1}): k component tables on a
+    lattice over the grid's box, laid out by the grid's conventions with
+    n_a nodes per axis (n_a may differ from grid.points, e.g. for a refined
+    table).  Returns shape (m, k).  Periodic axes wrap; non-periodic axes
+    clamp to the node range (constant extrapolation past the outermost
+    nodes).
     """
-    m = positions.shape[0]
-    dim = grid.dim
-    idx0 = np.empty((dim, m), dtype=int)
-    idx1 = np.empty((dim, m), dtype=int)
-    w = np.empty((dim, m))
-    for a in range(dim):
-        h = grid.spacing[a]
-        first = grid.axis_coords(a)[0]
-        n = grid.points[a]
-        t = (positions[:, a] - first) / h
-        if grid.periodic[a]:
-            t = np.mod(t, n)
-            i0 = np.floor(t).astype(int)
-            idx0[a] = np.mod(i0, n)
-            idx1[a] = np.mod(i0 + 1, n)
-            w[a] = t - i0
-        else:
-            t = np.clip(t, 0.0, n - 1.0)
-            i0 = np.minimum(np.floor(t).astype(int), n - 2)
-            idx0[a] = i0
-            idx1[a] = i0 + 1
-            w[a] = t - i0
-    out = np.zeros((m, dim))
-    for corner in range(2**dim):
-        weight = np.ones(m)
-        gather = []
-        for a in range(dim):
-            if corner >> a & 1:
-                weight = weight * w[a]
-                gather.append(idx1[a])
-            else:
-                weight = weight * (1.0 - w[a])
-                gather.append(idx0[a])
-        gather = tuple(gather)
-        for a in range(dim):
-            out[:, a] += weight * values[a][gather]
-    return out
+    shape = values.shape[1:]
+    ends = []  # per axis: (flat offset, weight) of the lower and upper node
+    for a, n in enumerate(shape):
+        lo, hi, w = _cell(grid, a, n, positions[:, a])
+        stride = math.prod(shape[a + 1:])
+        if stride > 1:
+            lo, hi = lo * stride, hi * stride
+        ends.append(((lo, 1.0 - w), (hi, w)))
+    corners = []
+    for corner in itertools.product(*ends):
+        nodes, weights = zip(*corner)
+        corners.append((functools.reduce(operator.add, nodes),
+                        functools.reduce(operator.mul, weights)))
+    # sum the corners row by row into the output: (k, m) temporaries made
+    # every lookup extend the heap afresh, and the page faults cost time
+    flat = values.reshape(values.shape[0], -1)
+    out = np.empty((flat.shape[0], positions.shape[0]))
+    (node0, weight0), *rest = corners
+    for row, acc in zip(flat, out):
+        np.multiply(np.take(row, node0), weight0, out=acc)
+        for node, weight in rest:
+            acc += np.take(row, node) * weight
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -164,107 +175,77 @@ def interpolate_vector(grid: ConfigGrid, values: np.ndarray,
 # Interpolating the velocity directly misbehaves near density nodes, where v
 # spikes on a sub-cell scale.  Both the ensemble sampler and the
 # deterministic integrator therefore interpolate the smooth pair
-# (rho * v, rho) and divide at the sample point.  On 1-D fully periodic
-# grids the pair is first resampled onto a zero-padded Fourier lattice,
-# which is exact for the band-limited solver output.
+# (rho * v, rho) and divide at the sample point.  A flow table stacks it as
+# one array [rho v_0, ..., rho v_{dim-1}, rho] of shape (dim + 1, *nodes).
+# On 1-D fully periodic grids the pair is first resampled onto a REFINE-times
+# finer zero-padded Fourier lattice, which is exact for the band-limited
+# solver output.
 
-def _zero_pad_spectrum(spec: np.ndarray, refine: int) -> np.ndarray:
+def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     n = spec.size
     kpos = (n + 1) // 2
-    pad = np.zeros(n * refine, dtype=complex)
+    pad = np.zeros(n * REFINE, dtype=complex)
     pad[:kpos] = spec[:kpos]
     pad[-(n - kpos):] = spec[kpos:]
-    return np.fft.ifft(pad) * refine
+    return np.fft.ifft(pad) * REFINE
 
 
 def _spectral_flow_1d(state: WaveState, pot: Potentials | None,
-                      system: ParticleSystem, mode: str, eta: float,
-                      refine: int) -> tuple[np.ndarray, np.ndarray]:
+                      system: ParticleSystem, mode: str,
+                      eta: float) -> np.ndarray:
     grid = state.grid
     n = grid.points[0]
     m = system.mass_per_axis[0]
     hbar = system.hbar
     spec = np.fft.fft(state.psi)
     ik = 2j * np.pi * np.fft.fftfreq(n, d=grid.spacing[0])
-    psi_f = _zero_pad_spectrum(spec, refine)
-    dpsi_f = _zero_pad_spectrum(spec * ik, refine)
+    psi_f = _zero_pad_spectrum(spec)
+    dpsi_f = _zero_pad_spectrum(spec * ik)
     cross = np.conj(psi_f) * dpsi_f
     rho_f = np.abs(psi_f) ** 2
     num = (hbar / m) * cross.imag
     if pot is not None and pot.vector_a_nodes is not None:
         a_fac = pot.a_factor(state.time)
-        a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0]), refine).real
+        a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
         num = num - (hbar * system.beta_per_axis[0] * a_fac / m) * a_f * rho_f
     if mode == "ES":
         # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
         # grad rho = 2 Re(psi* psi') needs no extra transform
         num = num + (eta / m) * cross.real
-    return num[None], rho_f[None]
+    return np.stack([num, rho_f])
 
 
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials | None,
-                 system: ParticleSystem, mode: str, eta: float,
-                 refine: int) -> tuple[list, bool]:
+                 system: ParticleSystem, mode: str,
+                 eta: float) -> list[np.ndarray]:
     grid = timeline[0].grid
-    spectral = refine > 1 and grid.dim == 1 and all(grid.periodic)
+    if grid.dim == 1 and grid.periodic[0]:
+        return [_spectral_flow_1d(state, pot, system, mode, eta)
+                for state in timeline]
     tables = []
     for state in timeline:
-        if spectral:
-            tables.append(_spectral_flow_1d(state, pot, system, mode, eta,
-                                            refine))
-        else:
-            pair = madelung(state, hbar=system.hbar)
-            v = drift_velocity_field(pair, pot, system, mode=mode, eta=eta,
-                                     t=state.time)
-            tables.append((state.rho[None] * v.values, state.rho[None]))
-    return tables, spectral
+        pair = madelung(state, hbar=system.hbar)
+        v = drift_velocity_field(pair, pot, system, mode=mode, eta=eta,
+                                 t=state.time)
+        tables.append(np.concatenate([state.rho[None] * v.values,
+                                      state.rho[None]]))
+    return tables
 
 
-def _ratio_drift(grid: ConfigGrid, table: tuple, positions: np.ndarray,
-                 spectral: bool, refine: int) -> np.ndarray:
-    num, den = table
-    if spectral:
-        nf = num.shape[-1]
-        s = np.mod((positions[:, 0] - grid.origin[0])
-                   / (grid.extents[0] / nf), nf)
-        i0 = np.floor(s).astype(int) % nf
-        i1 = (i0 + 1) % nf
-        w = s - np.floor(s)
-        num_at = num[0][i0] * (1 - w) + num[0][i1] * w
-        den_at = den[0][i0] * (1 - w) + den[0][i1] * w
-        num_at = num_at[:, None]
-    else:
-        num_at = interpolate_vector(grid, num, positions)
-        den_at = interpolate_vector(grid, den, positions)[:, 0]
-    floor = RHO_FLOOR_REL * den.max()
-    return num_at / np.maximum(den_at, floor)[:, None]
+def _ratio_drift(grid: ConfigGrid, table: np.ndarray,
+                 positions: np.ndarray) -> np.ndarray:
+    at = interpolate_vector(grid, table, positions)
+    floor = RHO_FLOOR_REL * table[-1].max()
+    return at[:, :-1] / np.maximum(at[:, -1], floor)[:, None]
 
 
-def _blend(t0: tuple, t1: tuple, lam: float) -> tuple:
-    if lam == 0.0:
-        return t0
-    return ((1 - lam) * t0[0] + lam * t1[0], (1 - lam) * t0[1] + lam * t1[1])
+def _blend(t0: np.ndarray, t1: np.ndarray, lam: float) -> np.ndarray:
+    return (1 - lam) * t0 + lam * t1
 
 
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
-
-def sample_step(positions: np.ndarray, drift: VectorField,
-                params: TransitionParams, system: ParticleSystem,
-                rng: np.random.Generator,
-                noise: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """x' = x + v(x) dt + dw, with dw ~ N(0, eta dt**gamma / m) per axis.
-
-    Reference stepper with plain multilinear drift interpolation; returns the
-    new positions and a diagnostics dict with the drift value at the
-    departure points and an escape mask for hard-walled axes.
-    """
-    grid = drift.grid
-    v = interpolate_vector(grid, drift.values, positions)
-    new, escaped = _advance(grid, positions, v, params, system, rng, noise)
-    return new, {"drift_at_departure": v, "escaped": escaped}
-
 
 def _advance(grid: ConfigGrid, positions: np.ndarray, v: np.ndarray,
              params: TransitionParams, system: ParticleSystem,
@@ -333,16 +314,14 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
                       record_stride: int = 1,
                       record_velocities: bool = False,
                       initial_positions: np.ndarray | None = None,
-                      max_escape_fraction: float = 0.01,
-                      refine: int = 4) -> Ensemble:
+                      max_escape_fraction: float = 0.01) -> Ensemble:
     """March an ensemble along a timeline of wave states.
 
     The state spacing must equal params.dt.  The mean shift of a step uses
     the midpoint drift (predictor half-step on the departure field, corrector
     on the average of the adjacent fields), evaluated by current-ratio
-    interpolation; `refine` controls the spectral resampling factor on 1-D
-    fully periodic grids.  Escaped walkers (hard walls only) are frozen in
-    place and counted; more than `max_escape_fraction` of them aborts.
+    interpolation.  Escaped walkers (hard walls only) are frozen in place
+    and counted; more than `max_escape_fraction` of them aborts.
     """
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
@@ -352,8 +331,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
     grid = timeline[0].grid
     if mode is None:
         mode = "ES" if params.process_label == "ES" else "current"
-    tables, spectral = _flow_tables(timeline, pot, system, mode, params.eta,
-                                    refine)
+    tables = _flow_tables(timeline, pot, system, mode, params.eta)
 
     root = np.random.SeedSequence(seed)
     init_seq, noise_seq = root.spawn(2)
@@ -375,20 +353,21 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
     escaped_total = 0
 
     for k in range(steps):
-        v0 = _ratio_drift(grid, tables[k], pos, spectral, refine)
+        v0 = _ratio_drift(grid, tables[k], pos)
         half = grid.wrap(pos + 0.5 * params.dt * v0)
         v_mid = _ratio_drift(grid, _blend(tables[k], tables[k + 1], 0.5),
-                             half, spectral, refine)
+                             half)
         new, escaped = _advance(grid, pos, v_mid, params, system, noise_rng)
         newly = escaped & alive
         if np.any(newly):
-            new[newly] = pos[newly]
             alive &= ~newly
             escaped_total += int(newly.sum())
             if escaped_total > max_escape_fraction * n_walkers:
                 raise RuntimeError(
                     f"{escaped_total} walkers escaped the domain "
                     f"(> {max_escape_fraction:.1%} of {n_walkers})")
+        if escaped_total:
+            new[~alive] = pos[~alive]
         if record_velocities:
             velocities.append((new - pos) / params.dt)
             drifts.append(v_mid)
@@ -501,7 +480,7 @@ def path_length_scaling(system: ParticleSystem, total_time: float,
 
 def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials | None,
                          system: ParticleSystem, initial_positions: np.ndarray,
-                         substeps: int = 1, refine: int = 4) -> np.ndarray:
+                         substeps: int = 1) -> np.ndarray:
     """Integrate dx/dt = v(x, t) with the midpoint rule along the timeline.
 
     The velocity is evaluated by current-ratio interpolation of snapshot flow
@@ -513,8 +492,7 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials | None,
         raise ValueError("timeline needs at least two states")
     grid = timeline[0].grid
     pos = np.array(initial_positions, dtype=float)
-    tables, spectral = _flow_tables(timeline, pot, system, "current", 0.0,
-                                    refine)
+    tables = _flow_tables(timeline, pot, system, "current", 0.0)
     out = [pos.copy()]
     for k in range(len(timeline) - 1):
         dt_snap = timeline[k + 1].time - timeline[k].time
@@ -524,9 +502,9 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials | None,
             lam_half = (j + 0.5) / substeps
             t0 = _blend(tables[k], tables[k + 1], lam0)
             th = _blend(tables[k], tables[k + 1], lam_half)
-            v0 = _ratio_drift(grid, t0, pos, spectral, refine)
+            v0 = _ratio_drift(grid, t0, pos)
             half = grid.wrap(pos + 0.5 * h * v0)
-            vh = _ratio_drift(grid, th, half, spectral, refine)
+            vh = _ratio_drift(grid, th, half)
             pos = grid.wrap(pos + h * vh)
         out.append(pos.copy())
     return np.array(out)

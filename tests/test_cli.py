@@ -96,3 +96,19 @@ def test_report_flags_incomplete_and_tampered(tmp_path):
     blob = (out / "result.json").read_bytes()
     (out / "result.json").write_bytes(blob.replace(b"5", b"6", 1))
     assert main(["report", str(out)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "--checkpoints", "0"],
+    ["ensemble", "--walkers", "0"],
+    ["evolve", "--points", "1000"],
+    ["evolve", "--steps", "-3"],
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be an integer in" in err
+    assert not out.exists()

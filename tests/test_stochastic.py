@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edsim.grids import ConfigGrid, ScalarField, single_particle
+from edsim.presets import build_preset
 from edsim.quantum import (WaveState, evolve_trajectory, free_potentials,
                            gaussian_packet, madelung)
 from edsim.stochastic import (Ensemble, TransitionParams,
@@ -9,8 +10,8 @@ from edsim.stochastic import (Ensemble, TransitionParams,
                               draw_initial_positions, drift_velocity_field,
                               fluctuation_covariance, interpolate_vector,
                               max_deviation_from_deterministic, noise_sigmas,
-                              path_length_scaling, sample_step,
-                              scaling_exponent, simulate_ensemble, with_eta)
+                              path_length_scaling, scaling_exponent,
+                              simulate_ensemble, with_eta)
 
 
 def test_params_labels_and_validation():
@@ -45,15 +46,26 @@ def test_with_eta_replaces_only_noise_constants():
 def test_interpolation_exact_for_linear_fields():
     grid = ConfigGrid((40, 32), (4.0, 3.2), (False, False))
     xx, yy = grid.meshgrid()
-    values = np.stack([2.0 * xx + 3.0 * yy - 1.0, xx * yy])
+    # three stacked components on a two-axis grid
+    values = np.stack([2.0 * xx + 3.0 * yy - 1.0, xx * yy, 0.5 - yy])
     rng = np.random.default_rng(3)
     lo = [grid.axis_coords(a)[0] for a in range(2)]
     hi = [grid.axis_coords(a)[-1] for a in range(2)]
     pts = np.column_stack([rng.uniform(lo[a], hi[a], 300) for a in range(2)])
     out = interpolate_vector(grid, values, pts)
     expect = np.column_stack([2 * pts[:, 0] + 3 * pts[:, 1] - 1,
-                              pts[:, 0] * pts[:, 1]])
+                              pts[:, 0] * pts[:, 1], 0.5 - pts[:, 1]])
+    assert out.shape == (300, 3)
     assert np.max(np.abs(out - expect)) < 1e-12
+    # a 4x refined table on a ring: the node count comes from the table
+    ring = ConfigGrid((16,), (8.0,), (True,), origin=(-4.0,))
+    fine = -4.0 + 0.125 * np.arange(64)
+    table = np.stack([3.0 * fine + 1.0, np.full(64, 2.0)])
+    x = rng.uniform(fine[0], fine[-1], 200)
+    out = interpolate_vector(ring, table, x[:, None])
+    assert out.shape == (200, 2)
+    assert np.max(np.abs(out[:, 0] - (3.0 * x + 1.0))) < 1e-12
+    assert np.allclose(out[:, 1], 2.0, rtol=1e-14)
 
 
 def test_interpolation_periodic_wrap_and_clamp():
@@ -82,35 +94,6 @@ def test_initial_draw_matches_density_moments():
     se_mean = np.sqrt(var_ref / m)
     assert abs(pos[:, 0].mean() - mean_ref) < 5 * se_mean
     assert abs(np.var(pos[:, 0]) - var_ref) < 5 * var_ref * np.sqrt(2.0 / m)
-
-
-def test_sample_step_zero_noise_moves_by_drift():
-    grid = ConfigGrid((64,), (8.0,), (False,), origin=(0.0,))
-    x = grid.axis_coords(0)
-    from edsim.grids import VectorField
-    drift = VectorField(grid, np.stack([0.5 * x + 0.1]))
-    sys1 = single_particle(eta=1e-3)
-    p = TransitionParams(0.2, 1e-3, 3.0)
-    pos = np.array([[2.0], [4.0], [6.0]])
-    rng = np.random.default_rng(0)
-    new, diag = sample_step(pos, drift, p, sys1, rng,
-                            noise=np.zeros_like(pos))
-    assert np.allclose(new[:, 0], pos[:, 0] + 0.2 * (0.5 * pos[:, 0] + 0.1),
-                       rtol=1e-12)
-    assert not diag["escaped"].any()
-
-
-def test_sample_step_flags_escapes_at_hard_walls():
-    grid = ConfigGrid((32,), (4.0,), (False,), origin=(0.0,))
-    from edsim.grids import VectorField
-    drift = VectorField(grid, np.zeros((1, 32)))
-    sys1 = single_particle(eta=1.0, gamma_exponent=1.0)
-    p = TransitionParams(0.1, 1.0, 1.0)
-    pos = np.array([[3.9], [2.0]])
-    noise = np.array([[3.0], [0.0]])
-    rng = np.random.default_rng(0)
-    new, diag = sample_step(pos, drift, p, sys1, rng, noise=noise)
-    assert diag["escaped"].tolist() == [True, False]
 
 
 def test_current_drift_vanishes_for_real_state():
@@ -275,6 +258,58 @@ def test_escape_abort_threshold():
     with pytest.raises(RuntimeError):
         simulate_ensemble(timeline, None, sys1, params, 200, seed=1,
                           max_escape_fraction=0.0)
+
+
+def test_escaped_walkers_are_frozen_and_counted():
+    grid = ConfigGrid((32,), (4.0,), (False,), origin=(0.0,))
+    psi = np.exp(2j * grid.axis_coords(0))  # uniform drift v = 2 to the right
+    timeline = _stationary_timeline(grid, WaveState(grid, psi), 4, 0.05)
+    sys1 = single_particle(eta=0.0)
+    params = TransitionParams.from_system(sys1, 0.05)
+    x0 = np.array([[3.95], [2.0]])
+    ens = simulate_ensemble(timeline, None, sys1, params, 2, seed=0,
+                            initial_positions=x0, max_escape_fraction=0.5)
+    assert ens.meta["escaped"] == 1
+    assert np.all(ens.positions[:, 0, 0] == 3.95)
+    assert np.allclose(ens.positions[:, 1, 0], 2.0 + 0.1 * np.arange(5),
+                       rtol=1e-12)
+
+
+def _vortex_timeline(winding):
+    sc = build_preset("vortex_2d", steps=40, winding=winding)
+    return sc, evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
+
+
+def test_vortex_ensemble_collapses_onto_bohmian_paths():
+    sc, timeline = _vortex_timeline(1)
+    x0 = draw_initial_positions(timeline[0], 200, np.random.default_rng(3))
+    ref = bohmian_trajectories(timeline, sc.potentials,
+                               with_eta(sc.system, 0.0), x0)
+    devs = []
+    for eta in (1e-6, 1e-8):
+        sys_eta = with_eta(sc.system, eta, gamma_exponent=1.0)
+        ens = simulate_ensemble(timeline, sc.potentials, sys_eta,
+                                TransitionParams.from_system(sys_eta, sc.dt),
+                                n_walkers=200, seed=5, initial_positions=x0)
+        assert ens.meta["escaped"] == 0
+        devs.append(max_deviation_from_deterministic(ens, ref))
+    assert devs[1] < devs[0]
+    assert devs[1] < 1e-3
+
+
+@pytest.mark.parametrize("winding", [1, -1, 2])
+def test_bohmian_walkers_circle_vortex_with_winding_sign(winding):
+    # v = hbar w / (m r) around the core: dtheta = w t / r^2 at r = 2
+    sc, timeline = _vortex_timeline(winding)
+    angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    x0 = 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    paths = bohmian_trajectories(timeline, sc.potentials,
+                                 with_eta(sc.system, 0.0), x0)
+    theta = np.unwrap(np.arctan2(paths[..., 1], paths[..., 0]), axis=0)
+    turned = theta[-1] - theta[0]
+    expect = winding * (timeline[-1].time - timeline[0].time) / 2.0**2
+    assert np.all(np.sign(turned) == np.sign(winding))
+    assert abs(turned.mean() - expect) < 0.02 * abs(expect)
 
 
 def test_center_of_mass_fluctuations_shrink_with_total_mass():
