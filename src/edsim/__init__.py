@@ -21,7 +21,7 @@ Subpackages by theme:
 __version__ = "0.1.0"
 
 from .grids import (ConfigGrid, ComplexField, ParticleSystem, ScalarField,
-                    VectorField, gradient, integrate, laplacian, loop_integral,
+                    VectorField, gradient, integrate, loop_integral,
                     particles_on_line, rectangle_loop, ring_loop,
                     single_particle)
 from .entropic import (GaussianStep, MaxEntProblem, bayes_reverse,

@@ -20,16 +20,18 @@ Repeated runs with identical configuration and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .entropic import (MaxEntProblem, bayes_reverse, chapman_kolmogorov_step,
                        maxent_transition, verify_maximizer)
-from .geometry import geometry_battery
+from .geometry import MAX_OUTCOMES, geometry_battery
 from .grids import (MAX_POINTS_PER_AXIS, ConfigGrid, ScalarField, VectorField,
                     single_particle)
-from .io import RunWriter, load_json, verify_run_dir
+from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
 from .quantum import energy, evolve_trajectory, madelung, position_moments
 from .stats import compare_density, histogram_on_grid
@@ -74,7 +76,7 @@ def cmd_evolve(args) -> int:
         mom = position_moments(st)
         row = [st.time,
                abs(st.meta.get("raw_norm", 1.0) - 1.0),
-               energy(st, sc.potentials, st.time),
+               energy(st, sc.potentials),
                st.meta.get("cn_residual", 0.0)]
         for a in range(sc.grid.dim):
             row.extend([mom["mean"][a], mom["width"][a]])
@@ -264,7 +266,13 @@ def cmd_entropic_step(args) -> int:
 
 
 def cmd_report(args) -> int:
-    check = verify_run_dir(args.run)
+    run = Path(args.run)
+    if not ((run / "manifest.json").is_file()
+            or (run / INCOMPLETE_MARKER).is_file()):
+        print(f"error: {args.run} is not a run directory (no manifest.json)",
+              file=sys.stderr)
+        return 2
+    check = verify_run_dir(run)
     if not check["complete"]:
         print(f"{args.run}: INCOMPLETE (marker present)")
         return 1
@@ -288,24 +296,34 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """argparse type: an integer in [lo, hi] (no upper bound when hi is None).
-    Anything else is a usage error, exit code 2."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < lo or (hi is not None and value > hi):
+def _in_range(kind: type, lo: float, hi: float = math.inf,
+              open_lo: bool = False):
+    """argparse type: a finite `kind` (int or float) in [lo, hi], or in
+    (lo, hi] when `open_lo`.  Anything else is a usage error, exit code 2."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value <= hi
+                and (value > lo if open_lo else value >= lo)):
+            what = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(
-                f"must be an integer in [{lo}, {hi or 'inf'}], got {value}")
+                f"must be {what} in {'(' if open_lo else '['}{lo}, {hi}], "
+                f"got {text}")
         return value
-    return integer
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
+_count = _in_range(int, 1)
+_seed = _in_range(int, 0)
+_points = _in_range(int, 2, MAX_POINTS_PER_AXIS)
+_positive = _in_range(float, 0, open_lo=True)
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--preset", default="free", choices=sorted(PRESETS))
-    p.add_argument("--points", type=_int_in(2, MAX_POINTS_PER_AXIS),
-                   default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--steps", type=_int_in(1), default=None)
+    p.add_argument("--points", type=_points, default=None)
+    p.add_argument("--dt", type=_positive, default=None)
+    p.add_argument("--steps", type=_count, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="integrate a preset wave state")
     _add_scenario_flags(p)
-    p.add_argument("--snapshots", type=_int_in(1), default=5)
+    p.add_argument("--snapshots", type=_count, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evolve)
 
@@ -324,40 +342,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     p.add_argument("--process", default="OU",
                    choices=["ES", "OU", "fractional"])
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--walkers", type=_int_in(1), default=20000)
-    p.add_argument("--checkpoints", type=_int_in(1), default=6)
-    p.add_argument("--calibration", type=_int_in(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gamma", type=_positive, default=None)
+    p.add_argument("--eta", type=_in_range(float, 0), default=None)
+    p.add_argument("--walkers", type=_count, default=20000)
+    p.add_argument("--checkpoints", type=_count, default=6)
+    p.add_argument("--calibration", type=_count, default=200)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("geometry-check", help="phase-space identity battery")
-    p.add_argument("--outcomes", type=int, default=32)
-    p.add_argument("--probes", type=int, default=100)
-    p.add_argument("--kernels", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--outcomes", type=_in_range(int, 1, MAX_OUTCOMES),
+                   default=32)
+    p.add_argument("--probes", type=_count, default=100)
+    # the commutator identity needs two kernels
+    p.add_argument("--kernels", type=_in_range(int, 2), default=20)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_geometry_check)
 
     p = sub.add_parser("limits", help="vanishing-noise and CM studies")
     _add_scenario_flags(p)
-    p.add_argument("--walkers", type=_int_in(1), default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--walkers", type=_count, default=300)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("entropic-step", help="one maximum-entropy transition")
-    p.add_argument("--points", type=_int_in(2, MAX_POINTS_PER_AXIS),
-                   default=128)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--drift-slope", type=float, default=0.8)
-    p.add_argument("--perturbations", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=_points, default=128)
+    p.add_argument("--dt", type=_positive, default=0.1)
+    # the transition kernel needs a positive variance, so eta = 0 is out
+    p.add_argument("--eta", type=_positive, default=1.0)
+    p.add_argument("--gamma", type=_positive, default=1.0)
+    p.add_argument("--mass", type=_positive, default=1.0)
+    p.add_argument("--drift-slope", type=_in_range(float, -math.inf),
+                   default=0.8)
+    p.add_argument("--perturbations", type=_count, default=50)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_entropic_step)
 

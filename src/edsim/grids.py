@@ -179,10 +179,6 @@ class VectorField:
         return self.values[axis]
 
 
-def scalar_field(grid: ConfigGrid, values) -> ScalarField:
-    return ScalarField(grid, values)
-
-
 def _shift(values: np.ndarray, axis: int, offset: int, periodic: bool) -> np.ndarray:
     """values evaluated at index + offset; zero fill outside a hard wall."""
     if periodic:
@@ -259,19 +255,6 @@ def bond_gradient(f: ScalarField | ComplexField) -> VectorField:
     if np.iscomplexobj(out):
         raise ValueError("bond_gradient expects a real field")
     return VectorField(grid, out, on_bonds=True)
-
-
-def laplacian(f: ScalarField | ComplexField) -> ScalarField | ComplexField:
-    """Second-difference Laplacian; hard walls (ghost zeros) off non-periodic
-    axes, matching the kinetic stencil used for wave evolution."""
-    grid = f.grid
-    out = np.zeros_like(np.asarray(f.values, dtype=f.values.dtype))
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        per = grid.periodic[a]
-        out += (_shift(f.values, a, +1, per) - 2 * f.values
-                + _shift(f.values, a, -1, per)) / h**2
-    return type(f)(grid, out)
 
 
 def integrate(f: ScalarField | ComplexField) -> float | complex:

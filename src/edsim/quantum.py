@@ -1,6 +1,10 @@
 """Wave-function flow: covariant Hamiltonian, Crank-Nicolson stepping, and
 the density/phase (Madelung) view with its consistency diagnostics.
 
+Potentials are static.  Each `Potentials` owns one frozen sparse
+Hamiltonian (`Potentials.hamiltonian`), built on first use; Crank-Nicolson
+stepping, `energy` and `hamilton_residuals` all read that one matrix.
+
 Gauge data lives on lattice links: the hopping term between nodes x and
 x + e_A carries the phase exp(-i * theta_A(x)) with
 theta_A = beta_n * (line integral of A along the bond).  Gauge
@@ -15,15 +19,16 @@ winding numbers come from loop sums only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    VectorField, _shift, gradient)
+                    _shift, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +89,8 @@ class Potentials:
 
     `link_theta[a]` is the hopping phase angle on the bond from node i to
     i + e_a; `vector_a_nodes[a]` keeps plain node samples of A for drift and
-    residual formulas.  Optional schedules multiply V and the gauge data as
-    functions of time (None means static).
+    residual formulas.  `hamiltonian` is the lattice Hamiltonian of these
+    potentials, built once and read-only.
     """
 
     grid: ConfigGrid
@@ -93,8 +98,6 @@ class Potentials:
     scalar_v: np.ndarray | None = None
     link_theta: np.ndarray | None = None
     vector_a_nodes: np.ndarray | None = None
-    v_schedule: Callable[[float], float] | None = None
-    a_schedule: Callable[[float], float] | None = None
 
     def __post_init__(self):
         shape = self.grid.shape
@@ -113,19 +116,12 @@ class Potentials:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
-    @property
-    def time_dependent(self) -> bool:
-        return self.v_schedule is not None or self.a_schedule is not None
-
-    def v_factor(self, t: float | None) -> float:
-        if self.v_schedule is None or t is None:
-            return 1.0
-        return float(self.v_schedule(t))
-
-    def a_factor(self, t: float | None) -> float:
-        if self.a_schedule is None or t is None:
-            return 1.0
-        return float(self.a_schedule(t))
+    @functools.cached_property
+    def hamiltonian(self) -> sp.csr_matrix:
+        H = hamiltonian_matrix(self)
+        for arr in (H.data, H.indices, H.indptr):
+            arr.setflags(write=False)
+        return H
 
 
 def _eval_on_mesh(spec, grid: ConfigGrid, axis_shift: int | None = None):
@@ -148,9 +144,8 @@ def _eval_on_mesh(spec, grid: ConfigGrid, axis_shift: int | None = None):
     return arr.copy()
 
 
-def build_potentials(grid: ConfigGrid, system: ParticleSystem,
-                     scalar_v=None, vector_a: Sequence | None = None,
-                     v_schedule=None, a_schedule=None) -> Potentials:
+def build_potentials(grid: ConfigGrid, system: ParticleSystem, scalar_v=None,
+                     vector_a: Sequence | None = None) -> Potentials:
     """Assemble Potentials from per-axis specs.
 
     `vector_a[a]` gives the vector-potential component along grid axis `a`
@@ -172,31 +167,31 @@ def build_potentials(grid: ConfigGrid, system: ParticleSystem,
             a_nodes[a] = _eval_on_mesh(spec, grid)
             a_mid = _eval_on_mesh(spec, grid, axis_shift=a)
             theta[a] = beta[a] * a_mid * grid.spacing[a]
-    return Potentials(grid, system, v, theta, a_nodes,
-                      v_schedule=v_schedule, a_schedule=a_schedule)
+    return Potentials(grid, system, v, theta, a_nodes)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian and Crank-Nicolson stepping
 # ---------------------------------------------------------------------------
 
-def hamiltonian_matrix(grid: ConfigGrid, system: ParticleSystem,
-                       pot: Potentials | None = None, t: float | None = None) -> sp.csr_matrix:
+def hamiltonian_matrix(pot: Potentials) -> sp.csr_matrix:
     """Sparse covariant Hamiltonian: hopping with link phases, hard walls on
-    non-periodic axes, scalar potential on the diagonal."""
+    non-periodic axes, scalar potential on the diagonal.  A fresh matrix on
+    every call; `pot.hamiltonian` is the shared one."""
+    grid = pot.grid
+    system = pot.system
     size = grid.size
     flat = np.arange(size).reshape(grid.shape)
     hbar = system.hbar
     masses = system.mass_per_axis
     diag = np.zeros(size, dtype=complex)
     row_parts, col_parts, val_parts = [], [], []
-    a_fac = pot.a_factor(t) if pot is not None else 1.0
     for a in range(grid.dim):
         h = grid.spacing[a]
         coeff = hbar**2 / (2 * masses[a] * h**2)
         diag += 2 * coeff
-        if pot is not None and pot.link_theta is not None:
-            phase = np.exp(-1j * a_fac * pot.link_theta[a])
+        if pot.link_theta is not None:
+            phase = np.exp(-1j * pot.link_theta[a])
         else:
             phase = np.ones(grid.shape, dtype=complex)
         nb = np.roll(flat, -1, axis=a)
@@ -218,24 +213,18 @@ def hamiltonian_matrix(grid: ConfigGrid, system: ParticleSystem,
         (np.concatenate(val_parts),
          (np.concatenate(row_parts), np.concatenate(col_parts))),
         shape=(size, size), dtype=complex).tocsr()
-    if pot is not None and pot.scalar_v is not None:
-        diag = diag + pot.v_factor(t) * pot.scalar_v.ravel()
+    if pot.scalar_v is not None:
+        diag = diag + pot.scalar_v.ravel()
     H = H + sp.diags(diag)
     return H.tocsr()
-
-
-def apply_hamiltonian(state: WaveState, pot: Potentials,
-                      t: float | None = None) -> np.ndarray:
-    H = hamiltonian_matrix(state.grid, pot.system, pot, t)
-    return (H @ state.psi.ravel()).reshape(state.grid.shape)
 
 
 def free_potentials(grid: ConfigGrid, system: ParticleSystem) -> Potentials:
     return Potentials(grid, system)
 
 
-def energy(state: WaveState, pot: Potentials, t: float | None = None) -> float:
-    hpsi = apply_hamiltonian(state, pot, t)
+def energy(state: WaveState, pot: Potentials) -> float:
+    hpsi = pot.hamiltonian @ state.psi.ravel()
     val = np.vdot(state.psi, hpsi) * state.grid.cell_volume
     return float(val.real)
 
@@ -256,29 +245,15 @@ class CrankNicolson:
         self.dt = dt
         self.solver_tol = solver_tol
         self.max_residual = 0.0
-        self._cache_t = None
-        self._lu = None
-        self._B = None
-        if not pot.time_dependent:
-            self._factor(None)
-
-    def _factor(self, t_mid):
-        grid = self.pot.grid
-        H = hamiltonian_matrix(grid, self.pot.system, self.pot, t_mid)
-        z = 1j * self.dt / (2 * self.pot.system.hbar)
-        eye = sp.identity(grid.size, dtype=complex, format="csr")
+        H = pot.hamiltonian
+        z = 1j * dt / (2 * pot.system.hbar)
+        eye = sp.identity(pot.grid.size, dtype=complex, format="csr")
         self._A = (eye + z * H).tocsc()
         self._B = (eye - z * H).tocsr()
         self._lu = spla.splu(self._A)
-        self._cache_t = t_mid
 
-    def step(self, psi: np.ndarray, t: float | None = None) -> np.ndarray:
-        flat = psi.ravel()
-        if self.pot.time_dependent:
-            t_mid = (t if t is not None else 0.0) + self.dt / 2
-            if self._cache_t != t_mid:
-                self._factor(t_mid)
-        b = self._B @ flat
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        b = self._B @ psi.ravel()
         out = self._lu.solve(b)
         resid = np.max(np.abs(self._A @ out - b))
         scale = max(np.max(np.abs(b)), 1e-300)
@@ -298,7 +273,7 @@ def evolve(state: WaveState, pot: Potentials, dt: float, steps: int,
     t = state.time
     vol = state.grid.cell_volume
     for _ in range(steps):
-        psi = cn.step(psi, t)
+        psi = cn.step(psi)
         t += dt
     raw_norm = float(np.vdot(psi, psi).real * vol)
     return WaveState(state.grid, psi, time=t,
@@ -314,7 +289,7 @@ def evolve_trajectory(state: WaveState, pot: Potentials, dt: float, steps: int,
     t = state.time
     vol = state.grid.cell_volume
     for _ in range(steps):
-        psi = cn.step(psi, t)
+        psi = cn.step(psi)
         t += dt
         raw_norm = float(np.vdot(psi, psi).real * vol)
         out.append(WaveState(state.grid, psi, time=t,
@@ -426,11 +401,6 @@ def phase_gradient(pair: MadelungPair, axis: int) -> np.ndarray:
     return out
 
 
-def phase_gradient_field(pair: MadelungPair) -> VectorField:
-    comps = [phase_gradient(pair, a) for a in range(pair.grid.dim)]
-    return VectorField(pair.grid, np.stack(comps))
-
-
 def quantum_potential(rho: ScalarField, system: ParticleSystem,
                       floor_rel: float = RHO_FLOOR_REL) -> ScalarField:
     """Q = - sum_A (hbar^2 / 2 m_A) (d^2_A sqrt(rho)) / sqrt(rho).
@@ -473,8 +443,6 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float,
 
     pair = madelung(state, hbar=hbar)
     mask = state.rho > floor_rel * state.rho.max()
-    a_fac = pot.a_factor(state.time)
-    v_fac = pot.v_factor(state.time)
 
     masses = system.mass_per_axis
     beta = system.beta_per_axis
@@ -483,14 +451,14 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float,
     for a in range(grid.dim):
         mom = phase_gradient(pair, a)
         if pot.vector_a_nodes is not None:
-            mom = mom - hbar * beta[a] * a_fac * pot.vector_a_nodes[a]
+            mom = mom - hbar * beta[a] * pot.vector_a_nodes[a]
         vel = mom / masses[a]
         kin += mom * vel / 2
         cur = ScalarField(grid, state.rho * vel)
         div_current += gradient(cur, a).values
     qpot = quantum_potential(ScalarField(grid, state.rho), system,
                              floor_rel=floor_rel)
-    vpot = v_fac * pot.scalar_v if pot.scalar_v is not None else 0.0
+    vpot = pot.scalar_v if pot.scalar_v is not None else 0.0
     r_rho_field = rho_dot + div_current
     r_phi_field = phi_dot + kin + qpot.values + vpot
     r_rho = float(np.max(np.abs(np.where(mask, r_rho_field, 0.0))))
@@ -512,16 +480,13 @@ def time_reverse(state: WaveState) -> WaveState:
 
 
 def reverse_potentials(pot: Potentials) -> Potentials:
-    """V(t) -> V(-t), A(t) -> -A(-t)."""
-    vs = pot.v_schedule
-    asch = pot.a_schedule
+    """V -> V, A -> -A.  The new potentials build their own Hamiltonian, the
+    complex conjugate of the original one."""
     return Potentials(
         pot.grid, pot.system,
         scalar_v=pot.scalar_v,
         link_theta=None if pot.link_theta is None else -pot.link_theta,
         vector_a_nodes=None if pot.vector_a_nodes is None else -pot.vector_a_nodes,
-        v_schedule=None if vs is None else (lambda t: vs(-t)),
-        a_schedule=None if asch is None else (lambda t: asch(-t)),
     )
 
 
@@ -590,8 +555,7 @@ def gauge_transform(state: WaveState, pot: Potentials, chi,
         else np.zeros((dim,) + grid.shape)
     new_theta = base_theta + beta_axis.reshape((-1,) + (1,) * dim) * dchi_bond
     new_nodes = base_nodes + dchi_nodes
-    new_pot = Potentials(grid, system, pot.scalar_v, new_theta, new_nodes,
-                         v_schedule=pot.v_schedule, a_schedule=pot.a_schedule)
+    new_pot = Potentials(grid, system, pot.scalar_v, new_theta, new_nodes)
     return WaveState(grid, new_psi, time=state.time), new_pot
 
 

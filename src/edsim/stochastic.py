@@ -83,8 +83,7 @@ def noise_sigmas(system: ParticleSystem, params: TransitionParams) -> np.ndarray
 
 def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
                          system: ParticleSystem, mode: str = "current",
-                         eta: float | None = None,
-                         t: float | None = None) -> VectorField:
+                         eta: float | None = None) -> VectorField:
     """Velocity field steering the walkers.
 
     mode "current": v_A = (grad_A Phi - hbar beta_A A_A) / m_A.
@@ -95,11 +94,10 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
     masses = system.mass_per_axis
     beta = system.beta_per_axis
     comps = []
-    a_fac = pot.a_factor(t) if pot is not None else 1.0
     for a in range(grid.dim):
         mom = phase_gradient(pair, a)
         if pot is not None and pot.vector_a_nodes is not None:
-            mom = mom - system.hbar * beta[a] * a_fac * pot.vector_a_nodes[a]
+            mom = mom - system.hbar * beta[a] * pot.vector_a_nodes[a]
         comps.append(mom / masses[a])
     if mode == "ES":
         if eta is None:
@@ -205,9 +203,8 @@ def _spectral_flow_1d(state: WaveState, pot: Potentials | None,
     rho_f = np.abs(psi_f) ** 2
     num = (hbar / m) * cross.imag
     if pot is not None and pot.vector_a_nodes is not None:
-        a_fac = pot.a_factor(state.time)
         a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
-        num = num - (hbar * system.beta_per_axis[0] * a_fac / m) * a_f * rho_f
+        num = num - (hbar * system.beta_per_axis[0] / m) * a_f * rho_f
     if mode == "ES":
         # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
         # grad rho = 2 Re(psi* psi') needs no extra transform
@@ -225,8 +222,7 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials | None,
     tables = []
     for state in timeline:
         pair = madelung(state, hbar=system.hbar)
-        v = drift_velocity_field(pair, pot, system, mode=mode, eta=eta,
-                                 t=state.time)
+        v = drift_velocity_field(pair, pot, system, mode=mode, eta=eta)
         tables.append(np.concatenate([state.rho[None] * v.values,
                                       state.rho[None]]))
     return tables

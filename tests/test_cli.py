@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edsim.cli import main
+from edsim.cli import build_parser, main
 from edsim.io import INCOMPLETE_MARKER, load_json
 from edsim.presets import PRESETS, build_preset
 
@@ -98,17 +102,72 @@ def test_report_flags_incomplete_and_tampered(tmp_path):
     assert main(["report", str(out)]) == 1
 
 
+# accepted values of every float option, per subcommand
+FLOAT_OPTIONS = {
+    ("evolve", "--dt"): lambda v: v > 0,
+    ("ensemble", "--eta"): lambda v: v >= 0,
+    ("ensemble", "--gamma"): lambda v: v > 0,
+    ("entropic-step", "--dt"): lambda v: v > 0,
+    ("entropic-step", "--eta"): lambda v: v > 0,
+    ("entropic-step", "--gamma"): lambda v: v > 0,
+    ("entropic-step", "--mass"): lambda v: v > 0,
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["ensemble", "--checkpoints", "0"],
     ["ensemble", "--walkers", "0"],
     ["evolve", "--points", "1000"],
     ["evolve", "--steps", "-3"],
+    ["evolve", "--dt", "-0.01"],
+    ["evolve", "--dt", "0"],
+    ["evolve", "--dt", "nan"],
+    ["ensemble", "--eta", "-1"],
+    ["ensemble", "--eta", "nan"],
+    ["ensemble", "--process", "fractional", "--gamma", "-1"],
+    ["ensemble", "--seed", "-1"],
+    ["entropic-step", "--mass", "0"],
+    ["entropic-step", "--dt", "-0.1"],
+    ["entropic-step", "--dt", "inf"],
+    ["entropic-step", "--eta", "-1"],
+    ["entropic-step", "--perturbations", "0"],
+    ["geometry-check", "--outcomes", "100"],
+    ["geometry-check", "--outcomes", "0"],
+    ["geometry-check", "--probes", "0"],
+    ["geometry-check", "--kernels", "1"],
+    ["report", "run"],
+    ["report", "empty"],
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
+    """Exit 2 with a one-line message and no run written; `report` is given
+    a missing directory and an existing one without a manifest."""
     out = tmp_path / "run"
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument {argv[1]}: must be an integer in" in err
+    if argv[0] == "report":
+        (tmp_path / "empty").mkdir()
+        code = main(["report", str(tmp_path / argv[1])])
+        expect, tail = "is not a run directory", ""
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        code = exc.value.code
+        option, value = argv[-2:]
+        what = "a number" if (argv[0], option) in FLOAT_OPTIONS else "an integer"
+        expect, tail = f"argument {option}: must be {what} in", f"got {value}"
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert expect in last and last.endswith(tail)
     assert not out.exists()
+
+
+@settings(derandomize=True, deadline=None)
+@given(key=st.sampled_from(sorted(FLOAT_OPTIONS)), value=st.floats())
+def test_float_options_accept_exactly_their_finite_range(key, value):
+    command, option = key
+    argv = [command, f"{option}={value!r}", "--out", "unused"]
+    if math.isfinite(value) and FLOAT_OPTIONS[key](value):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, option[2:]) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2

@@ -10,7 +10,6 @@ from edsim.quantum import (
     MadelungPair,
     Potentials,
     WaveState,
-    apply_hamiltonian,
     build_potentials,
     charge_quantization_check,
     compose,
@@ -33,6 +32,7 @@ from edsim.quantum import (
     winding_number,
 )
 from edsim.grids import ScalarField
+from edsim.presets import build_preset
 
 
 def ring(n=128, L=16.0):
@@ -50,7 +50,7 @@ def test_plane_wave_discrete_dispersion():
     pot = free_potentials(g, sys)
     k = 2 * np.pi * 3 / g.extents[0]
     st = plane_wave(g, k)
-    hpsi = apply_hamiltonian(st, pot)
+    hpsi = pot.hamiltonian @ st.psi
     ratio = hpsi / st.psi
     h = g.spacing[0]
     e_disc = sys.hbar**2 / (sys.masses[0] * h**2) * (1 - np.cos(k * h))
@@ -72,12 +72,12 @@ def test_constant_gauge_field_shifts_dispersion():
     # plane waves stay eigenvectors, with wavenumber shifted by beta*A
     k = 2 * np.pi * 5 / L
     st = plane_wave(g, k)
-    ratio = apply_hamiltonian(st, pot) / st.psi
+    ratio = (pot.hamiltonian @ st.psi) / st.psi
     expected = sys.hbar**2 / (sys.masses[0] * h**2) * (1 - np.cos((k - beta * a_val) * h))
     assert np.allclose(ratio, expected, rtol=1e-12)
 
     # full spectrum against dense diagonalization
-    H = hamiltonian_matrix(g, sys, pot).toarray()
+    H = hamiltonian_matrix(pot).toarray()
     assert np.max(np.abs(H - H.conj().T)) < 1e-14
     evals = np.sort(scipy.linalg.eigvalsh(H))
     ks = 2 * np.pi * np.fft.fftfreq(g.points[0], d=h)
@@ -100,11 +100,28 @@ def test_crank_nicolson_norm_and_energy_conservation():
     assert abs(e1 - e0) < 1e-10 * abs(e0)
 
 
+def test_potentials_share_one_frozen_hamiltonian():
+    sc = build_preset("ring_constant_a")
+    pot, st = sc.potentials, sc.state
+    H = pot.hamiltonian
+    assert pot.hamiltonian is H
+    for arr in (H.data, H.indices):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    fresh = hamiltonian_matrix(pot)
+    assert energy(st, pot) == float(
+        (np.vdot(st.psi, fresh @ st.psi) * sc.grid.cell_volume).real)
+    # lattice time reversal: H(-A) = H(A)*, built anew for the new potentials
+    rev = reverse_potentials(pot).hamiltonian
+    assert rev is not H
+    assert abs(rev - H.conj()).max() == 0.0
+
+
 def test_box_ground_state_is_stationary():
     g = ConfigGrid((64,), (8.0,), (False,))
     sys = single_particle()
     pot = build_potentials(g, sys, scalar_v=lambda x: 0.5 * (x - 4.0) ** 2)
-    H = hamiltonian_matrix(g, sys, pot).toarray()
+    H = hamiltonian_matrix(pot).toarray()
     evals, evecs = scipy.linalg.eigh(H)
     ground = WaveState(g, evecs[:, 0].astype(complex))
     e0 = evals[0]
@@ -181,7 +198,7 @@ def test_hamilton_residuals_stationary_state():
     g = ConfigGrid((96,), (10.0,), (False,))
     sys = single_particle()
     pot = build_potentials(g, sys, scalar_v=lambda x: 2.0 * (x - 5.0) ** 2)
-    H = hamiltonian_matrix(g, sys, pot).toarray()
+    H = hamiltonian_matrix(pot).toarray()
     _, evecs = scipy.linalg.eigh(H)
     ground = WaveState(g, evecs[:, 0].astype(complex))
     res = hamilton_residuals(ground, pot, dt=1e-3, floor_rel=1e-6)
