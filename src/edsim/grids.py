@@ -31,6 +31,28 @@ MAX_POINTS_PER_AXIS = 512
 RHO_FLOOR_REL = 1e-12
 
 
+def mod_period(values: np.ndarray, period: float) -> np.ndarray:
+    """``np.mod(values, period, out=values)`` by a masked shift of one period.
+
+    This is the one wrap rule of the package.  For values in
+    [-period, 2 period) np.mod adds or subtracts the period once (its fmod is
+    exact there), so the masked shift gives the same bits at a fraction of
+    the cost, and values already in [0, period) are left alone.  The one
+    difference: -0.0 stays -0.0 where np.mod gives +0.0, which adding a grid
+    origin erases.  Anything outside that range, or nan, falls back to
+    np.mod.  Returns `values`, shifted in place.
+    """
+    low, high = values.min(initial=0.0), values.max(initial=0.0)
+    if low >= 0 and high < period:
+        return values
+    if not (low >= -period and high < 2 * period):
+        return np.mod(values, period, out=values)
+    below = values < 0
+    np.subtract(values, period, out=values, where=values >= period)
+    np.add(values, period, out=values, where=below)
+    return values
+
+
 def _as_tuple(x, n: int, kind=float) -> tuple:
     if np.isscalar(x):
         return tuple(kind(x) for _ in range(n))
@@ -109,14 +131,21 @@ class ConfigGrid:
     def meshgrid(self) -> list[np.ndarray]:
         return [self.coordinate_array(a) for a in range(self.dim)]
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Map positions back into the domain on periodic axes."""
-        x = np.array(x, dtype=float, copy=True)
+    def wrap(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map positions back into the domain on periodic axes:
+        ``lo + mod_period(x - lo, extent)``.  `out` may be `x` itself."""
+        if out is None:
+            out = np.array(x, dtype=float, copy=True)
+        elif out is not x:
+            np.copyto(out, x)
         for a in range(self.dim):
             if self.periodic[a]:
                 lo = self.origin[a]
-                x[..., a] = lo + np.mod(x[..., a] - lo, self.extents[a])
-        return x
+                col = out[..., a]
+                np.subtract(col, lo, out=col)
+                mod_period(col, self.extents[a])
+                np.add(col, lo, out=col)
+        return out
 
     def describe(self) -> dict:
         return {

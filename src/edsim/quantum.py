@@ -31,6 +31,12 @@ from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
                     _shift, gradient)
 
 
+class SafeguardError(RuntimeError):
+    """A numerical safeguard stopped a computation whose result it could not
+    vouch for (a Crank-Nicolson step off tolerance, too many escaped
+    walkers)."""
+
+
 # ---------------------------------------------------------------------------
 # states and potentials
 # ---------------------------------------------------------------------------
@@ -234,8 +240,10 @@ class CrankNicolson:
 
     The propagator is a Cayley transform of a Hermitian matrix, so the step
     is norm-preserving; the direct sparse solve keeps the defect near
-    roundoff and the residual of every solve is checked against
-    `solver_tol`.
+    roundoff.  Every step checks the residual of its solve, relative to the
+    right-hand side, and its relative change of the squared norm against
+    `solver_tol`: with a huge step the residual can pass while the norm is
+    lost.
     """
 
     def __init__(self, pot: Potentials, dt: float, solver_tol: float = 1e-9):
@@ -259,9 +267,15 @@ class CrankNicolson:
         scale = max(np.max(np.abs(b)), 1e-300)
         self.max_residual = max(self.max_residual, resid / scale)
         if resid / scale > self.solver_tol:
-            raise RuntimeError(
+            raise SafeguardError(
                 f"Crank-Nicolson solve residual {resid / scale:.3e} exceeds "
                 f"tolerance {self.solver_tol:.3e}")
+        before, after = np.vdot(psi, psi).real, np.vdot(out, out).real
+        if abs(after - before) > self.solver_tol * before:
+            raise SafeguardError(
+                f"Crank-Nicolson step changed the squared norm by "
+                f"{abs(after - before) / before:.3e}, beyond tolerance "
+                f"{self.solver_tol:.3e}")
         return out.reshape(psi.shape)
 
 

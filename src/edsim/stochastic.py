@@ -17,22 +17,29 @@ behaves near density nodes where v itself spikes; see the flow-table block
 below.  Randomness: a master seed feeds a SeedSequence; independent children
 drive the initial draw and the per-step noise (counter-based Philox
 streams), so a run is bit-reproducible for fixed (seed, walkers, timeline).
+
+Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
+subtract of the period, with an np.mod fallback for values more than one
+period outside the box.  Each run pads its flow tables once, keeps their
+density floors and reuses its buffers (`_StepPlan`), and the arithmetic of
+the lookup and of the table blend is unchanged, so positions, drifts and
+escape counts are byte-identical to the plain np.mod formulation of the
+step.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    VectorField, gradient, process_label)
-from .quantum import MadelungPair, Potentials, WaveState, madelung, phase_gradient
+                    VectorField, gradient, mod_period, process_label)
+from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
+                      madelung, phase_gradient)
 
 # resampling factor of the spectral flow tables of 1-D rings
 REFINE = 4
@@ -112,26 +119,110 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
     return VectorField(grid, np.stack(comps))
 
 
-def _cell(grid: ConfigGrid, axis: int, n: int,
-          x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower and upper node indices of the cell holding each coordinate on an
-    n-node lattice along `axis`, and the weight of the upper node."""
+# ---------------------------------------------------------------------------
+# lattice lookup
+# ---------------------------------------------------------------------------
+#
+# A run reads its node tables through one `_StepPlan`.  It pads every table
+# once with the wrap-around nodes of each periodic axis (nodes n and n + 1
+# repeat nodes 0 and 1), so the two nodes of a cell are i0 and i0 + 1 with
+# no integer mod and every corner of a cell is a fixed offset from its
+# lowest corner, and it holds every temporary of a lookup and of a step in
+# buffers allocated once for the run's m walkers.
+
+def _pad_into(grid: ConfigGrid, table: np.ndarray, out: np.ndarray) -> None:
+    """Copy `table` into `out`, whose periodic axes are two nodes longer,
+    and fill those two nodes with nodes 0 and 1."""
+    out[tuple(slice(0, n) for n in table.shape)] = table
+    for a, periodic in enumerate(grid.periodic):
+        if periodic:
+            n = table.shape[a + 1]
+            axes = (slice(None),) * (a + 1)
+            out[axes + (slice(n, n + 2),)] = out[axes + (slice(0, 2),)]
+
+
+class _StepPlan:
+    """Padded flat tables of one run and the buffers of its walker step.
+
+    `tables` stacks the `count` tables as (count, k, nodes), in one block;
+    `nodes` and `strides` describe the unpadded node counts and the padded
+    flat layout per axis.  Results read from the buffers (lookups, blends)
+    are valid until the next call that writes the same buffer.
+    """
+
+    def __init__(self, grid: ConfigGrid, tables, count: int, n_walkers: int):
+        tables = iter(tables)
+        first = next(tables)
+        self.grid = grid
+        self.nodes = first.shape[1:]
+        shape = tuple(n + 2 if per else n
+                      for n, per in zip(self.nodes, grid.periodic))
+        self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
+        block = np.empty((count, first.shape[0]) + shape)
+        for out, table in zip(block, itertools.chain([first], tables)):
+            _pad_into(grid, table, out)
+        self.tables = block.reshape(count, first.shape[0], -1)
+        k, m, dim = self.tables[0].shape[0], n_walkers, grid.dim
+        # per axis: upper and lower node weight, lower node index
+        self.upper = np.empty((dim, m))
+        self.lower = np.empty((dim, m))
+        self.lo = np.empty((dim, m), dtype=np.intp)
+        # the weight of one corner of a multi-axis cell
+        self.weight = np.empty(m)
+        self.acc = np.empty((k, m))
+        self.tmp = np.empty((k, m))
+        # two blended tables and the scratch of a blend
+        self.mid = np.empty((3,) + self.tables[0].shape)
+        self.half = np.empty((m, dim))
+
+    def blend(self, k: int, lam: float, slot: int = 0) -> tuple[np.ndarray, float]:
+        """(1 - lam) * table k + lam * table k + 1, written into blend
+        buffer `slot` (0 or 1), with its density floor."""
+        out, scratch = self.mid[slot], self.mid[2]
+        np.multiply(self.tables[k], 1 - lam, out=out)
+        np.multiply(self.tables[k + 1], lam, out=scratch)
+        np.add(out, scratch, out=out)
+        return out, RHO_FLOOR_REL * out[-1].max()
+
+    def midpoint_drift(self, positions: np.ndarray, start: tuple,
+                       mid: tuple, h: float) -> np.ndarray:
+        """Drift of a midpoint step of length h: a predictor half-step on
+        the (table, floor) pair `start`, the corrector drift on `mid`."""
+        v0 = _ratio_drift(self, *start, positions)
+        half = self.half
+        np.multiply(v0, 0.5 * h, out=half)
+        np.add(positions, half, out=half)
+        self.grid.wrap(half, out=half)
+        return _ratio_drift(self, *mid, half)
+
+
+def _cell(grid: ConfigGrid, axis: int, n: int, x: np.ndarray,
+          upper: np.ndarray, lower: np.ndarray, lo: np.ndarray) -> None:
+    """Fill, for each coordinate on an n-node lattice along `axis`, the
+    lower node index of its cell and the weights of its upper and lower
+    node (the upper node is lo + 1)."""
     if grid.periodic[axis]:
         h = grid.extents[axis] / n
-        t = np.mod((x - grid.origin[axis]) / h, n)
-        f = np.floor(t)
-        i0 = f.astype(int)
-        # the float mod can round up to n itself, so the indices wrap too
-        return np.mod(i0, n), np.mod(i0 + 1, n), t - f
-    h = grid.extents[axis] / (n + 1)
-    t = np.clip((x - (grid.origin[axis] + h)) / h, 0.0, n - 1.0)
-    f = np.minimum(np.floor(t), n - 2.0)
-    i0 = f.astype(int)
-    return i0, i0 + 1, t - f
+        np.subtract(x, grid.origin[axis], out=upper)
+        np.divide(upper, h, out=upper)
+        # may round up to n itself: padded node n repeats node 0
+        mod_period(upper, n)
+        np.floor(upper, out=lower)
+    else:
+        h = grid.extents[axis] / (n + 1)
+        np.subtract(x, grid.origin[axis] + h, out=upper)
+        np.divide(upper, h, out=upper)
+        np.clip(upper, 0.0, n - 1.0, out=upper)
+        np.floor(upper, out=lower)
+        np.minimum(lower, n - 2.0, out=lower)
+    np.copyto(lo, lower, casting="unsafe")
+    np.subtract(upper, lower, out=upper)
+    np.subtract(1.0, upper, out=lower)
 
 
 def interpolate_vector(grid: ConfigGrid, values: np.ndarray,
-                       positions: np.ndarray) -> np.ndarray:
+                       positions: np.ndarray,
+                       plan: _StepPlan | None = None) -> np.ndarray:
     """Multilinear interpolation of stacked node tables at walker positions.
 
     `values` has shape (k, n_0, ..., n_{dim-1}): k component tables on a
@@ -139,31 +230,38 @@ def interpolate_vector(grid: ConfigGrid, values: np.ndarray,
     n_a nodes per axis (n_a may differ from grid.points, e.g. for a refined
     table).  Returns shape (m, k).  Periodic axes wrap; non-periodic axes
     clamp to the node range (constant extrapolation past the outermost
-    nodes).
+    nodes).  Inside a run, `values` is one of `plan.tables` and the result
+    is a view of `plan.acc`.
     """
-    shape = values.shape[1:]
-    ends = []  # per axis: (flat offset, weight) of the lower and upper node
-    for a, n in enumerate(shape):
-        lo, hi, w = _cell(grid, a, n, positions[:, a])
-        stride = math.prod(shape[a + 1:])
-        if stride > 1:
-            lo, hi = lo * stride, hi * stride
-        ends.append(((lo, 1.0 - w), (hi, w)))
-    corners = []
-    for corner in itertools.product(*ends):
-        nodes, weights = zip(*corner)
-        corners.append((functools.reduce(operator.add, nodes),
-                        functools.reduce(operator.mul, weights)))
-    # sum the corners row by row into the output: (k, m) temporaries made
-    # every lookup extend the heap afresh, and the page faults cost time
-    flat = values.reshape(values.shape[0], -1)
-    out = np.empty((flat.shape[0], positions.shape[0]))
-    (node0, weight0), *rest = corners
-    for row, acc in zip(flat, out):
-        np.multiply(np.take(row, node0), weight0, out=acc)
-        for node, weight in rest:
-            acc += np.take(row, node) * weight
-    return out.T
+    if plan is None:
+        plan = _StepPlan(grid, [values], 1, positions.shape[0])
+        values = plan.tables[0]
+    # flat index of each walker's lowest cell corner; the corner with the
+    # upper node on the axes `up` sits sum(strides[up]) further on
+    base = plan.lo[0]
+    for a, n in enumerate(plan.nodes):
+        lo = plan.lo[a]
+        _cell(grid, a, n, positions[:, a], plan.upper[a], plan.lower[a], lo)
+        if plan.strides[a] > 1:
+            lo *= plan.strides[a]
+        if a:
+            base += lo
+    # mode="clip" lets take write straight into the buffer (its default
+    # gathers into a temporary first); every index is in range already
+    acc, tmp = plan.acc, plan.tmp
+    for i, up in enumerate(itertools.product((False, True), repeat=grid.dim)):
+        offset = sum(s for s, u in zip(plan.strides, up) if u)
+        weight = None  # the product of the axis weights, in axis order
+        for a, u in enumerate(up):
+            w = plan.upper[a] if u else plan.lower[a]
+            weight = w if weight is None else np.multiply(weight, w,
+                                                          out=plan.weight)
+        dest = tmp if i else acc
+        values[:, offset:].take(base, axis=1, out=dest, mode="clip")
+        dest *= weight
+        if i:
+            acc += tmp
+    return acc.T
 
 
 # ---------------------------------------------------------------------------
@@ -213,30 +311,28 @@ def _spectral_flow_1d(state: WaveState, pot: Potentials | None,
 
 
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials | None,
-                 system: ParticleSystem, mode: str,
-                 eta: float) -> list[np.ndarray]:
+                 system: ParticleSystem, mode: str, eta: float):
+    """The flow table of every state, one at a time."""
     grid = timeline[0].grid
-    if grid.dim == 1 and grid.periodic[0]:
-        return [_spectral_flow_1d(state, pot, system, mode, eta)
-                for state in timeline]
-    tables = []
     for state in timeline:
+        if grid.dim == 1 and grid.periodic[0]:
+            yield _spectral_flow_1d(state, pot, system, mode, eta)
+            continue
         pair = madelung(state, hbar=system.hbar)
         v = drift_velocity_field(pair, pot, system, mode=mode, eta=eta)
-        tables.append(np.concatenate([state.rho[None] * v.values,
-                                      state.rho[None]]))
-    return tables
+        yield np.concatenate([state.rho[None] * v.values, state.rho[None]])
 
 
-def _ratio_drift(grid: ConfigGrid, table: np.ndarray,
+def _ratio_drift(plan: _StepPlan, table: np.ndarray, floor: float,
                  positions: np.ndarray) -> np.ndarray:
-    at = interpolate_vector(grid, table, positions)
-    floor = RHO_FLOOR_REL * table[-1].max()
-    return at[:, :-1] / np.maximum(at[:, -1], floor)[:, None]
-
-
-def _blend(t0: np.ndarray, t1: np.ndarray, lam: float) -> np.ndarray:
-    return (1 - lam) * t0 + lam * t1
+    """Drift at the positions, shape (m, dim): the interpolated rho v over
+    the interpolated rho, floored; a view of `plan.acc`."""
+    interpolate_vector(plan.grid, table, positions, plan)
+    acc = plan.acc
+    den = acc[-1]
+    np.maximum(den, floor, out=den)
+    np.divide(acc[:-1], den, out=acc[:-1])
+    return acc[:-1].T
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +340,25 @@ def _blend(t0: np.ndarray, t1: np.ndarray, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _advance(grid: ConfigGrid, positions: np.ndarray, v: np.ndarray,
-             params: TransitionParams, system: ParticleSystem,
-             rng: np.random.Generator | None,
-             noise: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    if noise is None:
-        noise = rng.standard_normal(positions.shape)
-    sig = noise_sigmas(system, params)
-    new = positions + v * params.dt + noise * sig
-    escaped = np.zeros(positions.shape[0], dtype=bool)
+             dt: float, noise: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """out = positions + v dt + noise, wrapped on periodic axes.  Returns
+    the mask of walkers on or beyond a hard wall, or None when none is."""
+    np.multiply(v, dt, out=out)
+    np.add(positions, out, out=out)
+    np.add(out, noise, out=out)
+    grid.wrap(out, out=out)
+    escaped = None
     for a in range(grid.dim):
         if grid.periodic[a]:
-            lo = grid.origin[a]
-            new[:, a] = lo + np.mod(new[:, a] - lo, grid.extents[a])
-        else:
-            lo = grid.origin[a]
-            hi = grid.origin[a] + grid.extents[a]
-            escaped |= (new[:, a] <= lo) | (new[:, a] >= hi)
-    return new, escaped
+            continue
+        lo = grid.origin[a]
+        hi = grid.origin[a] + grid.extents[a]
+        col = out[:, a]
+        if col.min(initial=hi) > lo and col.max(initial=lo) < hi:
+            continue  # no walker at this axis' walls: skip the masks
+        hit = (col <= lo) | (col >= hi)
+        escaped = hit if escaped is None else escaped | hit
+    return escaped
 
 
 @dataclass(frozen=True)
@@ -317,7 +415,8 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
     the midpoint drift (predictor half-step on the departure field, corrector
     on the average of the adjacent fields), evaluated by current-ratio
     interpolation.  Escaped walkers (hard walls only) are frozen in place
-    and counted; more than `max_escape_fraction` of them aborts.
+    and counted; more than `max_escape_fraction` of them aborts with a
+    SafeguardError.
     """
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
@@ -327,7 +426,9 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
     grid = timeline[0].grid
     if mode is None:
         mode = "ES" if params.process_label == "ES" else "current"
-    tables = _flow_tables(timeline, pot, system, mode, params.eta)
+    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, mode,
+                                        params.eta), len(timeline), n_walkers)
+    snapshots = [(t, RHO_FLOOR_REL * t[-1].max()) for t in plan.tables]
 
     root = np.random.SeedSequence(seed)
     init_seq, noise_seq = root.spawn(2)
@@ -336,46 +437,54 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
         init_rng = np.random.Generator(np.random.Philox(init_seq))
         pos = draw_initial_positions(timeline[0], n_walkers, init_rng)
     else:
-        pos = np.array(initial_positions, dtype=float)
+        # C order: the noise is drawn into a buffer shaped like `pos`
+        pos = np.array(initial_positions, dtype=float, order="C")
         if pos.shape != (n_walkers, grid.dim):
             raise ValueError("initial_positions shape mismatch")
     noise_rng = np.random.Generator(np.random.Philox(noise_seq))
+    sig = noise_sigmas(system, params)
+    noise = np.empty_like(pos)
+    new = np.empty_like(pos)
 
-    rec_times = [timeline[0].time]
-    rec_positions = [pos.copy()]
+    # recorded states: the first, every record_stride-th and the last
+    recorded = [0] + [k for k in range(1, steps + 1)
+                      if k % record_stride == 0 or k == steps]
+    slot = {k: r for r, k in enumerate(recorded)}
+    rec_positions = np.empty((len(recorded),) + pos.shape)
+    rec_positions[0] = pos
     velocities = [] if record_velocities else None
     drifts = [] if record_velocities else None
     alive = np.ones(n_walkers, dtype=bool)
     escaped_total = 0
 
     for k in range(steps):
-        v0 = _ratio_drift(grid, tables[k], pos)
-        half = grid.wrap(pos + 0.5 * params.dt * v0)
-        v_mid = _ratio_drift(grid, _blend(tables[k], tables[k + 1], 0.5),
-                             half)
-        new, escaped = _advance(grid, pos, v_mid, params, system, noise_rng)
-        newly = escaped & alive
-        if np.any(newly):
-            alive &= ~newly
-            escaped_total += int(newly.sum())
-            if escaped_total > max_escape_fraction * n_walkers:
-                raise RuntimeError(
-                    f"{escaped_total} walkers escaped the domain "
-                    f"(> {max_escape_fraction:.1%} of {n_walkers})")
+        v_mid = plan.midpoint_drift(pos, snapshots[k], plan.blend(k, 0.5),
+                                    params.dt)
+        noise_rng.standard_normal(out=noise)
+        noise *= sig
+        escaped = _advance(grid, pos, v_mid, params.dt, noise, new)
+        if escaped is not None:
+            newly = escaped & alive
+            if np.any(newly):
+                alive &= ~newly
+                escaped_total += int(newly.sum())
+                if escaped_total > max_escape_fraction * n_walkers:
+                    raise SafeguardError(
+                        f"{escaped_total} walkers escaped the domain "
+                        f"(> {max_escape_fraction:.1%} of {n_walkers})")
         if escaped_total:
             new[~alive] = pos[~alive]
         if record_velocities:
             velocities.append((new - pos) / params.dt)
-            drifts.append(v_mid)
-        pos = new
-        if (k + 1) % record_stride == 0 or k == steps - 1:
-            rec_times.append(timeline[k + 1].time)
-            rec_positions.append(pos.copy())
+            drifts.append(v_mid.copy())
+        pos, new = new, pos
+        if k + 1 in slot:
+            rec_positions[slot[k + 1]] = pos
 
     return Ensemble(
         grid, system, params,
-        times=np.array(rec_times),
-        positions=np.array(rec_positions),
+        times=np.array([timeline[k].time for k in recorded]),
+        positions=rec_positions,
         velocities=None if velocities is None else np.array(velocities),
         drifts=None if drifts is None else np.array(drifts),
         seed=seed,
@@ -488,22 +597,25 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials | None,
         raise ValueError("timeline needs at least two states")
     grid = timeline[0].grid
     pos = np.array(initial_positions, dtype=float)
-    tables = _flow_tables(timeline, pot, system, "current", 0.0)
-    out = [pos.copy()]
+    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, "current",
+                                        0.0), len(timeline), pos.shape[0])
+    new = np.empty_like(pos)
+    out = np.empty((len(timeline),) + pos.shape)
+    out[0] = pos
     for k in range(len(timeline) - 1):
         dt_snap = timeline[k + 1].time - timeline[k].time
         h = dt_snap / substeps
         for j in range(substeps):
-            lam0 = j / substeps
-            lam_half = (j + 0.5) / substeps
-            t0 = _blend(tables[k], tables[k + 1], lam0)
-            th = _blend(tables[k], tables[k + 1], lam_half)
-            v0 = _ratio_drift(grid, t0, pos)
-            half = grid.wrap(pos + 0.5 * h * v0)
-            vh = _ratio_drift(grid, th, half)
-            pos = grid.wrap(pos + h * vh)
-        out.append(pos.copy())
-    return np.array(out)
+            vh = plan.midpoint_drift(pos,
+                                     plan.blend(k, j / substeps, slot=0),
+                                     plan.blend(k, (j + 0.5) / substeps,
+                                                slot=1), h)
+            np.multiply(vh, h, out=new)
+            np.add(pos, new, out=new)
+            grid.wrap(new, out=new)
+            pos, new = new, pos
+        out[k + 1] = pos
+    return out
 
 
 def max_deviation_from_deterministic(ens: Ensemble,

@@ -102,6 +102,45 @@ def test_report_flags_incomplete_and_tampered(tmp_path):
     assert main(["report", str(out)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--preset", "free", "--points", "64", "--steps", "5",
+     "--dt", "1e300"],
+    ["ensemble", "--preset", "harmonic", "--process", "ES", "--eta", "1e4",
+     "--steps", "2", "--walkers", "200"],
+])
+def test_tripped_safeguard_is_one_line_and_leaves_run_incomplete(
+        tmp_path, capsys, argv):
+    """A Crank-Nicolson step that loses the norm and an ensemble whose
+    walkers escape end with exit 1, one line on stderr and an aborted run."""
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (out / INCOMPLETE_MARKER).exists()
+    assert main(["report", str(out)]) == 1
+
+
+@pytest.mark.parametrize("option, value, code", [
+    ("--eta", "1e300", 2),     # the kernel does not fit the grid
+    ("--dt", "1e300", 2),
+    ("--mass", "1e-300", 2),
+    ("--eta", "1e-300", 2),    # no support at the peak of the pushed density
+    ("--dt", "1e-300", 1),     # runs, but the mass drift fails the report
+])
+def test_extreme_entropic_steps_fail_cleanly(tmp_path, capsys, option, value,
+                                             code):
+    out = tmp_path / "run"
+    assert main(["entropic-step", option, value, "--out", str(out)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert "FAIL" in capsys.readouterr().out
+        assert abs(load_json(out / "report.json")["mass_drift"]) >= 1e-6
+        assert main(["report", str(out)]) == 0
+
+
 # accepted values of every float option, per subcommand
 FLOAT_OPTIONS = {
     ("evolve", "--dt"): lambda v: v > 0,

@@ -1,7 +1,14 @@
+import functools
+import itertools
+import math
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edsim.grids import ConfigGrid, ScalarField, single_particle
+from edsim.grids import RHO_FLOOR_REL, ConfigGrid, ScalarField, single_particle
 from edsim.presets import build_preset
 from edsim.quantum import (WaveState, evolve_trajectory, free_potentials,
                            gaussian_packet, madelung)
@@ -12,6 +19,7 @@ from edsim.stochastic import (Ensemble, TransitionParams,
                               max_deviation_from_deterministic, noise_sigmas,
                               path_length_scaling, scaling_exponent,
                               simulate_ensemble, with_eta)
+from edsim.stochastic import _flow_tables
 
 
 def test_params_labels_and_validation():
@@ -319,3 +327,138 @@ def test_center_of_mass_fluctuations_shrink_with_total_mass():
     assert np.isclose(rep1["expected_variance"],
                       4 * rep4["expected_variance"], rtol=1e-12)
     assert abs(rep4["qpot_magnitude_ratio_M_vs_4M"] - 4.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the plain np.mod formulation of the walker step
+# ---------------------------------------------------------------------------
+
+def _ref_wrap(grid, x):
+    x = x.copy()
+    for a in range(grid.dim):
+        if grid.periodic[a]:
+            lo = grid.origin[a]
+            x[:, a] = lo + np.mod(x[:, a] - lo, grid.extents[a])
+    return x
+
+
+def _ref_drift(grid, table, x):
+    shape = table.shape[1:]
+    ends = []
+    for a, n in enumerate(shape):
+        if grid.periodic[a]:
+            t = np.mod((x[:, a] - grid.origin[a]) / (grid.extents[a] / n), n)
+            f = np.floor(t)
+            lo, hi = np.mod(f.astype(int), n), np.mod(f.astype(int) + 1, n)
+        else:
+            h = grid.extents[a] / (n + 1)
+            t = np.clip((x[:, a] - (grid.origin[a] + h)) / h, 0.0, n - 1.0)
+            f = np.minimum(np.floor(t), n - 2.0)
+            lo, hi = f.astype(int), f.astype(int) + 1
+        stride = math.prod(shape[a + 1:])
+        ends.append(((lo * stride, 1.0 - (t - f)), (hi * stride, t - f)))
+    flat = table.reshape(len(table), -1)
+    at = None
+    for corner in itertools.product(*ends):
+        nodes, weights = zip(*corner)
+        term = flat[:, sum(nodes)] * functools.reduce(operator.mul, weights)
+        at = term if at is None else at + term
+    floor = RHO_FLOOR_REL * table[-1].max()
+    return (at[:-1] / np.maximum(at[-1], floor)).T
+
+
+def _ref_midpoint(grid, t0, t_half, pos, h):
+    half = _ref_wrap(grid, pos + 0.5 * h * _ref_drift(grid, t0, pos))
+    return _ref_drift(grid, t_half, half)
+
+
+def _ref_ensemble(timeline, pot, system, params, seed, x0):
+    grid = timeline[0].grid
+    mode = "ES" if params.process_label == "ES" else "current"
+    tables = list(_flow_tables(timeline, pot, system, mode, params.eta))
+    noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
+    rng = np.random.Generator(np.random.Philox(noise_seq))
+    pos, alive, path = x0.copy(), np.ones(len(x0), dtype=bool), [x0]
+    for k in range(len(timeline) - 1):
+        v = _ref_midpoint(grid, tables[k], 0.5 * tables[k] + 0.5 * tables[k + 1],
+                          pos, params.dt)
+        new = _ref_wrap(grid, pos + v * params.dt
+                        + rng.standard_normal(pos.shape)
+                        * noise_sigmas(system, params))
+        for a in range(grid.dim):
+            if not grid.periodic[a]:
+                lo, hi = grid.origin[a], grid.origin[a] + grid.extents[a]
+                alive &= (new[:, a] > lo) & (new[:, a] < hi)
+        new[~alive] = pos[~alive]
+        pos = new
+        path.append(pos)
+    return np.array(path), int((~alive).sum())
+
+
+def _ref_bohmian(timeline, pot, system, x0):
+    grid = timeline[0].grid
+    tables = list(_flow_tables(timeline, pot, system, "current", 0.0))
+    pos, path = x0.copy(), [x0]
+    for k in range(len(timeline) - 1):
+        h = timeline[k + 1].time - timeline[k].time
+        v = _ref_midpoint(grid, 1.0 * tables[k] + 0.0 * tables[k + 1],
+                          0.5 * tables[k] + 0.5 * tables[k + 1], pos, h)
+        pos = _ref_wrap(grid, pos + h * v)
+        path.append(pos)
+    return np.array(path)
+
+
+IDENTITY_CASES = [("free", 3.0, 1e-3), ("harmonic", 1.0, 0.05),
+                  ("vortex_2d", 1.0, 0.05), ("ring_constant_a", 3.0, 1e-3)]
+
+
+def _identity_case(name):
+    sc = build_preset(name, steps=12)
+    timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
+    x0 = draw_initial_positions(timeline[0], 400, np.random.default_rng(2))
+    # np.mod rounds -ulp up to the period itself on a ring; on a hard wall
+    # this walker starts outside and escapes
+    x0[0] = np.nextafter(np.array(sc.grid.origin), -np.inf)
+    return sc, timeline, x0
+
+
+@pytest.mark.parametrize("name, gamma, eta", IDENTITY_CASES)
+def test_ensemble_is_bit_identical_to_np_mod_stepper(name, gamma, eta):
+    sc, timeline, x0 = _identity_case(name)
+    system = with_eta(sc.system, eta, gamma_exponent=gamma)
+    params = TransitionParams(sc.dt, eta, gamma)
+    ens = simulate_ensemble(timeline, sc.potentials, system, params, 400,
+                            seed=7, initial_positions=x0,
+                            max_escape_fraction=0.5)
+    path, escaped = _ref_ensemble(timeline, sc.potentials, system, params, 7,
+                                  x0)
+    assert np.array_equal(ens.positions, path)
+    assert ens.meta["escaped"] == escaped
+
+
+@pytest.mark.parametrize("name", [c[0] for c in IDENTITY_CASES])
+def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
+    sc, timeline, x0 = _identity_case(name)
+    system = with_eta(sc.system, 0.0)
+    paths = bohmian_trajectories(timeline, sc.potentials, system, x0)
+    assert np.array_equal(paths, _ref_bohmian(timeline, sc.potentials,
+                                              system, x0))
+
+
+@settings(derandomize=True, deadline=None)
+@given(inside=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=20),
+       far=st.lists(st.floats(-1e300, 1e300), max_size=3),
+       box=st.sampled_from([(-15.0, 30.0), (0.0, 8.0), (-4.0, 8.0),
+                            (2.5, 0.1), (-20.0, 40.0)]))
+def test_wrap_rule_equals_np_mod(inside, far, box):
+    """Bitwise equal to lo + np.mod(x - lo, L): the masked shift within one
+    period of the box, the np.mod fallback beyond it."""
+    lo, period = box
+    grid = ConfigGrid((16,), (period,), (True,), origin=(lo,))
+    edges = [lo, lo + period, np.nextafter(lo, -np.inf),
+             np.nextafter(lo + period, np.inf), -0.0]
+    for x in (lo + period * np.array(inside + [0.0, 1.0]),
+              np.array(inside + edges + far)):
+        got = grid.wrap(x[:, None])[:, 0]
+        assert np.array_equal(got.view(np.int64),
+                              (lo + np.mod(x - lo, period)).view(np.int64))
