@@ -132,7 +132,7 @@ def cmd_ensemble(args) -> int:
     writer.write_config(config)
 
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
-    params = TransitionParams(sc.dt, eta, gamma)
+    params = TransitionParams.from_system(system, sc.dt)
     stride = max(1, sc.steps // args.checkpoints)
     ens = simulate_ensemble(timeline, sc.potentials, system, params,
                             n_walkers=args.walkers, seed=args.seed,
@@ -199,7 +199,7 @@ def cmd_limits(args) -> int:
     deviations = []
     for eta in etas:
         system = with_eta(sc.system, eta, gamma_exponent=1.0)
-        params = TransitionParams(sc.dt, eta, 1.0)
+        params = TransitionParams.from_system(system, sc.dt)
         ens = simulate_ensemble(timeline, sc.potentials, system, params,
                                 n_walkers=args.walkers, seed=args.seed,
                                 initial_positions=x0)

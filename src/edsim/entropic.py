@@ -6,7 +6,7 @@ constraint (gradient of a potential) and a gauge constraint (one per charged
 particle), gives a Gaussian step
 
     mean drift per axis  = (hbar * dt / m) * (dphi - beta * A)
-    variance per axis    = eta * dt**gamma / m
+    variance per axis    = eta dt^gamma / m  (ParticleSystem.step_variances)
 
 Time enters by iteration: the density of the next instant is the current one
 pushed through the kernel (Chapman-Kolmogorov), and the reverse-step density
@@ -57,11 +57,11 @@ class MaxEntProblem:
 
     @property
     def alpha_per_axis(self) -> np.ndarray:
-        """Fluctuation multipliers: alpha = m / (eta * dt**gamma)."""
-        s = self.system
-        if s.eta == 0:
+        """Fluctuation multipliers: alpha = m / (eta dt^gamma), the
+        reciprocal step variance."""
+        if self.system.eta == 0:
             raise ValueError("alpha is undefined for eta = 0 (deterministic limit)")
-        return s.mass_per_axis / (s.eta * self.dt**s.gamma_exponent)
+        return 1.0 / self.system.step_variances(self.dt)
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,9 @@ def maxent_transition(problem: MaxEntProblem) -> GaussianStep:
     if problem.vector_a is not None:
         coupling = coupling - beta.reshape(per_axis) * problem.vector_a
     mean = (s.hbar * dt / m).reshape(per_axis) * coupling
-    variances = s.eta * dt**s.gamma_exponent / m
     mean_field = VectorField(problem.grid, mean)
-    return GaussianStep(problem.grid, mean_field, variances, dt,
+    return GaussianStep(problem.grid, mean_field, s.step_variances(dt), dt,
                         meta={"alpha": None if s.eta == 0 else problem.alpha_per_axis})
-
-
-def drift_step_from_velocity(grid: ConfigGrid, system: ParticleSystem,
-                             velocity: VectorField, dt: float) -> GaussianStep:
-    """Gaussian step with mean `velocity * dt` and the standard fluctuation
-    variance `eta * dt**gamma / m` per axis."""
-    mean = VectorField(grid, velocity.values * dt)
-    variances = system.eta * dt**system.gamma_exponent / system.mass_per_axis
-    return GaussianStep(grid, mean, variances, dt)
 
 
 def _axis_windows(step: GaussianStep) -> list[tuple[int, int]]:
@@ -248,18 +238,6 @@ def bayes_reverse(step: GaussianStep, rho_t: ScalarField, rho_next: ScalarField,
             f"rho_next at {tuple(x_next_index)} is below the support floor")
     kern = transition_kernel_at(step, tuple(x_next_index))
     return ScalarField(grid, rho_t.values * kern / marginal)
-
-
-def relative_entropy(p: ScalarField, q: ScalarField) -> float:
-    """S[p, q] = -sum p log(p/q) dV  (non-positive, zero iff p = q)."""
-    if p.grid != q.grid:
-        raise ValueError("densities live on different grids")
-    pv, qv = p.values, q.values
-    support = pv > RHO_FLOOR_REL * float(np.max(pv))
-    if np.any(qv[support] <= 0):
-        raise ValueError("q vanishes on the support of p")
-    val = -np.sum(pv[support] * np.log(pv[support] / qv[support])) * p.grid.cell_volume
-    return float(val)
 
 
 # ---------------------------------------------------------------------------

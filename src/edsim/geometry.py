@@ -21,10 +21,9 @@ differences on the unconstrained (p, Phi) coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .grids import ParticleSystem
@@ -169,36 +168,6 @@ def gauge_invariant_metric(point: EPhasePoint, v: EPhaseTangent,
                         + 2 * p / hbar * dv * du))
 
 
-def embedding_metric(point: EPhasePoint, v: EPhaseTangent, u: EPhaseTangent,
-                     a_fn: Callable[[float], float] | None = None,
-                     b_fn: Callable[[float], float] | None = None) -> float:
-    """Rotationally invariant metric of the embedding space, as a bilinear.
-
-    d l^2 = A (sum dp)^2 + B sum[(hbar/2p) dp^2 + (2p/hbar) dphi^2] with
-    A = (a - b)/4 and B = |p| b / 2 hbar evaluated at |p| = sum(p).  The
-    default a = b = 2 hbar makes A = 0, B = 1, the normalization in which
-    the restriction to the simplex is the Fubini-Study metric.
-    """
-    hbar = point.hbar
-    if a_fn is None:
-        a_fn = lambda s: 2.0 * hbar
-    if b_fn is None:
-        b_fn = lambda s: 2.0 * hbar
-    _require_support(point, v)
-    _require_support(point, u)
-    p = point.probs
-    total = float(p.sum())
-    a, b = float(a_fn(total)), float(b_fn(total))
-    if a <= 0 or b <= 0:
-        raise ValueError("metric family functions must be positive")
-    big_a = (a - b) / 4.0
-    big_b = total * b / (2.0 * hbar)
-    good = p > P_FLOOR
-    core = np.sum(hbar / (2 * p[good]) * v.dp[good] * u.dp[good]
-                  + 2 * p[good] / hbar * v.dphi[good] * u.dphi[good])
-    return float(big_a * v.dp.sum() * u.dp.sum() + big_b * core)
-
-
 def fs_length_squared(point: EPhasePoint, v: EPhaseTangent,
                       method: str = "closed") -> float:
     """Squared length of a displacement on the quotient by phase shifts.
@@ -336,13 +305,19 @@ def normalization_functional(p: np.ndarray, phi: np.ndarray) -> float:
     return 1.0 - float(np.sum(p))
 
 
-def kernel_expectation(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
-    """Expectation value of a Hermitian kernel as a function of (p, phi)."""
+def _hermitian(kernel: np.ndarray) -> np.ndarray:
+    """The kernel as a complex matrix, checked square and Hermitian."""
     q = np.asarray(kernel, dtype=complex)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("kernel must be a square matrix")
     if not np.allclose(q, q.conj().T, rtol=0, atol=1e-12 * np.abs(q).max()):
         raise ValueError("kernel must be Hermitian")
+    return q
+
+
+def kernel_expectation(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
+    """Expectation value of a Hermitian kernel as a function of (p, phi)."""
+    q = _hermitian(kernel)
 
     def f(p: np.ndarray, phi: np.ndarray) -> float:
         psi = np.sqrt(np.clip(p, 0.0, None)) * np.exp(1j * phi / hbar)
@@ -359,11 +334,7 @@ def kernel_gradient(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
     Returned callable maps (p, phi) -> (df_dp, df_dphi); cross-checked by
     central differences in the unit tests.
     """
-    q = np.asarray(kernel, dtype=complex)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError("kernel must be a square matrix")
-    if not np.allclose(q, q.conj().T, rtol=0, atol=1e-12 * np.abs(q).max()):
-        raise ValueError("kernel must be Hermitian")
+    q = _hermitian(kernel)
 
     def g(p: np.ndarray, phi: np.ndarray):
         psi = np.sqrt(np.clip(p, 0.0, None)) * np.exp(1j * phi / hbar)
@@ -371,14 +342,6 @@ def kernel_gradient(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
         return prod.real / np.clip(p, 1e-300, None), (2.0 / hbar) * prod.imag
 
     return g
-
-
-def unitary_kernel_flow(point: EPhasePoint, kernel: np.ndarray,
-                        dlam: float) -> EPhasePoint:
-    """Exact flow of a Hermitian-kernel expectation: psi -> e^{-iQ dl/h} psi."""
-    u = scipy.linalg.expm(-1j * np.asarray(kernel, complex) * dlam
-                          / point.hbar)
-    return EPhasePoint.from_psi(u @ point.psi, point.hbar)
 
 
 def killing_residual(f: Callable, point: EPhasePoint, n_probes: int = 10,
@@ -444,28 +407,8 @@ def killing_residual(f: Callable, point: EPhasePoint, n_probes: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# scalar product and the bracket-commutator identity
+# the bracket-commutator identity
 # ---------------------------------------------------------------------------
-
-def scalar_product(psi1: np.ndarray, psi2: np.ndarray,
-                   hbar: float = 1.0) -> complex:
-    """Hermitian product assembled from the metric and symplectic blocks.
-
-    Contracts (psi1, i hbar psi1*) with (G + i Omega)/(2 hbar) per outcome,
-    where G = -i [[0,1],[1,0]] and Omega = [[0,1],[-1,0]] in the complex
-    coordinates (psi, i hbar psi*); the result reduces to sum(psi1* psi2).
-    """
-    psi1 = np.asarray(psi1, dtype=complex)
-    psi2 = np.asarray(psi2, dtype=complex)
-    if psi1.shape != psi2.shape:
-        raise ValueError("mismatched shapes")
-    g_block = -1j * np.array([[0.0, 1.0], [1.0, 0.0]])
-    omega_block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    m = (g_block + 1j * omega_block) / (2.0 * hbar)
-    left = np.stack([psi1, 1j * hbar * psi1.conj()])
-    right = np.stack([psi2, 1j * hbar * psi2.conj()])
-    return complex(np.einsum("ax,ab,bx->", left, m, right))
-
 
 def commutator_identity_gap(u_kernel: np.ndarray, v_kernel: np.ndarray,
                             point: EPhasePoint,
@@ -603,8 +546,8 @@ def transition_information_metric(system: ParticleSystem, dt: float,
     base_point = np.asarray(base_point, dtype=float)
     if mean_fn is None:
         mean_fn = lambda x: np.zeros(dim)
-    sig = np.sqrt(system.eta * dt**system.gamma_exponent
-                  / system.mass_per_axis)
+    variances = system.step_variances(dt)
+    sig = np.sqrt(variances)
 
     if dim == 3 and quad_points > 65:
         quad_points = 65
@@ -637,8 +580,7 @@ def transition_information_metric(system: ParticleSystem, dt: float,
         for b in range(a, dim):
             val = float(np.sum(p_kernel * grads[a] * grads[b]) * weights)
             gamma[a, b] = gamma[b, a] = val
-    expected = np.diag(system.mass_per_axis
-                       / (system.eta * dt**system.gamma_exponent))
+    expected = np.diag(1.0 / variances)
     scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
     rel = np.abs(gamma - expected) / scale
     return {

@@ -20,7 +20,7 @@ after construction; every operation returns a new field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -178,34 +178,17 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class ComplexField:
-    grid: ConfigGrid
-    values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", _check_values(v, self.grid, self.grid.shape))
-
-
-@dataclass(frozen=True)
 class VectorField:
-    """Per-axis component fields.  ``on_bonds=True`` means component ``a`` at
-    index ``i`` lives on the link from node ``i`` to node ``i + e_a`` (the
-    natural home of an exact lattice gradient)."""
+    """Per-axis component fields at the nodes."""
 
     grid: ConfigGrid
     values: np.ndarray
-    on_bonds: bool = False
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         expect = (self.grid.dim,) + self.grid.shape
         object.__setattr__(self, "values", _check_values(v, self.grid, expect))
-
-    def component(self, axis: int) -> np.ndarray:
-        return self.values[axis]
 
 
 def _shift(values: np.ndarray, axis: int, offset: int, periodic: bool) -> np.ndarray:
@@ -225,7 +208,7 @@ def _shift(values: np.ndarray, axis: int, offset: int, periodic: bool) -> np.nda
     return out
 
 
-def gradient(f: ScalarField | ComplexField, axis: int):
+def gradient(f: ScalarField, axis: int) -> ScalarField:
     """Second-order central difference along one axis.
 
     Periodic axes wrap.  On non-periodic axes the interior is central and the
@@ -253,100 +236,12 @@ def gradient(f: ScalarField | ComplexField, axis: int):
         out[ax(slice(0, 1))] = (v[ax(slice(1, 2))] - v[ax(slice(0, 1))]) / h
         out[ax(slice(-1, None))] = (v[ax(slice(-1, None))] - v[ax(slice(-2, -1))]) / h
         meta = {"boundary_one_sided": True}
-    cls = type(f)
-    return cls(grid, out, meta=meta)
+    return ScalarField(grid, out, meta=meta)
 
 
-def full_gradient(f: ScalarField) -> VectorField:
-    comps = [gradient(f, a).values for a in range(f.grid.dim)]
-    flags = any(not f.grid.periodic[a] for a in range(f.grid.dim))
-    return VectorField(f.grid, np.stack(comps), meta={"boundary_one_sided": flags})
-
-
-def bond_gradient(f: ScalarField | ComplexField) -> VectorField:
-    """Exact lattice gradient on links: ``(f[i+e_a] - f[i]) / h_a``.
-
-    Loop integrals of this field around closed lattice loops telescope to
-    zero at machine precision (on non-periodic axes the trailing link, which
-    has no far node, is set to zero and must not be crossed by loops).
-    """
-    grid = f.grid
-    comps = []
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        d = (_shift(f.values, a, +1, grid.periodic[a]) - f.values) / h
-        if not grid.periodic[a]:
-            sl = [slice(None)] * grid.dim
-            sl[a] = slice(-1, None)
-            d[tuple(sl)] = 0.0
-        comps.append(d)
-    out = np.stack(comps)
-    if np.iscomplexobj(out):
-        raise ValueError("bond_gradient expects a real field")
-    return VectorField(grid, out, on_bonds=True)
-
-
-def integrate(f: ScalarField | ComplexField) -> float | complex:
+def integrate(f: ScalarField) -> float:
     """Riemann sum: sum of node values times the cell volume."""
-    total = f.values.sum() * f.grid.cell_volume
-    if np.iscomplexobj(f.values):
-        return complex(total)
-    return float(total)
-
-
-def inner_product(f: ComplexField, g: ComplexField) -> complex:
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return complex(np.vdot(f.values, g.values) * f.grid.cell_volume)
-
-
-def _loop_steps(grid: ConfigGrid, loop: Sequence[tuple]) -> list[tuple[tuple, int, int]]:
-    """Validate a lattice loop; yield (node, axis, direction) per segment."""
-    nodes = [tuple(int(i) for i in p) for p in loop]
-    if len(nodes) < 2:
-        raise ValueError("loop needs at least two nodes")
-    if nodes[0] != nodes[-1]:
-        raise ValueError("loop is not closed (first node != last node)")
-    steps = []
-    for p, q in zip(nodes[:-1], nodes[1:]):
-        diffs = []
-        for a in range(grid.dim):
-            d = q[a] - p[a]
-            if grid.periodic[a]:
-                n = grid.points[a]
-                d = (d + n // 2) % n - n // 2
-            if d != 0:
-                diffs.append((a, d))
-        if len(diffs) != 1 or abs(diffs[0][1]) != 1:
-            raise ValueError(f"loop segment {p} -> {q} is not a single lattice step")
-        steps.append((p, diffs[0][0], diffs[0][1]))
-    return steps
-
-
-def loop_integral(v: VectorField, loop: Sequence[tuple]) -> float:
-    """Line integral of a vector field along a closed lattice loop.
-
-    Node-based fields use the trapezoid value (mean of the two endpoint
-    components) per link; bond-based fields use the link value directly.
-    """
-    grid = v.grid
-    total = 0.0
-    for node, axis, sense in _loop_steps(grid, loop):
-        h = grid.spacing[axis]
-        n = grid.points[axis]
-        nxt = list(node)
-        nxt[axis] = (node[axis] + sense) % n if grid.periodic[axis] else node[axis] + sense
-        if not grid.periodic[axis] and not 0 <= nxt[axis] < n:
-            raise ValueError(f"loop leaves the grid at {node} along axis {axis}")
-        nxt = tuple(nxt)
-        comp = v.values[axis]
-        if v.on_bonds:
-            bond = node if sense > 0 else nxt
-            val = comp[tuple(bond)]
-        else:
-            val = 0.5 * (comp[node] + comp[nxt])
-        total += sense * h * val
-    return float(total)
+    return float(f.values.sum() * f.grid.cell_volume)
 
 
 def ring_loop(grid: ConfigGrid, axis: int = 0, fixed: dict | None = None) -> list[tuple]:
@@ -397,7 +292,7 @@ class ParticleSystem:
     ``axis_map[A] = (n, a)`` sends grid axis ``A`` to spatial direction ``a``
     of particle ``n``; masses and coupling constants per grid axis follow it.
     ``beta = q / (hbar * c)`` per particle.  ``eta`` and ``gamma_exponent``
-    set the per-step fluctuation scale ``eta * dt**gamma / m``.
+    are the one source of the fluctuation law (`step_variances`).
     """
 
     masses: tuple[float, ...]
@@ -451,6 +346,10 @@ class ParticleSystem:
     def beta_per_axis(self) -> np.ndarray:
         b = self.beta
         return np.array([b[n] for n, _ in self.axis_map])
+
+    def step_variances(self, dt: float) -> np.ndarray:
+        """Per-axis fluctuation variance of one step: eta dt^gamma / m."""
+        return self.eta * dt**self.gamma_exponent / self.mass_per_axis
 
     @property
     def process_label(self) -> str:

@@ -279,37 +279,39 @@ class CrankNicolson:
         return out.reshape(psi.shape)
 
 
-def evolve(state: WaveState, pot: Potentials, dt: float, steps: int,
-           solver_tol: float = 1e-9) -> WaveState:
-    """Advance `steps` Crank-Nicolson steps of size `dt`."""
+def _cn_steps(state: WaveState, pot: Potentials, dt: float, steps: int,
+              solver_tol: float):
+    """The Crank-Nicolson loop: after each step, yield (psi, time, largest
+    residual so far)."""
     cn = CrankNicolson(pot, dt, solver_tol)
-    psi = state.psi
-    t = state.time
-    vol = state.grid.cell_volume
+    psi, t = state.psi, state.time
     for _ in range(steps):
         psi = cn.step(psi)
         t += dt
-    raw_norm = float(np.vdot(psi, psi).real * vol)
-    return WaveState(state.grid, psi, time=t,
-                     meta={"cn_residual": cn.max_residual, "raw_norm": raw_norm})
+        yield psi, t, cn.max_residual
+
+
+def _stepped_state(grid: ConfigGrid, psi: np.ndarray, t: float,
+                   residual: float) -> WaveState:
+    raw_norm = float(np.vdot(psi, psi).real * grid.cell_volume)
+    return WaveState(grid, psi, time=t,
+                     meta={"cn_residual": residual, "raw_norm": raw_norm})
+
+
+def evolve(state: WaveState, pot: Potentials, dt: float, steps: int,
+           solver_tol: float = 1e-9) -> WaveState:
+    """Advance `steps` Crank-Nicolson steps of size `dt`."""
+    last = (state.psi, state.time, 0.0)
+    for last in _cn_steps(state, pot, dt, steps, solver_tol):
+        pass
+    return _stepped_state(state.grid, *last)
 
 
 def evolve_trajectory(state: WaveState, pot: Potentials, dt: float, steps: int,
                       solver_tol: float = 1e-9) -> list[WaveState]:
     """Snapshots at every step, initial state included."""
-    cn = CrankNicolson(pot, dt, solver_tol)
-    out = [state]
-    psi = state.psi
-    t = state.time
-    vol = state.grid.cell_volume
-    for _ in range(steps):
-        psi = cn.step(psi)
-        t += dt
-        raw_norm = float(np.vdot(psi, psi).real * vol)
-        out.append(WaveState(state.grid, psi, time=t,
-                             meta={"cn_residual": cn.max_residual,
-                                   "raw_norm": raw_norm}))
-    return out
+    return [state] + [_stepped_state(state.grid, *s)
+                      for s in _cn_steps(state, pot, dt, steps, solver_tol)]
 
 
 def position_moments(state: WaveState) -> dict:
@@ -372,16 +374,6 @@ def madelung(state: WaveState, hbar: float = 1.0,
                         ScalarField(state.grid, phi), hbar, mask,
                         meta={"floor_rel": floor_rel,
                               "masked_fraction": float(1.0 - mask.mean())})
-
-
-def compose(pair: MadelungPair, time: float = 0.0) -> WaveState:
-    total = pair.rho.values.sum() * pair.grid.cell_volume
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"rho integrates to {total}, expected 1")
-    if np.any(pair.rho.values < 0):
-        raise ValueError("rho has negative entries")
-    psi = np.sqrt(pair.rho.values) * np.exp(1j * pair.phi.values / pair.hbar)
-    return WaveState(pair.grid, psi, time=time)
 
 
 def _wrap_branch(dphi: np.ndarray, hbar: float) -> np.ndarray:
@@ -639,19 +631,3 @@ def winding_number(state: WaveState, loop: Sequence[tuple],
         "node_on_loop": bool(node_hit),
         "under_resolved": bool(max_inc > 0.9 * np.pi),
     }
-
-
-def singlevalued_check(state: WaveState, loops: Sequence[Sequence[tuple]],
-                       gap_tol: float = 1e-6) -> dict:
-    """Winding report per loop; a loop violates single-valuedness when its
-    raw winding misses an integer by more than `gap_tol` turns.  Loops that
-    touch a node are masked rather than judged."""
-    reports = []
-    ok = True
-    for loop in loops:
-        r = winding_number(state, loop)
-        r["masked"] = r["node_on_loop"]
-        r["violation"] = (not r["masked"]) and r["gap"] > gap_tol
-        ok = ok and not r["violation"]
-        reports.append(r)
-    return {"loops": reports, "single_valued": ok}

@@ -1,7 +1,8 @@
 """Trajectory sampling for the sub-quantum processes.
 
 One step moves a walker by the midpoint drift between adjacent wave states
-plus a Gaussian fluctuation with per-axis variance ``eta * dt**gamma / m``:
+plus a Gaussian fluctuation with the per-axis variance of
+`ParticleSystem.step_variances`:
 
 * gamma = 3 ("OU"): differentiable velocities, fluctuations vanish fast, the
   drift is the current velocity (grad Phi - A) / m;
@@ -37,9 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    VectorField, gradient, mod_period, process_label)
+                    VectorField, gradient, mod_period, particles_on_line,
+                    process_label, single_particle)
 from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
-                      madelung, phase_gradient)
+                      madelung, phase_gradient, quantum_potential)
 
 # resampling factor of the spectral flow tables of 1-D rings
 REFINE = 4
@@ -47,7 +49,11 @@ REFINE = 4
 
 @dataclass(frozen=True)
 class TransitionParams:
-    """Step size and fluctuation constants of the sampled process."""
+    """Step size and fluctuation constants of the sampled process.
+
+    The system is the one source of eta and gamma: the sampler reads them
+    from it and refuses params that disagree.
+    """
 
     dt: float
     eta: float
@@ -78,10 +84,13 @@ def with_eta(system: ParticleSystem, eta: float,
     return replace(system, **kw)
 
 
-def noise_sigmas(system: ParticleSystem, params: TransitionParams) -> np.ndarray:
-    """Per-axis fluctuation standard deviations for one step."""
-    return np.sqrt(params.eta * params.dt**params.gamma_exponent
-                   / system.mass_per_axis)
+def _check_constants(system: ParticleSystem, params: TransitionParams) -> None:
+    """Refuse params whose eta or gamma differ from the system's."""
+    for name in ("eta", "gamma_exponent"):
+        mine, theirs = getattr(params, name), getattr(system, name)
+        if mine != theirs:
+            raise ValueError(f"params.{name} = {mine!r} differs from "
+                             f"system.{name} = {theirs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +98,13 @@ def noise_sigmas(system: ParticleSystem, params: TransitionParams) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
-                         system: ParticleSystem, mode: str = "current",
-                         eta: float | None = None) -> VectorField:
+                         system: ParticleSystem,
+                         mode: str = "current") -> VectorField:
     """Velocity field steering the walkers.
 
     mode "current": v_A = (grad_A Phi - hbar beta_A A_A) / m_A.
-    mode "ES": adds the osmotic term (eta / 2 m_A) grad_A log rho, which
-    cancels the diffusive flux of the gamma = 1 process.
+    mode "ES": adds the osmotic term (eta / 2 m_A) grad_A log rho, with the
+    system's eta, which cancels the diffusive flux of the gamma = 1 process.
     """
     grid = pair.grid
     masses = system.mass_per_axis
@@ -107,13 +116,12 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
             mom = mom - system.hbar * beta[a] * pot.vector_a_nodes[a]
         comps.append(mom / masses[a])
     if mode == "ES":
-        if eta is None:
-            eta = system.eta
         rho = pair.rho.values
         floored = np.maximum(rho, RHO_FLOOR_REL * rho.max())
         log_rho = ScalarField(grid, np.log(floored))
         for a in range(grid.dim):
-            comps[a] = comps[a] + (eta / (2 * masses[a])) * gradient(log_rho, a).values
+            comps[a] = comps[a] + ((system.eta / (2 * masses[a]))
+                                   * gradient(log_rho, a).values)
     elif mode != "current":
         raise ValueError(f"unknown drift mode {mode!r}")
     return VectorField(grid, np.stack(comps))
@@ -287,8 +295,7 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
 
 
 def _spectral_flow_1d(state: WaveState, pot: Potentials | None,
-                      system: ParticleSystem, mode: str,
-                      eta: float) -> np.ndarray:
+                      system: ParticleSystem, mode: str) -> np.ndarray:
     grid = state.grid
     n = grid.points[0]
     m = system.mass_per_axis[0]
@@ -306,20 +313,20 @@ def _spectral_flow_1d(state: WaveState, pot: Potentials | None,
     if mode == "ES":
         # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
         # grad rho = 2 Re(psi* psi') needs no extra transform
-        num = num + (eta / m) * cross.real
+        num = num + (system.eta / m) * cross.real
     return np.stack([num, rho_f])
 
 
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials | None,
-                 system: ParticleSystem, mode: str, eta: float):
+                 system: ParticleSystem, mode: str):
     """The flow table of every state, one at a time."""
     grid = timeline[0].grid
     for state in timeline:
         if grid.dim == 1 and grid.periodic[0]:
-            yield _spectral_flow_1d(state, pot, system, mode, eta)
+            yield _spectral_flow_1d(state, pot, system, mode)
             continue
         pair = madelung(state, hbar=system.hbar)
-        v = drift_velocity_field(pair, pot, system, mode=mode, eta=eta)
+        v = drift_velocity_field(pair, pot, system, mode=mode)
         yield np.concatenate([state.rho[None] * v.values, state.rho[None]])
 
 
@@ -411,7 +418,8 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
                       max_escape_fraction: float = 0.01) -> Ensemble:
     """March an ensemble along a timeline of wave states.
 
-    The state spacing must equal params.dt.  The mean shift of a step uses
+    The state spacing must equal params.dt, and params must carry the
+    system's eta and gamma.  The mean shift of a step uses
     the midpoint drift (predictor half-step on the departure field, corrector
     on the average of the adjacent fields), evaluated by current-ratio
     interpolation.  Escaped walkers (hard walls only) are frozen in place
@@ -420,14 +428,15 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
     """
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
+    _check_constants(system, params)
     dts = np.diff([s.time for s in timeline])
     if not np.allclose(dts, params.dt, rtol=1e-9, atol=1e-12):
         raise ValueError("timeline spacing does not match params.dt")
     grid = timeline[0].grid
     if mode is None:
-        mode = "ES" if params.process_label == "ES" else "current"
-    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, mode,
-                                        params.eta), len(timeline), n_walkers)
+        mode = "ES" if system.process_label == "ES" else "current"
+    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, mode),
+                     len(timeline), n_walkers)
     snapshots = [(t, RHO_FLOOR_REL * t[-1].max()) for t in plan.tables]
 
     root = np.random.SeedSequence(seed)
@@ -442,7 +451,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
         if pos.shape != (n_walkers, grid.dim):
             raise ValueError("initial_positions shape mismatch")
     noise_rng = np.random.Generator(np.random.Philox(noise_seq))
-    sig = noise_sigmas(system, params)
+    sig = np.sqrt(system.step_variances(params.dt))
     noise = np.empty_like(pos)
     new = np.empty_like(pos)
 
@@ -498,14 +507,14 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
 
 def fluctuation_covariance(system: ParticleSystem, params: TransitionParams,
                            n_draws: int, seed: int = 0) -> dict:
-    """Monte-Carlo check of <dw_A dw_B> = eta dt**gamma * (1/m)_AB."""
+    """Monte-Carlo check of <dw_A dw_B> = step_variances(dt) delta_AB."""
+    _check_constants(system, params)
     dim = len(system.axis_map)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    sig = noise_sigmas(system, params)
-    draws = rng.standard_normal((n_draws, dim)) * sig
+    variances = system.step_variances(params.dt)
+    draws = rng.standard_normal((n_draws, dim)) * np.sqrt(variances)
     cov = np.cov(draws.T, bias=False).reshape(dim, dim)
-    expected = np.diag(params.eta * params.dt**params.gamma_exponent
-                       / system.mass_per_axis)
+    expected = np.diag(variances)
     se = expected * np.sqrt(2.0 / (n_draws - 1))
     return {"covariance": cov, "expected": expected,
             "stderr_diag": np.diag(se), "n_draws": n_draws}
@@ -525,7 +534,7 @@ def velocity_increment_stats(ens: Ensemble) -> dict:
     flat = du.reshape(-1, du.shape[-1])
     dim = flat.shape[1]
     cov = np.cov(flat.T, bias=False).reshape(dim, dim)
-    expected = np.diag(2 * ens.params.eta * ens.params.dt
+    expected = np.diag(2 * ens.system.eta * ens.params.dt
                        / ens.system.mass_per_axis)
     n = flat.shape[0]
     return {"covariance": cov, "expected": expected,
@@ -543,40 +552,13 @@ def scaling_exponent(system: ParticleSystem, dt_grid: Sequence[float],
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     mean_sq = []
     for dt in dt_grid:
-        params = TransitionParams(dt, system.eta, system.gamma_exponent)
-        sig = noise_sigmas(system, params)[0]
+        sig = np.sqrt(system.step_variances(dt))[0]
         draws = rng.standard_normal(trials) * sig
         mean_sq.append(float(np.mean(draws**2)))
     fit = fit_power_law(np.asarray(dt_grid, float), np.asarray(mean_sq))
     return {"gamma_hat": fit["exponent"], "stderr": fit["stderr"],
             "mean_square": mean_sq, "dt_grid": list(dt_grid),
             "gamma_true": system.gamma_exponent}
-
-
-def path_length_scaling(system: ParticleSystem, total_time: float,
-                        dt_grid: Sequence[float], trials: int,
-                        seed: int = 0) -> dict:
-    """Mean path length of the pure-fluctuation walk over a fixed horizon.
-
-    Expected exponent: gamma/2 - 1 (negative means the sampled path length
-    diverges as dt -> 0, the non-differentiable regime).  Exposed as a
-    diagnostic; no threshold is enforced.
-    """
-    if system.eta == 0:
-        raise ValueError("eta = 0: path length scaling is undefined")
-    from .stats import fit_power_law
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    mean_len = []
-    for dt in dt_grid:
-        params = TransitionParams(dt, system.eta, system.gamma_exponent)
-        sig = noise_sigmas(system, params)[0]
-        steps = max(int(round(total_time / dt)), 1)
-        incr = np.abs(rng.standard_normal((trials, steps)) * sig)
-        mean_len.append(float(np.mean(incr.sum(axis=1))))
-    fit = fit_power_law(np.asarray(dt_grid, float), np.asarray(mean_len))
-    return {"exponent": fit["exponent"], "stderr": fit["stderr"],
-            "expected_exponent": system.gamma_exponent / 2 - 1,
-            "mean_length": mean_len, "dt_grid": list(dt_grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +579,8 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials | None,
         raise ValueError("timeline needs at least two states")
     grid = timeline[0].grid
     pos = np.array(initial_positions, dtype=float)
-    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, "current",
-                                        0.0), len(timeline), pos.shape[0])
+    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, "current"),
+                     len(timeline), pos.shape[0])
     new = np.empty_like(pos)
     out = np.empty((len(timeline),) + pos.shape)
     out[0] = pos
@@ -649,12 +631,12 @@ def center_of_mass_report(masses: Sequence[float], eta: float, dt: float,
     gamma = 3); then evaluates the quantum potential of a fixed-width CM
     density at masses M and 4M, whose magnitude must scale as 1/M.
     """
-    masses = np.asarray(masses, dtype=float)
-    if np.any(masses <= 0):
-        raise ValueError("masses must be positive")
+    system = particles_on_line(masses, eta=eta,
+                               gamma_exponent=gamma_exponent, hbar=hbar)
+    masses = system.mass_per_axis
     total = masses.sum()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    sig = np.sqrt(eta * dt**gamma_exponent / masses)
+    sig = np.sqrt(system.step_variances(dt))
     draws = rng.standard_normal((n_draws, masses.size)) * sig
     cm = (draws * masses).sum(axis=1) / total
     v_fluct = cm / dt
@@ -662,8 +644,6 @@ def center_of_mass_report(masses: Sequence[float], eta: float, dt: float,
     expected = eta * dt**(gamma_exponent - 2.0) / total
     se = expected * np.sqrt(2.0 / (n_draws - 1))
 
-    from .grids import single_particle
-    from .quantum import quantum_potential
     grid = ConfigGrid((256,), (16.0 * width,), (True,), origin=(-8.0 * width,))
     x = grid.axis_coords(0)
     rho = np.exp(-0.5 * (x / width) ** 2)

@@ -8,9 +8,7 @@ from edsim.entropic import (
     MaxEntProblem,
     bayes_reverse,
     chapman_kolmogorov_step,
-    drift_step_from_velocity,
     maxent_transition,
-    relative_entropy,
     verify_maximizer,
 )
 from edsim.grids import (
@@ -69,9 +67,15 @@ def test_maxent_two_masses_variance_ratio():
     assert step.variances[0] / step.variances[1] == pytest.approx(4.0, rel=1e-12)
 
 
+def velocity_step(grid, sys, vel, dt):
+    """Gaussian step with mean `vel * dt` and the system's step variance."""
+    return GaussianStep(grid, VectorField(grid, vel.values * dt),
+                        sys.step_variances(dt), dt)
+
+
 def zero_drift_step(grid, sys, dt):
     vel = VectorField(grid, np.zeros((grid.dim,) + grid.shape))
-    return drift_step_from_velocity(grid, sys, vel, dt)
+    return velocity_step(grid, sys, vel, dt)
 
 
 def test_ck_gaussian_widens_to_analytic_convolution():
@@ -94,7 +98,7 @@ def test_ck_mean_matches_drift_exactly():
     dt = 0.4
     shift = 0.37
     vel = VectorField(g, np.full((1,) + g.shape, shift / dt))
-    step = drift_step_from_velocity(g, sys, vel, dt)
+    step = velocity_step(g, sys, vel, dt)
     rho0 = normalized_gaussian(g, mu=-1.0, sigma=0.8)
     rho1, _ = chapman_kolmogorov_step(rho0, step)
     x = g.axis_coords(0)
@@ -140,7 +144,7 @@ def test_bayes_reverse_normalized_everywhere_above_floor():
     sys = single_particle(eta=1.0, gamma_exponent=3.0)
     dt = 0.5
     vel = VectorField(g, np.full((1,) + g.shape, 0.3))
-    step = drift_step_from_velocity(g, sys, vel, dt)
+    step = velocity_step(g, sys, vel, dt)
     rho0 = normalized_gaussian(g, sigma=1.0)
     rho1, _ = chapman_kolmogorov_step(rho0, step)
     floor = 1e-12 * rho1.values.max()
@@ -164,41 +168,11 @@ def test_bayes_reverse_rejects_unsupported_target():
         bayes_reverse(step, rho0, rho1, (0,))  # far tail of the ring
 
 
-def test_relative_entropy_offset_gaussians():
-    # -sum p log(p/q) for equal-width Gaussians offset by d: -d^2/(2 sigma^2)
-    g = ring(512, 40.0)
-    sigma, d = 1.3, 0.9
-    p = normalized_gaussian(g, mu=0.0, sigma=sigma)
-    q = normalized_gaussian(g, mu=d, sigma=sigma)
-    expected = -d**2 / (2 * sigma**2)
-    assert relative_entropy(p, q) == pytest.approx(expected, abs=1e-9)
-
-
-def test_relative_entropy_self_is_zero_and_nonpositive():
-    g = ring()
-    p = normalized_gaussian(g, sigma=1.0)
-    assert relative_entropy(p, p) == 0.0
-    rng = np.random.default_rng(5)
-    raw = np.exp(rng.normal(size=g.points[0]))
-    q = ScalarField(g, raw / (raw.sum() * g.cell_volume))
-    assert relative_entropy(p, q) <= 0.0
-    assert relative_entropy(q, p) <= 0.0
-
-
-def test_relative_entropy_rejects_vanishing_q_on_support():
-    g = ring()
-    p = normalized_gaussian(g, sigma=1.0)
-    qv = p.values.copy()
-    qv[g.points[0] // 2] = 0.0
-    with pytest.raises(ValueError, match="support"):
-        relative_entropy(p, ScalarField(g, qv))
-
-
 def test_verify_maximizer_gaussian_wins():
     g = ring(64)
     sys = single_particle(eta=1.0, gamma_exponent=3.0)
     vel = VectorField(g, np.full((1,) + g.shape, 2.0))
-    step = drift_step_from_velocity(g, sys, vel, 0.1)
+    step = velocity_step(g, sys, vel, 0.1)
     report = verify_maximizer(step, perturbations=60, seed=42, quad_points=64)
     # identity perturbation: zero margin within quadrature tolerance
     assert abs(report["self_margin"]) < 1e-10

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from edsim.geometry import (EPhasePoint, EPhaseTangent, apply_J,
-                            commutator_identity_gap, embedding_metric,
+                            commutator_identity_gap,
                             fs_length_squared, functional_gradient,
                             geometry_battery, hamiltonian_flow_step,
                             kernel_expectation,
                             kernel_gradient, killing_residual, metric,
                             normalization_functional, poisson_bracket,
-                            project_tgf, random_tgf_tangent, scalar_product,
-                            symplectic, tgf_residuals, transition_information_metric,
-                            unitary_kernel_flow)
+                            project_tgf, random_tgf_tangent,
+                            symplectic, tgf_residuals, transition_information_metric)
 from edsim.grids import particles_on_line, single_particle
 
 
@@ -65,23 +65,6 @@ def test_tangent_gauge_fixing_projection():
     w = random_tgf_tangent(pt, rng)
     assert max(tgf_residuals(pt, w)) < 1e-12
     assert np.isclose(metric(pt, w, w), 1.0, rtol=1e-12)
-
-
-def test_embedding_metric_reduces_to_phase_space_metric():
-    pt = rand_point(11, seed=5)
-    rng = np.random.default_rng(6)
-    v = random_tgf_tangent(pt, rng)
-    u = random_tgf_tangent(pt, rng)
-    assert np.isclose(embedding_metric(pt, v, u), metric(pt, v, u),
-                      rtol=1e-12)
-    raw = EPhaseTangent(rng.standard_normal(12), rng.standard_normal(12))
-    a_fn = lambda s: 3.0
-    b_fn = lambda s: 1.5
-    got = embedding_metric(pt, raw, raw, a_fn, b_fn)
-    p = pt.probs
-    core = np.sum(1.0 / (2 * p) * raw.dp**2 + 2 * p * raw.dphi**2)
-    expect = (3.0 - 1.5) / 4 * raw.dp.sum() ** 2 + 1.5 / 2 * core
-    assert np.isclose(got, expect, rtol=1e-12)
 
 
 def test_fs_length_ignores_pure_gauge_directions():
@@ -200,7 +183,9 @@ def test_flow_matches_unitary_evolution_to_second_order():
     errs = []
     for dlam in (2e-2, 1e-2, 5e-3):
         euler = hamiltonian_flow_step(f, pt, dlam).canonical()
-        exact = unitary_kernel_flow(pt, q, dlam).canonical()
+        # exact flow of a Hermitian-kernel expectation: psi -> e^{-iQ dl/h} psi
+        u = scipy.linalg.expm(-1j * q * dlam / pt.hbar)
+        exact = EPhasePoint.from_psi(u @ pt.psi, pt.hbar).canonical()
         errs.append(np.linalg.norm(euler.psi - exact.psi))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
@@ -240,19 +225,6 @@ def test_directed_probes_catch_concentrated_violations():
     local = lambda p, phi: float(p[j] ** 2)
     g = killing_residual(local, pt, n_probes=10, seed=2, directed=True)
     assert g > 1e-3
-
-
-def test_scalar_product_reduces_to_complex_inner_product():
-    rng = np.random.default_rng(24)
-    for hbar in (1.0, 0.7):
-        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        got = scalar_product(a, b, hbar)
-        assert abs(got - np.vdot(a, b)) < 1e-12 * np.abs(np.vdot(a, b))
-    norm = scalar_product(a, a, 1.0)
-    assert abs(norm.imag) < 1e-14 and norm.real > 0
-    e0, e1 = np.eye(4)[0], np.eye(4)[1]
-    assert abs(scalar_product(e0, e1)) < 1e-15
 
 
 def test_bracket_equals_commutator_expectation():

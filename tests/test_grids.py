@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 
 from edsim.grids import (
-    ComplexField,
     ConfigGrid,
     ParticleSystem,
     ScalarField,
-    VectorField,
-    bond_gradient,
-    full_gradient,
     gradient,
     integrate,
-    inner_product,
-    loop_integral,
     particles_on_line,
-    rectangle_loop,
-    ring_loop,
     single_particle,
 )
 
@@ -94,63 +86,6 @@ def test_integrate_normalized_gaussian():
     raw = np.exp(-0.5 * x**2)
     rho = raw / (raw.sum() * g.cell_volume)
     assert abs(integrate(ScalarField(g, rho)) - 1.0) < 1e-8
-
-
-def test_inner_product_matches_integral():
-    g = ConfigGrid((32,), (1.0,), (True,))
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=32) + 1j * rng.normal(size=32)
-    b = rng.normal(size=32) + 1j * rng.normal(size=32)
-    fa, fb = ComplexField(g, a), ComplexField(g, b)
-    assert inner_product(fa, fb) == pytest.approx(np.sum(a.conj() * b) * g.cell_volume)
-
-
-def test_loop_integral_of_bond_gradient_vanishes():
-    rng = np.random.default_rng(11)
-    g = ConfigGrid((12, 12), (1.0, 1.0), (True, True))
-    f = ScalarField(g, rng.normal(size=(12, 12)))
-    v = bond_gradient(f)
-    assert v.on_bonds
-    for lo, hi in [((0, 0), (1, 1)), ((2, 3), (7, 9)), ((5, 1), (11, 4))]:
-        loop = rectangle_loop(lo, hi)
-        assert abs(loop_integral(v, loop)) < 1e-13
-
-
-def test_loop_integral_node_field_small_loop():
-    # trapezoid rule on the node-centred gradient closes only to O(h^2)
-    g = ConfigGrid((64, 64), (1.0, 1.0), (True, True))
-    xx, yy = g.meshgrid()
-    f = ScalarField(g, np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy))
-    v = full_gradient(f)
-    val = loop_integral(v, rectangle_loop((3, 3), (9, 9)))
-    assert abs(val) < 1e-2
-
-
-def test_ring_winding_integral():
-    # phase that winds once: gradient is uniform, loop integral is exactly 2*pi
-    g = ConfigGrid((40,), (1.0,), (True,))
-    x = g.axis_coords(0)
-    theta = ScalarField(g, 2 * np.pi * x)  # multivalued at the seam
-    # build the gradient by hand (constant), as the seam breaks the node stencil
-    grad = VectorField(g, np.full((1, 40), 2 * np.pi))
-    assert loop_integral(grad, ring_loop(g)) == pytest.approx(2 * np.pi, abs=1e-12)
-    assert theta.values.shape == (40,)
-
-
-def test_loop_validation():
-    g = ConfigGrid((8, 8), (1.0, 1.0), (True, True))
-    v = VectorField(g, np.zeros((2, 8, 8)))
-    with pytest.raises(ValueError):
-        loop_integral(v, [(0, 0), (1, 1), (0, 0)])  # diagonal step
-    with pytest.raises(ValueError):
-        loop_integral(v, [(0, 0), (0, 1)])  # not closed
-
-
-def test_loop_leaves_nonperiodic_grid():
-    g = ConfigGrid((8,), (1.0,), (False,))
-    v = VectorField(g, np.zeros((1, 8)))
-    with pytest.raises(ValueError):
-        loop_integral(v, [(7,), (8,), (7,)])
 
 
 def test_particle_system_beta_identity():

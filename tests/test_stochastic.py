@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from edsim.stochastic import (Ensemble, TransitionParams,
                               bohmian_trajectories, center_of_mass_report,
                               draw_initial_positions, drift_velocity_field,
                               fluctuation_covariance, interpolate_vector,
-                              max_deviation_from_deterministic, noise_sigmas,
-                              path_length_scaling, scaling_exponent,
-                              simulate_ensemble, with_eta)
+                              max_deviation_from_deterministic,
+                              scaling_exponent, simulate_ensemble, with_eta)
 from edsim.stochastic import _flow_tables
 
 
@@ -39,9 +39,25 @@ def test_params_labels_and_validation():
 
 def test_noise_sigma_formula():
     sys1 = single_particle(dim=1, mass=2.0, eta=1e-3, gamma_exponent=3.0)
-    p = TransitionParams(0.01, 1e-3, 3.0)
-    sig = noise_sigmas(sys1, p)
+    sig = np.sqrt(sys1.step_variances(0.01))
     assert np.allclose(sig, np.sqrt(1e-3 * 0.01**3 / 2.0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("eta, gamma, name", [(2e-3, 3.0, "eta"),
+                                              (1e-3, 1.0, "gamma_exponent")],
+                         ids=["eta", "gamma"])
+def test_params_must_match_system_constants(eta, gamma, name):
+    sys1 = single_particle(eta=1e-3, gamma_exponent=3.0)
+    params = TransitionParams(0.05, eta, gamma)
+    message = re.escape(f"params.{name} = {getattr(params, name)!r} differs "
+                        f"from system.{name} = {getattr(sys1, name)!r}")
+    with pytest.raises(ValueError, match=message):
+        fluctuation_covariance(sys1, params, n_draws=10)
+    grid = ConfigGrid((64,), (20.0,), (True,), origin=(-10.0,))
+    timeline = evolve_trajectory(gaussian_packet(grid, 0.0, 1.0),
+                                 free_potentials(grid, sys1), 0.05, 2)
+    with pytest.raises(ValueError, match=message):
+        simulate_ensemble(timeline, None, sys1, params, 10, seed=0)
 
 
 def test_with_eta_replaces_only_noise_constants():
@@ -169,17 +185,6 @@ def test_scaling_exponent_refuses_zero_eta():
     sys1 = single_particle(eta=0.0)
     with pytest.raises(ValueError):
         scaling_exponent(sys1, [1e-3, 1e-2], trials=100)
-
-
-def test_path_length_divergence_rate():
-    sys_es = single_particle(eta=1e-2, gamma_exponent=1.0)
-    rep = path_length_scaling(sys_es, total_time=1.0,
-                              dt_grid=[4e-3, 2e-3, 1e-3], trials=2000, seed=3)
-    assert abs(rep["exponent"] - (-0.5)) < 0.05
-    sys_ou = single_particle(eta=1e-2, gamma_exponent=3.0)
-    rep2 = path_length_scaling(sys_ou, total_time=1.0,
-                               dt_grid=[4e-3, 2e-3, 1e-3], trials=2000, seed=3)
-    assert abs(rep2["exponent"] - 0.5) < 0.05
 
 
 def test_deterministic_trajectories_follow_spreading_packet():
@@ -375,7 +380,7 @@ def _ref_midpoint(grid, t0, t_half, pos, h):
 def _ref_ensemble(timeline, pot, system, params, seed, x0):
     grid = timeline[0].grid
     mode = "ES" if params.process_label == "ES" else "current"
-    tables = list(_flow_tables(timeline, pot, system, mode, params.eta))
+    tables = list(_flow_tables(timeline, pot, system, mode))
     noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
     rng = np.random.Generator(np.random.Philox(noise_seq))
     pos, alive, path = x0.copy(), np.ones(len(x0), dtype=bool), [x0]
@@ -384,7 +389,7 @@ def _ref_ensemble(timeline, pot, system, params, seed, x0):
                           pos, params.dt)
         new = _ref_wrap(grid, pos + v * params.dt
                         + rng.standard_normal(pos.shape)
-                        * noise_sigmas(system, params))
+                        * np.sqrt(system.step_variances(params.dt)))
         for a in range(grid.dim):
             if not grid.periodic[a]:
                 lo, hi = grid.origin[a], grid.origin[a] + grid.extents[a]
@@ -397,7 +402,7 @@ def _ref_ensemble(timeline, pot, system, params, seed, x0):
 
 def _ref_bohmian(timeline, pot, system, x0):
     grid = timeline[0].grid
-    tables = list(_flow_tables(timeline, pot, system, "current", 0.0))
+    tables = list(_flow_tables(timeline, pot, system, "current"))
     pos, path = x0.copy(), [x0]
     for k in range(len(timeline) - 1):
         h = timeline[k + 1].time - timeline[k].time
