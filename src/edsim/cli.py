@@ -28,7 +28,7 @@ import numpy as np
 
 from .entropic import (MaxEntProblem, bayes_reverse, chapman_kolmogorov_step,
                        maxent_transition, verify_maximizer)
-from .geometry import MAX_OUTCOMES, geometry_battery
+from .geometry import MAX_OUTCOMES, MAX_PROBES, geometry_battery
 from .grids import (MAX_POINTS_PER_AXIS, ConfigGrid, ScalarField, VectorField,
                     single_particle)
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometry-check", help="phase-space identity battery")
     p.add_argument("--outcomes", type=_in_range(int, 1, MAX_OUTCOMES),
                    default=32)
-    p.add_argument("--probes", type=_count, default=100)
+    p.add_argument("--probes", type=_in_range(int, 1, MAX_PROBES), default=100)
     # the commutator identity needs two kernels
     p.add_argument("--kernels", type=_in_range(int, 2), default=20)
     p.add_argument("--seed", type=_seed, default=0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edsim.cli import build_parser, main
+from edsim.geometry import MAX_PROBES
 from edsim.io import INCOMPLETE_MARKER, load_json
 from edsim.presets import PRESETS, build_preset
 
@@ -78,6 +79,18 @@ def test_geometry_check_passes(tmp_path):
                "--kernels", "4", "--out", str(out)])
     assert rc == 0
     assert load_json(out / "report.json")["all_passed"]
+
+
+def test_geometry_check_reruns_are_byte_identical(tmp_path):
+    args = ["geometry-check", "--outcomes", "12", "--probes", "20",
+            "--kernels", "3", "--seed", "4"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_limits_reports_monotone_deviations(tmp_path):
@@ -176,6 +189,8 @@ FLOAT_OPTIONS = {
     ["geometry-check", "--kernels", "1"],
     ["report", "run"],
     ["report", "empty"],
+    ["geometry-check", "--probes", str(MAX_PROBES + 1)],
+    ["geometry-check", "--probes", str(10**12)],
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
     """Exit 2 with a one-line message and no run written; `report` is given

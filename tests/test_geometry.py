@@ -5,7 +5,8 @@ import scipy.linalg
 from edsim.geometry import (EPhasePoint, EPhaseTangent, apply_J,
                             commutator_identity_gap,
                             fs_length_squared, functional_gradient,
-                            geometry_battery, hamiltonian_flow_step,
+                            gauge_invariant_metric, geometry_battery,
+                            hamilton_field, hamiltonian_flow_step,
                             kernel_expectation,
                             kernel_gradient, killing_residual, metric,
                             normalization_functional, poisson_bracket,
@@ -223,8 +224,110 @@ def test_directed_probes_catch_concentrated_violations():
     pt = rand_point(40, seed=33)
     j = int(np.argmax(pt.probs))
     local = lambda p, phi: float(p[j] ** 2)
-    g = killing_residual(local, pt, n_probes=10, seed=2, directed=True)
+    g = killing_residual(local, pt, n_probes=10, seed=2)
     assert g > 1e-3
+
+
+def pairwise_killing_residual(f, point, n_probes=10, seed=0, probe_eps=1e-4,
+                              grad=None):
+    """Reference for killing_residual: one probe pair at a time, one point
+    per pushed field, in the draw order of the batched version."""
+    rng = np.random.default_rng(seed)
+    p, hbar = point.probs, point.hbar
+    x_field = hamilton_field(f, point, grad=grad)
+
+    def pushed_field(w):
+        pp = p + probe_eps * w.dp
+        pm = p - probe_eps * w.dp
+        plus = EPhasePoint(pp / pp.sum(), point.phases + probe_eps * w.dphi,
+                           hbar)
+        minus = EPhasePoint(pm / pm.sum(), point.phases - probe_eps * w.dphi,
+                            hbar)
+        xp = hamilton_field(f, plus, grad=grad)
+        xm = hamilton_field(f, minus, grad=grad)
+        return EPhaseTangent((xp.dp - xm.dp) / (2 * probe_eps),
+                             (xp.dphi - xm.dphi) / (2 * probe_eps))
+
+    pairs = [(random_tgf_tangent(point, rng), random_tgf_tangent(point, rng))
+             for _ in range(n_probes)]
+    for j in range(p.size):
+        dp = np.zeros(p.size)
+        dp[j] = 1.0
+        dphi = np.zeros(p.size)
+        dphi[j] = hbar / (2.0 * p[j])
+        t = project_tgf(point, EPhaseTangent(dp, dphi))
+        norm2 = metric(point, t, t)
+        if norm2 < 1e-18:
+            continue
+        t = t.scaled(1.0 / np.sqrt(norm2))
+        pairs.append((t, t))
+
+    worst = 0.0
+    for v, u in pairs:
+        dxv = pushed_field(v)
+        dxu = dxv if u is v else pushed_field(u)
+        dv = v.dphi - np.sum(p * v.dphi)
+        du = u.dphi - np.sum(p * u.dphi)
+        coeff_term = float(np.sum(x_field.dp *
+                                  (-hbar / (2 * p**2) * v.dp * u.dp
+                                   + 2.0 / hbar * dv * du)))
+        lie = (coeff_term + gauge_invariant_metric(point, dxv, u)
+               + gauge_invariant_metric(point, v, dxu))
+        worst = max(worst, abs(lie))
+    return worst
+
+
+def test_batched_killing_residual_matches_pairwise_reference():
+    pt = rand_point(24, seed=34)
+    for seed in (35, 36, 37):
+        q = rand_hermitian(25, seed=seed)
+        args = (kernel_expectation(q), pt)
+        kw = dict(n_probes=20, seed=seed, probe_eps=1e-5,
+                  grad=kernel_gradient(q))
+        # both sit at the finite-difference floor (about 2e-7); BLAS may add
+        # up a stacked product in another order than one row at a time
+        assert abs(killing_residual(*args, **kw)
+                   - pairwise_killing_residual(*args, **kw)) < 1e-9
+    quadratic = lambda p, phi: float(np.sum(p**2))
+    quad_grad = lambda p, phi: (2.0 * p, np.zeros_like(p))
+    for grad in (quad_grad, None):
+        batched = killing_residual(quadratic, pt, n_probes=8, seed=38,
+                                   grad=grad)
+        loop = pairwise_killing_residual(quadratic, pt, n_probes=8, seed=38,
+                                         grad=grad)
+        assert batched > 1e-3
+        assert batched == pytest.approx(loop, rel=1e-12, abs=0)
+
+
+def test_stacked_structures_match_row_by_row():
+    pt = rand_point(30, seed=39)
+    rng = np.random.default_rng(40)
+    v, u = (EPhaseTangent(rng.standard_normal((7, 31)),
+                          rng.standard_normal((7, 31))) for _ in range(2))
+    row = lambda t, i: EPhaseTangent(t.dp[i], t.dphi[i])
+    projected = project_tgf(pt, v)
+    for fn in (lambda a, b: metric(pt, a, b),
+               lambda a, b: gauge_invariant_metric(pt, a, b), symplectic):
+        stacked = fn(v, u)
+        assert stacked.shape == (7,)
+        assert all(stacked[i] == fn(row(v, i), row(u, i)) for i in range(7))
+    for i in range(7):
+        alone = project_tgf(pt, row(v, i))
+        assert np.array_equal(projected.dp[i], alone.dp)
+        assert np.array_equal(projected.dphi[i], alone.dphi)
+
+
+def test_killing_probes_may_not_leave_the_simplex():
+    # probe_eps times a unit probe (about sqrt(p) per outcome) pushes an
+    # outcome at 1e-10 below zero
+    p = np.full(9, 1.0 / 8)
+    p[4] = 1e-10
+    pt = EPhasePoint(p / p.sum(), np.zeros(9))
+    q = rand_hermitian(9, seed=41)
+    for grad in (kernel_gradient(q), None):
+        with pytest.raises(ValueError):
+            killing_residual(kernel_expectation(q), pt, n_probes=3,
+                             grad=grad)
 
 
 def test_bracket_equals_commutator_expectation():
