@@ -29,8 +29,8 @@ import numpy as np
 from .entropic import (MaxEntProblem, bayes_reverse, chapman_kolmogorov_step,
                        maxent_transition, verify_maximizer)
 from .geometry import MAX_OUTCOMES, MAX_PROBES, geometry_battery
-from .grids import (MAX_POINTS_PER_AXIS, ConfigGrid, ScalarField, VectorField,
-                    single_particle)
+from .grids import (MAX_POINTS_PER_AXIS, PROCESS_GAMMA, ConfigGrid,
+                    ScalarField, VectorField, single_particle)
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
 from .quantum import (SafeguardError, energy, evolve_trajectory, madelung,
@@ -115,12 +115,16 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    sc, config = _scenario_from_args(args)
-    gamma = {"ES": 1.0, "OU": 3.0}.get(args.process, args.gamma)
+    gamma = PROCESS_GAMMA.get(args.process, args.gamma)
     if gamma is None:
         print("error: --gamma is required for the fractional process",
               file=sys.stderr)
         return 2
+    if args.gamma is not None and args.gamma != gamma:
+        print(f"error: --gamma {args.gamma:g} contradicts --process "
+              f"{args.process} (gamma {gamma:g})", file=sys.stderr)
+        return 2
+    sc, config = _scenario_from_args(args)
     eta = args.eta if args.eta is not None else sc.system.eta
     system = with_eta(sc.system, eta, gamma_exponent=gamma)
     config.update({
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="walker ensemble density tracking")
     _add_scenario_flags(p)
     p.add_argument("--process", default="OU",
-                   choices=["ES", "OU", "fractional"])
+                   choices=[*PROCESS_GAMMA, "fractional"])
     p.add_argument("--gamma", type=_positive, default=None)
     p.add_argument("--eta", type=_in_range(float, 0), default=None)
     p.add_argument("--walkers", type=_count, default=20000)

@@ -162,28 +162,25 @@ def chapman_kolmogorov_step(rho: ScalarField, step: GaussianStep) -> tuple[Scala
         for a, j in enumerate(combo):
             contrib = contrib * weights[a][1][j]
         shift = tuple(offsets_per_axis[a][j] for a, j in enumerate(combo))
-        if all(grid.periodic):
-            out += np.roll(contrib, shift, axis=tuple(range(grid.dim)))
-        else:
-            dst = [slice(None)] * grid.dim
-            srcsl = [slice(None)] * grid.dim
-            ok = True
-            for a, off in enumerate(shift):
-                if grid.periodic[a]:
-                    contrib = np.roll(contrib, off, axis=a)
-                    continue
-                n = grid.points[a]
-                if off >= n or off <= -n:
-                    ok = False
-                    break
-                if off >= 0:
-                    dst[a] = slice(off, None)
-                    srcsl[a] = slice(None, n - off)
-                else:
-                    dst[a] = slice(None, off)
-                    srcsl[a] = slice(-off, None)
-            if ok:
-                out[tuple(dst)] += contrib[tuple(srcsl)]
+        dst = [slice(None)] * grid.dim
+        srcsl = [slice(None)] * grid.dim
+        ok = True
+        for a, off in enumerate(shift):
+            if grid.periodic[a]:
+                contrib = np.roll(contrib, off, axis=a)
+                continue
+            n = grid.points[a]
+            if off >= n or off <= -n:
+                ok = False
+                break
+            if off >= 0:
+                dst[a] = slice(off, None)
+                srcsl[a] = slice(None, n - off)
+            else:
+                dst[a] = slice(None, off)
+                srcsl[a] = slice(-off, None)
+        if ok:
+            out[tuple(dst)] += contrib[tuple(srcsl)]
 
     result = ScalarField(grid, out)
     mass_out = integrate(result)

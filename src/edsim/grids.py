@@ -29,6 +29,9 @@ MAX_POINTS_PER_AXIS = 512
 # densities below this fraction of the peak count as nodes: logs, ratios and
 # supports are floored or cut there
 RHO_FLOOR_REL = 1e-12
+# the named processes and their fluctuation exponents gamma; any other
+# gamma is "fractional"
+PROCESS_GAMMA = {"ES": 1.0, "OU": 3.0}
 
 
 def mod_period(values: np.ndarray, period: float) -> np.ndarray:
@@ -51,6 +54,12 @@ def mod_period(values: np.ndarray, period: float) -> np.ndarray:
     np.subtract(values, period, out=values, where=values >= period)
     np.add(values, period, out=values, where=below)
     return values
+
+
+def nearest_image(dev: np.ndarray, period: float) -> np.ndarray:
+    """The periodic image of each displacement nearest zero, within half a
+    period of it."""
+    return (dev + period / 2) % period - period / 2
 
 
 def _as_tuple(x, n: int, kind=float) -> tuple:
@@ -370,7 +379,8 @@ class ParticleSystem:
 def process_label(gamma_exponent: float) -> str:
     """Name of the sampled process: "ES" for gamma = 1, "OU" for gamma = 3,
     "fractional" otherwise."""
-    return {1.0: "ES", 3.0: "OU"}.get(gamma_exponent, "fractional")
+    labels = {gamma: name for name, gamma in PROCESS_GAMMA.items()}
+    return labels.get(gamma_exponent, "fractional")
 
 
 def single_particle(dim: int = 1, mass: float = 1.0, charge: float = 0.0,

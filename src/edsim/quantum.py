@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    _shift, gradient)
+                    _shift, gradient, nearest_image)
 
 
 class SafeguardError(RuntimeError):
@@ -82,8 +82,7 @@ def gaussian_packet(grid: ConfigGrid, center, sigma, momentum=0.0,
         x = grid.coordinate_array(a)
         dev = x - center[a]
         if grid.periodic[a]:
-            L = grid.extents[a]
-            dev = (dev + L / 2) % L - L / 2
+            dev = nearest_image(dev, grid.extents[a])
         log_env = log_env - dev**2 / (4 * sigma[a] ** 2)
         phase = phase + momentum[a] * x / hbar
     return WaveState(grid, np.exp(log_env + 1j * phase), time=time)
@@ -332,8 +331,7 @@ def position_moments(state: WaveState) -> dict:
             z = np.sum(rho * np.exp(1j * ang)) * vol
             mean_ang = np.angle(z) % (2 * np.pi)
             mean = grid.origin[a] + L * mean_ang / (2 * np.pi)
-            dev = x - mean
-            dev = (dev + L / 2) % L - L / 2
+            dev = nearest_image(x - mean, L)
             correction = np.sum(rho * dev) * vol
             var = np.sum(rho * (dev - correction) ** 2) * vol
             means.append(float(mean + correction))

@@ -1,8 +1,12 @@
 """Trajectory sampling for the sub-quantum processes.
 
-One step moves a walker by the midpoint drift between adjacent wave states
-plus a Gaussian fluctuation with the per-axis variance of
-`ParticleSystem.step_variances`:
+There is one step rule, `_StepPlan.step`: a predictor half-step on the drift
+of the departure state, the corrector drift on the average of the departure
+and arrival states, and a move by that drift plus, for an ensemble, a
+Gaussian fluctuation with the per-axis variance of
+`ParticleSystem.step_variances`.  Deterministic (Bohmian) paths are the same
+step on the current velocity with no fluctuation, the eta -> 0 limit of the
+sampled process.  The drift and fluctuation depend on gamma:
 
 * gamma = 3 ("OU"): differentiable velocities, fluctuations vanish fast, the
   drift is the current velocity (grad Phi - A) / m;
@@ -23,9 +27,9 @@ Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
 subtract of the period, with an np.mod fallback for values more than one
 period outside the box.  Each run pads its flow tables once, keeps their
 density floors and reuses its buffers (`_StepPlan`), and the arithmetic of
-the lookup and of the table blend is unchanged, so positions, drifts and
-escape counts are byte-identical to the plain np.mod formulation of the
-step.
+the lookup and of the table blend is that of the plain np.mod formulation
+of the step, so positions, drifts and escape counts are byte-identical to
+it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    VectorField, gradient, mod_period, particles_on_line,
-                    process_label, single_particle)
+                    VectorField, gradient, mod_period, nearest_image,
+                    particles_on_line, process_label, single_particle)
 from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
                       madelung, phase_gradient, quantum_potential)
 
@@ -152,10 +156,11 @@ def _pad_into(grid: ConfigGrid, table: np.ndarray, out: np.ndarray) -> None:
 class _StepPlan:
     """Padded flat tables of one run and the buffers of its walker step.
 
-    `tables` stacks the `count` tables as (count, k, nodes), in one block;
-    `nodes` and `strides` describe the unpadded node counts and the padded
-    flat layout per axis.  Results read from the buffers (lookups, blends)
-    are valid until the next call that writes the same buffer.
+    `tables` stacks the `count` tables as (count, k, nodes), in one block,
+    and `floors` holds the density floor of each; `nodes` and `strides`
+    describe the unpadded node counts and the padded flat layout per axis.
+    Results read from the buffers (lookups, drifts) are valid until the next
+    call that writes the same buffer.
     """
 
     def __init__(self, grid: ConfigGrid, tables, count: int, n_walkers: int):
@@ -170,6 +175,7 @@ class _StepPlan:
         for out, table in zip(block, itertools.chain([first], tables)):
             _pad_into(grid, table, out)
         self.tables = block.reshape(count, first.shape[0], -1)
+        self.floors = [RHO_FLOOR_REL * t[-1].max() for t in self.tables]
         k, m, dim = self.tables[0].shape[0], n_walkers, grid.dim
         # per axis: upper and lower node weight, lower node index
         self.upper = np.empty((dim, m))
@@ -179,29 +185,46 @@ class _StepPlan:
         self.weight = np.empty(m)
         self.acc = np.empty((k, m))
         self.tmp = np.empty((k, m))
-        # two blended tables and the scratch of a blend
-        self.mid = np.empty((3,) + self.tables[0].shape)
+        # the blend of two adjacent tables and its scratch
+        self.mid = np.empty((2,) + self.tables[0].shape)
         self.half = np.empty((m, dim))
 
-    def blend(self, k: int, lam: float, slot: int = 0) -> tuple[np.ndarray, float]:
-        """(1 - lam) * table k + lam * table k + 1, written into blend
-        buffer `slot` (0 or 1), with its density floor."""
-        out, scratch = self.mid[slot], self.mid[2]
-        np.multiply(self.tables[k], 1 - lam, out=out)
-        np.multiply(self.tables[k + 1], lam, out=scratch)
-        np.add(out, scratch, out=out)
-        return out, RHO_FLOOR_REL * out[-1].max()
+    def step(self, positions: np.ndarray, k: int, dt: float,
+             noise: np.ndarray | None, out: np.ndarray):
+        """One midpoint step of length dt from table k to table k + 1.
 
-    def midpoint_drift(self, positions: np.ndarray, start: tuple,
-                       mid: tuple, h: float) -> np.ndarray:
-        """Drift of a midpoint step of length h: a predictor half-step on
-        the (table, floor) pair `start`, the corrector drift on `mid`."""
-        v0 = _ratio_drift(self, *start, positions)
-        half = self.half
-        np.multiply(v0, 0.5 * h, out=half)
+        A predictor half-step on table k, the corrector drift v on the
+        average of tables k and k + 1, then out = positions + v dt (+ noise),
+        wrapped on periodic axes.  Returns v (a view of `acc`) and the mask
+        of walkers on or beyond a hard wall, or None when none is.
+        """
+        grid, half = self.grid, self.half
+        v0 = _ratio_drift(self, self.tables[k], self.floors[k], positions)
+        np.multiply(v0, 0.5 * dt, out=half)
         np.add(positions, half, out=half)
-        self.grid.wrap(half, out=half)
-        return _ratio_drift(self, *mid, half)
+        grid.wrap(half, out=half)
+        mid, scratch = self.mid
+        np.multiply(self.tables[k], 0.5, out=mid)
+        np.multiply(self.tables[k + 1], 0.5, out=scratch)
+        np.add(mid, scratch, out=mid)
+        v = _ratio_drift(self, mid, RHO_FLOOR_REL * mid[-1].max(), half)
+        np.multiply(v, dt, out=out)
+        np.add(positions, out, out=out)
+        if noise is not None:
+            np.add(out, noise, out=out)
+        grid.wrap(out, out=out)
+        escaped = None
+        for a in range(grid.dim):
+            if grid.periodic[a]:
+                continue
+            lo = grid.origin[a]
+            hi = grid.origin[a] + grid.extents[a]
+            col = out[:, a]
+            if col.min(initial=hi) > lo and col.max(initial=lo) < hi:
+                continue  # no walker at this axis' walls: skip the masks
+            hit = (col <= lo) | (col >= hi)
+            escaped = hit if escaped is None else escaped | hit
+        return v, escaped
 
 
 def _cell(grid: ConfigGrid, axis: int, n: int, x: np.ndarray,
@@ -277,10 +300,10 @@ def interpolate_vector(grid: ConfigGrid, values: np.ndarray,
 # ---------------------------------------------------------------------------
 #
 # Interpolating the velocity directly misbehaves near density nodes, where v
-# spikes on a sub-cell scale.  Both the ensemble sampler and the
-# deterministic integrator therefore interpolate the smooth pair
-# (rho * v, rho) and divide at the sample point.  A flow table stacks it as
-# one array [rho v_0, ..., rho v_{dim-1}, rho] of shape (dim + 1, *nodes).
+# spikes on a sub-cell scale.  The step therefore interpolates the smooth
+# pair (rho * v, rho) and divides at the sample point.  A flow table stacks
+# it as one array [rho v_0, ..., rho v_{dim-1}, rho] of shape
+# (dim + 1, *nodes).
 # On 1-D fully periodic grids the pair is first resampled onto a REFINE-times
 # finer zero-padded Fourier lattice, which is exact for the band-limited
 # solver output.
@@ -346,28 +369,6 @@ def _ratio_drift(plan: _StepPlan, table: np.ndarray, floor: float,
 # stepping
 # ---------------------------------------------------------------------------
 
-def _advance(grid: ConfigGrid, positions: np.ndarray, v: np.ndarray,
-             dt: float, noise: np.ndarray, out: np.ndarray) -> np.ndarray | None:
-    """out = positions + v dt + noise, wrapped on periodic axes.  Returns
-    the mask of walkers on or beyond a hard wall, or None when none is."""
-    np.multiply(v, dt, out=out)
-    np.add(positions, out, out=out)
-    np.add(out, noise, out=out)
-    grid.wrap(out, out=out)
-    escaped = None
-    for a in range(grid.dim):
-        if grid.periodic[a]:
-            continue
-        lo = grid.origin[a]
-        hi = grid.origin[a] + grid.extents[a]
-        col = out[:, a]
-        if col.min(initial=hi) > lo and col.max(initial=lo) < hi:
-            continue  # no walker at this axis' walls: skip the masks
-        hit = (col <= lo) | (col >= hi)
-        escaped = hit if escaped is None else escaped | hit
-    return escaped
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """Recorded walker history.
@@ -419,10 +420,8 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
     """March an ensemble along a timeline of wave states.
 
     The state spacing must equal params.dt, and params must carry the
-    system's eta and gamma.  The mean shift of a step uses
-    the midpoint drift (predictor half-step on the departure field, corrector
-    on the average of the adjacent fields), evaluated by current-ratio
-    interpolation.  Escaped walkers (hard walls only) are frozen in place
+    system's eta and gamma.  Each step is `_StepPlan.step` with the step's
+    Philox noise.  Escaped walkers (hard walls only) are frozen in place
     and counted; more than `max_escape_fraction` of them aborts with a
     SafeguardError.
     """
@@ -437,7 +436,6 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
         mode = "ES" if system.process_label == "ES" else "current"
     plan = _StepPlan(grid, _flow_tables(timeline, pot, system, mode),
                      len(timeline), n_walkers)
-    snapshots = [(t, RHO_FLOOR_REL * t[-1].max()) for t in plan.tables]
 
     root = np.random.SeedSequence(seed)
     init_seq, noise_seq = root.spawn(2)
@@ -467,11 +465,9 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
     escaped_total = 0
 
     for k in range(steps):
-        v_mid = plan.midpoint_drift(pos, snapshots[k], plan.blend(k, 0.5),
-                                    params.dt)
         noise_rng.standard_normal(out=noise)
         noise *= sig
-        escaped = _advance(grid, pos, v_mid, params.dt, noise, new)
+        v_mid, escaped = plan.step(pos, k, params.dt, noise, new)
         if escaped is not None:
             newly = escaped & alive
             if np.any(newly):
@@ -566,37 +562,25 @@ def scaling_exponent(system: ParticleSystem, dt_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials | None,
-                         system: ParticleSystem, initial_positions: np.ndarray,
-                         substeps: int = 1) -> np.ndarray:
-    """Integrate dx/dt = v(x, t) with the midpoint rule along the timeline.
+                         system: ParticleSystem,
+                         initial_positions: np.ndarray) -> np.ndarray:
+    """Integrate dx/dt = v(x, t) along the timeline: the sampler's step
+    (`_StepPlan.step`) on the current velocity, with no noise and no
+    escape check, over each spacing of the timeline.
 
-    The velocity is evaluated by current-ratio interpolation of snapshot flow
-    tables (linear in time between them), the same evaluation the stochastic
-    sampler uses, so an eta -> 0 ensemble collapses onto these paths.
     Returns positions of shape (len(timeline), K, dim).
     """
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
-    grid = timeline[0].grid
     pos = np.array(initial_positions, dtype=float)
-    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, "current"),
+    plan = _StepPlan(timeline[0].grid,
+                     _flow_tables(timeline, pot, system, "current"),
                      len(timeline), pos.shape[0])
-    new = np.empty_like(pos)
     out = np.empty((len(timeline),) + pos.shape)
     out[0] = pos
     for k in range(len(timeline) - 1):
-        dt_snap = timeline[k + 1].time - timeline[k].time
-        h = dt_snap / substeps
-        for j in range(substeps):
-            vh = plan.midpoint_drift(pos,
-                                     plan.blend(k, j / substeps, slot=0),
-                                     plan.blend(k, (j + 0.5) / substeps,
-                                                slot=1), h)
-            np.multiply(vh, h, out=new)
-            np.add(pos, new, out=new)
-            grid.wrap(new, out=new)
-            pos, new = new, pos
-        out[k + 1] = pos
+        plan.step(out[k], k, timeline[k + 1].time - timeline[k].time, None,
+                  out[k + 1])
     return out
 
 
@@ -610,8 +594,7 @@ def max_deviation_from_deterministic(ens: Ensemble,
     dev = ens.positions - reference
     for a in range(grid.dim):
         if grid.periodic[a]:
-            L = grid.extents[a]
-            dev[..., a] = (dev[..., a] + L / 2) % L - L / 2
+            dev[..., a] = nearest_image(dev[..., a], grid.extents[a])
     per_walker = np.max(np.sqrt((dev**2).sum(axis=-1)), axis=0)
     return float(per_walker.mean())
 

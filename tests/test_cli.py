@@ -154,6 +154,29 @@ def test_extreme_entropic_steps_fail_cleanly(tmp_path, capsys, option, value,
         assert main(["report", str(out)]) == 0
 
 
+@pytest.mark.parametrize("process, code", [
+    (["--process", "fractional"], 2),
+    (["--process", "OU", "--gamma", "2.5"], 2),
+    (["--process", "ES", "--gamma", "3"], 2),
+    (["--process", "ES", "--gamma", "1"], 0),
+])
+def test_ensemble_process_and_gamma_must_agree(tmp_path, capsys, process,
+                                               code):
+    """A fractional process without --gamma, or a --gamma that contradicts
+    a named process, exits 2 with one line and writes no run; a --gamma
+    equal to the named process' own is accepted."""
+    out = tmp_path / "run"
+    small = ["--steps", "2", "--walkers", "200", "--checkpoints", "1",
+             "--calibration", "10"]
+    assert main(["ensemble"] + process + small + ["--out", str(out)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert load_json(out / "report.json")["process"] == "ES"
+
+
 # accepted values of every float option, per subcommand
 FLOAT_OPTIONS = {
     ("evolve", "--dt"): lambda v: v > 0,

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edsim.grids import RHO_FLOOR_REL, ConfigGrid, ScalarField, single_particle
+from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, ScalarField,
+                         nearest_image, single_particle)
 from edsim.presets import build_preset
 from edsim.quantum import (WaveState, evolve_trajectory, free_potentials,
                            gaussian_packet, madelung)
@@ -196,7 +197,7 @@ def test_deterministic_trajectories_follow_spreading_packet():
     dt, steps = 0.01, 100
     timeline = evolve_trajectory(state, pot, dt, steps)
     x0 = np.array([[-1.0], [0.0], [1.5]])
-    paths = bohmian_trajectories(timeline, pot, sys1, x0, substeps=2)
+    paths = bohmian_trajectories(timeline, pot, sys1, x0)
     t = steps * dt
     sig_t = sigma0 * np.sqrt(1 + (t / (2 * sigma0**2)) ** 2)
     expect = k * t + x0[:, 0] * sig_t / sigma0
@@ -450,6 +451,30 @@ def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
                                               system, x0))
 
 
+@pytest.mark.parametrize("name", ["free", "harmonic", "interference",
+                                  "vortex_2d", "ring_constant_a"])
+@pytest.mark.parametrize("gamma", [3.0, 1.0])
+def test_noiseless_ensemble_follows_bohmian_paths(name, gamma):
+    """At eta = 0 the sampler's step is the deterministic step: the ensemble
+    ("current" drift for gamma = 3, "ES" drift for gamma = 1) lands on the
+    Bohmian paths from the same start, up to params.dt against the
+    timeline's own spacing."""
+    sc = build_preset(name, steps=30)
+    timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
+    x0 = draw_initial_positions(timeline[0], 300, np.random.default_rng(4))
+    system = with_eta(sc.system, 0.0, gamma_exponent=gamma)
+    ens = simulate_ensemble(timeline, sc.potentials, system,
+                            TransitionParams.from_system(system, sc.dt), 300,
+                            seed=1, initial_positions=x0)
+    paths = bohmian_trajectories(timeline, sc.potentials, system, x0)
+    dev = ens.positions - paths
+    for a in range(sc.grid.dim):
+        if sc.grid.periodic[a]:
+            dev[..., a] = nearest_image(dev[..., a], sc.grid.extents[a])
+    assert ens.meta["escaped"] == 0
+    assert np.max(np.abs(dev)) < 1e-12
+
+
 @settings(derandomize=True, deadline=None)
 @given(inside=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=20),
        far=st.lists(st.floats(-1e300, 1e300), max_size=3),
@@ -457,7 +482,8 @@ def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
                             (2.5, 0.1), (-20.0, 40.0)]))
 def test_wrap_rule_equals_np_mod(inside, far, box):
     """Bitwise equal to lo + np.mod(x - lo, L): the masked shift within one
-    period of the box, the np.mod fallback beyond it."""
+    period of the box, the np.mod fallback beyond it.  The nearest image of
+    a displacement is np.mod(d + L / 2, L) - L / 2, within half a period."""
     lo, period = box
     grid = ConfigGrid((16,), (period,), (True,), origin=(lo,))
     edges = [lo, lo + period, np.nextafter(lo, -np.inf),
@@ -467,3 +493,9 @@ def test_wrap_rule_equals_np_mod(inside, far, box):
         got = grid.wrap(x[:, None])[:, 0]
         assert np.array_equal(got.view(np.int64),
                               (lo + np.mod(x - lo, period)).view(np.int64))
+    d = period * np.array(inside + [-0.5, 0.5, 1.5])
+    image = nearest_image(d, period)
+    assert np.array_equal(image.view(np.int64),
+                          (np.mod(d + period / 2, period)
+                           - period / 2).view(np.int64))
+    assert np.all(np.abs(image) <= period / 2)
