@@ -48,5 +48,5 @@ from .geometry import (EPhasePoint, EPhaseTangent, apply_J,
                        transition_information_metric)
 from .stats import (compare_density, convergence_order, fit_power_law,
                     histogram_on_grid)
-from .presets import PRESETS, Scenario, build_preset, ring_momentum
+from .presets import PRESETS, Scenario, build_preset
 from .io import RunWriter, load_json, save_json, verify_run_dir

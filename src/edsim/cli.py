@@ -30,7 +30,7 @@ from .entropic import (MaxEntProblem, bayes_reverse, chapman_kolmogorov_step,
                        maxent_transition, verify_maximizer)
 from .geometry import MAX_OUTCOMES, MAX_PROBES, geometry_battery
 from .grids import (MAX_POINTS_PER_AXIS, PROCESS_GAMMA, ConfigGrid,
-                    ScalarField, VectorField, single_particle)
+                    ScalarField, VectorField, process_label, single_particle)
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
 from .quantum import (SafeguardError, energy, evolve_trajectory, madelung,
@@ -123,6 +123,12 @@ def cmd_ensemble(args) -> int:
     if args.gamma is not None and args.gamma != gamma:
         print(f"error: --gamma {args.gamma:g} contradicts --process "
               f"{args.process} (gamma {gamma:g})", file=sys.stderr)
+        return 2
+    label = process_label(gamma)
+    if label != args.process:
+        # a fractional run at gamma 1 or 3 would sample and report ES or OU
+        print(f"error: --gamma {gamma:g} is the {label} process, not "
+              f"{args.process}; use --process {label}", file=sys.stderr)
         return 2
     sc, config = _scenario_from_args(args)
     eta = args.eta if args.eta is not None else sc.system.eta

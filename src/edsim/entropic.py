@@ -16,12 +16,12 @@ follows from Bayes' theorem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    VectorField, integrate)
+from .grids import (ConfigGrid, ParticleSystem, ScalarField, VectorField,
+                    density_floor, integrate)
 
 KERNEL_TRUNCATION_SIGMAS = 6.0
 
@@ -76,7 +76,6 @@ class GaussianStep:
     mean_shift: VectorField
     variances: np.ndarray
     dt: float
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.variances, dtype=float)
@@ -104,8 +103,7 @@ def maxent_transition(problem: MaxEntProblem) -> GaussianStep:
         coupling = coupling - beta.reshape(per_axis) * problem.vector_a
     mean = (s.hbar * dt / m).reshape(per_axis) * coupling
     mean_field = VectorField(problem.grid, mean)
-    return GaussianStep(problem.grid, mean_field, s.step_variances(dt), dt,
-                        meta={"alpha": None if s.eta == 0 else problem.alpha_per_axis})
+    return GaussianStep(problem.grid, mean_field, s.step_variances(dt), dt)
 
 
 def _axis_windows(step: GaussianStep) -> list[tuple[int, int]]:
@@ -229,7 +227,7 @@ def bayes_reverse(step: GaussianStep, rho_t: ScalarField, rho_next: ScalarField,
     """Reverse-step density P(x|x') = rho_t(x) P(x'|x) / rho_next(x')."""
     grid = step.grid
     marginal = float(rho_next.values[tuple(x_next_index)])
-    floor = RHO_FLOOR_REL * float(np.max(rho_next.values))
+    floor = density_floor(rho_next.values)
     if marginal <= floor:
         raise ValueError(
             f"rho_next at {tuple(x_next_index)} is below the support floor")
@@ -250,10 +248,10 @@ def _quad_lattice(mean: np.ndarray, sigma: np.ndarray, points: int) -> list[np.n
     return axes
 
 
-def verify_maximizer(step: GaussianStep, at_index: tuple | None = None,
-                     perturbations: int = 50, seed: int = 0,
-                     quad_points: int = 64) -> dict:
-    """Check the Gaussian kernel against tilted competitors.
+def verify_maximizer(step: GaussianStep, perturbations: int = 50,
+                     seed: int = 0, quad_points: int = 64) -> dict:
+    """Check the Gaussian kernel against tilted competitors, at the centre
+    node of the grid.
 
     Competitors are built as P0 * exp(g + c.u): `g` is a random smooth bump
     (polynomial in standardized displacement), and the linear coefficients
@@ -264,9 +262,8 @@ def verify_maximizer(step: GaussianStep, at_index: tuple | None = None,
     margin should vanish within quadrature tolerance.
     """
     grid = step.grid
-    if at_index is None:
-        at_index = tuple(n // 2 for n in grid.shape)
-    mean = np.array([step.mean_shift.values[a][tuple(at_index)]
+    at_index = tuple(n // 2 for n in grid.shape)
+    mean = np.array([step.mean_shift.values[a][at_index]
                      for a in range(grid.dim)])
     sigma = step.sigmas
     axes = _quad_lattice(mean, sigma, quad_points)

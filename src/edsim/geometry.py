@@ -443,8 +443,9 @@ def commutator_identity_gap(u_kernel: np.ndarray, v_kernel: np.ndarray,
 
 
 def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
-                     seed: int = 0, hbar: float = 1.0) -> dict:
-    """Identity checks of the phase-space structures at random points.
+                     seed: int = 0) -> dict:
+    """Identity checks of the phase-space structures at a random point
+    (hbar = 1).
 
     Runs `probes` random TGF probe pairs for J^2 = -1, the G/Omega/J
     compatibility identities, and the closed-form vs minimized length;
@@ -460,8 +461,8 @@ def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
     p = rng.dirichlet(8.0 * np.ones(outcomes + 1))
     p = np.maximum(p, 1e-3)
     p /= p.sum()
-    phi = 0.4 * hbar * rng.uniform(-1.0, 1.0, outcomes + 1)
-    point = EPhasePoint(p, phi, hbar).canonical()
+    phi = 0.4 * rng.uniform(-1.0, 1.0, outcomes + 1)
+    point = EPhasePoint(p, phi).canonical()
 
     j_sq = compat_metric = compat_omega = fs_gap = 0.0
     for _ in range(probes):
@@ -488,11 +489,11 @@ def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q = 0.5 * (a + a.conj().T)
         killing_max = max(killing_max,
-                          killing_residual(kernel_expectation(q, hbar), point,
+                          killing_residual(kernel_expectation(q), point,
                                            n_probes=probes,
                                            seed=int(rng.integers(2**31)),
                                            probe_eps=1e-5,
-                                           grad=kernel_gradient(q, hbar)))
+                                           grad=kernel_gradient(q)))
         if prev is not None:
             commutator_max = max(commutator_max,
                                  commutator_identity_gap(prev, q, point))

@@ -62,6 +62,12 @@ def nearest_image(dev: np.ndarray, period: float) -> np.ndarray:
     return (dev + period / 2) % period - period / 2
 
 
+def density_floor(values: np.ndarray, rel: float = RHO_FLOOR_REL):
+    """The density below which `values` count as a node: `rel` times their
+    peak.  The one place the floor is written."""
+    return rel * values.max()
+
+
 def _as_tuple(x, n: int, kind=float) -> tuple:
     if np.isscalar(x):
         return tuple(kind(x) for _ in range(n))
@@ -253,45 +259,26 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum() * f.grid.cell_volume)
 
 
-def ring_loop(grid: ConfigGrid, axis: int = 0, fixed: dict | None = None) -> list[tuple]:
-    """Closed loop winding once around a periodic axis."""
-    if not grid.periodic[axis]:
-        raise ValueError(f"axis {axis} is not periodic")
-    fixed = fixed or {}
-    base = [fixed.get(a, 0) for a in range(grid.dim)]
-    loop = []
-    for k in range(grid.points[axis]):
-        p = list(base)
-        p[axis] = k
-        loop.append(tuple(p))
-    loop.append(tuple(base))
-    return loop
+def ring_loop(grid: ConfigGrid) -> list[tuple]:
+    """Closed loop winding once around periodic axis 0, at index 0 on the
+    other axes."""
+    if not grid.periodic[0]:
+        raise ValueError("axis 0 is not periodic")
+    rest = (0,) * (grid.dim - 1)
+    return [(k,) + rest for k in range(grid.points[0])] + [(0,) + rest]
 
 
-def rectangle_loop(lo: tuple[int, int], hi: tuple[int, int],
-                   axes: tuple[int, int] = (0, 1), dim: int = 2,
-                   fixed: dict | None = None) -> list[tuple]:
-    """Axis-aligned rectangular loop (counter-clockwise) in an index plane."""
-    a, b = axes
+def rectangle_loop(lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple]:
+    """Axis-aligned rectangular loop (counter-clockwise) in the index plane
+    of a 2-D grid."""
     i0, j0 = lo
     i1, j1 = hi
     if i1 <= i0 or j1 <= j0:
         raise ValueError("rectangle must have positive index extent")
-    fixed = fixed or {}
-    base = [fixed.get(k, 0) for k in range(dim)]
-
-    def mk(i, j):
-        p = list(base)
-        p[a] = i
-        p[b] = j
-        return tuple(p)
-
-    loop = []
-    loop += [mk(i, j0) for i in range(i0, i1)]
-    loop += [mk(i1, j) for j in range(j0, j1)]
-    loop += [mk(i, j1) for i in range(i1, i0, -1)]
-    loop += [mk(i0, j) for j in range(j1, j0 - 1, -1)]
-    return loop
+    return ([(i, j0) for i in range(i0, i1)]
+            + [(i1, j) for j in range(j0, j1)]
+            + [(i, j1) for i in range(i1, i0, -1)]
+            + [(i0, j) for j in range(j1, j0 - 1, -1)])
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    _shift, gradient, nearest_image)
+                    _shift, density_floor, gradient, nearest_image)
+
+# relative residual and squared-norm change a Crank-Nicolson step may have
+CN_TOL = 1e-9
 
 
 class SafeguardError(RuntimeError):
@@ -69,9 +72,10 @@ class WaveState:
         return float(np.vdot(self.psi, self.psi).real * self.grid.cell_volume)
 
 
-def gaussian_packet(grid: ConfigGrid, center, sigma, momentum=0.0,
-                    hbar: float = 1.0, time: float = 0.0) -> WaveState:
-    """Gaussian wave packet; `sigma` is the density standard deviation."""
+def gaussian_packet(grid: ConfigGrid, center, sigma,
+                    momentum=0.0) -> WaveState:
+    """Gaussian wave packet at time 0 (hbar = 1); `sigma` is the density
+    standard deviation."""
     dim = grid.dim
     center = np.broadcast_to(np.atleast_1d(np.asarray(center, float)), (dim,))
     sigma = np.broadcast_to(np.atleast_1d(np.asarray(sigma, float)), (dim,))
@@ -84,8 +88,8 @@ def gaussian_packet(grid: ConfigGrid, center, sigma, momentum=0.0,
         if grid.periodic[a]:
             dev = nearest_image(dev, grid.extents[a])
         log_env = log_env - dev**2 / (4 * sigma[a] ** 2)
-        phase = phase + momentum[a] * x / hbar
-    return WaveState(grid, np.exp(log_env + 1j * phase), time=time)
+        phase = phase + momentum[a] * x
+    return WaveState(grid, np.exp(log_env + 1j * phase))
 
 
 @dataclass(frozen=True)
@@ -241,16 +245,13 @@ class CrankNicolson:
     is norm-preserving; the direct sparse solve keeps the defect near
     roundoff.  Every step checks the residual of its solve, relative to the
     right-hand side, and its relative change of the squared norm against
-    `solver_tol`: with a huge step the residual can pass while the norm is
+    `CN_TOL`: with a huge step the residual can pass while the norm is
     lost.
     """
 
-    def __init__(self, pot: Potentials, dt: float, solver_tol: float = 1e-9):
+    def __init__(self, pot: Potentials, dt: float):
         if dt == 0:
             raise ValueError("dt must be nonzero")
-        self.pot = pot
-        self.dt = dt
-        self.solver_tol = solver_tol
         self.max_residual = 0.0
         H = pot.hamiltonian
         z = 1j * dt / (2 * pot.system.hbar)
@@ -265,24 +266,23 @@ class CrankNicolson:
         resid = np.max(np.abs(self._A @ out - b))
         scale = max(np.max(np.abs(b)), 1e-300)
         self.max_residual = max(self.max_residual, resid / scale)
-        if resid / scale > self.solver_tol:
+        if resid / scale > CN_TOL:
             raise SafeguardError(
                 f"Crank-Nicolson solve residual {resid / scale:.3e} exceeds "
-                f"tolerance {self.solver_tol:.3e}")
+                f"tolerance {CN_TOL:.3e}")
         before, after = np.vdot(psi, psi).real, np.vdot(out, out).real
-        if abs(after - before) > self.solver_tol * before:
+        if abs(after - before) > CN_TOL * before:
             raise SafeguardError(
                 f"Crank-Nicolson step changed the squared norm by "
                 f"{abs(after - before) / before:.3e}, beyond tolerance "
-                f"{self.solver_tol:.3e}")
+                f"{CN_TOL:.3e}")
         return out.reshape(psi.shape)
 
 
-def _cn_steps(state: WaveState, pot: Potentials, dt: float, steps: int,
-              solver_tol: float):
+def _cn_steps(state: WaveState, pot: Potentials, dt: float, steps: int):
     """The Crank-Nicolson loop: after each step, yield (psi, time, largest
     residual so far)."""
-    cn = CrankNicolson(pot, dt, solver_tol)
+    cn = CrankNicolson(pot, dt)
     psi, t = state.psi, state.time
     for _ in range(steps):
         psi = cn.step(psi)
@@ -297,20 +297,20 @@ def _stepped_state(grid: ConfigGrid, psi: np.ndarray, t: float,
                      meta={"cn_residual": residual, "raw_norm": raw_norm})
 
 
-def evolve(state: WaveState, pot: Potentials, dt: float, steps: int,
-           solver_tol: float = 1e-9) -> WaveState:
+def evolve(state: WaveState, pot: Potentials, dt: float,
+           steps: int) -> WaveState:
     """Advance `steps` Crank-Nicolson steps of size `dt`."""
     last = (state.psi, state.time, 0.0)
-    for last in _cn_steps(state, pot, dt, steps, solver_tol):
+    for last in _cn_steps(state, pot, dt, steps):
         pass
     return _stepped_state(state.grid, *last)
 
 
-def evolve_trajectory(state: WaveState, pot: Potentials, dt: float, steps: int,
-                      solver_tol: float = 1e-9) -> list[WaveState]:
+def evolve_trajectory(state: WaveState, pot: Potentials, dt: float,
+                      steps: int) -> list[WaveState]:
     """Snapshots at every step, initial state included."""
     return [state] + [_stepped_state(state.grid, *s)
-                      for s in _cn_steps(state, pot, dt, steps, solver_tol)]
+                      for s in _cn_steps(state, pot, dt, steps)]
 
 
 def position_moments(state: WaveState) -> dict:
@@ -363,15 +363,13 @@ class MadelungPair:
     meta: dict = field(default_factory=dict, compare=False)
 
 
-def madelung(state: WaveState, hbar: float = 1.0,
-             floor_rel: float = RHO_FLOOR_REL) -> MadelungPair:
+def madelung(state: WaveState, hbar: float = 1.0) -> MadelungPair:
     rho = state.rho
-    mask = rho > floor_rel * rho.max()
+    mask = rho > density_floor(rho)
     phi = hbar * np.angle(state.psi)
     return MadelungPair(state.grid, ScalarField(state.grid, rho),
                         ScalarField(state.grid, phi), hbar, mask,
-                        meta={"floor_rel": floor_rel,
-                              "masked_fraction": float(1.0 - mask.mean())})
+                        meta={"masked_fraction": float(1.0 - mask.mean())})
 
 
 def _wrap_branch(dphi: np.ndarray, hbar: float) -> np.ndarray:
@@ -414,7 +412,7 @@ def quantum_potential(rho: ScalarField, system: ParticleSystem,
     """
     grid = rho.grid
     amp = np.sqrt(np.maximum(rho.values, 0.0))
-    mask = rho.values > floor_rel * rho.values.max()
+    mask = rho.values > density_floor(rho.values, floor_rel)
     out = np.zeros(grid.shape)
     hbar = system.hbar
     masses = system.mass_per_axis
@@ -446,7 +444,7 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float,
     phi_dot = hbar * np.angle(fwd.psi * np.conj(bwd.psi)) / (2 * dt)
 
     pair = madelung(state, hbar=hbar)
-    mask = state.rho > floor_rel * state.rho.max()
+    mask = state.rho > density_floor(state.rho, floor_rel)
 
     masses = system.mass_per_axis
     beta = system.beta_per_axis
@@ -494,40 +492,35 @@ def reverse_potentials(pot: Potentials) -> Potentials:
     )
 
 
-def gauge_transform(state: WaveState, pot: Potentials, chi,
-                    chi_is_physical: bool = True) -> tuple[WaveState, Potentials]:
+def gauge_transform(state: WaveState, pot: Potentials,
+                    chi) -> tuple[WaveState, Potentials]:
     """Apply chi: psi gets the phase exp(i sum_n beta_n chi(x_n)); the link
     phases get exact endpoint differences of chi, and node samples of A get
     the central-difference gradient.
 
-    `chi` is a callable of the mesh coordinates (evaluated per particle when
-    several share the physical space) or a node-sample array (single-valued
-    only).  Multivalued chi (winding on a ring) must be a callable; the bond
-    crossing the seam is evaluated by continuing past the edge.
+    `chi` is a callable of the mesh coordinates, evaluated per particle when
+    several share the physical space.  It may be multivalued (winding on a
+    ring): the bond crossing the seam is evaluated by continuing past the
+    edge.
     """
+    if not callable(chi):
+        raise TypeError("chi must be a callable of the mesh coordinates, "
+                        f"got {type(chi).__name__}")
     grid = state.grid
     system = pot.system
     beta_axis = system.beta_per_axis
     beta_particle = system.beta
     mesh = grid.meshgrid()
 
-    if callable(chi):
-        chi_nodes_per_particle = {}
-        for n in range(system.n_particles):
-            axes_of_n = [a for a, (pn, _) in enumerate(system.axis_map) if pn == n]
-            coords = [mesh[a] for a in axes_of_n]
-            chi_nodes_per_particle[n] = np.asarray(chi(*coords), dtype=float) \
-                if coords else np.zeros(grid.shape)
-        phase = np.zeros(grid.shape)
-        for n, cn in chi_nodes_per_particle.items():
-            phase = phase + beta_particle[n] * np.broadcast_to(cn, grid.shape)
-    else:
-        chi_arr = np.asarray(chi, dtype=float)
-        if chi_arr.shape != grid.shape:
-            raise ValueError("chi array must match the grid")
-        phase = np.zeros(grid.shape)
-        for n in range(system.n_particles):
-            phase = phase + beta_particle[n] * chi_arr
+    chi_nodes_per_particle = {}
+    for n in range(system.n_particles):
+        axes_of_n = [a for a, (pn, _) in enumerate(system.axis_map) if pn == n]
+        coords = [mesh[a] for a in axes_of_n]
+        chi_nodes_per_particle[n] = np.asarray(chi(*coords), dtype=float) \
+            if coords else np.zeros(grid.shape)
+    phase = np.zeros(grid.shape)
+    for n, cn in chi_nodes_per_particle.items():
+        phase = phase + beta_particle[n] * np.broadcast_to(cn, grid.shape)
 
     new_psi = state.psi * np.exp(1j * phase)
 
@@ -537,21 +530,16 @@ def gauge_transform(state: WaveState, pot: Potentials, chi,
     dchi_nodes = np.zeros((dim,) + grid.shape)
     for a in range(dim):
         h = grid.spacing[a]
-        per = grid.periodic[a]
-        if callable(chi):
-            n_part = system.axis_map[a][0]
-            axes_of_n = [ax for ax, (pn, _) in enumerate(system.axis_map) if pn == n_part]
-            coords = [mesh[ax] for ax in axes_of_n]
-            coords_shift = [m + (h if ax == a else 0.0) for ax, m in zip(axes_of_n, coords)]
-            here = np.broadcast_to(np.asarray(chi(*coords), float), grid.shape)
-            there = np.broadcast_to(np.asarray(chi(*coords_shift), float), grid.shape)
-            dchi_bond[a] = there - here
-            coords_back = [m - (h if ax == a else 0.0) for ax, m in zip(axes_of_n, coords)]
-            back = np.broadcast_to(np.asarray(chi(*coords_back), float), grid.shape)
-            dchi_nodes[a] = (there - back) / (2 * h)
-        else:
-            dchi_bond[a] = _shift(chi_arr, a, +1, per) - chi_arr
-            dchi_nodes[a] = gradient(ScalarField(grid, chi_arr), a).values
+        n_part = system.axis_map[a][0]
+        axes_of_n = [ax for ax, (pn, _) in enumerate(system.axis_map) if pn == n_part]
+        coords = [mesh[ax] for ax in axes_of_n]
+        coords_shift = [m + (h if ax == a else 0.0) for ax, m in zip(axes_of_n, coords)]
+        here = np.broadcast_to(np.asarray(chi(*coords), float), grid.shape)
+        there = np.broadcast_to(np.asarray(chi(*coords_shift), float), grid.shape)
+        dchi_bond[a] = there - here
+        coords_back = [m - (h if ax == a else 0.0) for ax, m in zip(axes_of_n, coords)]
+        back = np.broadcast_to(np.asarray(chi(*coords_back), float), grid.shape)
+        dchi_nodes[a] = (there - back) / (2 * h)
 
     base_theta = pot.link_theta if pot.link_theta is not None \
         else np.zeros((dim,) + grid.shape)
@@ -563,19 +551,19 @@ def gauge_transform(state: WaveState, pot: Potentials, chi,
     return WaveState(grid, new_psi, time=state.time), new_pot
 
 
-def charge_quantization_check(system: ParticleSystem, chi_winding: float,
-                              rel_tol: float = 1e-9) -> dict:
+def charge_quantization_check(system: ParticleSystem,
+                              chi_winding: float) -> dict:
     """Is exp(i beta_n chi) single-valued for every particle?
 
     chi_winding is the increment of chi around the loop; the condition is
-    beta_n * chi_winding = 2 pi * integer.
+    beta_n * chi_winding = 2 pi * integer, to a relative 1e-9.
     """
     per_particle = []
     ok = True
     for n, b in enumerate(system.beta):
         d = b * chi_winding / (2 * np.pi)
         deficit = abs(d - round(d))
-        passed = deficit <= rel_tol * max(1.0, abs(d))
+        passed = deficit <= 1e-9 * max(1.0, abs(d))
         ok = ok and passed
         per_particle.append({"particle": n, "winding_ratio": d,
                              "deficit": deficit, "pass": passed})
@@ -597,8 +585,7 @@ def superpose(a1: complex, s1: WaveState, a2: complex, s2: WaveState) -> WaveSta
     return WaveState(s1.grid, psi, time=s1.time)
 
 
-def winding_number(state: WaveState, loop: Sequence[tuple],
-                   floor_rel: float = RHO_FLOOR_REL) -> dict:
+def winding_number(state: WaveState, loop: Sequence[tuple]) -> dict:
     """Winding of the phase along a closed lattice loop.
 
     The raw value is the sum of nearest-branch phase increments; `gap` is
@@ -611,7 +598,7 @@ def winding_number(state: WaveState, loop: Sequence[tuple],
         raise ValueError("loop is not closed")
     psi = state.psi
     rho = state.rho
-    floor = floor_rel * rho.max()
+    floor = density_floor(rho)
     node_hit = any(rho[p] <= floor for p in nodes)
     total = 0.0
     max_inc = 0.0

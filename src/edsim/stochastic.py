@@ -41,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    VectorField, gradient, mod_period, nearest_image,
+from .grids import (ConfigGrid, ParticleSystem, ScalarField, VectorField,
+                    density_floor, gradient, mod_period, nearest_image,
                     particles_on_line, process_label, single_particle)
 from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
                       madelung, phase_gradient, quantum_potential)
@@ -121,7 +121,7 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
         comps.append(mom / masses[a])
     if mode == "ES":
         rho = pair.rho.values
-        floored = np.maximum(rho, RHO_FLOOR_REL * rho.max())
+        floored = np.maximum(rho, density_floor(rho))
         log_rho = ScalarField(grid, np.log(floored))
         for a in range(grid.dim):
             comps[a] = comps[a] + ((system.eta / (2 * masses[a]))
@@ -175,7 +175,7 @@ class _StepPlan:
         for out, table in zip(block, itertools.chain([first], tables)):
             _pad_into(grid, table, out)
         self.tables = block.reshape(count, first.shape[0], -1)
-        self.floors = [RHO_FLOOR_REL * t[-1].max() for t in self.tables]
+        self.floors = [density_floor(t[-1]) for t in self.tables]
         k, m, dim = self.tables[0].shape[0], n_walkers, grid.dim
         # per axis: upper and lower node weight, lower node index
         self.upper = np.empty((dim, m))
@@ -207,7 +207,7 @@ class _StepPlan:
         np.multiply(self.tables[k], 0.5, out=mid)
         np.multiply(self.tables[k + 1], 0.5, out=scratch)
         np.add(mid, scratch, out=mid)
-        v = _ratio_drift(self, mid, RHO_FLOOR_REL * mid[-1].max(), half)
+        v = _ratio_drift(self, mid, density_floor(mid[-1]), half)
         np.multiply(v, dt, out=out)
         np.add(positions, out, out=out)
         if noise is not None:
@@ -317,8 +317,10 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(pad) * REFINE
 
 
-def _spectral_flow_1d(state: WaveState, pot: Potentials | None,
+def _spectral_flow_1d(state: WaveState, a_f: np.ndarray | None,
                       system: ParticleSystem, mode: str) -> np.ndarray:
+    """The flow table of one state of a 1-D ring on the refined lattice;
+    `a_f` is the vector potential resampled there, or None."""
     grid = state.grid
     n = grid.points[0]
     m = system.mass_per_axis[0]
@@ -330,8 +332,7 @@ def _spectral_flow_1d(state: WaveState, pot: Potentials | None,
     cross = np.conj(psi_f) * dpsi_f
     rho_f = np.abs(psi_f) ** 2
     num = (hbar / m) * cross.imag
-    if pot is not None and pot.vector_a_nodes is not None:
-        a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
+    if a_f is not None:
         num = num - (hbar * system.beta_per_axis[0] / m) * a_f * rho_f
     if mode == "ES":
         # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
@@ -344,10 +345,15 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials | None,
                  system: ParticleSystem, mode: str):
     """The flow table of every state, one at a time."""
     grid = timeline[0].grid
+    if grid.dim == 1 and grid.periodic[0]:
+        # the potentials are static: resample A once for the whole timeline
+        a_f = None
+        if pot is not None and pot.vector_a_nodes is not None:
+            a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
+        for state in timeline:
+            yield _spectral_flow_1d(state, a_f, system, mode)
+        return
     for state in timeline:
-        if grid.dim == 1 and grid.periodic[0]:
-            yield _spectral_flow_1d(state, pot, system, mode)
-            continue
         pair = madelung(state, hbar=system.hbar)
         v = drift_velocity_field(pair, pot, system, mode=mode)
         yield np.concatenate([state.rho[None] * v.values, state.rho[None]])
@@ -604,18 +610,16 @@ def max_deviation_from_deterministic(ens: Ensemble,
 # ---------------------------------------------------------------------------
 
 def center_of_mass_report(masses: Sequence[float], eta: float, dt: float,
-                          gamma_exponent: float = 3.0, n_draws: int = 20000,
-                          seed: int = 0, hbar: float = 1.0,
-                          width: float = 1.0) -> dict:
+                          n_draws: int = 20000, seed: int = 0) -> dict:
     """Fluctuation and quantum-potential scaling of the centre of mass.
 
-    Draws independent per-particle fluctuations for a product state and
-    checks the CM velocity fluctuation variance against eta * dt / M (for
-    gamma = 3); then evaluates the quantum potential of a fixed-width CM
-    density at masses M and 4M, whose magnitude must scale as 1/M.
+    Draws independent per-particle fluctuations of the gamma = 3 process
+    (hbar = 1) for a product state and checks the CM velocity fluctuation
+    variance against eta * dt / M; then evaluates the quantum potential of
+    a unit-width CM density at masses M and 4M, whose magnitude must scale
+    as 1/M.
     """
-    system = particles_on_line(masses, eta=eta,
-                               gamma_exponent=gamma_exponent, hbar=hbar)
+    system = particles_on_line(masses, eta=eta)
     masses = system.mass_per_axis
     total = masses.sum()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -624,16 +628,16 @@ def center_of_mass_report(masses: Sequence[float], eta: float, dt: float,
     cm = (draws * masses).sum(axis=1) / total
     v_fluct = cm / dt
     sample_var = float(np.var(v_fluct, ddof=1))
-    expected = eta * dt**(gamma_exponent - 2.0) / total
+    expected = eta * dt**(system.gamma_exponent - 2.0) / total
     se = expected * np.sqrt(2.0 / (n_draws - 1))
 
-    grid = ConfigGrid((256,), (16.0 * width,), (True,), origin=(-8.0 * width,))
+    grid = ConfigGrid((256,), (16.0,), (True,), origin=(-8.0,))
     x = grid.axis_coords(0)
-    rho = np.exp(-0.5 * (x / width) ** 2)
+    rho = np.exp(-0.5 * x ** 2)
     rho /= rho.sum() * grid.cell_volume
     mags = {}
     for scale in (1.0, 4.0):
-        sys_m = single_particle(mass=float(total * scale), hbar=hbar)
+        sys_m = single_particle(mass=float(total * scale))
         q = quantum_potential(ScalarField(grid, rho), sys_m)
         mags[scale] = float(np.max(np.abs(q.values)))
     ratio = mags[1.0] / mags[4.0]

@@ -159,12 +159,15 @@ def test_extreme_entropic_steps_fail_cleanly(tmp_path, capsys, option, value,
     (["--process", "OU", "--gamma", "2.5"], 2),
     (["--process", "ES", "--gamma", "3"], 2),
     (["--process", "ES", "--gamma", "1"], 0),
+    (["--process", "fractional", "--gamma", "3"], 2),
+    (["--process", "fractional", "--gamma", "1"], 2),
 ])
 def test_ensemble_process_and_gamma_must_agree(tmp_path, capsys, process,
                                                code):
-    """A fractional process without --gamma, or a --gamma that contradicts
-    a named process, exits 2 with one line and writes no run; a --gamma
-    equal to the named process' own is accepted."""
+    """A fractional process without --gamma or with the gamma of a named
+    process, or a --gamma that contradicts a named process, exits 2 with
+    one line and writes no run; a --gamma equal to the named process' own
+    is accepted."""
     out = tmp_path / "run"
     small = ["--steps", "2", "--walkers", "200", "--checkpoints", "1",
              "--calibration", "10"]

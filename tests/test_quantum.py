@@ -246,6 +246,15 @@ def test_gauge_transform_with_winding_chi_shifts_winding():
     assert charge_quantization_check(sys, chi_w)["verdict"]
 
 
+def test_gauge_transform_takes_only_a_callable_chi():
+    g = ring(32, 8.0)
+    sys = single_particle(charge=1.0)
+    st = gaussian_packet(g, 0.0, 1.0)
+    with pytest.raises(TypeError, match="chi must be a callable") as info:
+        gauge_transform(st, free_potentials(g, sys), np.zeros(g.shape))
+    assert "\n" not in str(info.value)
+
+
 def line_system(charges):
     from edsim.grids import particles_on_line
     return particles_on_line((1.0,) * len(charges), charges)
