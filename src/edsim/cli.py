@@ -292,18 +292,23 @@ def cmd_report(args) -> int:
         print(f"error: {args.run} is not a run directory (no manifest.json)",
               file=sys.stderr)
         return 2
-    check = verify_run_dir(run)
+    try:
+        check = verify_run_dir(run)
+    except (ValueError, KeyError) as exc:  # not JSON, or no file list
+        print(f"error: unreadable manifest.json in {args.run}: {exc!r}",
+              file=sys.stderr)
+        return 1
     if not check["complete"]:
         print(f"{args.run}: INCOMPLETE (marker present)")
+        return 1
+    if check["mismatches"]:  # missing or altered: print none of the run
+        print(f"{args.run}: HASH MISMATCH in: {', '.join(check['mismatches'])}")
         return 1
     config = load_json(f"{args.run}/config.json")
     print(f"run {args.run}: command={config.get('command')}")
     for key in sorted(config):
         if key != "command":
             print(f"  {key} = {config[key]}")
-    if check["mismatches"]:
-        print(f"  HASH MISMATCH in: {', '.join(check['mismatches'])}")
-        return 1
     print(f"  {check['checked']} files verified against manifest")
     try:
         report = load_json(f"{args.run}/report.json")

@@ -33,7 +33,7 @@ class MaxEntProblem:
     `drift_grad` holds the gradient of the drift potential (phase units of
     the dimensionless potential, so `hbar * drift_grad` has momentum units);
     `vector_a` holds the physical vector potential sampled at the nodes, one
-    component per grid axis, or None when there is no gauge field.
+    component per grid axis; it is zero when not given (no gauge field).
     """
 
     grid: ConfigGrid
@@ -49,11 +49,12 @@ class MaxEntProblem:
             raise ValueError("drift_grad lives on a different grid")
         if len(self.system.axis_map) != self.grid.dim:
             raise ValueError("system axis_map does not match grid dimension")
-        if self.vector_a is not None:
-            a = np.asarray(self.vector_a, dtype=float)
-            if a.shape != (self.grid.dim,) + self.grid.shape:
-                raise ValueError("vector_a must have one component per grid axis")
-            object.__setattr__(self, "vector_a", a)
+        shape = (self.grid.dim,) + self.grid.shape
+        a = np.asarray(np.zeros(shape) if self.vector_a is None
+                       else self.vector_a, dtype=float)
+        if a.shape != shape:
+            raise ValueError("vector_a must have one component per grid axis")
+        object.__setattr__(self, "vector_a", a)
 
     @property
     def alpha_per_axis(self) -> np.ndarray:
@@ -98,9 +99,7 @@ def maxent_transition(problem: MaxEntProblem) -> GaussianStep:
     m = s.mass_per_axis
     beta = s.beta_per_axis
     per_axis = (-1,) + (1,) * problem.grid.dim
-    coupling = problem.drift_grad.values.copy()
-    if problem.vector_a is not None:
-        coupling = coupling - beta.reshape(per_axis) * problem.vector_a
+    coupling = problem.drift_grad.values - beta.reshape(per_axis) * problem.vector_a
     mean = (s.hbar * dt / m).reshape(per_axis) * coupling
     mean_field = VectorField(problem.grid, mean)
     return GaussianStep(problem.grid, mean_field, s.step_variances(dt), dt)

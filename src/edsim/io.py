@@ -137,15 +137,16 @@ class RunWriter:
 
 
 def verify_run_dir(out_dir) -> dict:
-    """Re-hash the files of a finished run against its manifest."""
+    """Re-hash the files of a finished run against its manifest; a listed
+    file that is missing counts as a mismatch."""
     out = Path(out_dir)
     if (out / INCOMPLETE_MARKER).exists():
         return {"complete": False, "mismatches": [], "checked": 0}
     manifest = load_json(out / "manifest.json")
     mismatches = []
     for name, expected in manifest["files"].items():
-        actual = sha256_hex((out / name).read_bytes())
-        if actual != expected:
+        path = out / name
+        if not path.is_file() or sha256_hex(path.read_bytes()) != expected:
             mismatches.append(name)
     return {"complete": True, "mismatches": mismatches,
             "checked": len(manifest["files"])}

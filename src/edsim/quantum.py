@@ -10,11 +10,12 @@ x + e_A carries the phase exp(-i * theta_A(x)) with
 theta_A = beta_n * (line integral of A along the bond).  Gauge
 transformations update the link phases with exact endpoint differences of
 chi, which is what makes the transform commute with evolution at machine
-precision instead of O(h).
+precision instead of O(h).  An absent field is a zero field: V, the link
+phases and the node samples of A are always arrays, read by one formula.
 
-Phases are local values in (-pi*hbar, pi*hbar]; gradients and loop integrals
-always difference neighbouring nodes and rewrap to the nearest branch, and
-winding numbers come from loop sums only.
+Phases are local values in (-pi*hbar, pi*hbar]; phase gradients difference
+neighbouring nodes and rewrap to the nearest branch, and winding numbers
+come from sums of those increments along a closed loop.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def gaussian_packet(grid: ConfigGrid, center, sigma,
 
 @dataclass(frozen=True)
 class Potentials:
-    """Scalar potential at nodes plus gauge data on links.
+    """Scalar potential at nodes plus gauge data on links, each a read-only
+    float array that is zero when not given.
 
     `link_theta[a]` is the hopping phase angle on the bond from node i to
     i + e_a; `vector_a_nodes[a]` keeps plain node samples of A for drift and
@@ -109,21 +111,17 @@ class Potentials:
     vector_a_nodes: np.ndarray | None = None
 
     def __post_init__(self):
-        shape = self.grid.shape
-        if self.scalar_v is not None:
-            v = np.ascontiguousarray(self.scalar_v, dtype=float)
-            if v.shape != shape:
-                raise ValueError("scalar_v shape mismatch")
-            v.setflags(write=False)
-            object.__setattr__(self, "scalar_v", v)
-        for name in ("link_theta", "vector_a_nodes"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.ascontiguousarray(arr, dtype=float)
-                if arr.shape != (self.grid.dim,) + shape:
-                    raise ValueError(f"{name} must have one component per axis")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        node = self.grid.shape
+        link = (self.grid.dim,) + node
+        for name, shape in (("scalar_v", node), ("link_theta", link),
+                            ("vector_a_nodes", link)):
+            given = getattr(self, name)
+            arr = np.ascontiguousarray(
+                np.zeros(shape) if given is None else given, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @functools.cached_property
     def hamiltonian(self) -> sp.csr_matrix:
@@ -134,7 +132,7 @@ class Potentials:
 
 
 def _eval_on_mesh(spec, grid: ConfigGrid, axis_shift: int | None = None):
-    """Evaluate a scalar/array/callable spec on the node mesh, or on the bond
+    """Evaluate a number/array/callable spec on the node mesh, or on the bond
     midpoints of `axis_shift` when given."""
     mesh = grid.meshgrid()
     if axis_shift is not None:
@@ -147,35 +145,31 @@ def _eval_on_mesh(spec, grid: ConfigGrid, axis_shift: int | None = None):
     arr = np.asarray(spec, dtype=float)
     if arr.shape != grid.shape:
         raise ValueError("potential sample array does not match the grid")
-    if axis_shift is not None:
-        per = grid.periodic[axis_shift]
-        return 0.5 * (arr + _shift(arr, axis_shift, +1, per))
     return arr.copy()
 
 
-def build_potentials(grid: ConfigGrid, system: ParticleSystem, scalar_v=None,
+def build_potentials(grid: ConfigGrid, system: ParticleSystem, scalar_v=0.0,
                      vector_a: Sequence | None = None) -> Potentials:
-    """Assemble Potentials from per-axis specs.
+    """Assemble Potentials from specs; what is not given is zero.
 
-    `vector_a[a]` gives the vector-potential component along grid axis `a`
-    as a scalar, a node-sample array, or a callable of the mesh coordinates;
-    link phases use midpoint sampling of the bond.
+    `scalar_v` is a number, a node-sample array or a callable of the mesh
+    coordinates.  `vector_a[a]`, the vector-potential component along grid
+    axis `a`, is a number or a callable; link phases sample it at the bond
+    midpoint.
     """
-    v = None if scalar_v is None else _eval_on_mesh(scalar_v, grid)
-    theta = None
-    a_nodes = None
-    if vector_a is not None:
-        if len(vector_a) != grid.dim:
-            raise ValueError("vector_a needs one spec per grid axis")
-        beta = system.beta_per_axis
-        theta = np.zeros((grid.dim,) + grid.shape)
-        a_nodes = np.zeros((grid.dim,) + grid.shape)
-        for a, spec in enumerate(vector_a):
-            if spec is None:
-                continue
-            a_nodes[a] = _eval_on_mesh(spec, grid)
-            a_mid = _eval_on_mesh(spec, grid, axis_shift=a)
-            theta[a] = beta[a] * a_mid * grid.spacing[a]
+    v = _eval_on_mesh(scalar_v, grid)
+    if vector_a is None:
+        return Potentials(grid, system, v)
+    if len(vector_a) != grid.dim:
+        raise ValueError("vector_a needs one spec per grid axis")
+    for a, spec in enumerate(vector_a):
+        if not (callable(spec) or np.isscalar(spec)):
+            raise ValueError(f"vector_a[{a}] must be a number or a callable, "
+                             f"got {type(spec).__name__}")
+    beta, h = system.beta_per_axis, grid.spacing
+    theta = [beta[a] * _eval_on_mesh(spec, grid, axis_shift=a) * h[a]
+             for a, spec in enumerate(vector_a)]
+    a_nodes = [_eval_on_mesh(spec, grid) for spec in vector_a]
     return Potentials(grid, system, v, theta, a_nodes)
 
 
@@ -199,22 +193,12 @@ def hamiltonian_matrix(pot: Potentials) -> sp.csr_matrix:
         h = grid.spacing[a]
         coeff = hbar**2 / (2 * masses[a] * h**2)
         diag += 2 * coeff
-        if pot.link_theta is not None:
-            phase = np.exp(-1j * pot.link_theta[a])
-        else:
-            phase = np.ones(grid.shape, dtype=complex)
+        phase = np.exp(-1j * pot.link_theta[a])
         nb = np.roll(flat, -1, axis=a)
-        if grid.periodic[a]:
-            src = flat.ravel()
-            dst = nb.ravel()
-            ph = phase.ravel()
-        else:
-            sel = [slice(None)] * grid.dim
-            sel[a] = slice(0, grid.points[a] - 1)
-            sel = tuple(sel)
-            src = flat[sel].ravel()
-            dst = nb[sel].ravel()
-            ph = phase[sel].ravel()
+        # a hard wall cuts the bond from the last node back to the first
+        bonds = slice(None) if grid.periodic[a] else slice(0, grid.points[a] - 1)
+        sel = (slice(None),) * a + (bonds,)
+        src, dst, ph = flat[sel].ravel(), nb[sel].ravel(), phase[sel].ravel()
         row_parts += [src, dst]
         col_parts += [dst, src]
         val_parts += [-coeff * ph, -coeff * np.conj(ph)]
@@ -222,9 +206,7 @@ def hamiltonian_matrix(pot: Potentials) -> sp.csr_matrix:
         (np.concatenate(val_parts),
          (np.concatenate(row_parts), np.concatenate(col_parts))),
         shape=(size, size), dtype=complex).tocsr()
-    if pot.scalar_v is not None:
-        diag = diag + pot.scalar_v.ravel()
-    H = H + sp.diags(diag)
+    H = H + sp.diags(diag + pot.scalar_v.ravel())
     return H.tocsr()
 
 
@@ -451,18 +433,15 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float,
     kin = np.zeros(grid.shape)
     div_current = np.zeros(grid.shape)
     for a in range(grid.dim):
-        mom = phase_gradient(pair, a)
-        if pot.vector_a_nodes is not None:
-            mom = mom - hbar * beta[a] * pot.vector_a_nodes[a]
+        mom = phase_gradient(pair, a) - hbar * beta[a] * pot.vector_a_nodes[a]
         vel = mom / masses[a]
         kin += mom * vel / 2
         cur = ScalarField(grid, state.rho * vel)
         div_current += gradient(cur, a).values
     qpot = quantum_potential(ScalarField(grid, state.rho), system,
                              floor_rel=floor_rel)
-    vpot = pot.scalar_v if pot.scalar_v is not None else 0.0
     r_rho_field = rho_dot + div_current
-    r_phi_field = phi_dot + kin + qpot.values + vpot
+    r_phi_field = phi_dot + kin + qpot.values + pot.scalar_v
     r_rho = float(np.max(np.abs(np.where(mask, r_rho_field, 0.0))))
     r_phi = float(np.max(np.abs(np.where(mask, r_phi_field, 0.0))))
     return {
@@ -484,12 +463,8 @@ def time_reverse(state: WaveState) -> WaveState:
 def reverse_potentials(pot: Potentials) -> Potentials:
     """V -> V, A -> -A.  The new potentials build their own Hamiltonian, the
     complex conjugate of the original one."""
-    return Potentials(
-        pot.grid, pot.system,
-        scalar_v=pot.scalar_v,
-        link_theta=None if pot.link_theta is None else -pot.link_theta,
-        vector_a_nodes=None if pot.vector_a_nodes is None else -pot.vector_a_nodes,
-    )
+    return Potentials(pot.grid, pot.system, pot.scalar_v, -pot.link_theta,
+                      -pot.vector_a_nodes)
 
 
 def gauge_transform(state: WaveState, pot: Potentials,
@@ -499,29 +474,30 @@ def gauge_transform(state: WaveState, pot: Potentials,
     the central-difference gradient.
 
     `chi` is a callable of the mesh coordinates, evaluated per particle when
-    several share the physical space.  It may be multivalued (winding on a
-    ring): the bond crossing the seam is evaluated by continuing past the
-    edge.
+    several share the physical space: once at the nodes per particle, and
+    once a step h ahead and once behind per axis.  It may be multivalued
+    (winding on a ring): the bond crossing the seam is evaluated by
+    continuing past the edge.
     """
     if not callable(chi):
         raise TypeError("chi must be a callable of the mesh coordinates, "
                         f"got {type(chi).__name__}")
     grid = state.grid
     system = pot.system
-    beta_axis = system.beta_per_axis
-    beta_particle = system.beta
     mesh = grid.meshgrid()
+    axes_of = [[a for a, (pn, _) in enumerate(system.axis_map) if pn == n]
+               for n in range(system.n_particles)]
 
-    chi_nodes_per_particle = {}
-    for n in range(system.n_particles):
-        axes_of_n = [a for a, (pn, _) in enumerate(system.axis_map) if pn == n]
-        coords = [mesh[a] for a in axes_of_n]
-        chi_nodes_per_particle[n] = np.asarray(chi(*coords), dtype=float) \
-            if coords else np.zeros(grid.shape)
+    def chi_of(n, axis=None, dx=0.0):
+        """chi of particle n at the nodes, or moved by dx along `axis`."""
+        coords = [mesh[a] + dx if a == axis else mesh[a] for a in axes_of[n]]
+        return np.broadcast_to(np.asarray(chi(*coords), float), grid.shape)
+
+    chi_nodes = [chi_of(n) if axes_of[n] else np.zeros(grid.shape)
+                 for n in range(system.n_particles)]
     phase = np.zeros(grid.shape)
-    for n, cn in chi_nodes_per_particle.items():
-        phase = phase + beta_particle[n] * np.broadcast_to(cn, grid.shape)
-
+    for b, cn in zip(system.beta, chi_nodes):
+        phase = phase + b * cn
     new_psi = state.psi * np.exp(1j * phase)
 
     # exact bond increments of chi per axis
@@ -530,24 +506,15 @@ def gauge_transform(state: WaveState, pot: Potentials,
     dchi_nodes = np.zeros((dim,) + grid.shape)
     for a in range(dim):
         h = grid.spacing[a]
-        n_part = system.axis_map[a][0]
-        axes_of_n = [ax for ax, (pn, _) in enumerate(system.axis_map) if pn == n_part]
-        coords = [mesh[ax] for ax in axes_of_n]
-        coords_shift = [m + (h if ax == a else 0.0) for ax, m in zip(axes_of_n, coords)]
-        here = np.broadcast_to(np.asarray(chi(*coords), float), grid.shape)
-        there = np.broadcast_to(np.asarray(chi(*coords_shift), float), grid.shape)
-        dchi_bond[a] = there - here
-        coords_back = [m - (h if ax == a else 0.0) for ax, m in zip(axes_of_n, coords)]
-        back = np.broadcast_to(np.asarray(chi(*coords_back), float), grid.shape)
+        n = system.axis_map[a][0]
+        there, back = chi_of(n, a, h), chi_of(n, a, -h)
+        dchi_bond[a] = there - chi_nodes[n]
         dchi_nodes[a] = (there - back) / (2 * h)
 
-    base_theta = pot.link_theta if pot.link_theta is not None \
-        else np.zeros((dim,) + grid.shape)
-    base_nodes = pot.vector_a_nodes if pot.vector_a_nodes is not None \
-        else np.zeros((dim,) + grid.shape)
-    new_theta = base_theta + beta_axis.reshape((-1,) + (1,) * dim) * dchi_bond
-    new_nodes = base_nodes + dchi_nodes
-    new_pot = Potentials(grid, system, pot.scalar_v, new_theta, new_nodes)
+    beta_axis = system.beta_per_axis.reshape((-1,) + (1,) * dim)
+    new_pot = Potentials(grid, system, pot.scalar_v,
+                         pot.link_theta + beta_axis * dchi_bond,
+                         pot.vector_a_nodes + dchi_nodes)
     return WaveState(grid, new_psi, time=state.time), new_pot
 
 

@@ -101,7 +101,7 @@ def _check_constants(system: ParticleSystem, params: TransitionParams) -> None:
 # drift fields
 # ---------------------------------------------------------------------------
 
-def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
+def drift_velocity_field(pair: MadelungPair, pot: Potentials,
                          system: ParticleSystem,
                          mode: str = "current") -> VectorField:
     """Velocity field steering the walkers.
@@ -115,9 +115,8 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials | None,
     beta = system.beta_per_axis
     comps = []
     for a in range(grid.dim):
-        mom = phase_gradient(pair, a)
-        if pot is not None and pot.vector_a_nodes is not None:
-            mom = mom - system.hbar * beta[a] * pot.vector_a_nodes[a]
+        mom = (phase_gradient(pair, a)
+               - system.hbar * beta[a] * pot.vector_a_nodes[a])
         comps.append(mom / masses[a])
     if mode == "ES":
         rho = pair.rho.values
@@ -317,10 +316,10 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(pad) * REFINE
 
 
-def _spectral_flow_1d(state: WaveState, a_f: np.ndarray | None,
+def _spectral_flow_1d(state: WaveState, a_term: np.ndarray,
                       system: ParticleSystem, mode: str) -> np.ndarray:
     """The flow table of one state of a 1-D ring on the refined lattice;
-    `a_f` is the vector potential resampled there, or None."""
+    `a_term` is (hbar beta / m) A, with A resampled there."""
     grid = state.grid
     n = grid.points[0]
     m = system.mass_per_axis[0]
@@ -331,9 +330,7 @@ def _spectral_flow_1d(state: WaveState, a_f: np.ndarray | None,
     dpsi_f = _zero_pad_spectrum(spec * ik)
     cross = np.conj(psi_f) * dpsi_f
     rho_f = np.abs(psi_f) ** 2
-    num = (hbar / m) * cross.imag
-    if a_f is not None:
-        num = num - (hbar * system.beta_per_axis[0] / m) * a_f * rho_f
+    num = (hbar / m) * cross.imag - a_term * rho_f
     if mode == "ES":
         # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
         # grad rho = 2 Re(psi* psi') needs no extra transform
@@ -341,17 +338,17 @@ def _spectral_flow_1d(state: WaveState, a_f: np.ndarray | None,
     return np.stack([num, rho_f])
 
 
-def _flow_tables(timeline: Sequence[WaveState], pot: Potentials | None,
+def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
                  system: ParticleSystem, mode: str):
     """The flow table of every state, one at a time."""
     grid = timeline[0].grid
     if grid.dim == 1 and grid.periodic[0]:
         # the potentials are static: resample A once for the whole timeline
-        a_f = None
-        if pot is not None and pot.vector_a_nodes is not None:
-            a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
+        a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
+        a_term = (system.hbar * system.beta_per_axis[0]
+                  / system.mass_per_axis[0]) * a_f
         for state in timeline:
-            yield _spectral_flow_1d(state, a_f, system, mode)
+            yield _spectral_flow_1d(state, a_term, system, mode)
         return
     for state in timeline:
         pair = madelung(state, hbar=system.hbar)
@@ -415,7 +412,7 @@ def draw_initial_positions(state: WaveState, n_walkers: int,
     return grid.wrap(pos)
 
 
-def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials | None,
+def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
                       system: ParticleSystem, params: TransitionParams,
                       n_walkers: int, seed: int,
                       mode: str | None = None,
@@ -567,7 +564,7 @@ def scaling_exponent(system: ParticleSystem, dt_grid: Sequence[float],
 # deterministic (eta -> 0) trajectories
 # ---------------------------------------------------------------------------
 
-def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials | None,
+def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
                          system: ParticleSystem,
                          initial_positions: np.ndarray) -> np.ndarray:
     """Integrate dx/dt = v(x, t) along the timeline: the sampler's step

@@ -115,6 +115,29 @@ def test_report_flags_incomplete_and_tampered(tmp_path):
     assert main(["report", str(out)]) == 1
 
 
+@pytest.mark.parametrize("name", ["snapshots.json", "config.json"])
+def test_report_flags_missing_listed_file(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    main(["evolve", "--preset", "free", "--points", "64", "--steps", "5",
+          "--out", str(out)])
+    capsys.readouterr()
+    (out / name).unlink()
+    assert main(["report", str(out)]) == 1
+    assert capsys.readouterr().out == f"{out}: HASH MISMATCH in: {name}\n"
+
+
+def test_report_of_unparsable_manifest_is_one_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["evolve", "--preset", "free", "--points", "64", "--steps", "5",
+          "--out", str(out)])
+    capsys.readouterr()
+    (out / "manifest.json").write_text("{bad")
+    assert main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--preset", "free", "--points", "64", "--steps", "5",
      "--dt", "1e300"],

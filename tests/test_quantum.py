@@ -255,6 +255,58 @@ def test_gauge_transform_takes_only_a_callable_chi():
     assert "\n" not in str(info.value)
 
 
+def _counting_chi():
+    calls = []
+
+    def chi(*coords):
+        calls.append(len(coords))
+        return 0.3 * sum(np.sin(c) for c in coords)
+    return chi, calls
+
+
+def test_gauge_transform_evaluates_chi_once_per_node_set_and_shift():
+    sc = build_preset("vortex_2d", points=16)
+    chi, calls = _counting_chi()
+    gauge_transform(sc.state, sc.potentials, chi)
+    assert len(calls) == 5
+
+    sys2 = line_system([1.0, -2.0])
+    g = ConfigGrid((12, 10), (6.0, 5.0), (True, False), origin=(-3.0, 0.0))
+    st = gaussian_packet(g, (0.0, 2.5), 0.8)
+    chi, calls = _counting_chi()
+    st2, pot2 = gauge_transform(st, free_potentials(g, sys2), chi)
+    assert len(calls) == sys2.n_particles + 2 * g.dim
+    assert calls == [1] * len(calls)  # each particle's own coordinate only
+    x, y = g.meshgrid()
+    phase = sys2.beta[0] * 0.3 * np.sin(x) + sys2.beta[1] * 0.3 * np.sin(y)
+    assert np.allclose(st2.psi, st.psi * np.exp(1j * phase), atol=1e-14)
+    h = g.spacing[1]
+    bond = 0.3 * (np.sin(y + h) - np.sin(y))
+    assert np.allclose(pot2.link_theta[1], sys2.beta[1] * bond, atol=1e-14)
+
+
+@pytest.mark.parametrize("component", [np.zeros(32), None])
+def test_build_potentials_takes_only_numbers_or_callables_for_a(component):
+    g = ring(32, 8.0)
+    sys = single_particle(charge=1.0)
+    with pytest.raises(ValueError, match=r"vector_a\[0\]") as info:
+        build_potentials(g, sys, vector_a=[component])
+    assert "\n" not in str(info.value)
+
+
+def test_absent_potentials_are_zero_arrays():
+    g = ConfigGrid((8, 6), (4.0, 3.0), (True, False))
+    sys = line_system([1.0, 1.0])
+    pot = Potentials(g, sys)
+    for name, shape in (("scalar_v", (8, 6)), ("link_theta", (2, 8, 6)),
+                        ("vector_a_nodes", (2, 8, 6))):
+        arr = getattr(pot, name)
+        assert arr.shape == shape and arr.dtype == float
+        assert not arr.any() and not arr.flags.writeable
+        with pytest.raises(ValueError, match=name):
+            Potentials(g, sys, **{name: np.zeros((3,) + shape)})
+
+
 def line_system(charges):
     from edsim.grids import particles_on_line
     return particles_on_line((1.0,) * len(charges), charges)

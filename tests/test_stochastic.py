@@ -58,7 +58,8 @@ def test_params_must_match_system_constants(eta, gamma, name):
     timeline = evolve_trajectory(gaussian_packet(grid, 0.0, 1.0),
                                  free_potentials(grid, sys1), 0.05, 2)
     with pytest.raises(ValueError, match=message):
-        simulate_ensemble(timeline, None, sys1, params, 10, seed=0)
+        simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
+                          10, seed=0)
 
 
 def test_with_eta_replaces_only_noise_constants():
@@ -126,7 +127,8 @@ def test_current_drift_vanishes_for_real_state():
     state = gaussian_packet(grid, 0.0, 1.5)
     sys1 = single_particle(eta=1e-3)
     pair = madelung(state)
-    v = drift_velocity_field(pair, None, sys1, mode="current")
+    v = drift_velocity_field(pair, free_potentials(grid, sys1), sys1,
+                             mode="current")
     assert np.max(np.abs(v.values)) < 1e-10
 
 
@@ -136,7 +138,7 @@ def test_osmotic_drift_matches_log_density_gradient():
     state = gaussian_packet(grid, 0.0, s)
     sys1 = single_particle(mass=1.7, eta=2e-3, gamma_exponent=1.0)
     pair = madelung(state)
-    v = drift_velocity_field(pair, None, sys1, mode="ES")
+    v = drift_velocity_field(pair, free_potentials(grid, sys1), sys1, mode="ES")
     x = grid.axis_coords(0)
     expect = (2e-3 / (2 * 1.7)) * (-x / s**2)
     inner = np.abs(x) < 4 * s
@@ -154,8 +156,8 @@ def test_velocity_increment_covariance_matches_ou_law():
     dt = 0.01
     timeline = _stationary_timeline(grid, state, 30, dt)
     params = TransitionParams.from_system(sys1, dt)
-    ens = simulate_ensemble(timeline, None, sys1, params, n_walkers=2000,
-                            seed=7, record_velocities=True)
+    ens = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
+                            n_walkers=2000, seed=7, record_velocities=True)
     from edsim.stochastic import velocity_increment_stats
     rep = velocity_increment_stats(ens)
     assert np.allclose(np.diag(rep["expected"]), 2 * 1e-2 * dt / 1.3,
@@ -245,9 +247,12 @@ def test_ensemble_runs_are_reproducible():
     sys1 = single_particle(eta=1e-2, gamma_exponent=1.0)
     timeline = _stationary_timeline(grid, state, 10, 0.01)
     params = TransitionParams.from_system(sys1, 0.01)
-    a = simulate_ensemble(timeline, None, sys1, params, 500, seed=42)
-    b = simulate_ensemble(timeline, None, sys1, params, 500, seed=42)
-    c = simulate_ensemble(timeline, None, sys1, params, 500, seed=43)
+    a = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
+                          params, 500, seed=42)
+    b = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
+                          params, 500, seed=42)
+    c = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
+                          params, 500, seed=43)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
 
@@ -258,7 +263,7 @@ def test_timeline_spacing_mismatch_rejected():
     states = [WaveState(grid, state.psi, time=t) for t in (0.0, 0.1, 0.3)]
     sys1 = single_particle(eta=1e-3)
     with pytest.raises(ValueError):
-        simulate_ensemble(states, None, sys1,
+        simulate_ensemble(states, free_potentials(grid, sys1), sys1,
                           TransitionParams(0.1, 1e-3, 3.0), 10, seed=0)
 
 
@@ -270,8 +275,8 @@ def test_escape_abort_threshold():
     timeline = _stationary_timeline(grid, state, 5, 0.05)
     params = TransitionParams.from_system(sys1, 0.05)
     with pytest.raises(RuntimeError):
-        simulate_ensemble(timeline, None, sys1, params, 200, seed=1,
-                          max_escape_fraction=0.0)
+        simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
+                          200, seed=1, max_escape_fraction=0.0)
 
 
 def test_escaped_walkers_are_frozen_and_counted():
@@ -281,8 +286,9 @@ def test_escaped_walkers_are_frozen_and_counted():
     sys1 = single_particle(eta=0.0)
     params = TransitionParams.from_system(sys1, 0.05)
     x0 = np.array([[3.95], [2.0]])
-    ens = simulate_ensemble(timeline, None, sys1, params, 2, seed=0,
-                            initial_positions=x0, max_escape_fraction=0.5)
+    ens = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
+                            2, seed=0, initial_positions=x0,
+                            max_escape_fraction=0.5)
     assert ens.meta["escaped"] == 1
     assert np.all(ens.positions[:, 0, 0] == 3.95)
     assert np.allclose(ens.positions[:, 1, 0], 2.0 + 0.1 * np.arange(5),
