@@ -33,7 +33,7 @@ from .grids import (MAX_POINTS_PER_AXIS, PROCESS_GAMMA, ConfigGrid,
                     ScalarField, VectorField, process_label, single_particle)
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
-from .quantum import (SafeguardError, energy, evolve_trajectory, madelung,
+from .quantum import (SafeguardError, energy, evolve_trajectory,
                       position_moments)
 from .stats import compare_density, histogram_on_grid
 from .stochastic import (TransitionParams, bohmian_trajectories,
@@ -41,7 +41,7 @@ from .stochastic import (TransitionParams, bohmian_trajectories,
                          max_deviation_from_deterministic, simulate_ensemble,
                          with_eta)
 
-# entropic-step fails its own report beyond this Chapman-Kolmogorov mass drift
+# the largest step-kernel mass gap and CK mass drift that entropic-step accepts
 MAX_MASS_DRIFT = 1e-6
 
 
@@ -249,6 +249,9 @@ def cmd_entropic_step(args) -> int:
         # density may have no support at its peak
         step = maxent_transition(MaxEntProblem(grid, system, args.dt, drift))
         rho1, ck = chapman_kolmogorov_step(rho0, step)
+        if ck["kernel_norm_gap"] > MAX_MASS_DRIFT:
+            raise ValueError(f"the step kernel is narrower than the grid "
+                             f"(mass gap {ck['kernel_norm_gap']:.3g})")
         center = int(np.argmax(rho1.values))
         reverse = bayes_reverse(step, rho0, rho1, (center,))
     except ValueError as exc:

@@ -118,7 +118,7 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> dict:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return {"exponent": float(slope), "prefactor": float(np.exp(intercept)),
-            "stderr": stderr, "r_squared": r2, "log_residuals": resid}
+            "stderr": stderr, "r_squared": r2}
 
 
 def convergence_order(h_values: Sequence[float],

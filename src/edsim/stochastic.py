@@ -25,11 +25,11 @@ streams), so a run is bit-reproducible for fixed (seed, walkers, timeline).
 
 Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
 subtract of the period, with an np.mod fallback for values more than one
-period outside the box.  Each run pads its flow tables once, keeps their
-density floors and reuses its buffers (`_StepPlan`), and the arithmetic of
-the lookup and of the table blend is that of the plain np.mod formulation
-of the step, so positions, drifts and escape counts are byte-identical to
-it.
+period outside the box.  Each run streams its flow tables: it builds the
+table of state k + 1 at step k, pads it into one of two slots and reuses
+its buffers (`_StepPlan`).  The arithmetic of the lookup and of the table
+blend is that of the plain np.mod formulation of the step, so positions,
+drifts and escape counts are byte-identical to it.
 """
 
 from __future__ import annotations
@@ -133,49 +133,32 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials,
 # ---------------------------------------------------------------------------
 # lattice lookup
 # ---------------------------------------------------------------------------
-#
-# A run reads its node tables through one `_StepPlan`.  It pads every table
-# once with the wrap-around nodes of each periodic axis (nodes n and n + 1
-# repeat nodes 0 and 1), so the two nodes of a cell are i0 and i0 + 1 with
-# no integer mod and every corner of a cell is a fixed offset from its
-# lowest corner, and it holds every temporary of a lookup and of a step in
-# buffers allocated once for the run's m walkers.
-
-def _pad_into(grid: ConfigGrid, table: np.ndarray, out: np.ndarray) -> None:
-    """Copy `table` into `out`, whose periodic axes are two nodes longer,
-    and fill those two nodes with nodes 0 and 1."""
-    out[tuple(slice(0, n) for n in table.shape)] = table
-    for a, periodic in enumerate(grid.periodic):
-        if periodic:
-            n = table.shape[a + 1]
-            axes = (slice(None),) * (a + 1)
-            out[axes + (slice(n, n + 2),)] = out[axes + (slice(0, 2),)]
-
 
 class _StepPlan:
-    """Padded flat tables of one run and the buffers of its walker step.
+    """The two padded flat tables a walker step reads, and every temporary
+    of a lookup and of a step in buffers allocated once for m walkers.
 
-    `tables` stacks the `count` tables as (count, k, nodes), in one block,
-    and `floors` holds the density floor of each; `nodes` and `strides`
-    describe the unpadded node counts and the padded flat layout per axis.
-    Results read from the buffers (lookups, drifts) are valid until the next
-    call that writes the same buffer.
+    `tables` streams the run's node tables: the first is read on
+    construction and table k + 1 at step k.  `slots` holds the last two
+    read as (2, k, padded nodes); `nodes` and `strides` describe the
+    unpadded node counts and the padded flat layout per axis.  Results read
+    from the buffers (lookups, drifts) are valid until the next call that
+    writes the same buffer.
     """
 
-    def __init__(self, grid: ConfigGrid, tables, count: int, n_walkers: int):
-        tables = iter(tables)
-        first = next(tables)
+    def __init__(self, grid: ConfigGrid, tables, n_walkers: int):
+        self.tables = iter(tables)
+        first = next(self.tables)
         self.grid = grid
         self.nodes = first.shape[1:]
         shape = tuple(n + 2 if per else n
                       for n, per in zip(self.nodes, grid.periodic))
         self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
-        block = np.empty((count, first.shape[0]) + shape)
-        for out, table in zip(block, itertools.chain([first], tables)):
-            _pad_into(grid, table, out)
-        self.tables = block.reshape(count, first.shape[0], -1)
-        self.floors = [density_floor(t[-1]) for t in self.tables]
-        k, m, dim = self.tables[0].shape[0], n_walkers, grid.dim
+        self.padded = np.empty((2, first.shape[0]) + shape)
+        self.slots = self.padded.reshape(2, first.shape[0], -1)
+        self.loaded = 0
+        self.load(first)
+        k, m, dim = first.shape[0], n_walkers, grid.dim
         # per axis: upper and lower node weight, lower node index
         self.upper = np.empty((dim, m))
         self.lower = np.empty((dim, m))
@@ -185,28 +168,46 @@ class _StepPlan:
         self.acc = np.empty((k, m))
         self.tmp = np.empty((k, m))
         # the blend of two adjacent tables and its scratch
-        self.mid = np.empty((2,) + self.tables[0].shape)
+        self.mid = np.empty_like(self.slots)
         self.half = np.empty((m, dim))
+
+    def load(self, table: np.ndarray) -> None:
+        """Copy `table` into the slot of the older of the two and repeat
+        nodes 0 and 1 of each periodic axis after its node n - 1, so the two
+        nodes of a cell are i0 and i0 + 1 with no integer mod and every
+        corner of a cell is a fixed offset from its lowest corner."""
+        out = self.padded[self.loaded % 2]
+        out[tuple(slice(0, n) for n in table.shape)] = table
+        for a, periodic in enumerate(self.grid.periodic):
+            if periodic:
+                n = table.shape[a + 1]
+                axes = (slice(None),) * (a + 1)
+                out[axes + (slice(n, n + 2),)] = out[axes + (slice(0, 2),)]
+        self.loaded += 1
 
     def step(self, positions: np.ndarray, k: int, dt: float,
              noise: np.ndarray | None, out: np.ndarray):
         """One midpoint step of length dt from table k to table k + 1.
 
-        A predictor half-step on table k, the corrector drift v on the
-        average of tables k and k + 1, then out = positions + v dt (+ noise),
-        wrapped on periodic axes.  Returns v (a view of `acc`) and the mask
-        of walkers on or beyond a hard wall, or None when none is.
+        Steps run in order k = 0, 1, ..., and step k first loads table
+        k + 1.  A predictor half-step on table k, the corrector drift v on
+        the average of tables k and k + 1, then out = positions + v dt
+        (+ noise), wrapped on periodic axes.  Returns v (a view of `acc`)
+        and the mask of walkers on or beyond a hard wall, or None when none
+        is.
         """
+        self.load(next(self.tables))
         grid, half = self.grid, self.half
-        v0 = _ratio_drift(self, self.tables[k], self.floors[k], positions)
+        now, after = self.slots[k % 2], self.slots[(k + 1) % 2]
+        v0 = _ratio_drift(self, now, positions)
         np.multiply(v0, 0.5 * dt, out=half)
         np.add(positions, half, out=half)
         grid.wrap(half, out=half)
         mid, scratch = self.mid
-        np.multiply(self.tables[k], 0.5, out=mid)
-        np.multiply(self.tables[k + 1], 0.5, out=scratch)
+        np.multiply(now, 0.5, out=mid)
+        np.multiply(after, 0.5, out=scratch)
         np.add(mid, scratch, out=mid)
-        v = _ratio_drift(self, mid, density_floor(mid[-1]), half)
+        v = _ratio_drift(self, mid, half)
         np.multiply(v, dt, out=out)
         np.add(positions, out, out=out)
         if noise is not None:
@@ -260,12 +261,12 @@ def interpolate_vector(grid: ConfigGrid, values: np.ndarray,
     n_a nodes per axis (n_a may differ from grid.points, e.g. for a refined
     table).  Returns shape (m, k).  Periodic axes wrap; non-periodic axes
     clamp to the node range (constant extrapolation past the outermost
-    nodes).  Inside a run, `values` is one of `plan.tables` and the result
-    is a view of `plan.acc`.
+    nodes).  Inside a run, `values` is one of `plan.slots` (or their blend)
+    and the result is a view of `plan.acc`.
     """
     if plan is None:
-        plan = _StepPlan(grid, [values], 1, positions.shape[0])
-        values = plan.tables[0]
+        plan = _StepPlan(grid, [values], positions.shape[0])
+        values = plan.slots[0]
     # flat index of each walker's lowest cell corner; the corner with the
     # upper node on the axes `up` sits sum(strides[up]) further on
     base = plan.lo[0]
@@ -316,54 +317,45 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(pad) * REFINE
 
 
-def _spectral_flow_1d(state: WaveState, a_term: np.ndarray,
-                      system: ParticleSystem, mode: str) -> np.ndarray:
-    """The flow table of one state of a 1-D ring on the refined lattice;
-    `a_term` is (hbar beta / m) A, with A resampled there."""
-    grid = state.grid
-    n = grid.points[0]
-    m = system.mass_per_axis[0]
-    hbar = system.hbar
-    spec = np.fft.fft(state.psi)
-    ik = 2j * np.pi * np.fft.fftfreq(n, d=grid.spacing[0])
-    psi_f = _zero_pad_spectrum(spec)
-    dpsi_f = _zero_pad_spectrum(spec * ik)
-    cross = np.conj(psi_f) * dpsi_f
-    rho_f = np.abs(psi_f) ** 2
-    num = (hbar / m) * cross.imag - a_term * rho_f
-    if mode == "ES":
-        # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
-        # grad rho = 2 Re(psi* psi') needs no extra transform
-        num = num + (system.eta / m) * cross.real
-    return np.stack([num, rho_f])
-
-
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
                  system: ParticleSystem, mode: str):
     """The flow table of every state, one at a time."""
     grid = timeline[0].grid
-    if grid.dim == 1 and grid.periodic[0]:
-        # the potentials are static: resample A once for the whole timeline
-        a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
-        a_term = (system.hbar * system.beta_per_axis[0]
-                  / system.mass_per_axis[0]) * a_f
+    if not (grid.dim == 1 and grid.periodic[0]):
         for state in timeline:
-            yield _spectral_flow_1d(state, a_term, system, mode)
+            pair = madelung(state, hbar=system.hbar)
+            v = drift_velocity_field(pair, pot, system, mode=mode)
+            yield np.concatenate([state.rho[None] * v.values, state.rho[None]])
         return
+    # a 1-D ring: the table on the refined lattice.  The potentials are
+    # static, so (hbar beta / m) A is resampled there once for the timeline
+    m = system.mass_per_axis[0]
+    a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
+    a_term = (system.hbar * system.beta_per_axis[0] / m) * a_f
+    ik = 2j * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
     for state in timeline:
-        pair = madelung(state, hbar=system.hbar)
-        v = drift_velocity_field(pair, pot, system, mode=mode)
-        yield np.concatenate([state.rho[None] * v.values, state.rho[None]])
+        spec = np.fft.fft(state.psi)
+        psi_f = _zero_pad_spectrum(spec)
+        dpsi_f = _zero_pad_spectrum(spec * ik)
+        cross = np.conj(psi_f) * dpsi_f
+        rho_f = np.abs(psi_f) ** 2
+        num = (system.hbar / m) * cross.imag - a_term * rho_f
+        if mode == "ES":
+            # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
+            # grad rho = 2 Re(psi* psi') needs no extra transform
+            num = num + (system.eta / m) * cross.real
+        yield np.stack([num, rho_f])
 
 
-def _ratio_drift(plan: _StepPlan, table: np.ndarray, floor: float,
+def _ratio_drift(plan: _StepPlan, table: np.ndarray,
                  positions: np.ndarray) -> np.ndarray:
     """Drift at the positions, shape (m, dim): the interpolated rho v over
-    the interpolated rho, floored; a view of `plan.acc`."""
+    the interpolated rho, floored by the table's density floor; a view of
+    `plan.acc`."""
     interpolate_vector(plan.grid, table, positions, plan)
     acc = plan.acc
     den = acc[-1]
-    np.maximum(den, floor, out=den)
+    np.maximum(den, density_floor(table[-1]), out=den)
     np.divide(acc[:-1], den, out=acc[:-1])
     return acc[:-1].T
 
@@ -438,7 +430,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     if mode is None:
         mode = "ES" if system.process_label == "ES" else "current"
     plan = _StepPlan(grid, _flow_tables(timeline, pot, system, mode),
-                     len(timeline), n_walkers)
+                     n_walkers)
 
     root = np.random.SeedSequence(seed)
     init_seq, noise_seq = root.spawn(2)
@@ -578,7 +570,7 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
     pos = np.array(initial_positions, dtype=float)
     plan = _StepPlan(timeline[0].grid,
                      _flow_tables(timeline, pot, system, "current"),
-                     len(timeline), pos.shape[0])
+                     pos.shape[0])
     out = np.empty((len(timeline),) + pos.shape)
     out[0] = pos
     for k in range(len(timeline) - 1):

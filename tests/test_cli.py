@@ -161,20 +161,33 @@ def test_tripped_safeguard_is_one_line_and_leaves_run_incomplete(
     ("--dt", "1e300", 2),
     ("--mass", "1e-300", 2),
     ("--eta", "1e-300", 2),    # no support at the peak of the pushed density
-    ("--dt", "1e-300", 1),     # runs, but the mass drift fails the report
+    ("--dt", "1e-300", 2),     # the kernel is narrower than the grid
+    ("--points", "2", 2),
 ])
 def test_extreme_entropic_steps_fail_cleanly(tmp_path, capsys, option, value,
                                              code):
     out = tmp_path / "run"
     assert main(["entropic-step", option, value, "--out", str(out)]) == code
-    if code == 2:
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
-    else:
-        assert "FAIL" in capsys.readouterr().out
-        assert abs(load_json(out / "report.json")["mass_drift"]) >= 1e-6
-        assert main(["report", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma, gap", [("3", "8.07"), ("1", "0.158")])
+def test_entropic_step_refuses_a_kernel_narrower_than_the_grid(
+        tmp_path, capsys, gamma, gap):
+    """sigma ~ 0.11 against h ~ 0.31 at gamma = 3: the discrete kernel's
+    mass gap, which is the step's mass drift, is reported and no run is
+    written."""
+    out = tmp_path / "run"
+    argv = ["entropic-step", "--points", "64", "--dt", "0.05", "--eta", "0.5",
+            "--gamma", gamma, "--mass", "2", "--drift-slope", "0.3",
+            "--seed", "4", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"mass gap {gap})" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("process, code", [

@@ -20,7 +20,7 @@ from edsim.stochastic import (Ensemble, TransitionParams,
                               fluctuation_covariance, interpolate_vector,
                               max_deviation_from_deterministic,
                               scaling_exponent, simulate_ensemble, with_eta)
-from edsim.stochastic import _flow_tables
+from edsim.stochastic import _flow_tables, _StepPlan
 
 
 def test_params_labels_and_validation():
@@ -105,6 +105,36 @@ def test_interpolation_periodic_wrap_and_clamp():
     vals = np.stack([xs.copy()])
     outside = interpolate_vector(gridw, vals, np.array([[-5.0], [5.0]]))
     assert np.allclose(outside[:, 0], [xs[0], xs[-1]], rtol=1e-14)
+
+
+@pytest.mark.parametrize("n_tables", [2, 3, 50])
+def test_step_plan_streams_its_tables_through_two_slots(n_tables):
+    """Step k reads table k + 1 from the stream, not the whole timeline, and
+    the plan holds two padded tables however long the stream is.  Table j
+    drifts the walkers by j + 1 along the ring, so step k, on the blend of
+    tables k and k + 1, moves them by (2k + 3) / 2 * dt."""
+    grid = ConfigGrid((8, 6), (4.0, 3.0), (True, False))
+    pulled = []
+
+    def tables():
+        for j in range(n_tables):
+            pulled.append(j)
+            rho = np.ones(grid.shape)
+            yield np.stack([(j + 1.0) * rho, 0.0 * rho, rho])
+
+    plan = _StepPlan(grid, tables(), 5)
+    assert len(pulled) == 1
+    assert plan.slots.shape == (2, 3, (8 + 2) * 6)
+    pos = np.column_stack([np.linspace(0.0, 3.9, 5), np.full(5, 1.5)])
+    out = np.empty_like(pos)
+    for k in range(n_tables - 1):
+        plan.step(pos, k, 0.01, None, out)
+        assert len(pulled) == k + 2
+        shift = nearest_image(out[:, 0] - pos[:, 0], 4.0)
+        assert np.allclose(shift, (2 * k + 3) / 2 * 0.01, rtol=1e-12)
+        assert np.array_equal(out[:, 1], pos[:, 1])
+        pos, out = out, pos
+    assert len(pulled) == n_tables
 
 
 def test_initial_draw_matches_density_moments():
