@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 from .grids import (ConfigGrid, ParticleSystem, ScalarField, VectorField,
                     gradient, integrate, particles_on_line, rectangle_loop,
-                    ring_loop, single_particle)
+                    single_particle)
 from .entropic import (GaussianStep, MaxEntProblem, bayes_reverse,
                        chapman_kolmogorov_step, maxent_transition,
                        transition_kernel_at, verify_maximizer)

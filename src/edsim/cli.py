@@ -158,7 +158,8 @@ def cmd_ensemble(args) -> int:
                               seed=args.seed + j)
         checkpoints.append({
             "time": float(t), "tv": rep["tv"], "tv_band_95": rep["tv_band_95"],
-            "passed": rep["passed"], "kl_smoothed": rep["kl_smoothed"],
+            "passed": rep["passed"], "underpowered": rep["underpowered"],
+            "kl_smoothed": rep["kl_smoothed"],
             "chi2": rep["chi2"], "chi2_dof": rep["chi2_dof"],
         })
     result = {
@@ -171,8 +172,11 @@ def cmd_ensemble(args) -> int:
     }
     writer.write_json("report.json", result)
     writer.finish()
+    # too few walkers for the occupied cells: the band verdict means little
+    underpowered = sum(c["underpowered"] for c in checkpoints)
+    note = f" ({underpowered} underpowered)" if underpowered else ""
     print(f"ensemble: {params.process_label} x {args.preset}, "
-          f"{result['n_passed']}/{len(checkpoints)} checkpoints in band")
+          f"{result['n_passed']}/{len(checkpoints)} checkpoints in band{note}")
     return 0
 
 

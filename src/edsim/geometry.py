@@ -33,6 +33,8 @@ from .grids import ParticleSystem
 MAX_OUTCOMES = 64
 MAX_PROBES = 10_000
 P_FLOOR = 1e-12
+# central-difference step of `functional_gradient`
+H_FD = 1e-5
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,14 @@ class EPhasePoint:
         return np.sqrt(self.probs) * np.exp(1j * self.phases / self.hbar)
 
     @classmethod
-    def from_psi(cls, psi: np.ndarray, hbar: float = 1.0) -> "EPhasePoint":
+    def from_psi(cls, psi: np.ndarray) -> "EPhasePoint":
+        """The point of a wave vector, normalized, with hbar = 1."""
         psi = np.asarray(psi, dtype=complex)
         p = np.abs(psi) ** 2
         total = p.sum()
         if total <= 0:
             raise ValueError("psi is identically zero")
-        return cls(p / total, hbar * np.angle(psi), hbar)
+        return cls(p / total, np.angle(psi))
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,7 @@ def fs_length_squared(point: EPhasePoint, v: EPhaseTangent,
     raise ValueError(f"unknown method {method!r}")
 
 
-def apply_J(point: EPhasePoint, v: EPhaseTangent,
-            check_tgf: bool = True) -> EPhaseTangent:
+def apply_J(point: EPhasePoint, v: EPhaseTangent) -> EPhaseTangent:
     """Complex structure: (dp, dphi) -> (-(2p/hbar) dphi, (hbar/2p) dp).
 
     The image of a TGF vector is again TGF; this is verified (and then
@@ -222,23 +224,22 @@ def apply_J(point: EPhasePoint, v: EPhaseTangent,
         raise ValueError("complex structure needs strictly interior p")
     out = EPhaseTangent(-(2.0 / hbar) * p * v.dphi,
                         hbar / (2.0 * p) * v.dp)
-    if check_tgf:
-        r_in = tgf_residuals(point, v)
-        r_out = tgf_residuals(point, out)
-        scale = max(np.max(np.abs(out.dp)), np.max(np.abs(out.dphi)), 1e-300)
-        if max(r_in) < 1e-9 and max(r_out) > 1e-9 * scale:
-            raise AssertionError("TGF closure under J failed")
-        out = project_tgf(point, out)
-    return out
+    r_in = tgf_residuals(point, v)
+    r_out = tgf_residuals(point, out)
+    scale = max(np.max(np.abs(out.dp)), np.max(np.abs(out.dphi)), 1e-300)
+    if max(r_in) < 1e-9 and max(r_out) > 1e-9 * scale:
+        raise AssertionError("TGF closure under J failed")
+    return project_tgf(point, out)
 
 
 # ---------------------------------------------------------------------------
 # functionals, brackets, flows
 # ---------------------------------------------------------------------------
 
-def functional_gradient(f: Callable, point: EPhasePoint,
-                        h_fd: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference derivatives of f(p, phi) in each coordinate.
+def functional_gradient(f: Callable,
+                        point: EPhasePoint) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference derivatives of f(p, phi) in each coordinate, with
+    step `H_FD`.
 
     The step in a probability coordinate shrinks near the simplex boundary
     so probes never leave the positive orthant.
@@ -248,15 +249,15 @@ def functional_gradient(f: Callable, point: EPhasePoint,
     df_dp = np.empty(n)
     df_dphi = np.empty(n)
     for i in range(n):
-        h = min(h_fd, 0.5 * p[i]) if p[i] < 2 * h_fd else h_fd
+        h = min(H_FD, 0.5 * p[i]) if p[i] < 2 * H_FD else H_FD
         if h <= 0:
             raise ValueError("probability too close to zero for derivatives")
         ep = np.zeros(n)
         ep[i] = h
         df_dp[i] = (f(p + ep, phi) - f(p - ep, phi)) / (2 * h)
         ephi = np.zeros(n)
-        ephi[i] = h_fd
-        df_dphi[i] = (f(p, phi + ephi) - f(p, phi - ephi)) / (2 * h_fd)
+        ephi[i] = H_FD
+        df_dphi[i] = (f(p, phi + ephi) - f(p, phi - ephi)) / (2 * H_FD)
     if not (np.all(np.isfinite(df_dp)) and np.all(np.isfinite(df_dphi))):
         raise ValueError("functional produced non-finite values")
     return df_dp, df_dphi
@@ -307,14 +308,13 @@ def hamiltonian_flow_step(f: Callable, point: EPhasePoint, dlam: float,
         raise ValueError(
             f"step d_lambda={dlam:g} drives probabilities negative; "
             f"use |d_lambda| < {limit:g}")
-    drift = float(new_p.sum() - 1.0)
-    if abs(drift) > 1e-8:
+    if abs(new_p.sum() - 1.0) > 1e-8:
         raise ValueError("flow leaves the simplex: sum(dp) != 0")
     new_p = new_p / new_p.sum()
     new_phi = point.phases + dlam * field_v.dphi
     shift = float(np.sum(new_p * new_phi)) if recenter else 0.0
     return EPhasePoint(new_p, new_phi - shift, point.hbar,
-                       meta={"gauge_shift": shift, "simplex_drift": drift})
+                       meta={"gauge_shift": shift})
 
 
 def normalization_functional(p: np.ndarray, phi: np.ndarray) -> float:
@@ -539,8 +539,7 @@ def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
 _QUAD_POINTS, _QUAD_SIGMAS, _FD_SCALE = 129, 8.0, 1e-4
 
 
-def transition_information_metric(system: ParticleSystem, dt: float,
-                                  mean_fn: Callable | None = None) -> dict:
+def transition_information_metric(system: ParticleSystem, dt: float) -> dict:
     """Fisher information of the Gaussian step kernel at the origin.
 
     Integrates gamma_AB = Int dx' P (d_A log P)(d_B log P) on a tensor
@@ -551,24 +550,20 @@ def transition_information_metric(system: ParticleSystem, dt: float,
         raise ValueError("eta must be positive for the information metric")
     dim = len(system.axis_map)
     origin = np.zeros(dim)
-    if mean_fn is None:
-        mean_fn = lambda x: np.zeros(dim)
     variances = system.step_variances(dt)
     sig = np.sqrt(variances)
 
     quad_points = 65 if dim == 3 else _QUAD_POINTS
-    centre = np.asarray(mean_fn(origin))
-    axes = [np.linspace(centre[a] - _QUAD_SIGMAS * sig[a],
-                        centre[a] + _QUAD_SIGMAS * sig[a], quad_points)
+    axes = [np.linspace(-_QUAD_SIGMAS * sig[a], _QUAD_SIGMAS * sig[a],
+                        quad_points)
             for a in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     weights = np.prod([ax[1] - ax[0] for ax in axes])
 
     def log_p(x_from: np.ndarray) -> np.ndarray:
-        mu = x_from + np.asarray(mean_fn(x_from))
         out = 0.0
         for a in range(dim):
-            out = out - (mesh[a] - mu[a]) ** 2 / (2 * sig[a] ** 2) \
+            out = out - (mesh[a] - x_from[a]) ** 2 / (2 * sig[a] ** 2) \
                 - 0.5 * np.log(2 * np.pi * sig[a] ** 2)
         return out
 

@@ -19,7 +19,7 @@ after construction; every operation returns a new field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -69,8 +69,6 @@ def density_floor(values: np.ndarray, rel: float = RHO_FLOOR_REL):
 
 
 def _as_tuple(x, n: int, kind=float) -> tuple:
-    if np.isscalar(x):
-        return tuple(kind(x) for _ in range(n))
     t = tuple(kind(v) for v in x)
     if len(t) != n:
         raise ValueError(f"expected {n} per-axis entries, got {len(t)}")
@@ -148,11 +146,10 @@ class ConfigGrid:
 
     def wrap(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map positions back into the domain on periodic axes:
-        ``lo + mod_period(x - lo, extent)``.  `out` may be `x` itself."""
+        ``lo + mod_period(x - lo, extent)``.  `out` is None for a copy, or
+        `x` itself to wrap in place."""
         if out is None:
             out = np.array(x, dtype=float, copy=True)
-        elif out is not x:
-            np.copyto(out, x)
         for a in range(self.dim):
             if self.periodic[a]:
                 lo = self.origin[a]
@@ -185,7 +182,6 @@ def _check_values(values: np.ndarray, grid: ConfigGrid, expect_shape) -> np.ndar
 class ScalarField:
     grid: ConfigGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -198,7 +194,6 @@ class VectorField:
 
     grid: ConfigGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -227,8 +222,7 @@ def gradient(f: ScalarField, axis: int) -> ScalarField:
     """Second-order central difference along one axis.
 
     Periodic axes wrap.  On non-periodic axes the interior is central and the
-    two boundary slabs fall back to one-sided differences; the returned field
-    carries ``meta['boundary_one_sided'] = True`` in that case.
+    two boundary slabs fall back to one-sided differences.
     """
     grid = f.grid
     if not 0 <= axis < grid.dim:
@@ -237,7 +231,6 @@ def gradient(f: ScalarField, axis: int) -> ScalarField:
     v = f.values
     if grid.periodic[axis]:
         out = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
-        meta = {"boundary_one_sided": False}
     else:
         out = np.empty_like(v)
         sl = [slice(None)] * v.ndim
@@ -250,22 +243,12 @@ def gradient(f: ScalarField, axis: int) -> ScalarField:
         out[ax(slice(1, -1))] = (v[ax(slice(2, None))] - v[ax(slice(None, -2))]) / (2 * h)
         out[ax(slice(0, 1))] = (v[ax(slice(1, 2))] - v[ax(slice(0, 1))]) / h
         out[ax(slice(-1, None))] = (v[ax(slice(-1, None))] - v[ax(slice(-2, -1))]) / h
-        meta = {"boundary_one_sided": True}
-    return ScalarField(grid, out, meta=meta)
+    return ScalarField(grid, out)
 
 
 def integrate(f: ScalarField) -> float:
     """Riemann sum: sum of node values times the cell volume."""
     return float(f.values.sum() * f.grid.cell_volume)
-
-
-def ring_loop(grid: ConfigGrid) -> list[tuple]:
-    """Closed loop winding once around periodic axis 0, at index 0 on the
-    other axes."""
-    if not grid.periodic[0]:
-        raise ValueError("axis 0 is not periodic")
-    rest = (0,) * (grid.dim - 1)
-    return [(k,) + rest for k in range(grid.points[0])] + [(0,) + rest]
 
 
 def rectangle_loop(lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple]:
@@ -331,10 +314,6 @@ class ParticleSystem:
         return tuple(q / (self.hbar * self.light_speed) for q in self.charges)
 
     @property
-    def total_mass(self) -> float:
-        return float(sum(self.masses))
-
-    @property
     def mass_per_axis(self) -> np.ndarray:
         return np.array([self.masses[n] for n, _ in self.axis_map])
 
@@ -350,17 +329,6 @@ class ParticleSystem:
     @property
     def process_label(self) -> str:
         return process_label(self.gamma_exponent)
-
-    def describe(self) -> dict:
-        return {
-            "masses": list(self.masses),
-            "charges": list(self.charges),
-            "axis_map": [list(x) for x in self.axis_map],
-            "hbar": self.hbar,
-            "light_speed": self.light_speed,
-            "eta": self.eta,
-            "gamma_exponent": self.gamma_exponent,
-        }
 
 
 def process_label(gamma_exponent: float) -> str:

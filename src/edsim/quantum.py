@@ -33,6 +33,9 @@ from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
 
 # relative residual and squared-norm change a Crank-Nicolson step may have
 CN_TOL = 1e-9
+# `hamilton_residuals` skips nodes whose density is below this fraction of
+# the peak
+RESIDUAL_FLOOR_REL = 1e-8
 
 
 class SafeguardError(RuntimeError):
@@ -68,9 +71,6 @@ class WaveState:
     @property
     def rho(self) -> np.ndarray:
         return (self.psi.real**2 + self.psi.imag**2)
-
-    def norm(self) -> float:
-        return float(np.vdot(self.psi, self.psi).real * self.grid.cell_volume)
 
 
 def gaussian_packet(grid: ConfigGrid, center, sigma,
@@ -333,25 +333,20 @@ def position_moments(state: WaveState) -> dict:
 class MadelungPair:
     """Density and phase with the phase stored modulo 2*pi*hbar.
 
-    `mask` is True where rho clears the support floor; phase-derived
-    quantities are meaningful only there.
+    Phase-derived quantities are meaningful only where rho clears the
+    support floor (`grids.density_floor`).
     """
 
     grid: ConfigGrid
     rho: ScalarField
     phi: ScalarField
     hbar: float
-    mask: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 def madelung(state: WaveState, hbar: float = 1.0) -> MadelungPair:
-    rho = state.rho
-    mask = rho > density_floor(rho)
     phi = hbar * np.angle(state.psi)
-    return MadelungPair(state.grid, ScalarField(state.grid, rho),
-                        ScalarField(state.grid, phi), hbar, mask,
-                        meta={"masked_fraction": float(1.0 - mask.mean())})
+    return MadelungPair(state.grid, ScalarField(state.grid, state.rho),
+                        ScalarField(state.grid, phi), hbar)
 
 
 def _wrap_branch(dphi: np.ndarray, hbar: float) -> np.ndarray:
@@ -389,8 +384,7 @@ def quantum_potential(rho: ScalarField, system: ParticleSystem,
                       floor_rel: float = RHO_FLOOR_REL) -> ScalarField:
     """Q = - sum_A (hbar^2 / 2 m_A) (d^2_A sqrt(rho)) / sqrt(rho).
 
-    Masked (set to zero) where rho is below the support floor; the mask
-    fraction is reported in meta.
+    Masked (set to zero) where rho is below the support floor.
     """
     grid = rho.grid
     amp = np.sqrt(np.maximum(rho.values, 0.0))
@@ -405,17 +399,15 @@ def quantum_potential(rho: ScalarField, system: ParticleSystem,
         out = out - hbar**2 / (2 * masses[a]) * d2
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(mask, out / np.where(mask, amp, 1.0), 0.0)
-    return ScalarField(grid, q, meta={"mask": mask,
-                                      "masked_fraction": float(1.0 - mask.mean())})
+    return ScalarField(grid, q)
 
 
-def hamilton_residuals(state: WaveState, pot: Potentials, dt: float,
-                       floor_rel: float = 1e-8) -> dict:
+def hamilton_residuals(state: WaveState, pot: Potentials, dt: float) -> dict:
     """Defects of the continuity and phase (Hamilton-Jacobi) equations.
 
     Time derivatives are centred: one Crank-Nicolson step forward and one
     backward around the state.  Both residuals are masked where rho is below
-    `floor_rel` times its maximum.
+    `RESIDUAL_FLOOR_REL` times its maximum.
     """
     grid = state.grid
     system = pot.system
@@ -426,7 +418,7 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float,
     phi_dot = hbar * np.angle(fwd.psi * np.conj(bwd.psi)) / (2 * dt)
 
     pair = madelung(state, hbar=hbar)
-    mask = state.rho > density_floor(state.rho, floor_rel)
+    mask = state.rho > density_floor(state.rho, RESIDUAL_FLOOR_REL)
 
     masses = system.mass_per_axis
     beta = system.beta_per_axis
@@ -439,7 +431,7 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float,
         cur = ScalarField(grid, state.rho * vel)
         div_current += gradient(cur, a).values
     qpot = quantum_potential(ScalarField(grid, state.rho), system,
-                             floor_rel=floor_rel)
+                             floor_rel=RESIDUAL_FLOOR_REL)
     r_rho_field = rho_dot + div_current
     r_phi_field = phi_dot + kin + qpot.values + pot.scalar_v
     r_rho = float(np.max(np.abs(np.where(mask, r_rho_field, 0.0))))
@@ -532,10 +524,9 @@ def charge_quantization_check(system: ParticleSystem,
         deficit = abs(d - round(d))
         passed = deficit <= 1e-9 * max(1.0, abs(d))
         ok = ok and passed
-        per_particle.append({"particle": n, "winding_ratio": d,
-                             "deficit": deficit, "pass": passed})
-    return {"per_particle": per_particle, "verdict": ok,
-            "chi_winding": chi_winding}
+        per_particle.append({"particle": n, "deficit": deficit,
+                             "pass": passed})
+    return {"per_particle": per_particle, "verdict": ok}
 
 
 # ---------------------------------------------------------------------------

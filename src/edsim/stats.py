@@ -90,7 +90,6 @@ def compare_density(samples: np.ndarray, rho: ScalarField,
         "kl_smoothed": kl,
         "chi2": chi2,
         "chi2_dof": max(dof, 0),
-        "n_samples": m,
         "occupied_cells": occupied,
         "passed": bool(tv <= band),
         "underpowered": bool(m < 5 * occupied),

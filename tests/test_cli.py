@@ -62,6 +62,16 @@ def test_ensemble_runs_reproduce_byte_for_byte(tmp_path):
     assert (a / "report.json").read_bytes() != (c / "report.json").read_bytes()
 
 
+def test_ensemble_reports_underpowered_checkpoints(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["ensemble", "--walkers", "1", "--seed", "1",
+                 "--out", str(out)]) == 0
+    checkpoints = load_json(out / "report.json")["checkpoints"]
+    assert [c["underpowered"] for c in checkpoints] == [True] * 7
+    assert capsys.readouterr().out.endswith(
+        f"checkpoints in band ({len(checkpoints)} underpowered)\n")
+
+
 def test_entropic_step_conserves_and_shifts(tmp_path):
     out = tmp_path / "run"
     assert main(["entropic-step", "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,8 @@ def test_maxent_mean_shift_minimal_coupling():
     beta = sys.beta[0]
     expected = (sys.hbar * dt / 2.0) * (dphi - beta * a_val)
     assert np.allclose(step.mean_shift.values[0], expected, rtol=1e-14)
-    # multipliers: alpha = m / (eta dt**gamma)
-    assert prob.alpha_per_axis[0] == pytest.approx(2.0 / dt**3)
+    # the multiplier alpha = m / (eta dt**gamma) is the reciprocal variance
+    assert 1.0 / step.variances[0] == pytest.approx(2.0 / dt**3)
 
 
 def test_maxent_two_masses_variance_ratio():
@@ -158,6 +160,40 @@ def test_bayes_reverse_normalized_everywhere_above_floor():
     assert checked >= 10
 
 
+def box(n=256, L=20.0):
+    return ConfigGrid((n,), (L,), (False,), origin=(-L / 2,))
+
+
+def test_ck_far_from_hard_walls_loses_only_the_kernel_tail():
+    g = box()
+    sys = single_particle(eta=1.0, gamma_exponent=3.0)
+    vel = VectorField(g, np.full((1,) + g.shape, 0.6))
+    step = velocity_step(g, sys, vel, 0.5)
+    _, report = chapman_kolmogorov_step(normalized_gaussian(g), step)
+    # every node's kernel sums to the same 1 - gap: the walls take nothing
+    assert abs(report["mass_drift"] + report["kernel_norm_gap"]) < 1e-14
+
+
+def test_ck_drops_mass_pushed_past_a_hard_wall():
+    g = box()
+    sys = single_particle(eta=1.0, gamma_exponent=3.0)
+    dt = 0.5
+    vel = VectorField(g, np.full((1,) + g.shape, 1.5 / dt))
+    step = velocity_step(g, sys, vel, dt)
+    rho0 = normalized_gaussian(g, mu=8.5, sigma=0.5)
+    rho1, report = chapman_kolmogorov_step(rho0, step)
+    # the pushed packet is centred on the wall at x = 10; what lands past
+    # the cell of the last node, at 10 - h / 2, is gone
+    sd = math.sqrt(0.5**2 + sys.step_variances(dt)[0])
+    edge = 10.0 - g.spacing[0] / 2
+    lost = 0.5 * math.erfc((edge - 10.0) / (sd * math.sqrt(2)))
+    assert report["mass_drift"] == pytest.approx(-lost, abs=2e-3)
+    # the reverse step renormalizes at the wall and inside
+    for idx in (g.points[0] - 1, int(np.argmax(rho1.values)), 240):
+        rev = bayes_reverse(step, rho0, rho1, (idx,))
+        assert abs(integrate(rev) - 1.0) < 1e-13
+
+
 def test_bayes_reverse_rejects_unsupported_target():
     g = ring()
     sys = single_particle(eta=1.0, gamma_exponent=3.0)
@@ -173,7 +209,7 @@ def test_verify_maximizer_gaussian_wins():
     sys = single_particle(eta=1.0, gamma_exponent=3.0)
     vel = VectorField(g, np.full((1,) + g.shape, 2.0))
     step = velocity_step(g, sys, vel, 0.1)
-    report = verify_maximizer(step, perturbations=60, seed=42, quad_points=64)
+    report = verify_maximizer(step, perturbations=60, seed=42)
     # identity perturbation: zero margin within quadrature tolerance
     assert abs(report["self_margin"]) < 1e-10
     assert report["all_nonnegative"]

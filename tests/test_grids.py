@@ -66,7 +66,6 @@ def test_gradient_linear_nonperiodic_exact():
     x = g.axis_coords(0)
     f = ScalarField(g, x.copy())
     df = gradient(f, 0)
-    assert df.meta["boundary_one_sided"] is True
     assert np.allclose(df.values, 1.0, atol=1e-13)
 
 
@@ -114,4 +113,4 @@ def test_process_labels():
 def test_particles_on_line_axis_map():
     s = particles_on_line((1.0, 3.0), (0.0, 1.0))
     assert s.axis_map == ((0, 0), (1, 0))
-    assert s.total_mass == 4.0
+    assert s.masses == (1.0, 3.0)

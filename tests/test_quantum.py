@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from edsim.grids import ConfigGrid, rectangle_loop, ring_loop, single_particle
+from edsim.grids import (ConfigGrid, density_floor, rectangle_loop,
+                         single_particle)
 from edsim.quantum import (
     CrankNicolson,
     MadelungPair,
@@ -150,7 +151,7 @@ def test_madelung_compose_round_trip():
     st = gaussian_packet(g, 0.5, 1.2, momentum=1.0)
     pair = madelung(st)
     back = np.sqrt(pair.rho.values) * np.exp(1j * pair.phi.values / pair.hbar)
-    keep = pair.mask
+    keep = st.rho > density_floor(st.rho)
     assert np.max(np.abs(back[keep] - st.psi[keep])) < 1e-12
     # phase stored on the principal branch
     assert pair.phi.values.max() <= np.pi * pair.hbar + 1e-12
@@ -199,7 +200,7 @@ def test_hamilton_residuals_stationary_state():
     H = hamiltonian_matrix(pot).toarray()
     _, evecs = scipy.linalg.eigh(H)
     ground = WaveState(g, evecs[:, 0].astype(complex))
-    res = hamilton_residuals(ground, pot, dt=1e-3, floor_rel=1e-6)
+    res = hamilton_residuals(ground, pot, dt=1e-3)
     # for an eigenstate the discrete quantum potential cancels V - E exactly
     assert res["r_phi"] < 1e-7
     assert res["r_rho"] < 1e-10
@@ -237,11 +238,12 @@ def test_gauge_transform_with_winding_chi_shifts_winding():
     sys = single_particle(charge=1.0)  # beta = 1
     pot = free_potentials(g, sys)
     st = plane_wave(g, 2 * np.pi * 3 / L)
-    w0 = winding_number(st, ring_loop(g))["integer"]
+    loop = [(k,) for k in range(g.points[0])] + [(0,)]
+    w0 = winding_number(st, loop)["integer"]
     chi_w = 2 * np.pi * 2  # two turns, beta * chi_w / 2 pi = 2
     chi = lambda x: chi_w * (x + L / 2) / L
     st2, _ = gauge_transform(st, pot, chi)
-    w1 = winding_number(st2, ring_loop(g))["integer"]
+    w1 = winding_number(st2, loop)["integer"]
     assert w0 == 3 and w1 == 5
     assert charge_quantization_check(sys, chi_w)["verdict"]
 
@@ -375,7 +377,17 @@ def test_superposition_is_member_of_state_space():
     s1 = gaussian_packet(g, -2.0, 1.0, momentum=1.0)
     s2 = gaussian_packet(g, 2.0, 1.0, momentum=-1.0)
     mix = superpose(0.6, s1, 0.8j, s2)
-    assert mix.norm() == pytest.approx(1.0, abs=1e-12)
+    norm = np.vdot(mix.psi, mix.psi).real * g.cell_volume
+    assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_position_moments_between_hard_walls():
+    g = ConfigGrid((256,), (20.0,), (False,), origin=(-10.0,))
+    st = gaussian_packet(g, 1.3, 0.8, momentum=2.0)
+    mom = position_moments(st)
+    # the density is a Gaussian of mean 1.3 and standard deviation 0.8
+    assert mom["mean"][0] == pytest.approx(1.3, abs=1e-12)
+    assert mom["width"][0] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_position_moments_periodic_seam():

@@ -297,31 +297,32 @@ def test_timeline_spacing_mismatch_rejected():
                           TransitionParams(0.1, 1e-3, 3.0), 10, seed=0)
 
 
-def test_escape_abort_threshold():
+def _escape_run(n_escaping):
+    """100 walkers under a uniform drift v = 2 to the right of a box [0, 4]:
+    the first `n_escaping` start at 3.95 and cross the wall in the first
+    step, the rest start at 2.0 and stay inside."""
     grid = ConfigGrid((32,), (4.0,), (False,), origin=(0.0,))
-    psi = np.exp(-0.5 * ((grid.axis_coords(0) - 3.6) / 0.2) ** 2)
-    state = WaveState(grid, psi.astype(complex))
-    sys1 = single_particle(eta=5.0, gamma_exponent=1.0)
-    timeline = _stationary_timeline(grid, state, 5, 0.05)
-    params = TransitionParams.from_system(sys1, 0.05)
-    with pytest.raises(RuntimeError):
-        simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
-                          200, seed=1, max_escape_fraction=0.0)
-
-
-def test_escaped_walkers_are_frozen_and_counted():
-    grid = ConfigGrid((32,), (4.0,), (False,), origin=(0.0,))
-    psi = np.exp(2j * grid.axis_coords(0))  # uniform drift v = 2 to the right
+    psi = np.exp(2j * grid.axis_coords(0))
     timeline = _stationary_timeline(grid, WaveState(grid, psi), 4, 0.05)
     sys1 = single_particle(eta=0.0)
     params = TransitionParams.from_system(sys1, 0.05)
-    x0 = np.array([[3.95], [2.0]])
-    ens = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
-                            2, seed=0, initial_positions=x0,
-                            max_escape_fraction=0.5)
+    x0 = np.full((100, 1), 2.0)
+    x0[:n_escaping] = 3.95
+    return simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
+                             params, 100, seed=0, initial_positions=x0)
+
+
+def test_escape_abort_threshold():
+    # MAX_ESCAPE_FRACTION = 1% of 100 walkers: the second escape aborts
+    with pytest.raises(RuntimeError):
+        _escape_run(2)
+
+
+def test_escaped_walkers_are_frozen_and_counted():
+    ens = _escape_run(1)
     assert ens.meta["escaped"] == 1
     assert np.all(ens.positions[:, 0, 0] == 3.95)
-    assert np.allclose(ens.positions[:, 1, 0], 2.0 + 0.1 * np.arange(5),
+    assert np.allclose(ens.positions[:, 1:, 0].T, 2.0 + 0.1 * np.arange(5),
                        rtol=1e-12)
 
 
@@ -470,8 +471,7 @@ def test_ensemble_is_bit_identical_to_np_mod_stepper(name, gamma, eta):
     system = with_eta(sc.system, eta, gamma_exponent=gamma)
     params = TransitionParams(sc.dt, eta, gamma)
     ens = simulate_ensemble(timeline, sc.potentials, system, params, 400,
-                            seed=7, initial_positions=x0,
-                            max_escape_fraction=0.5)
+                            seed=7, initial_positions=x0)
     path, escaped = _ref_ensemble(timeline, sc.potentials, system, params, 7,
                                   x0)
     assert np.array_equal(ens.positions, path)
