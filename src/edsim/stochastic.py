@@ -22,6 +22,10 @@ behaves near density nodes where v itself spikes; see the flow-table block
 below.  Randomness: a master seed feeds a SeedSequence; independent children
 drive the initial draw and the per-step noise (counter-based Philox
 streams), so a run is bit-reproducible for fixed (seed, walkers, timeline).
+The noise of a run comes from its one generator in step order.  From
+NOISE_THREAD_WALKERS walkers on, a helper thread draws step k + 1's noise
+while step k runs (the fill releases the GIL); below, each step draws its
+own.  Both ways draw the same bits.
 
 Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
 subtract of the period, with an np.mod fallback for values more than one
@@ -36,6 +40,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -51,6 +57,9 @@ from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
 REFINE = 4
 # the largest fraction of an ensemble that may escape past a hard wall
 MAX_ESCAPE_FRACTION = 0.01
+# walkers from which a run draws its noise one step ahead in a helper
+# thread; below, the hand-offs between threads cost more than they hide
+NOISE_THREAD_WALKERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -406,6 +415,40 @@ def draw_initial_positions(state: WaveState, n_walkers: int,
     return grid.wrap(pos)
 
 
+@contextmanager
+def _noise_stream(rng: np.random.Generator, sig: np.ndarray,
+                  shape: tuple[int, int], steps: int):
+    """The noise of `steps` walker steps: per step, a standard normal fill
+    of `shape` from `rng` times `sig`, drawn in step order.
+
+    From NOISE_THREAD_WALKERS walkers on, a helper thread fills step
+    k + 1's buffer while the caller runs step k, and the two buffers take
+    turns; below, one buffer is filled in the caller's thread.  Each array
+    the stream yields is valid until the next one is taken.  The helper
+    calls numpy only, and it is joined on every exit from the block.
+    """
+    def fill(buf: np.ndarray) -> np.ndarray:
+        rng.standard_normal(out=buf)
+        buf *= sig
+        return buf
+
+    if shape[0] < NOISE_THREAD_WALKERS:
+        buf = np.empty(shape)
+        yield (fill(buf) for _ in range(steps))
+        return
+    bufs = np.empty((2,) + shape)
+    with ThreadPoolExecutor(1, "edsim-noise") as helper:
+        def ahead():
+            drawn = helper.submit(fill, bufs[0])
+            for k in range(steps):
+                noise = drawn.result()
+                if k + 1 < steps:
+                    # the last reader of bufs[(k + 1) % 2], step k - 1, is done
+                    drawn = helper.submit(fill, bufs[(k + 1) % 2])
+                yield noise
+        yield ahead()
+
+
 def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
                       system: ParticleSystem, params: TransitionParams,
                       n_walkers: int, seed: int,
@@ -417,9 +460,11 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
 
     The state spacing must equal params.dt, and params must carry the
     system's eta and gamma.  Each step is `_StepPlan.step` with the step's
-    Philox noise.  Escaped walkers (hard walls only) are frozen in place
-    and counted; more than `MAX_ESCAPE_FRACTION` of them aborts with a
-    SafeguardError.
+    Philox noise, drawn in step order from the run's one noise generator:
+    from NOISE_THREAD_WALKERS walkers on, one step ahead by a helper thread
+    that is joined before the call returns or raises (`_noise_stream`).
+    Escaped walkers (hard walls only) are frozen in place and counted; more
+    than `MAX_ESCAPE_FRACTION` of them aborts with a SafeguardError.
     """
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
@@ -440,13 +485,11 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
         init_rng = np.random.Generator(np.random.Philox(init_seq))
         pos = draw_initial_positions(timeline[0], n_walkers, init_rng)
     else:
-        # C order: the noise is drawn into a buffer shaped like `pos`
-        pos = np.array(initial_positions, dtype=float, order="C")
+        pos = np.array(initial_positions, dtype=float)
         if pos.shape != (n_walkers, grid.dim):
             raise ValueError("initial_positions shape mismatch")
     noise_rng = np.random.Generator(np.random.Philox(noise_seq))
     sig = np.sqrt(system.step_variances(params.dt))
-    noise = np.empty_like(pos)
     new = np.empty_like(pos)
 
     # recorded states: the first, every record_stride-th and the last
@@ -460,27 +503,26 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     alive = np.ones(n_walkers, dtype=bool)
     escaped_total = 0
 
-    for k in range(steps):
-        noise_rng.standard_normal(out=noise)
-        noise *= sig
-        v_mid, escaped = plan.step(pos, k, params.dt, noise, new)
-        if escaped is not None:
-            newly = escaped & alive
-            if np.any(newly):
-                alive &= ~newly
-                escaped_total += int(newly.sum())
-                if escaped_total > MAX_ESCAPE_FRACTION * n_walkers:
-                    raise SafeguardError(
-                        f"{escaped_total} walkers escaped the domain "
-                        f"(> {MAX_ESCAPE_FRACTION:.1%} of {n_walkers})")
-        if escaped_total:
-            new[~alive] = pos[~alive]
-        if record_velocities:
-            velocities.append((new - pos) / params.dt)
-            drifts.append(v_mid.copy())
-        pos, new = new, pos
-        if k + 1 in slot:
-            rec_positions[slot[k + 1]] = pos
+    with _noise_stream(noise_rng, sig, pos.shape, steps) as noises:
+        for k, noise in enumerate(noises):
+            v_mid, escaped = plan.step(pos, k, params.dt, noise, new)
+            if escaped is not None:
+                newly = escaped & alive
+                if np.any(newly):
+                    alive &= ~newly
+                    escaped_total += int(newly.sum())
+                    if escaped_total > MAX_ESCAPE_FRACTION * n_walkers:
+                        raise SafeguardError(
+                            f"{escaped_total} walkers escaped the domain "
+                            f"(> {MAX_ESCAPE_FRACTION:.1%} of {n_walkers})")
+            if escaped_total:
+                new[~alive] = pos[~alive]
+            if record_velocities:
+                velocities.append((new - pos) / params.dt)
+                drifts.append(v_mid.copy())
+            pos, new = new, pos
+            if k + 1 in slot:
+                rec_positions[slot[k + 1]] = pos
 
     return Ensemble(
         grid, system, params,
@@ -546,8 +588,7 @@ def scaling_exponent(system: ParticleSystem, dt_grid: Sequence[float],
         draws = rng.standard_normal(trials) * sig
         mean_sq.append(float(np.mean(draws**2)))
     fit = fit_power_law(np.asarray(dt_grid, float), np.asarray(mean_sq))
-    return {"gamma_hat": fit["exponent"], "stderr": fit["stderr"],
-            "dt_grid": list(dt_grid)}
+    return {"gamma_hat": fit["exponent"]}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import itertools
 import math
 import operator
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, ScalarField,
                          nearest_image, single_particle)
 from edsim.presets import build_preset
-from edsim.quantum import (WaveState, evolve_trajectory, free_potentials,
-                           gaussian_packet, madelung)
-from edsim.stochastic import (Ensemble, TransitionParams,
+from edsim.quantum import (SafeguardError, WaveState, evolve_trajectory,
+                           free_potentials, gaussian_packet, madelung)
+from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
+                              Ensemble, TransitionParams,
                               bohmian_trajectories, center_of_mass_report,
                               draw_initial_positions, drift_velocity_field,
                               fluctuation_covariance, interpolate_vector,
@@ -297,19 +300,19 @@ def test_timeline_spacing_mismatch_rejected():
                           TransitionParams(0.1, 1e-3, 3.0), 10, seed=0)
 
 
-def _escape_run(n_escaping):
-    """100 walkers under a uniform drift v = 2 to the right of a box [0, 4]:
-    the first `n_escaping` start at 3.95 and cross the wall in the first
-    step, the rest start at 2.0 and stay inside."""
+def _escape_run(n_escaping, walkers=100):
+    """`walkers` walkers under a uniform drift v = 2 to the right of a box
+    [0, 4]: the first `n_escaping` start at 3.95 and cross the wall in the
+    first step, the rest start at 2.0 and stay inside."""
     grid = ConfigGrid((32,), (4.0,), (False,), origin=(0.0,))
     psi = np.exp(2j * grid.axis_coords(0))
     timeline = _stationary_timeline(grid, WaveState(grid, psi), 4, 0.05)
     sys1 = single_particle(eta=0.0)
     params = TransitionParams.from_system(sys1, 0.05)
-    x0 = np.full((100, 1), 2.0)
+    x0 = np.full((walkers, 1), 2.0)
     x0[:n_escaping] = 3.95
     return simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
-                             params, 100, seed=0, initial_positions=x0)
+                             params, walkers, seed=0, initial_positions=x0)
 
 
 def test_escape_abort_threshold():
@@ -455,10 +458,11 @@ IDENTITY_CASES = [("free", 3.0, 1e-3), ("harmonic", 1.0, 0.05),
                   ("vortex_2d", 1.0, 0.05), ("ring_constant_a", 3.0, 1e-3)]
 
 
-def _identity_case(name):
+def _identity_case(name, walkers=400):
     sc = build_preset(name, steps=12)
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
-    x0 = draw_initial_positions(timeline[0], 400, np.random.default_rng(2))
+    x0 = draw_initial_positions(timeline[0], walkers,
+                                np.random.default_rng(2))
     # np.mod rounds -ulp up to the period itself on a ring; on a hard wall
     # this walker starts outside and escapes
     x0[0] = np.nextafter(np.array(sc.grid.origin), -np.inf)
@@ -476,6 +480,64 @@ def test_ensemble_is_bit_identical_to_np_mod_stepper(name, gamma, eta):
                                   x0)
     assert np.array_equal(ens.positions, path)
     assert ens.meta["escaped"] == escaped
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs; the interpreter switches
+    threads every microsecond meanwhile, so that they interleave often."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield started
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("name, gamma, eta", [("free", 3.0, 1e-3),
+                                              ("harmonic", 1.0, 0.05)])
+def test_threaded_noise_is_bit_identical_to_np_mod_stepper(
+        name, gamma, eta, started_threads):
+    """From NOISE_THREAD_WALKERS walkers on, a helper thread draws each
+    step's noise one step ahead; the paths keep the bits of the reference
+    stepper, the escaping walker of `_identity_case` included."""
+    sc, timeline, x0 = _identity_case(name, NOISE_THREAD_WALKERS)
+    system = with_eta(sc.system, eta, gamma_exponent=gamma)
+    params = TransitionParams(sc.dt, eta, gamma)
+    ens = simulate_ensemble(timeline, sc.potentials, system, params,
+                            NOISE_THREAD_WALKERS, seed=7,
+                            initial_positions=x0)
+    assert started_threads
+    path, escaped = _ref_ensemble(timeline, sc.potentials, system, params, 7,
+                                  x0)
+    assert np.array_equal(ens.positions, path)
+    assert ens.meta["escaped"] == escaped
+
+
+@pytest.mark.parametrize("too_many", [False, True])
+def test_noise_helper_thread_is_joined_on_every_exit(too_many,
+                                                     started_threads):
+    """The helper is gone when simulate_ensemble returns, and when more
+    than MAX_ESCAPE_FRACTION of the walkers escape in the first step while
+    it draws the second step's noise."""
+    before = threading.enumerate()
+    n_escaping = int(MAX_ESCAPE_FRACTION * NOISE_THREAD_WALKERS) + too_many
+    if too_many:
+        with pytest.raises(SafeguardError):
+            _escape_run(n_escaping, NOISE_THREAD_WALKERS)
+    else:
+        assert _escape_run(n_escaping,
+                           NOISE_THREAD_WALKERS).meta["escaped"] == n_escaping
+    assert started_threads
+    assert not any(t.is_alive() for t in started_threads)
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("name", [c[0] for c in IDENTITY_CASES])
