@@ -42,9 +42,9 @@ from .stochastic import (Ensemble, TransitionParams, bohmian_trajectories,
 from .geometry import (EPhasePoint, EPhaseTangent, apply_J,
                        commutator_identity_gap, fs_length_squared,
                        geometry_battery, hamiltonian_flow_step,
-                       kernel_expectation, kernel_gradient, killing_residual,
-                       metric, normalization_functional, poisson_bracket,
-                       project_tgf, random_tgf_tangent, symplectic,
+                       kernel_gradient, killing_residual, metric,
+                       normalization_gradient, poisson_bracket, project_tgf,
+                       random_tgf_tangent, symplectic,
                        transition_information_metric)
 from .stats import (compare_density, convergence_order, fit_power_law,
                     histogram_on_grid)

@@ -115,14 +115,11 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    gamma = PROCESS_GAMMA.get(args.process, args.gamma)
+    gamma = (args.gamma if args.gamma is not None
+             else PROCESS_GAMMA.get(args.process))
     if gamma is None:
         print("error: --gamma is required for the fractional process",
               file=sys.stderr)
-        return 2
-    if args.gamma is not None and args.gamma != gamma:
-        print(f"error: --gamma {args.gamma:g} contradicts --process "
-              f"{args.process} (gamma {gamma:g})", file=sys.stderr)
         return 2
     label = process_label(gamma)
     if label != args.process:

@@ -281,10 +281,8 @@ def verify_maximizer(step: GaussianStep, perturbations: int = 50,
     margins = np.empty(perturbations)
     worst_residual = 0.0
     for k in range(perturbations):
-        if k == 0:
-            g = np.zeros(mesh[0].shape)
-        else:
-            g = np.zeros(mesh[0].shape)
+        g = np.zeros(mesh[0].shape)
+        if k > 0:
             for u, mu, sig in zip(mesh, mean, sigma):
                 z = (u - mu) / sig
                 coef = 0.25 * rng.standard_normal(3)

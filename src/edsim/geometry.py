@@ -15,14 +15,18 @@ The structures implemented here, all per outcome i:
 
 G and Omega are compatible through J (G(JV, U) = Omega(V, U), J^2 = -1),
 and (G + i Omega)/2hbar contracted on wave components sqrt(p) e^{i Phi/hbar}
-reproduces the usual complex scalar product.  Functional machinery (Poisson
-brackets, Hamiltonian flow steps, Killing residuals) uses central finite
-differences on the unconstrained (p, Phi) coordinates.
+reproduces the usual complex scalar product.
+
+A phase-space generator f is passed as its gradient callable
+(p, Phi) -> (df/dp, df/dPhi) on the unconstrained coordinates, which may
+also take (R, n) stacks of points.  Poisson brackets and Hamiltonian flows
+read nothing else; the one difference quotient is the Killing residual's
+field derivative, taken along its probe directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,8 +37,6 @@ from .grids import ParticleSystem
 MAX_OUTCOMES = 64
 MAX_PROBES = 10_000
 P_FLOOR = 1e-12
-# central-difference step of `functional_gradient`
-H_FD = 1e-5
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class EPhasePoint:
     probs: np.ndarray
     phases: np.ndarray
     hbar: float = 1.0
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         p = np.ascontiguousarray(np.asarray(self.probs, dtype=float))
@@ -236,45 +237,11 @@ def apply_J(point: EPhasePoint, v: EPhaseTangent) -> EPhaseTangent:
 # functionals, brackets, flows
 # ---------------------------------------------------------------------------
 
-def functional_gradient(f: Callable,
-                        point: EPhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference derivatives of f(p, phi) in each coordinate, with
-    step `H_FD`.
-
-    The step in a probability coordinate shrinks near the simplex boundary
-    so probes never leave the positive orthant.
-    """
-    p, phi = point.probs, point.phases
-    n = p.size
-    df_dp = np.empty(n)
-    df_dphi = np.empty(n)
-    for i in range(n):
-        h = min(H_FD, 0.5 * p[i]) if p[i] < 2 * H_FD else H_FD
-        if h <= 0:
-            raise ValueError("probability too close to zero for derivatives")
-        ep = np.zeros(n)
-        ep[i] = h
-        df_dp[i] = (f(p + ep, phi) - f(p - ep, phi)) / (2 * h)
-        ephi = np.zeros(n)
-        ephi[i] = H_FD
-        df_dphi[i] = (f(p, phi + ephi) - f(p, phi - ephi)) / (2 * H_FD)
-    if not (np.all(np.isfinite(df_dp)) and np.all(np.isfinite(df_dphi))):
-        raise ValueError("functional produced non-finite values")
-    return df_dp, df_dphi
-
-
-def poisson_bracket(f: Callable, g: Callable, point: EPhasePoint,
-                    grad_f: Callable | None = None,
-                    grad_g: Callable | None = None) -> float:
-    """{f, g} = sum(df/dp dg/dphi - df/dphi dg/dp).
-
-    Derivatives come from central differences unless an analytic gradient
-    callable (p, phi) -> (df_dp, df_dphi) is supplied.
-    """
-    fp, fphi = (grad_f(point.probs, point.phases) if grad_f is not None
-                else functional_gradient(f, point))
-    gp, gphi = (grad_g(point.probs, point.phases) if grad_g is not None
-                else functional_gradient(g, point))
+def poisson_bracket(grad_f: Callable, grad_g: Callable,
+                    point: EPhasePoint) -> float:
+    """{f, g} = sum(df/dp dg/dphi - df/dphi dg/dp) from the two gradients."""
+    fp, fphi = grad_f(point.probs, point.phases)
+    gp, gphi = grad_g(point.probs, point.phases)
     return float(np.sum(fp * gphi - fphi * gp))
 
 
@@ -283,24 +250,20 @@ def _canonical_field(df_dp: np.ndarray, df_dphi: np.ndarray) -> EPhaseTangent:
     return EPhaseTangent(np.asarray(df_dphi, float), -np.asarray(df_dp, float))
 
 
-def hamilton_field(f: Callable, point: EPhasePoint,
-                   grad: Callable | None = None) -> EPhaseTangent:
+def hamilton_field(grad: Callable, point: EPhasePoint) -> EPhaseTangent:
     """Canonical flow field of f at one point: dp = df/dphi, dphi = -df/dp."""
-    if grad is not None:
-        return _canonical_field(*grad(point.probs, point.phases))
-    return _canonical_field(*functional_gradient(f, point))
+    return _canonical_field(*grad(point.probs, point.phases))
 
 
-def hamiltonian_flow_step(f: Callable, point: EPhasePoint, dlam: float,
-                          recenter: bool = True) -> EPhasePoint:
+def hamiltonian_flow_step(grad: Callable, point: EPhasePoint,
+                          dlam: float) -> EPhasePoint:
     """One explicit Euler step of the canonical flow generated by f.
 
     Rejects steps that would push a probability negative (with the largest
-    admissible step size in the message).  With `recenter` the returned
-    representative has mean phase zero and the removed constant is kept in
-    meta["gauge_shift"].
+    admissible step size in the message).  The phases are not recentred;
+    `.canonical()` gives the representative with mean phase zero.
     """
-    field_v = hamilton_field(f, point)
+    field_v = hamilton_field(grad, point)
     new_p = point.probs + dlam * field_v.dp
     if np.any(new_p < 0):
         bad = field_v.dp < 0
@@ -310,16 +273,15 @@ def hamiltonian_flow_step(f: Callable, point: EPhasePoint, dlam: float,
             f"use |d_lambda| < {limit:g}")
     if abs(new_p.sum() - 1.0) > 1e-8:
         raise ValueError("flow leaves the simplex: sum(dp) != 0")
-    new_p = new_p / new_p.sum()
-    new_phi = point.phases + dlam * field_v.dphi
-    shift = float(np.sum(new_p * new_phi)) if recenter else 0.0
-    return EPhasePoint(new_p, new_phi - shift, point.hbar,
-                       meta={"gauge_shift": shift})
+    return EPhasePoint(new_p / new_p.sum(),
+                       point.phases + dlam * field_v.dphi, point.hbar)
 
 
-def normalization_functional(p: np.ndarray, phi: np.ndarray) -> float:
-    """The constraint function 1 - sum(p); its flow shifts all phases."""
-    return 1.0 - float(np.sum(p))
+def normalization_gradient(p: np.ndarray,
+                           phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (-1, 0) of the constraint function 1 - sum(p); its flow
+    shifts all phases."""
+    return -np.ones_like(p), np.zeros_like(phi)
 
 
 def _hermitian(kernel: np.ndarray) -> np.ndarray:
@@ -330,17 +292,6 @@ def _hermitian(kernel: np.ndarray) -> np.ndarray:
     if not np.allclose(q, q.conj().T, rtol=0, atol=1e-12 * np.abs(q).max()):
         raise ValueError("kernel must be Hermitian")
     return q
-
-
-def kernel_expectation(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
-    """Expectation value of a Hermitian kernel as a function of (p, phi)."""
-    q = _hermitian(kernel)
-
-    def f(p: np.ndarray, phi: np.ndarray) -> float:
-        psi = np.sqrt(np.clip(p, 0.0, None)) * np.exp(1j * phi / hbar)
-        return float(np.real(np.vdot(psi, q @ psi)))
-
-    return f
 
 
 def kernel_gradient(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
@@ -361,25 +312,23 @@ def kernel_gradient(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
     return g
 
 
-def killing_residual(f: Callable, point: EPhasePoint, n_probes: int = 10,
-                     seed: int = 0, probe_eps: float = 1e-4,
-                     grad: Callable | None = None) -> float:
+def killing_residual(grad: Callable, point: EPhasePoint, n_probes: int = 10,
+                     seed: int = 0, probe_eps: float = 1e-4) -> float:
     """Largest |d/dlambda G(V, U)| along the flow of f over probe pairs.
 
     Uses the Lie-derivative identity L_X G (V, U) = X[G(V, U)]
     + G(D_V X, U) + G(V, D_U X) for constant extensions of V, U; the field
-    derivative D_V X is a central difference of the Hamiltonian field, which
-    comes from `grad` when given (see kernel_gradient; it must take (R, n)
-    stacks of points) and central differences otherwise.  All probes form
-    one stack: `n_probes` random pairs, plus one self-pair per coordinate,
-    concentrated on that outcome, so violations localized on high-weight
-    outcomes are not washed out by averaging.  Generators bilinear in the
-    wave components are isometries and land at the finite-difference
-    floor; nonlinear functionals do not.
+    derivative D_V X is a central difference of the Hamiltonian field along
+    V, with f's gradient `grad` evaluated at all probe points as one (R, n)
+    stack (see kernel_gradient).  The probes are `n_probes` random pairs,
+    plus one self-pair per coordinate, concentrated on that outcome, so
+    violations localized on high-weight outcomes are not washed out by
+    averaging.  Generators bilinear in the wave components are isometries
+    and land at the finite-difference floor; nonlinear functionals do not.
     """
     rng = np.random.default_rng(seed)
     p, hbar, n = point.probs, point.hbar, point.n_outcomes
-    x_field = hamilton_field(f, point, grad=grad)
+    x_field = hamilton_field(grad, point)
     # drawn pair by pair as (slot, dp|dphi, n); regrouped as all v, then all u
     pairs = _unit_tgf(point, rng.standard_normal((n_probes, 2, 2, n))
                       .swapaxes(0, 1).reshape(-1, 2, n))
@@ -395,12 +344,7 @@ def killing_residual(f: Callable, point: EPhasePoint, n_probes: int = 10,
         if np.any(probs < 0):
             raise ValueError("probe point leaves the simplex")
         probs = probs / probs.sum(axis=-1, keepdims=True)
-        phases = point.phases + sign * probe_eps * w.dphi
-        if grad is not None:
-            return grad(probs, phases)
-        rows = np.array([functional_gradient(f, EPhasePoint(pr, ph, hbar))
-                         for pr, ph in zip(probs, phases)]).reshape(-1, 2, n)
-        return rows[:, 0], rows[:, 1]
+        return grad(probs, point.phases + sign * probe_eps * w.dphi)
 
     (plus_p, plus_phi), (minus_p, minus_phi) = gradient_at(1), gradient_at(-1)
     dx = _canonical_field((plus_p - minus_p) / (2 * probe_eps),
@@ -431,10 +375,8 @@ def commutator_identity_gap(u_kernel: np.ndarray, v_kernel: np.ndarray,
     the wave components.
     """
     hbar = point.hbar
-    pb = poisson_bracket(kernel_expectation(u_kernel, hbar),
-                         kernel_expectation(v_kernel, hbar), point,
-                         grad_f=kernel_gradient(u_kernel, hbar),
-                         grad_g=kernel_gradient(v_kernel, hbar))
+    pb = poisson_bracket(kernel_gradient(u_kernel, hbar),
+                         kernel_gradient(v_kernel, hbar), point)
     uu = np.asarray(u_kernel, complex)
     vv = np.asarray(v_kernel, complex)
     psi = point.psi
@@ -489,23 +431,21 @@ def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q = 0.5 * (a + a.conj().T)
         killing_max = max(killing_max,
-                          killing_residual(kernel_expectation(q), point,
+                          killing_residual(kernel_gradient(q), point,
                                            n_probes=probes,
                                            seed=int(rng.integers(2**31)),
-                                           probe_eps=1e-5,
-                                           grad=kernel_gradient(q)))
+                                           probe_eps=1e-5))
         if prev is not None:
             commutator_max = max(commutator_max,
                                  commutator_identity_gap(prev, q, point))
         prev = q
-    counterexample = killing_residual(lambda p_, phi_: float(np.sum(p_**2)),
+    # f = sum(p^2), a functional that is not bilinear in the wave components
+    counterexample = killing_residual(lambda p_, phi_:
+                                      (2.0 * p_, np.zeros_like(p_)),
                                       point, n_probes=probes,
-                                      seed=int(rng.integers(2**31)),
-                                      grad=lambda p_, phi_:
-                                      (2.0 * p_, np.zeros_like(p_)))
+                                      seed=int(rng.integers(2**31)))
 
-    moved = hamiltonian_flow_step(normalization_functional, point, 0.17,
-                                  recenter=False)
+    moved = hamiltonian_flow_step(normalization_gradient, point, 0.17)
     n_flow_ok = (np.allclose(moved.probs, point.probs, atol=1e-12)
                  and np.allclose(moved.phases, point.phases + 0.17,
                                  atol=1e-9))

@@ -392,7 +392,6 @@ class Ensemble:
     positions: np.ndarray
     velocities: np.ndarray | None
     drifts: np.ndarray | None
-    seed: int
     meta: dict = field(default_factory=dict, compare=False)
 
 
@@ -530,8 +529,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
         positions=rec_positions,
         velocities=None if velocities is None else np.array(velocities),
         drifts=None if drifts is None else np.array(drifts),
-        seed=seed,
-        meta={"mode": mode, "escaped": escaped_total, "walkers": n_walkers},
+        meta={"escaped": escaped_total},
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from edsim.cli import build_parser, main
 from edsim.geometry import MAX_PROBES
-from edsim.io import INCOMPLETE_MARKER, load_json
+from edsim.io import INCOMPLETE_MARKER, load_json, verify_run_dir
 from edsim.presets import PRESETS, build_preset
 
 
@@ -224,6 +224,27 @@ def test_ensemble_process_and_gamma_must_agree(tmp_path, capsys, process,
         assert not out.exists()
     else:
         assert load_json(out / "report.json")["process"] == "ES"
+
+
+def test_every_preset_runs_every_scenario_subcommand(tmp_path, capsys):
+    small = ["--walkers", "200", "--calibration", "10"]
+    subcommands = {
+        "evolve": ["evolve"],
+        "ensemble-OU": ["ensemble", "--process", "OU"] + small,
+        "ensemble-ES": ["ensemble", "--process", "ES", "--eta", "0.05"]
+                       + small,
+        "limits": ["limits", "--walkers", "200"],
+    }
+    failed = []
+    for preset in sorted(PRESETS):
+        for name, argv in subcommands.items():
+            out = tmp_path / f"{name}-{preset}"
+            rc = main(argv + ["--preset", preset, "--steps", "4",
+                              "--out", str(out)])
+            check = verify_run_dir(out) if rc == 0 else None
+            if not (check and check["complete"] and not check["mismatches"]):
+                failed.append((preset, name, rc))
+    assert failed == [], capsys.readouterr().err
 
 
 # accepted values of every float option, per subcommand

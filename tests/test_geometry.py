@@ -3,15 +3,13 @@ import pytest
 import scipy.linalg
 
 from edsim.geometry import (EPhasePoint, EPhaseTangent, apply_J,
-                            commutator_identity_gap,
-                            fs_length_squared, functional_gradient,
+                            commutator_identity_gap, fs_length_squared,
                             gauge_invariant_metric, geometry_battery,
                             hamilton_field, hamiltonian_flow_step,
-                            kernel_expectation,
                             kernel_gradient, killing_residual, metric,
-                            normalization_functional, poisson_bracket,
-                            project_tgf, random_tgf_tangent,
-                            symplectic, tgf_residuals, transition_information_metric)
+                            normalization_gradient, poisson_bracket,
+                            project_tgf, random_tgf_tangent, symplectic,
+                            tgf_residuals, transition_information_metric)
 from edsim.grids import particles_on_line, single_particle
 
 
@@ -28,6 +26,27 @@ def rand_hermitian(n, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (a + a.conj().T)
+
+
+def kernel_expectation(q, hbar=1.0):
+    """<psi|Q|psi> as a function of (p, phi), psi = sqrt(p) e^{i phi/hbar}."""
+    def f(p, phi):
+        psi = np.sqrt(p) * np.exp(1j * phi / hbar)
+        return float(np.real(np.vdot(psi, q @ psi)))
+    return f
+
+
+def central_difference_gradient(f, point, h=1e-5):
+    """Central differences of f(p, phi) in each coordinate, with step h."""
+    p, phi = point.probs, point.phases
+    steps = h * np.eye(p.size)
+    return (np.array([f(p + e, phi) - f(p - e, phi) for e in steps]) / (2 * h),
+            np.array([f(p, phi + e) - f(p, phi - e) for e in steps]) / (2 * h))
+
+
+def quadratic_gradient(p, phi):
+    """Gradient of sum(p^2), which is not bilinear in the wave components."""
+    return 2.0 * p, np.zeros_like(p)
 
 
 def test_point_validation_and_canonical_representative():
@@ -134,35 +153,45 @@ def test_complex_structure_closes_on_gauge_fixed_vectors():
 
 def test_poisson_bracket_canonical_pairs():
     pt = rand_point(5, seed=14)
-    f = lambda p, phi: float(p[2])
-    g = lambda p, phi: float(phi[2])
-    assert np.isclose(poisson_bracket(f, g, pt), 1.0, rtol=1e-10)
-    assert poisson_bracket(f, f, pt) == 0.0
-    g_other = lambda p, phi: float(phi[3])
-    assert abs(poisson_bracket(f, g_other, pt)) < 1e-12
+    e, zero = np.eye(6), np.zeros(6)
+    p2 = lambda p, phi: (e[2], zero)
+    phi2 = lambda p, phi: (zero, e[2])
+    phi3 = lambda p, phi: (zero, e[3])
+    assert poisson_bracket(p2, phi2, pt) == 1.0
+    assert poisson_bracket(p2, p2, pt) == 0.0
+    assert poisson_bracket(p2, phi3, pt) == 0.0
+
+
+def test_bracket_is_symplectic_form_of_hamilton_fields():
+    # {f, g} = Omega(X_f, X_g) with X_f = (df/dphi, -df/dp)
+    for seed in range(4):
+        pt = rand_point(9, seed=50 + seed)
+        gf = kernel_gradient(rand_hermitian(10, seed=60 + seed))
+        gg = kernel_gradient(rand_hermitian(10, seed=70 + seed))
+        bracket = poisson_bracket(gf, gg, pt)
+        assert abs(bracket) > 1e-3
+        assert bracket == symplectic(hamilton_field(gf, pt),
+                                     hamilton_field(gg, pt))
 
 
 def test_normalization_generator_commutes_with_kernel_expectations():
     pt = rand_point(6, seed=15)
-    h = kernel_expectation(rand_hermitian(7, seed=16))
-    pb = poisson_bracket(normalization_functional, h, pt)
-    assert abs(pb) < 1e-8
+    h = kernel_gradient(rand_hermitian(7, seed=16))
+    pb = poisson_bracket(normalization_gradient, h, pt)
+    assert abs(pb) < 1e-12
 
 
 def test_flow_of_normalization_constraint_shifts_phases():
     pt = rand_point(5, seed=17)
-    moved = hamiltonian_flow_step(normalization_functional, pt, 0.3,
-                                  recenter=False)
+    moved = hamiltonian_flow_step(normalization_gradient, pt, 0.3)
     assert np.allclose(moved.probs, pt.probs, atol=1e-12)
     assert np.allclose(moved.phases, pt.phases + 0.3, atol=1e-10)
-    canonical = hamiltonian_flow_step(normalization_functional, pt, 0.3)
-    assert np.allclose(canonical.phases, pt.phases, atol=1e-10)
-    assert np.isclose(canonical.meta["gauge_shift"], 0.3, atol=1e-10)
+    assert np.allclose(moved.canonical().phases, pt.phases, atol=1e-10)
 
 
 def test_flow_zero_step_is_identity():
     pt = rand_point(4, seed=18)
-    h = kernel_expectation(rand_hermitian(5, seed=19))
+    h = kernel_gradient(rand_hermitian(5, seed=19))
     same = hamiltonian_flow_step(h, pt, 0.0)
     assert np.allclose(same.probs, pt.probs, atol=1e-14)
     assert np.allclose(same.phases, pt.phases, atol=1e-12)
@@ -170,20 +199,21 @@ def test_flow_zero_step_is_identity():
 
 def test_flow_rejects_steps_leaving_the_simplex():
     pt = EPhasePoint(np.array([0.01, 0.99]), np.zeros(2))
-    f = lambda p, phi: float(-5.0 * phi[0])
+    # f = -5 phi_0
+    grad = lambda p, phi: (np.zeros(2), np.array([-5.0, 0.0]))
     with pytest.raises(ValueError, match="d_lambda"):
-        hamiltonian_flow_step(f, pt, 0.01)
+        hamiltonian_flow_step(grad, pt, 0.01)
     with pytest.raises(ValueError, match="simplex"):
-        hamiltonian_flow_step(f, pt, 1e-3)
+        hamiltonian_flow_step(grad, pt, 1e-3)
 
 
 def test_flow_matches_unitary_evolution_to_second_order():
     pt = rand_point(3, seed=20)
     q = rand_hermitian(4, seed=21)
-    f = kernel_expectation(q)
+    grad = kernel_gradient(q)
     errs = []
     for dlam in (2e-2, 1e-2, 5e-3):
-        euler = hamiltonian_flow_step(f, pt, dlam).canonical()
+        euler = hamiltonian_flow_step(grad, pt, dlam).canonical()
         # exact flow of a Hermitian-kernel expectation: psi -> e^{-iQ dl/h} psi
         u = scipy.linalg.expm(-1j * q * dlam / pt.hbar)
         exact = EPhasePoint.from_psi(u @ pt.psi).canonical()
@@ -195,24 +225,20 @@ def test_flow_matches_unitary_evolution_to_second_order():
 
 def test_killing_residual_separates_isometries():
     pt = rand_point(8, seed=22)
-    hermitian = kernel_expectation(rand_hermitian(9, seed=23))
+    hermitian = kernel_gradient(rand_hermitian(9, seed=23))
     assert killing_residual(hermitian, pt, n_probes=10, seed=1) < 1e-6
-    quadratic = lambda p, phi: float(np.sum(p**2))
-    assert killing_residual(quadratic, pt, n_probes=10, seed=1) > 1e-3
-    # the normalization constraint is a pure gauge shift: residual is exactly
-    # zero with its analytic gradient, and finite-difference noise otherwise
-    n_grad = lambda p, phi: (-np.ones_like(p), np.zeros_like(phi))
-    assert killing_residual(normalization_functional, pt,
-                            n_probes=5, seed=1, grad=n_grad) < 1e-14
-    assert killing_residual(normalization_functional, pt,
-                            n_probes=5, seed=1) < 1e-7
+    assert killing_residual(quadratic_gradient, pt, n_probes=10,
+                            seed=1) > 1e-3
+    # the normalization constraint is a pure gauge shift: residual is zero
+    assert killing_residual(normalization_gradient, pt, n_probes=5,
+                            seed=1) < 1e-14
 
 
 def test_analytic_kernel_gradient_matches_finite_differences():
     pt = rand_point(7, seed=31)
     q = rand_hermitian(8, seed=32)
     gp, gphi = kernel_gradient(q)(pt.probs, pt.phases)
-    fp, fphi = functional_gradient(kernel_expectation(q), pt)
+    fp, fphi = central_difference_gradient(kernel_expectation(q), pt)
     assert np.max(np.abs(gp - fp)) < 1e-5
     assert np.max(np.abs(gphi - fphi)) < 1e-8
 
@@ -223,18 +249,20 @@ def test_directed_probes_catch_concentrated_violations():
     # spread over all outcomes dilute it but directed self-pairs do not
     pt = rand_point(40, seed=33)
     j = int(np.argmax(pt.probs))
-    local = lambda p, phi: float(p[j] ** 2)
+    e_j = np.eye(pt.n_outcomes)[j]
+    # gradient of p_j^2, for one point or an (R, n) stack of them
+    local = lambda p, phi: (2.0 * p[..., j, None] * e_j, np.zeros_like(p))
     g = killing_residual(local, pt, n_probes=10, seed=2)
     assert g > 1e-3
 
 
-def pairwise_killing_residual(f, point, n_probes=10, seed=0, probe_eps=1e-4,
-                              grad=None):
+def pairwise_killing_residual(grad, point, n_probes=10, seed=0,
+                              probe_eps=1e-4):
     """Reference for killing_residual: one probe pair at a time, one point
     per pushed field, in the draw order of the batched version."""
     rng = np.random.default_rng(seed)
     p, hbar = point.probs, point.hbar
-    x_field = hamilton_field(f, point, grad=grad)
+    x_field = hamilton_field(grad, point)
 
     def pushed_field(w):
         pp = p + probe_eps * w.dp
@@ -243,8 +271,8 @@ def pairwise_killing_residual(f, point, n_probes=10, seed=0, probe_eps=1e-4,
                            hbar)
         minus = EPhasePoint(pm / pm.sum(), point.phases - probe_eps * w.dphi,
                             hbar)
-        xp = hamilton_field(f, plus, grad=grad)
-        xm = hamilton_field(f, minus, grad=grad)
+        xp = hamilton_field(grad, plus)
+        xm = hamilton_field(grad, minus)
         return EPhaseTangent((xp.dp - xm.dp) / (2 * probe_eps),
                              (xp.dphi - xm.dphi) / (2 * probe_eps))
 
@@ -281,22 +309,17 @@ def test_batched_killing_residual_matches_pairwise_reference():
     pt = rand_point(24, seed=34)
     for seed in (35, 36, 37):
         q = rand_hermitian(25, seed=seed)
-        args = (kernel_expectation(q), pt)
-        kw = dict(n_probes=20, seed=seed, probe_eps=1e-5,
-                  grad=kernel_gradient(q))
+        args = (kernel_gradient(q), pt)
+        kw = dict(n_probes=20, seed=seed, probe_eps=1e-5)
         # both sit at the finite-difference floor (about 2e-7); BLAS may add
         # up a stacked product in another order than one row at a time
         assert abs(killing_residual(*args, **kw)
                    - pairwise_killing_residual(*args, **kw)) < 1e-9
-    quadratic = lambda p, phi: float(np.sum(p**2))
-    quad_grad = lambda p, phi: (2.0 * p, np.zeros_like(p))
-    for grad in (quad_grad, None):
-        batched = killing_residual(quadratic, pt, n_probes=8, seed=38,
-                                   grad=grad)
-        loop = pairwise_killing_residual(quadratic, pt, n_probes=8, seed=38,
-                                         grad=grad)
-        assert batched > 1e-3
-        assert batched == pytest.approx(loop, rel=1e-12, abs=0)
+    batched = killing_residual(quadratic_gradient, pt, n_probes=8, seed=38)
+    loop = pairwise_killing_residual(quadratic_gradient, pt, n_probes=8,
+                                     seed=38)
+    assert batched > 1e-3
+    assert batched == pytest.approx(loop, rel=1e-12, abs=0)
 
 
 def test_stacked_structures_match_row_by_row():
@@ -323,11 +346,9 @@ def test_killing_probes_may_not_leave_the_simplex():
     p = np.full(9, 1.0 / 8)
     p[4] = 1e-10
     pt = EPhasePoint(p / p.sum(), np.zeros(9))
-    q = rand_hermitian(9, seed=41)
-    for grad in (kernel_gradient(q), None):
-        with pytest.raises(ValueError):
-            killing_residual(kernel_expectation(q), pt, n_probes=3,
-                             grad=grad)
+    with pytest.raises(ValueError):
+        killing_residual(kernel_gradient(rand_hermitian(9, seed=41)), pt,
+                         n_probes=3)
 
 
 def test_bracket_equals_commutator_expectation():
