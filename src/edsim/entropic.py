@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (ConfigGrid, ParticleSystem, ScalarField, VectorField,
-                    density_floor, integrate)
+                    _shift, density_floor, integrate)
 
 KERNEL_TRUNCATION_SIGMAS = 6.0
 # lattice points per axis of the quadrature in `verify_maximizer`
@@ -145,33 +145,17 @@ def chapman_kolmogorov_step(rho: ScalarField, step: GaussianStep) -> tuple[Scala
         w = (h / (np.sqrt(2 * np.pi) * sig)) * np.exp(-0.5 * (u / sig) ** 2)
         weights.append((offs, w))
 
+    # each offset combination scatters rho times its weights; what lands
+    # past a hard wall is zero, and adding a zero changes no bit of `out`
+    # (it starts at +0.0, so no sum in it is -0.0)
     out = np.zeros(grid.shape)
-    src = rho.values
-    offsets_per_axis = [list(range(lo, hi + 1)) for lo, hi in windows]
-    for combo in itertools.product(*[range(len(o)) for o in offsets_per_axis]):
-        contrib = src.copy()
-        for a, j in enumerate(combo):
-            contrib = contrib * weights[a][1][j]
-        shift = tuple(offsets_per_axis[a][j] for a, j in enumerate(combo))
-        dst = [slice(None)] * grid.dim
-        srcsl = [slice(None)] * grid.dim
-        ok = True
-        for a, off in enumerate(shift):
-            if grid.periodic[a]:
-                contrib = np.roll(contrib, off, axis=a)
-                continue
-            n = grid.points[a]
-            if off >= n or off <= -n:
-                ok = False
-                break
-            if off >= 0:
-                dst[a] = slice(off, None)
-                srcsl[a] = slice(None, n - off)
-            else:
-                dst[a] = slice(None, off)
-                srcsl[a] = slice(-off, None)
-        if ok:
-            out[tuple(dst)] += contrib[tuple(srcsl)]
+    for combo in itertools.product(*(zip(offs, w) for offs, w in weights)):
+        contrib = rho.values
+        for _, w in combo:
+            contrib = contrib * w
+        for a, (off, _) in enumerate(combo):
+            contrib = _shift(contrib, a, -off, grid.periodic[a])
+        out += contrib
 
     result = ScalarField(grid, out)
     kernel_norm_gap = max(
@@ -297,16 +281,16 @@ def verify_maximizer(step: GaussianStep, perturbations: int = 50,
             logw -= logw.max()
             p = candidate * np.exp(logw)
             p = p / (p.sum() * du)
-            resid = moments(p) - mean
+            mom = moments(p)
+            resid = mom - mean
             if np.max(np.abs(resid)) < 1e-12 * max(1.0, float(np.max(np.abs(mean))) + sigma.max()):
                 break
             cov = np.empty((grid.dim, grid.dim))
-            mom = moments(p)
             for i, ui in enumerate(mesh):
                 for j, uj in enumerate(mesh):
                     cov[i, j] = np.sum(p * (ui - mom[i]) * (uj - mom[j])) * du
             c = c - np.linalg.solve(cov, resid)
-        worst_residual = max(worst_residual, float(np.max(np.abs(moments(p) - mean))))
+        worst_residual = max(worst_residual, float(np.max(np.abs(resid))))
         margins[k] = s_candidate - entropy(p)
 
     return {

@@ -84,16 +84,6 @@ class EPhasePoint:
     def psi(self) -> np.ndarray:
         return np.sqrt(self.probs) * np.exp(1j * self.phases / self.hbar)
 
-    @classmethod
-    def from_psi(cls, psi: np.ndarray) -> "EPhasePoint":
-        """The point of a wave vector, normalized, with hbar = 1."""
-        psi = np.asarray(psi, dtype=complex)
-        p = np.abs(psi) ** 2
-        total = p.sum()
-        if total <= 0:
-            raise ValueError("psi is identically zero")
-        return cls(p / total, np.angle(psi))
-
 
 @dataclass(frozen=True)
 class EPhaseTangent:

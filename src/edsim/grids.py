@@ -13,6 +13,12 @@ conventions:
   (homogeneous Dirichlet), which makes the discrete sine modes exact
   eigenvectors of the second-difference Laplacian.
 
+Node arrays meet a periodic seam or a hard wall by one rule, written once:
+`_shift` reads a node's neighbour at any offset (rolled across the seam,
+zero past a wall) and `_wall_ends` sets the one-sided first and last node
+on a wall.  Gradients, the quantum potential, the Hamiltonian's hopping and
+the Chapman-Kolmogorov scatter all go through them.
+
 Field values are stored C-contiguous (row-major in axis order) and are frozen
 after construction; every operation returns a new field.
 """
@@ -202,47 +208,47 @@ class VectorField:
 
 
 def _shift(values: np.ndarray, axis: int, offset: int, periodic: bool) -> np.ndarray:
-    """values evaluated at index + offset; zero fill outside a hard wall."""
+    """values at index + offset along `axis`: rolled across a periodic seam,
+    zero past a hard wall, for any offset."""
     if periodic:
         return np.roll(values, -offset, axis=axis)
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if offset > 0:
-        src[axis] = slice(offset, None)
-        dst[axis] = slice(None, -offset)
-    elif offset < 0:
-        src[axis] = slice(None, offset)
-        dst[axis] = slice(-offset, None)
-    out[tuple(dst)] = values[tuple(src)]
+    n = values.shape[axis]
+    k = max(n - abs(offset), 0)   # nodes whose neighbour is inside the walls
+    lead = (slice(None),) * axis
+    dst, src, past = slice(0, k), slice(n - k, n), slice(k, n)
+    if offset < 0:
+        dst, src, past = src, dst, slice(0, n - k)
+    out = np.empty_like(values)
+    out[lead + (dst,)] = values[lead + (src,)]
+    out[lead + (past,)] = 0
     return out
+
+
+def _wall_ends(out: np.ndarray, fwd: np.ndarray, axis: int) -> None:
+    """One-sided ends on a hard wall: the first node of `axis` takes the
+    first entry of the forward bond differences `fwd`, the last node the
+    last entry."""
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = fwd[lead + (0,)]
+    out[lead + (-1,)] = fwd[lead + (-1,)]
 
 
 def gradient(f: ScalarField, axis: int) -> ScalarField:
     """Second-order central difference along one axis.
 
     Periodic axes wrap.  On non-periodic axes the interior is central and the
-    two boundary slabs fall back to one-sided differences.
+    two boundary nodes fall back to one-sided differences.
     """
     grid = f.grid
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for {grid.dim}-d grid")
     h = grid.spacing[axis]
     v = f.values
-    if grid.periodic[axis]:
-        out = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
-    else:
-        out = np.empty_like(v)
-        sl = [slice(None)] * v.ndim
-
-        def ax(s):
-            t = list(sl)
-            t[axis] = s
-            return tuple(t)
-
-        out[ax(slice(1, -1))] = (v[ax(slice(2, None))] - v[ax(slice(None, -2))]) / (2 * h)
-        out[ax(slice(0, 1))] = (v[ax(slice(1, 2))] - v[ax(slice(0, 1))]) / h
-        out[ax(slice(-1, None))] = (v[ax(slice(-1, None))] - v[ax(slice(-2, -1))]) / h
+    per = grid.periodic[axis]
+    out = (_shift(v, axis, +1, per) - _shift(v, axis, -1, per)) / (2 * h)
+    if not per:
+        ends = np.take(v, [1, -1], axis) - np.take(v, [0, -2], axis)
+        _wall_ends(out, ends / h, axis)
     return ScalarField(grid, out)
 
 

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    _shift, density_floor, gradient, nearest_image)
+                    _shift, _wall_ends, density_floor, gradient, nearest_image)
 
 # relative residual and squared-norm change a Crank-Nicolson step may have
 CN_TOL = 1e-9
@@ -194,11 +194,10 @@ def hamiltonian_matrix(pot: Potentials) -> sp.csr_matrix:
         coeff = hbar**2 / (2 * masses[a] * h**2)
         diag += 2 * coeff
         phase = np.exp(-1j * pot.link_theta[a])
-        nb = np.roll(flat, -1, axis=a)
-        # a hard wall cuts the bond from the last node back to the first
-        bonds = slice(None) if grid.periodic[a] else slice(0, grid.points[a] - 1)
-        sel = (slice(None),) * a + (bonds,)
-        src, dst, ph = flat[sel].ravel(), nb[sel].ravel(), phase[sel].ravel()
+        # the neighbour across the bond; -1 past a hard wall: no bond
+        nb = _shift(flat + 1, a, +1, grid.periodic[a]) - 1
+        bonds = nb >= 0
+        src, dst, ph = flat[bonds], nb[bonds], phase[bonds]
         row_parts += [src, dst]
         col_parts += [dst, src]
         val_parts += [-coeff * ph, -coeff * np.conj(ph)]
@@ -363,20 +362,9 @@ def phase_gradient(pair: MadelungPair, axis: int) -> np.ndarray:
     phi = pair.phi.values
     per = grid.periodic[axis]
     fwd = _wrap_branch(_shift(phi, axis, +1, per) - phi, pair.hbar) / h
-    if per:
-        bwd = np.roll(fwd, 1, axis=axis)
-        return 0.5 * (fwd + bwd)
-    out = np.empty_like(phi)
-    sl = [slice(None)] * grid.dim
-
-    def ax(s):
-        t = list(sl)
-        t[axis] = s
-        return tuple(t)
-
-    out[ax(slice(1, -1))] = 0.5 * (fwd[ax(slice(1, -1))] + fwd[ax(slice(0, -2))])
-    out[ax(slice(0, 1))] = fwd[ax(slice(0, 1))]
-    out[ax(slice(-1, None))] = fwd[ax(slice(-2, -1))]
+    out = 0.5 * (fwd + _shift(fwd, axis, -1, per))
+    if not per:
+        _wall_ends(out, np.take(fwd, [0, -2], axis), axis)
     return out
 
 

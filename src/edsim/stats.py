@@ -82,17 +82,14 @@ def compare_density(samples: np.ndarray, rho: ScalarField,
     chi2 = float(np.sum((counts[big] - expected[big]) ** 2 / expected[big]))
     dof = int(big.sum()) - 1
 
-    occupied = int((counts > 0).sum())
     return {
         "tv": tv,
         "tv_band_95": band,
-        "tv_band_median": float(np.median(calib)),
         "kl_smoothed": kl,
         "chi2": chi2,
         "chi2_dof": max(dof, 0),
-        "occupied_cells": occupied,
         "passed": bool(tv <= band),
-        "underpowered": bool(m < 5 * occupied),
+        "underpowered": bool(m < 5 * np.count_nonzero(counts)),
     }
 
 

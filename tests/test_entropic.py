@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from edsim.entropic import (
+    KERNEL_TRUNCATION_SIGMAS,
     GaussianStep,
     MaxEntProblem,
+    _axis_windows,
     bayes_reverse,
     chapman_kolmogorov_step,
     maxent_transition,
@@ -219,3 +222,72 @@ def test_verify_maximizer_gaussian_wins():
     # candidate entropy against the drift-free prior: -mu^2 / (2 sigma^2)
     mu, var = 0.2, 1e-3
     assert report["candidate_entropy"] == pytest.approx(-mu**2 / (2 * var), rel=1e-6)
+
+
+def ck_scatter_reference(rho, step):
+    """The Chapman-Kolmogorov scatter with an `ok` flag and per-axis slice
+    lists: np.roll across a seam, sliced between walls, and an offset
+    combination skipped whole once it lands past a wall."""
+    grid = rho.grid
+    windows = _axis_windows(step)
+    weights = []
+    for a in range(grid.dim):
+        h = grid.spacing[a]
+        sig = step.sigmas[a]
+        mshift = step.mean_shift.values[a]
+        lo, hi = windows[a]
+        offs = np.arange(lo, hi + 1)
+        u = offs.reshape((-1,) + (1,) * grid.dim) * h - mshift[None]
+        w = (h / (np.sqrt(2 * np.pi) * sig)) * np.exp(-0.5 * (u / sig) ** 2)
+        weights.append((offs, w))
+
+    out = np.zeros(grid.shape)
+    src = rho.values
+    offsets_per_axis = [list(range(lo, hi + 1)) for lo, hi in windows]
+    for combo in itertools.product(*[range(len(o)) for o in offsets_per_axis]):
+        contrib = src.copy()
+        for a, j in enumerate(combo):
+            contrib = contrib * weights[a][1][j]
+        shift = tuple(offsets_per_axis[a][j] for a, j in enumerate(combo))
+        dst = [slice(None)] * grid.dim
+        srcsl = [slice(None)] * grid.dim
+        ok = True
+        for a, off in enumerate(shift):
+            if grid.periodic[a]:
+                contrib = np.roll(contrib, off, axis=a)
+                continue
+            n = grid.points[a]
+            if off >= n or off <= -n:
+                ok = False
+                break
+            if off >= 0:
+                dst[a] = slice(off, None)
+                srcsl[a] = slice(None, n - off)
+            else:
+                dst[a] = slice(None, off)
+                srcsl[a] = slice(-off, None)
+        if ok:
+            out[tuple(dst)] += contrib[tuple(srcsl)]
+    return out
+
+
+def test_ck_is_bit_identical_to_sliced_scatter_reference(boundary_grid):
+    grid = boundary_grid
+    rng = np.random.default_rng(grid.size)
+    h = np.array(grid.spacing)
+    # kernels a quarter cell wide and drifts up to 95% of what the
+    # truncation window allows, both ways: offsets land past every wall
+    sig = 0.25 * h
+    room = np.array(grid.extents) - KERNEL_TRUNCATION_SIGMAS * sig
+    frac = rng.uniform(-0.95, 0.95, (grid.dim, grid.size))
+    frac[:, 0], frac[:, -1] = 0.95, -0.95
+    drift = room[:, None] * frac
+    step = GaussianStep(grid, VectorField(grid, drift.reshape(
+        (grid.dim,) + grid.shape)), sig**2, 0.1)
+    raw = rng.random(grid.shape)
+    rho = ScalarField(grid, raw / (raw.sum() * grid.cell_volume))
+    for (lo, hi), n, per in zip(_axis_windows(step), grid.points,
+                                grid.periodic):
+        assert per or hi >= n and lo <= -n
+    got, _ = chapman_kolmogorov_step(rho, step)
+    assert got.values.tobytes() == ck_scatter_reference(rho, step).tobytes()

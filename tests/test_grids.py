@@ -7,6 +7,7 @@ from edsim.grids import (
     ConfigGrid,
     ParticleSystem,
     ScalarField,
+    _shift,
     gradient,
     integrate,
     particles_on_line,
@@ -114,3 +115,58 @@ def test_particles_on_line_axis_map():
     s = particles_on_line((1.0, 3.0), (0.0, 1.0))
     assert s.axis_map == ((0, 0), (1, 0))
     assert s.masses == (1.0, 3.0)
+
+
+def shift_reference(values, axis, offset, periodic):
+    """values at index + offset: np.roll across a seam, an explicit
+    zero-filled copy between walls."""
+    if periodic:
+        return np.roll(values, -offset, axis=axis)
+    out = np.zeros_like(values)
+    n = values.shape[axis]
+    src, dst = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    for i in range(n):
+        if 0 <= i + offset < n:
+            dst[i] = src[i + offset]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5), (3, 2, 4)])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_shift_matches_roll_and_zero_filled_copy(shape, periodic):
+    values = np.random.default_rng(3).normal(size=shape)
+    for axis, n in enumerate(shape):
+        for offset in range(-n - 2, n + 3):
+            got = _shift(values, axis, offset, periodic)
+            assert np.array_equal(
+                got, shift_reference(values, axis, offset, periodic)), \
+                (axis, offset)
+
+
+def gradient_reference(f, axis):
+    """Central differences with one-sided wall ends, in per-slab slices."""
+    grid = f.grid
+    h = grid.spacing[axis]
+    v = f.values
+    if grid.periodic[axis]:
+        return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
+    out = np.empty_like(v)
+    sl = [slice(None)] * v.ndim
+
+    def ax(s):
+        t = list(sl)
+        t[axis] = s
+        return tuple(t)
+
+    out[ax(slice(1, -1))] = (v[ax(slice(2, None))] - v[ax(slice(None, -2))]) / (2 * h)
+    out[ax(slice(0, 1))] = (v[ax(slice(1, 2))] - v[ax(slice(0, 1))]) / h
+    out[ax(slice(-1, None))] = (v[ax(slice(-1, None))] - v[ax(slice(-2, -1))]) / h
+    return out
+
+
+def test_gradient_is_bit_identical_to_slab_reference(boundary_grid):
+    grid = boundary_grid
+    f = ScalarField(grid, np.random.default_rng(5).normal(size=grid.shape))
+    for axis in range(grid.dim):
+        got = gradient(f, axis).values
+        assert got.tobytes() == gradient_reference(f, axis).tobytes(), axis

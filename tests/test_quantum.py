@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from edsim.grids import (ConfigGrid, density_floor, rectangle_loop,
-                         single_particle)
+from edsim.grids import (ConfigGrid, ParticleSystem, density_floor,
+                         rectangle_loop, single_particle)
 from edsim.quantum import (
     CrankNicolson,
     MadelungPair,
@@ -398,3 +399,94 @@ def test_position_moments_periodic_seam():
     d = (mom["mean"][0] + 7.9 + 8.0) % 16.0 - 8.0
     assert abs(d) < 0.05
     assert mom["width"][0] == pytest.approx(0.5, rel=5e-3)
+
+
+def random_pair(grid, hbar, seed):
+    rng = np.random.default_rng(seed)
+    rho = ScalarField(grid, rng.random(grid.shape))
+    # phases spread over several branches, so the bond differences wrap
+    phi = ScalarField(grid, 4 * np.pi * hbar * rng.normal(size=grid.shape))
+    return MadelungPair(grid, rho, phi, hbar)
+
+
+def phase_gradient_reference(pair, axis):
+    """Nearest-branch bond differences averaged onto nodes, one-sided at
+    hard walls, in per-slab slices."""
+    grid = pair.grid
+    h = grid.spacing[axis]
+    phi = pair.phi.values
+    period = 2 * np.pi * pair.hbar
+    if grid.periodic[axis]:
+        dphi = np.roll(phi, -1, axis=axis) - phi
+    else:
+        nxt = np.zeros_like(phi)
+        nxt[(slice(None),) * axis + (slice(None, -1),)] = \
+            phi[(slice(None),) * axis + (slice(1, None),)]
+        dphi = nxt - phi
+    fwd = (dphi - period * np.round(dphi / period)) / h
+    if grid.periodic[axis]:
+        bwd = np.roll(fwd, 1, axis=axis)
+        return 0.5 * (fwd + bwd)
+    out = np.empty_like(phi)
+    sl = [slice(None)] * grid.dim
+
+    def ax(s):
+        t = list(sl)
+        t[axis] = s
+        return tuple(t)
+
+    out[ax(slice(1, -1))] = 0.5 * (fwd[ax(slice(1, -1))] + fwd[ax(slice(0, -2))])
+    out[ax(slice(0, 1))] = fwd[ax(slice(0, 1))]
+    out[ax(slice(-1, None))] = fwd[ax(slice(-2, -1))]
+    return out
+
+
+def hamiltonian_reference(pot):
+    """Hopping with link phases and a bond slice at hard walls, plus the
+    scalar potential on the diagonal."""
+    grid = pot.grid
+    size = grid.size
+    flat = np.arange(size).reshape(grid.shape)
+    hbar = pot.system.hbar
+    masses = pot.system.mass_per_axis
+    diag = np.zeros(size, dtype=complex)
+    row_parts, col_parts, val_parts = [], [], []
+    for a in range(grid.dim):
+        h = grid.spacing[a]
+        coeff = hbar**2 / (2 * masses[a] * h**2)
+        diag += 2 * coeff
+        phase = np.exp(-1j * pot.link_theta[a])
+        nb = np.roll(flat, -1, axis=a)
+        bonds = slice(None) if grid.periodic[a] else slice(0, grid.points[a] - 1)
+        sel = (slice(None),) * a + (bonds,)
+        src, dst, ph = flat[sel].ravel(), nb[sel].ravel(), phase[sel].ravel()
+        row_parts += [src, dst]
+        col_parts += [dst, src]
+        val_parts += [-coeff * ph, -coeff * np.conj(ph)]
+    H = scipy.sparse.coo_matrix(
+        (np.concatenate(val_parts),
+         (np.concatenate(row_parts), np.concatenate(col_parts))),
+        shape=(size, size), dtype=complex).tocsr()
+    H = H + scipy.sparse.diags(diag + pot.scalar_v.ravel())
+    return H.tocsr()
+
+
+def test_phase_gradient_is_bit_identical_to_slab_reference(boundary_grid):
+    grid = boundary_grid
+    pair = random_pair(grid, 0.7, seed=grid.size)
+    for axis in range(grid.dim):
+        got = phase_gradient(pair, axis)
+        assert got.tobytes() == phase_gradient_reference(pair, axis).tobytes()
+
+
+def test_hamiltonian_is_bit_identical_to_bond_slice_reference(boundary_grid):
+    grid = boundary_grid
+    rng = np.random.default_rng(grid.size)
+    system = ParticleSystem(tuple(rng.uniform(0.5, 2.0, grid.dim)),
+                            (0.0,) * grid.dim,
+                            tuple((a, 0) for a in range(grid.dim)), hbar=0.8)
+    pot = Potentials(grid, system, scalar_v=rng.normal(size=grid.shape),
+                     link_theta=rng.normal(size=(grid.dim,) + grid.shape))
+    got, want = hamiltonian_matrix(pot), hamiltonian_reference(pot)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
