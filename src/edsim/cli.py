@@ -36,10 +36,9 @@ from .presets import PRESETS, build_preset
 from .quantum import (SafeguardError, energy, evolve_trajectory,
                       position_moments)
 from .stats import compare_density, histogram_on_grid
-from .stochastic import (TransitionParams, bohmian_trajectories,
-                         center_of_mass_report, draw_initial_positions,
-                         max_deviation_from_deterministic, simulate_ensemble,
-                         with_eta)
+from .stochastic import (TransitionParams, center_of_mass_report,
+                         draw_initial_positions, simulate_ensemble,
+                         vanishing_noise_deviations, with_eta)
 
 # the largest step-kernel mass gap and CK mass drift that entropic-step accepts
 MAX_MASS_DRIFT = 1e-6
@@ -205,16 +204,10 @@ def cmd_limits(args) -> int:
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
     rng = np.random.default_rng(args.seed)
     x0 = draw_initial_positions(timeline[0], args.walkers, rng)
-    base = with_eta(sc.system, 0.0)
-    reference = bohmian_trajectories(timeline, sc.potentials, base, x0)
-    deviations = []
-    for eta in etas:
-        system = with_eta(sc.system, eta, gamma_exponent=1.0)
-        params = TransitionParams.from_system(system, sc.dt)
-        ens = simulate_ensemble(timeline, sc.potentials, system, params,
-                                n_walkers=args.walkers, seed=args.seed,
-                                initial_positions=x0)
-        deviations.append(max_deviation_from_deterministic(ens, reference))
+    deviations = vanishing_noise_deviations(
+        timeline, sc.potentials, with_eta(sc.system, 0.0),
+        [with_eta(sc.system, eta, gamma_exponent=1.0) for eta in etas],
+        sc.dt, args.seed, x0)
     cm = [center_of_mass_report([1.0] * n, eta=1e-2, dt=0.05,
                                 seed=args.seed + n)
           for n in (1, 2, 4, 8)]

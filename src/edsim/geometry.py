@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .grids import ParticleSystem
 
@@ -195,6 +194,8 @@ def fs_length_squared(point: EPhasePoint, v: EPhaseTangent,
         return radial + float(np.sum(2 * p[good] / hbar
                                      * (v.dphi[good] - mean) ** 2))
     if method == "minimize":
+        import scipy.optimize  # its only use: a cold start skips it
+
         def length(alpha):
             return float(np.sum(2 * p[good] / hbar
                                 * (v.dphi[good] + alpha) ** 2))

@@ -34,6 +34,14 @@ table of state k + 1 at step k, pads it into one of two slots and reuses
 its buffers (`_StepPlan`).  The arithmetic of the lookup and of the table
 blend is that of the plain np.mod formulation of the step, so positions,
 drifts and escape counts are byte-identical to it.
+
+A run is a stepper, `_Walk`: its step plan, noise, alive mask and escape
+count.  `simulate_ensemble` and `bohmian_trajectories` drive one;
+`vanishing_noise_deviations` drives the Bohmian reference and one ensemble
+per eta together over one pass of the states.  A state's table is built in
+two parts: rows that do not depend on eta (`_flow_rows`), built once for
+all runs, and a per-run finish (`_finisher`) that adds the osmotic term
+with the run's eta.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -113,8 +121,7 @@ def _check_constants(system: ParticleSystem, params: TransitionParams) -> None:
 # ---------------------------------------------------------------------------
 
 def drift_velocity_field(pair: MadelungPair, pot: Potentials,
-                         system: ParticleSystem,
-                         mode: str = "current") -> VectorField:
+                         system: ParticleSystem, mode: str) -> VectorField:
     """Velocity field steering the walkers.
 
     mode "current": v_A = (grad_A Phi - hbar beta_A A_A) / m_A.
@@ -130,15 +137,27 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials,
                - system.hbar * beta[a] * pot.vector_a_nodes[a])
         comps.append(mom / masses[a])
     if mode == "ES":
-        rho = pair.rho.values
-        floored = np.maximum(rho, density_floor(rho))
-        log_rho = ScalarField(grid, np.log(floored))
-        for a in range(grid.dim):
-            comps[a] = comps[a] + ((system.eta / (2 * masses[a]))
-                                   * gradient(log_rho, a).values)
+        comps = _add_osmotic(comps, _log_density_gradient(pair), system)
     elif mode != "current":
         raise ValueError(f"unknown drift mode {mode!r}")
     return VectorField(grid, np.stack(comps))
+
+
+def _log_density_gradient(pair: MadelungPair) -> list[np.ndarray]:
+    """grad_A log rho per axis, with rho raised to its density floor."""
+    rho = pair.rho.values
+    floored = np.maximum(rho, density_floor(rho))
+    log_rho = ScalarField(pair.grid, np.log(floored))
+    return [gradient(log_rho, a).values for a in range(pair.grid.dim)]
+
+
+def _add_osmotic(comps, dlog: list[np.ndarray],
+                 system: ParticleSystem) -> list[np.ndarray]:
+    """The ES drift from the current velocity `comps` and grad log rho:
+    comps[A] + (eta / 2 m_A) dlog[A], with the system's eta."""
+    masses = system.mass_per_axis
+    return [comps[a] + ((system.eta / (2 * masses[a])) * dlog[a])
+            for a in range(len(dlog))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +347,26 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(pad) * REFINE
 
 
-def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
-                 system: ParticleSystem, mode: str):
-    """The flow table of every state, one at a time."""
+def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
+               system: ParticleSystem, osmotic: bool):
+    """Per state, one at a time, the rows of its flow table that do not
+    depend on eta, as a triple (flux or velocity, osmotic rows, density).
+
+    On a 1-D ring, on the refined lattice: num = rho v of the current
+    velocity, Re(psi* psi') and rho.  Elsewhere: the current velocity per
+    axis (`drift_velocity_field`), grad log rho per axis when `osmotic`
+    (else None) and rho.  `_finisher` turns them into one run's table.
+    """
     grid = timeline[0].grid
     if not (grid.dim == 1 and grid.periodic[0]):
         for state in timeline:
             pair = madelung(state, hbar=system.hbar)
-            v = drift_velocity_field(pair, pot, system, mode=mode)
-            yield np.concatenate([state.rho[None] * v.values, state.rho[None]])
+            v = drift_velocity_field(pair, pot, system, "current")
+            yield (v.values, _log_density_gradient(pair) if osmotic else None,
+                   state.rho)
         return
-    # a 1-D ring: the table on the refined lattice.  The potentials are
-    # static, so (hbar beta / m) A is resampled there once for the timeline
+    # the potentials are static, so (hbar beta / m) A is resampled onto the
+    # refined lattice once for the timeline
     m = system.mass_per_axis[0]
     a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
     a_term = (system.hbar * system.beta_per_axis[0] / m) * a_f
@@ -350,12 +377,42 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
         dpsi_f = _zero_pad_spectrum(spec * ik)
         cross = np.conj(psi_f) * dpsi_f
         rho_f = np.abs(psi_f) ** 2
-        num = (system.hbar / m) * cross.imag - a_term * rho_f
-        if mode == "ES":
-            # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
-            # grad rho = 2 Re(psi* psi') needs no extra transform
-            num = num + (system.eta / m) * cross.real
-        yield np.stack([num, rho_f])
+        yield ((system.hbar / m) * cross.imag - a_term * rho_f, cross.real,
+               rho_f)
+
+
+def _finisher(grid: ConfigGrid, system: ParticleSystem, mode: str):
+    """The function that turns one state's `_flow_rows` into its flow table
+    under `mode`, with the system's eta.  Each call binds its own system,
+    so runs at different eta can share one row stream."""
+    if mode not in ("current", "ES"):
+        raise ValueError(f"unknown drift mode {mode!r}")
+    es = mode == "ES"
+    if grid.dim == 1 and grid.periodic[0]:
+        m = system.mass_per_axis[0]
+
+        def finish(rows):
+            num, cross_real, rho = rows
+            if es:
+                # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
+                # grad rho = 2 Re(psi* psi') needs no extra transform
+                num = num + (system.eta / m) * cross_real
+            return np.stack([num, rho])
+        return finish
+
+    def finish(rows):
+        v, dlog, rho = rows
+        if es:
+            v = np.stack(_add_osmotic(v, dlog, system))
+        return np.concatenate([rho[None] * v, rho[None]])
+    return finish
+
+
+def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
+                 system: ParticleSystem, mode: str):
+    """The flow table of every state under `mode`, one at a time."""
+    finish = _finisher(timeline[0].grid, system, mode)
+    return map(finish, _flow_rows(timeline, pot, system, mode == "ES"))
 
 
 def _ratio_drift(plan: _StepPlan, table: np.ndarray,
@@ -448,6 +505,66 @@ def _noise_stream(rng: np.random.Generator, sig: np.ndarray,
         yield ahead()
 
 
+class _Walk:
+    """One run's walkers stepped along a stream of flow tables.
+
+    Holds the run's `_StepPlan`, its noise (an iterator of per-step arrays),
+    the positions `pos`, the alive mask and the escape count.  A run with
+    noise checks escapes: escaped walkers (hard walls only) are frozen in
+    place and counted, and more than `MAX_ESCAPE_FRACTION` of them aborts
+    with a SafeguardError.  Deterministic paths (noises None) do neither.
+    """
+
+    def __init__(self, grid: ConfigGrid, tables, positions: np.ndarray,
+                 noises):
+        self.plan = _StepPlan(grid, tables, positions.shape[0])
+        self.pos = positions
+        self.new = np.empty_like(positions)
+        self.noises = noises
+        self.alive = np.ones(positions.shape[0], dtype=bool)
+        self.escaped = 0
+
+    def step(self, k: int, dt: float) -> np.ndarray:
+        """Step k, from state k to k + 1: afterwards `pos` holds the new
+        positions and `new` the old ones.  Returns the corrector drift, a
+        view of the plan's buffer."""
+        noise = None if self.noises is None else next(self.noises)
+        v_mid, escaped = self.plan.step(self.pos, k, dt, noise, self.new)
+        alive = self.alive
+        if noise is not None and escaped is not None:
+            newly = escaped & alive
+            if np.any(newly):
+                alive &= ~newly
+                self.escaped += int(newly.sum())
+                if self.escaped > MAX_ESCAPE_FRACTION * alive.size:
+                    raise SafeguardError(
+                        f"{self.escaped} walkers escaped the domain "
+                        f"(> {MAX_ESCAPE_FRACTION:.1%} of {alive.size})")
+        if self.escaped:
+            self.new[~alive] = self.pos[~alive]
+        self.pos, self.new = self.new, self.pos
+        return v_mid
+
+
+def _check_spacing(timeline: Sequence[WaveState], dt: float) -> None:
+    if len(timeline) < 2:
+        raise ValueError("timeline needs at least two states")
+    dts = np.diff([s.time for s in timeline])
+    if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
+        raise ValueError("timeline spacing does not match params.dt")
+
+
+def _drift_mode(system: ParticleSystem) -> str:
+    return "ES" if system.process_label == "ES" else "current"
+
+
+def _noise_rng(seed: int) -> np.random.Generator:
+    """The noise generator of a run at `seed`; the initial draw uses the
+    other child of the same SeedSequence."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed).spawn(2)[1]))
+
+
 def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
                       system: ParticleSystem, params: TransitionParams,
                       n_walkers: int, seed: int,
@@ -458,38 +575,29 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     """March an ensemble along a timeline of wave states.
 
     The state spacing must equal params.dt, and params must carry the
-    system's eta and gamma.  Each step is `_StepPlan.step` with the step's
+    system's eta and gamma.  Each step is `_Walk.step` with the step's
     Philox noise, drawn in step order from the run's one noise generator:
     from NOISE_THREAD_WALKERS walkers on, one step ahead by a helper thread
     that is joined before the call returns or raises (`_noise_stream`).
     Escaped walkers (hard walls only) are frozen in place and counted; more
     than `MAX_ESCAPE_FRACTION` of them aborts with a SafeguardError.
     """
-    if len(timeline) < 2:
-        raise ValueError("timeline needs at least two states")
     _check_constants(system, params)
-    dts = np.diff([s.time for s in timeline])
-    if not np.allclose(dts, params.dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("timeline spacing does not match params.dt")
+    _check_spacing(timeline, params.dt)
     grid = timeline[0].grid
     if mode is None:
-        mode = "ES" if system.process_label == "ES" else "current"
-    plan = _StepPlan(grid, _flow_tables(timeline, pot, system, mode),
-                     n_walkers)
-
-    root = np.random.SeedSequence(seed)
-    init_seq, noise_seq = root.spawn(2)
+        mode = _drift_mode(system)
+    tables = _flow_tables(timeline, pot, system, mode)
     steps = len(timeline) - 1
     if initial_positions is None:
+        init_seq = np.random.SeedSequence(seed).spawn(2)[0]
         init_rng = np.random.Generator(np.random.Philox(init_seq))
         pos = draw_initial_positions(timeline[0], n_walkers, init_rng)
     else:
         pos = np.array(initial_positions, dtype=float)
         if pos.shape != (n_walkers, grid.dim):
             raise ValueError("initial_positions shape mismatch")
-    noise_rng = np.random.Generator(np.random.Philox(noise_seq))
     sig = np.sqrt(system.step_variances(params.dt))
-    new = np.empty_like(pos)
 
     # recorded states: the first, every record_stride-th and the last
     recorded = [0] + [k for k in range(1, steps + 1)
@@ -499,29 +607,16 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     rec_positions[0] = pos
     velocities = [] if record_velocities else None
     drifts = [] if record_velocities else None
-    alive = np.ones(n_walkers, dtype=bool)
-    escaped_total = 0
 
-    with _noise_stream(noise_rng, sig, pos.shape, steps) as noises:
-        for k, noise in enumerate(noises):
-            v_mid, escaped = plan.step(pos, k, params.dt, noise, new)
-            if escaped is not None:
-                newly = escaped & alive
-                if np.any(newly):
-                    alive &= ~newly
-                    escaped_total += int(newly.sum())
-                    if escaped_total > MAX_ESCAPE_FRACTION * n_walkers:
-                        raise SafeguardError(
-                            f"{escaped_total} walkers escaped the domain "
-                            f"(> {MAX_ESCAPE_FRACTION:.1%} of {n_walkers})")
-            if escaped_total:
-                new[~alive] = pos[~alive]
+    with _noise_stream(_noise_rng(seed), sig, pos.shape, steps) as noises:
+        walk = _Walk(grid, tables, pos, noises)
+        for k in range(steps):
+            v_mid = walk.step(k, params.dt)
             if record_velocities:
-                velocities.append((new - pos) / params.dt)
+                velocities.append((walk.pos - walk.new) / params.dt)
                 drifts.append(v_mid.copy())
-            pos, new = new, pos
             if k + 1 in slot:
-                rec_positions[slot[k + 1]] = pos
+                rec_positions[slot[k + 1]] = walk.pos
 
     return Ensemble(
         grid, system, params,
@@ -529,7 +624,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
         positions=rec_positions,
         velocities=None if velocities is None else np.array(velocities),
         drifts=None if drifts is None else np.array(drifts),
-        meta={"escaped": escaped_total},
+        meta={"escaped": walk.escaped},
     )
 
 
@@ -597,23 +692,31 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
                          system: ParticleSystem,
                          initial_positions: np.ndarray) -> np.ndarray:
     """Integrate dx/dt = v(x, t) along the timeline: the sampler's step
-    (`_StepPlan.step`) on the current velocity, with no noise and no
-    escape check, over each spacing of the timeline.
+    (`_Walk.step`) on the current velocity, with no noise and no escape
+    check, over each spacing of the timeline.
 
     Returns positions of shape (len(timeline), K, dim).
     """
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
     pos = np.array(initial_positions, dtype=float)
-    plan = _StepPlan(timeline[0].grid,
-                     _flow_tables(timeline, pot, system, "current"),
-                     pos.shape[0])
+    walk = _Walk(timeline[0].grid,
+                 _flow_tables(timeline, pot, system, "current"), pos, None)
     out = np.empty((len(timeline),) + pos.shape)
     out[0] = pos
     for k in range(len(timeline) - 1):
-        plan.step(out[k], k, timeline[k + 1].time - timeline[k].time, None,
-                  out[k + 1])
+        walk.step(k, timeline[k + 1].time - timeline[k].time)
+        out[k + 1] = walk.pos
     return out
+
+
+def _wrapped_distance(grid: ConfigGrid, dev: np.ndarray) -> np.ndarray:
+    """|dev| over the last axis, each periodic component taken to its
+    nearest image first; periodic components of `dev` are overwritten."""
+    for a in range(grid.dim):
+        if grid.periodic[a]:
+            dev[..., a] = nearest_image(dev[..., a], grid.extents[a])
+    return np.sqrt((dev**2).sum(axis=-1))
 
 
 def max_deviation_from_deterministic(ens: Ensemble,
@@ -622,13 +725,73 @@ def max_deviation_from_deterministic(ens: Ensemble,
     (same shape), averaged over walkers."""
     if ens.positions.shape != reference.shape:
         raise ValueError("ensemble and reference have different shapes")
-    grid = ens.grid
-    dev = ens.positions - reference
-    for a in range(grid.dim):
-        if grid.periodic[a]:
-            dev[..., a] = nearest_image(dev[..., a], grid.extents[a])
-    per_walker = np.max(np.sqrt((dev**2).sum(axis=-1)), axis=0)
+    per_walker = np.max(_wrapped_distance(ens.grid,
+                                          ens.positions - reference), axis=0)
     return float(per_walker.mean())
+
+
+def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
+                               reference: ParticleSystem,
+                               systems: Sequence[ParticleSystem], dt: float,
+                               seed: int,
+                               initial_positions: np.ndarray) -> list[float]:
+    """Per system, how far its ensemble strays from the deterministic paths:
+    bit for bit, `max_deviation_from_deterministic` of
+
+        simulate_ensemble(timeline, pot, system, params(system, dt),
+                          len(initial_positions), seed,
+                          initial_positions=initial_positions)
+
+    against `bohmian_trajectories(timeline, pot, reference,
+    initial_positions)`, with no history stored.
+
+    The systems may differ from `reference` in eta and gamma only.  All
+    runs step together over one pass of the timeline: each state's eta-free
+    rows (`_flow_rows`) are built once and finished per run, each run keeps
+    its own noise stream and escape check, and each run's per-walker
+    maximum distance to the reference is folded in as the runs go.  A
+    SafeguardError is that of the first system, in order, whose run fails.
+    """
+    for system in systems:
+        if with_eta(system, reference.eta,
+                    reference.gamma_exponent) != reference:
+            raise ValueError("systems must differ from the reference in eta "
+                             "and gamma only")
+    _check_spacing(timeline, dt)
+    grid = timeline[0].grid
+    modes = [_drift_mode(system) for system in systems]
+    rows = itertools.tee(_flow_rows(timeline, pot, reference, "ES" in modes),
+                         len(systems) + 1)
+    x0 = np.array(initial_positions, dtype=float)
+    steps = len(timeline) - 1
+    failure = None
+    with ExitStack() as streams:
+        ref = _Walk(grid, map(_finisher(grid, reference, "current"), rows[0]),
+                    x0.copy(), None)
+        runs = []
+        for system, mode, own_rows in zip(systems, modes, rows[1:]):
+            noises = streams.enter_context(_noise_stream(
+                _noise_rng(seed), np.sqrt(system.step_variances(dt)),
+                x0.shape, steps))
+            runs.append(_Walk(grid, map(_finisher(grid, system, mode),
+                                        own_rows), x0.copy(), noises))
+        worst = [_wrapped_distance(grid, run.pos - ref.pos) for run in runs]
+        for k in range(steps):
+            ref.step(k, timeline[k + 1].time - timeline[k].time)
+            for i, run in enumerate(runs):
+                try:
+                    run.step(k, dt)
+                except SafeguardError as exc:
+                    # the runs after this one no longer matter; the ones
+                    # before it finish, and the first failure is raised
+                    failure = exc
+                    del runs[i:]
+                    break
+                dist = _wrapped_distance(grid, run.pos - ref.pos)
+                np.maximum(worst[i], dist, out=worst[i])
+    if failure is not None:
+        raise failure
+    return [float(w.mean()) for w in worst]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+a cold start of the command line imports no module it does not need.
 
 The package's `__init__` is skipped: it imports names to re-export them.
 """
@@ -6,6 +7,9 @@ The package's `__init__` is skipped: it imports names to re-export them.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,15 @@ def test_the_modules_were_found():
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_a_cold_start_leaves_scipy_optimize_out():
+    """Importing the command line does not load scipy.optimize: only the
+    minimized Fubini-Study length uses it, and imports it when it runs."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    probe = "import sys, edsim.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["False"]

@@ -11,19 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edsim import stochastic
 from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, ScalarField,
-                         nearest_image, single_particle)
+                         density_floor, gradient, nearest_image,
+                         single_particle)
 from edsim.presets import build_preset
 from edsim.quantum import (SafeguardError, WaveState, evolve_trajectory,
-                           free_potentials, gaussian_packet, madelung)
+                           free_potentials, gaussian_packet, madelung,
+                           phase_gradient)
 from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
                               Ensemble, TransitionParams,
                               bohmian_trajectories, center_of_mass_report,
                               draw_initial_positions, drift_velocity_field,
                               fluctuation_covariance, interpolate_vector,
                               max_deviation_from_deterministic,
-                              scaling_exponent, simulate_ensemble, with_eta)
-from edsim.stochastic import _flow_tables, _StepPlan
+                              scaling_exponent, simulate_ensemble,
+                              vanishing_noise_deviations, with_eta)
+from edsim.stochastic import _flow_tables, _StepPlan, _zero_pad_spectrum
 
 
 def test_params_labels_and_validation():
@@ -458,8 +462,8 @@ IDENTITY_CASES = [("free", 3.0, 1e-3), ("harmonic", 1.0, 0.05),
                   ("vortex_2d", 1.0, 0.05), ("ring_constant_a", 3.0, 1e-3)]
 
 
-def _identity_case(name, walkers=400):
-    sc = build_preset(name, steps=12)
+def _identity_case(name, walkers=400, **overrides):
+    sc = build_preset(name, steps=12, **overrides)
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
     x0 = draw_initial_positions(timeline[0], walkers,
                                 np.random.default_rng(2))
@@ -571,6 +575,181 @@ def test_noiseless_ensemble_follows_bohmian_paths(name, gamma):
             dev[..., a] = nearest_image(dev[..., a], sc.grid.extents[a])
     assert ens.meta["escaped"] == 0
     assert np.max(np.abs(dev)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the limit study in lockstep: shared flow rows, one pass over the states
+# ---------------------------------------------------------------------------
+
+def _reference_flow_tables(timeline, pot, system, mode):
+    """Every state's flow table built from scratch for one run: the current
+    velocity and, under ES, its osmotic term inline, with no rows shared."""
+    grid = timeline[0].grid
+    masses, beta = system.mass_per_axis, system.beta_per_axis
+    if not (grid.dim == 1 and grid.periodic[0]):
+        for state in timeline:
+            pair = madelung(state, hbar=system.hbar)
+            comps = []
+            for a in range(grid.dim):
+                mom = (phase_gradient(pair, a)
+                       - system.hbar * beta[a] * pot.vector_a_nodes[a])
+                comps.append(mom / masses[a])
+            if mode == "ES":
+                rho = pair.rho.values
+                floored = np.maximum(rho, density_floor(rho))
+                log_rho = ScalarField(grid, np.log(floored))
+                for a in range(grid.dim):
+                    comps[a] = comps[a] + ((system.eta / (2 * masses[a]))
+                                           * gradient(log_rho, a).values)
+            v = np.stack(comps)
+            yield np.concatenate([state.rho[None] * v, state.rho[None]])
+        return
+    m = masses[0]
+    a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
+    a_term = (system.hbar * beta[0] / m) * a_f
+    ik = 2j * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
+    for state in timeline:
+        spec = np.fft.fft(state.psi)
+        psi_f = _zero_pad_spectrum(spec)
+        dpsi_f = _zero_pad_spectrum(spec * ik)
+        cross = np.conj(psi_f) * dpsi_f
+        rho_f = np.abs(psi_f) ** 2
+        num = (system.hbar / m) * cross.imag - a_term * rho_f
+        if mode == "ES":
+            num = num + (system.eta / m) * cross.real
+        yield np.stack([num, rho_f])
+
+
+LOCKSTEP_CASES = [("free", {}), ("ring_constant_a", {}), ("harmonic", {}),
+                  ("vortex_2d", {"points": 32})]
+
+
+@pytest.mark.parametrize("name, overrides", LOCKSTEP_CASES,
+                         ids=[c[0] for c in LOCKSTEP_CASES])
+@pytest.mark.parametrize("mode", ["current", "ES"])
+def test_shared_rows_finish_to_the_per_run_tables(name, overrides, mode):
+    """Rows built once and finished for one eta are, bit for bit, the table
+    that run would have built on its own."""
+    sc, timeline, _ = _identity_case(name, **overrides)
+    system = with_eta(sc.system, 0.05, gamma_exponent=1.0)
+    got = list(_flow_tables(timeline, sc.potentials, system, mode))
+    expect = list(_reference_flow_tables(timeline, sc.potentials, system,
+                                         mode))
+    assert len(got) == len(expect) == len(timeline)
+    for table, ref in zip(got, expect):
+        assert table.shape == ref.shape
+        assert table.tobytes() == ref.tobytes()
+
+
+def _separate_deviations(sc, timeline, base, systems, seed, x0):
+    """The limit study one run after another: the Bohmian reference, then
+    one recorded ensemble per system."""
+    reference = bohmian_trajectories(timeline, sc.potentials, base, x0)
+    out = []
+    for system in systems:
+        ens = simulate_ensemble(timeline, sc.potentials, system,
+                                TransitionParams.from_system(system, sc.dt),
+                                len(x0), seed=seed, initial_positions=x0)
+        out.append(max_deviation_from_deterministic(ens, reference))
+    return out
+
+
+@pytest.mark.parametrize("name, overrides", LOCKSTEP_CASES,
+                         ids=[c[0] for c in LOCKSTEP_CASES])
+@pytest.mark.parametrize("gammas", [(1.0, 1.0, 1.0), (1.0, 3.0, 1.0)],
+                         ids=["ES", "mixed"])
+def test_lockstep_deviations_equal_separate_runs(name, overrides, gammas):
+    """Three distinct eta stepped together give, with ==, the deviations of
+    three separate runs against a separate Bohmian run, so no run reads
+    another run's table or noise.  The walker `_identity_case` puts just
+    outside the box escapes on hard walls and is frozen."""
+    sc, timeline, x0 = _identity_case(name, **overrides)
+    base = with_eta(sc.system, 0.0)
+    systems = [with_eta(sc.system, eta, gamma_exponent=g)
+               for eta, g in zip((0.05, 1e-2, 1e-3), gammas)]
+    got = vanishing_noise_deviations(timeline, sc.potentials, base, systems,
+                                     sc.dt, 7, x0)
+    assert got == _separate_deviations(sc, timeline, base, systems, 7, x0)
+    assert len(set(got)) == 3
+
+
+@pytest.mark.parametrize("name", ["free", "harmonic"])
+def test_lockstep_builds_each_states_rows_once(name, monkeypatch):
+    """One pass over the row stream serves the reference and three ES runs,
+    and each run still holds two padded tables."""
+    sc, timeline, x0 = _identity_case(name)
+    pulled, plans = [], []
+    rows = stochastic._flow_rows
+
+    def counted(*args):
+        for r in rows(*args):
+            pulled.append(r)
+            yield r
+
+    class Plan(_StepPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(stochastic, "_flow_rows", counted)
+    monkeypatch.setattr(stochastic, "_StepPlan", Plan)
+    systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
+               for eta in (1e-2, 1e-3, 1e-4)]
+    vanishing_noise_deviations(timeline, sc.potentials,
+                               with_eta(sc.system, 0.0), systems, sc.dt, 7, x0)
+    assert len(pulled) == len(timeline)
+    assert len(plans) == 4
+    assert all(plan.slots.shape[0] == 2 for plan in plans)
+
+
+def test_lockstep_refuses_systems_that_differ_beyond_the_noise():
+    sc, timeline, x0 = _identity_case("free")
+    heavier = single_particle(mass=2.0, eta=1e-3, gamma_exponent=1.0)
+    with pytest.raises(ValueError, match="eta and gamma only"):
+        vanishing_noise_deviations(timeline, sc.potentials,
+                                   with_eta(sc.system, 0.0), [heavier],
+                                   sc.dt, 7, x0)
+
+
+def _wall_case(steps=8, dt=0.05):
+    """NOISE_THREAD_WALKERS walkers at x = 2.6 under a uniform drift v = 2
+    towards the wall of a box [0, 4]; enough noise pushes them through."""
+    grid = ConfigGrid((32,), (4.0,), (False,), origin=(0.0,))
+    psi = np.exp(2j * grid.axis_coords(0))
+    timeline = _stationary_timeline(grid, WaveState(grid, psi), steps, dt)
+    base = single_particle(eta=0.0)
+    x0 = np.full((NOISE_THREAD_WALKERS, 1), 2.6)
+    return timeline, free_potentials(grid, base), base, x0
+
+
+@pytest.mark.parametrize("etas", [(1e-4, 1.0, 0.05), (1e-4, 0.2, 1.0)],
+                         ids=["one-fails", "two-fail"])
+def test_lockstep_raises_the_first_failure_and_joins_every_stream(
+        etas, started_threads):
+    """A run that lets too many walkers escape partway raises the
+    SafeguardError the separate runs, in order, would raise first (at
+    eta = 1 the escape check trips at step 4 of 8, at eta = 0.2 at step 8),
+    and no noise thread outlives the call."""
+    timeline, pot, base, x0 = _wall_case()
+    systems = [with_eta(base, eta, gamma_exponent=1.0) for eta in etas]
+    first = None
+    for system in systems:
+        try:
+            simulate_ensemble(timeline, pot, system,
+                              TransitionParams.from_system(system, 0.05),
+                              len(x0), seed=3, initial_positions=x0)
+        except SafeguardError as exc:
+            first = str(exc)
+            break
+    assert first is not None
+    before = threading.enumerate()
+    started_threads.clear()
+    with pytest.raises(SafeguardError) as info:
+        vanishing_noise_deviations(timeline, pot, base, systems, 0.05, 3, x0)
+    assert str(info.value) == first
+    assert sum(t.name.startswith("edsim-noise") for t in started_threads) == 3
+    assert not any(t.is_alive() for t in started_threads)
+    assert threading.enumerate() == before
 
 
 @settings(derandomize=True, deadline=None)
