@@ -18,10 +18,10 @@ and (G + i Omega)/2hbar contracted on wave components sqrt(p) e^{i Phi/hbar}
 reproduces the usual complex scalar product.
 
 A phase-space generator f is passed as its gradient callable
-(p, Phi) -> (df/dp, df/dPhi) on the unconstrained coordinates, which may
-also take (R, n) stacks of points.  Poisson brackets and Hamiltonian flows
-read nothing else; the one difference quotient is the Killing residual's
-field derivative, taken along its probe directions.
+(p, Phi) -> (df/dp, df/dPhi) on the unconstrained coordinates.  Poisson
+brackets and Hamiltonian flows read nothing else; the Killing residual
+also takes the derivative of that gradient along a stack of displacements
+(see kernel_hessian), so every derivative here is in closed form.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ def _rows(v: EPhaseTangent, index) -> EPhaseTangent:
 
 
 def tgf_residuals(point: EPhasePoint, v: EPhaseTangent) -> tuple[float, float]:
-    return (float(abs(v.dp.sum())),
-            float(abs(np.sum(point.probs * v.dphi))))
+    return float(abs(v.dp.sum())), float(abs(np.sum(point.probs * v.dphi)))
 
 
 def project_tgf(point: EPhasePoint, v: EPhaseTangent) -> EPhaseTangent:
@@ -290,32 +289,52 @@ def kernel_gradient(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
 
     Chain rule through psi_j = sqrt(p_j) e^{i phi_j/hbar}: with w = Q psi,
     df/dp_j = Re(psi_j* w_j)/p_j and df/dphi_j = (2/hbar) Im(psi_j* w_j).
-    Returned callable maps (p, phi) -> (df_dp, df_dphi), also for (R, n)
-    stacks of points; cross-checked by central differences in the tests.
+    Returned callable maps (p, phi) -> (df_dp, df_dphi).
     """
     q = _hermitian(kernel)
 
     def g(p: np.ndarray, phi: np.ndarray):
         psi = np.sqrt(np.clip(p, 0.0, None)) * np.exp(1j * phi / hbar)
-        prod = psi.conj() * (q @ psi[..., None])[..., 0]
+        prod = psi.conj() * (q @ psi)
         return prod.real / np.clip(p, 1e-300, None), (2.0 / hbar) * prod.imag
 
     return g
 
 
-def killing_residual(grad: Callable, point: EPhasePoint, n_probes: int = 10,
-                     seed: int = 0, probe_eps: float = 1e-4) -> float:
+def kernel_hessian(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
+    """Closed-form derivative of `kernel_gradient` along displacements.
+
+    With dpsi = psi (dp/2p + i dphi/hbar) and dprod = dpsi* w + psi* Q dpsi,
+    (p, phi, dp, dphi) -> (Re dprod/p - Re prod dp/p^2, (2/hbar) Im dprod)
+    at the point (p, phi), for one displacement or a (P, n) stack of them.
+    """
+    q = _hermitian(kernel)
+
+    def h(p: np.ndarray, phi: np.ndarray, dp: np.ndarray, dphi: np.ndarray):
+        psi = np.sqrt(p) * np.exp(1j * phi / hbar)
+        w = q @ psi
+        dpsi = psi * (dp / (2.0 * p) + 1j * dphi / hbar)
+        prod = psi.conj() * w
+        dprod = dpsi.conj() * w + psi.conj() * (dpsi @ q.T)
+        return (dprod.real / p - prod.real * dp / p**2,
+                (2.0 / hbar) * dprod.imag)
+
+    return h
+
+
+def killing_residual(grad: Callable, hess: Callable, point: EPhasePoint,
+                     n_probes: int = 10, seed: int = 0) -> float:
     """Largest |d/dlambda G(V, U)| along the flow of f over probe pairs.
 
     Uses the Lie-derivative identity L_X G (V, U) = X[G(V, U)]
     + G(D_V X, U) + G(V, D_U X) for constant extensions of V, U; the field
-    derivative D_V X is a central difference of the Hamiltonian field along
-    V, with f's gradient `grad` evaluated at all probe points as one (R, n)
-    stack (see kernel_gradient).  The probes are `n_probes` random pairs,
-    plus one self-pair per coordinate, concentrated on that outcome, so
-    violations localized on high-weight outcomes are not washed out by
-    averaging.  Generators bilinear in the wave components are isometries
-    and land at the finite-difference floor; nonlinear functionals do not.
+    derivative D_V X is the canonical field of `hess(p, phi, dp, dphi)`,
+    the derivative of f's gradient (see kernel_hessian), along all probes
+    as one (P, n) stack.  The probes are `n_probes` random pairs, plus one
+    self-pair per coordinate, concentrated on that outcome, so violations
+    localized on high-weight outcomes are not washed out by averaging.
+    Generators bilinear in the wave components are isometries and land at
+    roundoff; nonlinear functionals do not.
     """
     rng = np.random.default_rng(seed)
     p, hbar, n = point.probs, point.hbar, point.n_outcomes
@@ -329,17 +348,7 @@ def killing_residual(grad: Callable, point: EPhasePoint, n_probes: int = 10,
     own = _rows(own.scaled(1.0 / np.sqrt(norm2)), norm2 >= 1e-18)
     w = EPhaseTangent(np.concatenate([pairs.dp, own.dp]),
                       np.concatenate([pairs.dphi, own.dphi]))
-
-    def gradient_at(sign: int) -> tuple[np.ndarray, np.ndarray]:
-        probs = p + sign * probe_eps * w.dp
-        if np.any(probs < 0):
-            raise ValueError("probe point leaves the simplex")
-        probs = probs / probs.sum(axis=-1, keepdims=True)
-        return grad(probs, point.phases + sign * probe_eps * w.dphi)
-
-    (plus_p, plus_phi), (minus_p, minus_phi) = gradient_at(1), gradient_at(-1)
-    dx = _canonical_field((plus_p - minus_p) / (2 * probe_eps),
-                          (plus_phi - minus_phi) / (2 * probe_eps))
+    dx = _canonical_field(*hess(p, point.phases, w.dp, w.dphi))
     # slots (v, u) hold each random pair, then each self-pair twice
     first = np.r_[:n_probes, 2 * n_probes:len(w.dp)]
     v, dxv = _rows(w, first), _rows(dx, first)
@@ -384,16 +393,13 @@ def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
     compatibility identities, and the closed-form vs minimized length;
     `kernels` random Hermitian generators for the Killing and commutator
     identities; plus the nonlinear counterexample and the flow of the
-    normalization constraint.  Tolerances follow the analytic floors of
-    each quantity (1e-10 for exact identities, 1e-6 for finite-difference
-    residuals).
+    normalization constraint.  Tolerances: 1e-10 for exact identities and
+    1e-6 for the Killing and commutator residuals, both in closed form.
     """
     if outcomes > MAX_OUTCOMES:
         raise ValueError(f"at most {MAX_OUTCOMES} outcomes")
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(8.0 * np.ones(outcomes + 1))
-    p = np.maximum(p, 1e-3)
-    p /= p.sum()
     phi = 0.4 * rng.uniform(-1.0, 1.0, outcomes + 1)
     point = EPhasePoint(p, phi).canonical()
 
@@ -414,27 +420,26 @@ def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
                                  - fs_length_squared(point, w,
                                                      method="minimize")))
 
-    killing_max = 0.0
-    commutator_max = 0.0
+    killing_max = commutator_max = 0.0
     n = outcomes + 1
     prev = None
     for _ in range(kernels):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q = 0.5 * (a + a.conj().T)
         killing_max = max(killing_max,
-                          killing_residual(kernel_gradient(q), point,
-                                           n_probes=probes,
-                                           seed=int(rng.integers(2**31)),
-                                           probe_eps=1e-5))
+                          killing_residual(kernel_gradient(q, point.hbar),
+                                           kernel_hessian(q, point.hbar),
+                                           point, n_probes=probes,
+                                           seed=int(rng.integers(2**31))))
         if prev is not None:
             commutator_max = max(commutator_max,
                                  commutator_identity_gap(prev, q, point))
         prev = q
     # f = sum(p^2), a functional that is not bilinear in the wave components
-    counterexample = killing_residual(lambda p_, phi_:
-                                      (2.0 * p_, np.zeros_like(p_)),
-                                      point, n_probes=probes,
-                                      seed=int(rng.integers(2**31)))
+    counterexample = killing_residual(
+        lambda p_, phi_: (2.0 * p_, np.zeros_like(p_)),
+        lambda p_, phi_, dp, dphi: (2.0 * dp, np.zeros_like(dp)),
+        point, n_probes=probes, seed=int(rng.integers(2**31)))
 
     moved = hamiltonian_flow_step(normalization_gradient, point, 0.17)
     n_flow_ok = (np.allclose(moved.probs, point.probs, atol=1e-12)
@@ -465,9 +470,9 @@ def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
 # information metric of the transition kernel
 # ---------------------------------------------------------------------------
 
-# lattice points per axis (65 in 3-d, to bound memory), half-width in step
-# deviations, and relative step of the start-point derivative
-_QUAD_POINTS, _QUAD_SIGMAS, _FD_SCALE = 129, 8.0, 1e-4
+# lattice points per axis (65 in 3-d, to bound memory) and half-width in
+# step deviations
+_QUAD_POINTS, _QUAD_SIGMAS = 129, 8.0
 
 
 def transition_information_metric(system: ParticleSystem, dt: float) -> dict:
@@ -476,11 +481,12 @@ def transition_information_metric(system: ParticleSystem, dt: float) -> dict:
     Integrates gamma_AB = Int dx' P (d_A log P)(d_B log P) on a tensor
     quadrature lattice and compares with the closed form m_AB / (eta dt^g):
     for the g = 3 process this is the mass tensor up to the eta dt^3 factor.
+    log P is quadratic in the start point x, so its derivative at x = 0 is
+    d_A log P = x'_A / sigma_A^2 exactly.
     """
     if system.eta <= 0:
         raise ValueError("eta must be positive for the information metric")
     dim = len(system.axis_map)
-    origin = np.zeros(dim)
     variances = system.step_variances(dt)
     sig = np.sqrt(variances)
 
@@ -491,16 +497,10 @@ def transition_information_metric(system: ParticleSystem, dt: float) -> dict:
     mesh = np.meshgrid(*axes, indexing="ij")
     weights = np.prod([ax[1] - ax[0] for ax in axes])
 
-    def log_p(x_from: np.ndarray) -> np.ndarray:
-        out = 0.0
-        for a in range(dim):
-            out = out - (mesh[a] - x_from[a]) ** 2 / (2 * sig[a] ** 2) \
-                - 0.5 * np.log(2 * np.pi * sig[a] ** 2)
-        return out
-
-    p_kernel = np.exp(log_p(origin))
-    grads = [(log_p(e) - log_p(-e)) / (2 * e[a])
-             for a, e in enumerate(np.diag(_FD_SCALE * sig))]
+    p_kernel = (np.exp(sum(-mesh[a] ** 2 / (2 * variances[a])
+                           for a in range(dim)))
+                / np.sqrt(np.prod(2 * np.pi * variances)))
+    grads = [mesh[a] / variances[a] for a in range(dim)]
     gamma = np.empty((dim, dim))
     for a in range(dim):
         for b in range(a, dim):

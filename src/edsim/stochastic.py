@@ -121,12 +121,11 @@ def _check_constants(system: ParticleSystem, params: TransitionParams) -> None:
 # ---------------------------------------------------------------------------
 
 def drift_velocity_field(pair: MadelungPair, pot: Potentials,
-                         system: ParticleSystem, mode: str) -> VectorField:
-    """Velocity field steering the walkers.
+                         system: ParticleSystem) -> VectorField:
+    """Current velocity v_A = (grad_A Phi - hbar beta_A A_A) / m_A.
 
-    mode "current": v_A = (grad_A Phi - hbar beta_A A_A) / m_A.
-    mode "ES": adds the osmotic term (eta / 2 m_A) grad_A log rho, with the
-    system's eta, which cancels the diffusive flux of the gamma = 1 process.
+    The ES drift adds the osmotic term (eta / 2 m_A) grad_A log rho to it
+    when a run's flow table is finished (`_finisher`).
     """
     grid = pair.grid
     masses = system.mass_per_axis
@@ -136,10 +135,6 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials,
         mom = (phase_gradient(pair, a)
                - system.hbar * beta[a] * pot.vector_a_nodes[a])
         comps.append(mom / masses[a])
-    if mode == "ES":
-        comps = _add_osmotic(comps, _log_density_gradient(pair), system)
-    elif mode != "current":
-        raise ValueError(f"unknown drift mode {mode!r}")
     return VectorField(grid, np.stack(comps))
 
 
@@ -149,15 +144,6 @@ def _log_density_gradient(pair: MadelungPair) -> list[np.ndarray]:
     floored = np.maximum(rho, density_floor(rho))
     log_rho = ScalarField(pair.grid, np.log(floored))
     return [gradient(log_rho, a).values for a in range(pair.grid.dim)]
-
-
-def _add_osmotic(comps, dlog: list[np.ndarray],
-                 system: ParticleSystem) -> list[np.ndarray]:
-    """The ES drift from the current velocity `comps` and grad log rho:
-    comps[A] + (eta / 2 m_A) dlog[A], with the system's eta."""
-    masses = system.mass_per_axis
-    return [comps[a] + ((system.eta / (2 * masses[a])) * dlog[a])
-            for a in range(len(dlog))]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +347,7 @@ def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
     if not (grid.dim == 1 and grid.periodic[0]):
         for state in timeline:
             pair = madelung(state, hbar=system.hbar)
-            v = drift_velocity_field(pair, pot, system, "current")
+            v = drift_velocity_field(pair, pot, system)
             yield (v.values, _log_density_gradient(pair) if osmotic else None,
                    state.rho)
         return
@@ -403,7 +389,11 @@ def _finisher(grid: ConfigGrid, system: ParticleSystem, mode: str):
     def finish(rows):
         v, dlog, rho = rows
         if es:
-            v = np.stack(_add_osmotic(v, dlog, system))
+            # the osmotic term (eta / 2 m_A) grad_A log rho cancels the
+            # diffusive flux of the gamma = 1 process
+            masses = system.mass_per_axis
+            v = np.stack([v[a] + ((system.eta / (2 * masses[a])) * dlog[a])
+                          for a in range(len(dlog))])
         return np.concatenate([rho[None] * v, rho[None]])
     return finish
 

@@ -2,12 +2,13 @@
 
 A public function, class, method or property that only unit tests name is
 API the contract does not use; it belongs in the tests that need it.  The
-real callers are the package itself (its `__init__.py` re-exports do not
-count), the benchmark in `perfbench/`, the scripts in `tools/` and the
-acceptance suite.  A name counts as reached when one of them names it,
-as an identifier or an attribute, outside its own definition.  Names are
-matched bare, so a same-named use elsewhere also counts: the check can
-miss an unreached name but never flags a reached one.
+real callers are the package's modules, the benchmark in `perfbench/`,
+the scripts in `tools/` and the acceptance suite.  A name counts as
+reached when one of them names it, as an identifier or an attribute,
+outside its own definition.  Names are matched bare, so a same-named use
+elsewhere also counts: the check can miss an unreached name but never
+flags a reached one.  The package itself binds only `__version__`: every
+name is imported from the module that defines it.
 """
 
 from __future__ import annotations
@@ -79,3 +80,12 @@ def test_the_census_finds_definitions_and_uses():
 
 def test_every_public_name_is_reached_by_a_real_caller():
     assert _unreached() == []
+
+
+def test_the_package_binds_only_its_version():
+    """`__init__.py` is its docstring and one assignment of `__version__`:
+    no import, definition or other statement."""
+    docstring, *rest = _parse(PACKAGE / "__init__.py").body
+    assert isinstance(docstring, ast.Expr)
+    assert [ast.unparse(n).partition(" = ")[0] for n in rest] \
+        == ["__version__"]

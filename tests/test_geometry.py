@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from edsim import geometry
 from edsim.geometry import (EPhasePoint, EPhaseTangent, apply_J,
                             commutator_identity_gap, fs_length_squared,
                             gauge_invariant_metric, geometry_battery,
                             hamilton_field, hamiltonian_flow_step,
-                            kernel_gradient, killing_residual, metric,
+                            kernel_gradient, kernel_hessian,
+                            killing_residual, metric,
                             normalization_gradient, poisson_bracket,
                             project_tgf, random_tgf_tangent, symplectic,
                             tgf_residuals, transition_information_metric)
@@ -47,6 +49,17 @@ def central_difference_gradient(f, point, h=1e-5):
 def quadratic_gradient(p, phi):
     """Gradient of sum(p^2), which is not bilinear in the wave components."""
     return 2.0 * p, np.zeros_like(p)
+
+
+def quadratic_hessian(p, phi, dp, dphi):
+    """Derivative of quadratic_gradient along (dp, dphi)."""
+    return 2.0 * dp, np.zeros_like(dp)
+
+
+def kernel_pair(q, hbar=1.0):
+    """Gradient and gradient derivative of <psi|Q|psi>, as killing_residual
+    takes them."""
+    return kernel_gradient(q, hbar), kernel_hessian(q, hbar)
 
 
 def test_point_validation_and_canonical_representative():
@@ -228,13 +241,15 @@ def test_flow_matches_unitary_evolution_to_second_order():
 
 def test_killing_residual_separates_isometries():
     pt = rand_point(8, seed=22)
-    hermitian = kernel_gradient(rand_hermitian(9, seed=23))
-    assert killing_residual(hermitian, pt, n_probes=10, seed=1) < 1e-6
-    assert killing_residual(quadratic_gradient, pt, n_probes=10,
-                            seed=1) > 1e-3
+    hermitian = kernel_pair(rand_hermitian(9, seed=23))
+    assert killing_residual(*hermitian, pt, n_probes=10, seed=1) < 1e-13
+    assert killing_residual(quadratic_gradient, quadratic_hessian, pt,
+                            n_probes=10, seed=1) > 1e-3
     # the normalization constraint is a pure gauge shift: residual is zero
-    assert killing_residual(normalization_gradient, pt, n_probes=5,
-                            seed=1) < 1e-14
+    constant = lambda p, phi, dp, dphi: (np.zeros_like(dp),
+                                         np.zeros_like(dp))
+    assert killing_residual(normalization_gradient, constant, pt,
+                            n_probes=5, seed=1) < 1e-14
 
 
 def test_analytic_kernel_gradient_matches_finite_differences():
@@ -246,6 +261,32 @@ def test_analytic_kernel_gradient_matches_finite_differences():
     assert np.max(np.abs(gphi - fphi)) < 1e-8
 
 
+def test_kernel_hessian_matches_central_differences_of_the_gradient():
+    # the gap to a central difference falls as eps^2, down to roundoff
+    pt = rand_point(11, seed=42, hbar=0.7)
+    q = rand_hermitian(12, seed=43)
+    grad, hess = kernel_pair(q, pt.hbar)
+    rng = np.random.default_rng(44)
+    w = project_tgf(pt, EPhaseTangent(rng.standard_normal((5, 12)),
+                                      rng.standard_normal((5, 12))))
+    exact = np.concatenate(hess(pt.probs, pt.phases, w.dp, w.dphi), axis=-1)
+    gaps = []
+    for eps in (1e-4, 1e-5, 1e-6):
+        diffs = []
+        for dp, dphi in zip(w.dp, w.dphi):
+            plus = grad(pt.probs + eps * dp, pt.phases + eps * dphi)
+            minus = grad(pt.probs - eps * dp, pt.phases - eps * dphi)
+            diffs.append(np.concatenate([(a - b) / (2 * eps)
+                                         for a, b in zip(plus, minus)]))
+        gaps.append(np.max(np.abs(np.array(diffs) - exact))
+                    / np.max(np.abs(exact)))
+    assert gaps[0] < 1e-5
+    assert gaps[1] < gaps[0] / 50 and gaps[2] < gaps[1] / 50
+    # one displacement alone gives the row of the stack
+    alone = hess(pt.probs, pt.phases, w.dp[2], w.dphi[2])
+    assert np.allclose(np.concatenate(alone), exact[2], rtol=0, atol=1e-13)
+
+
 def test_directed_probes_catch_concentrated_violations():
     # a functional quadratic in a single high-weight outcome produces a
     # Lie derivative supported on that coordinate alone; random probes
@@ -253,16 +294,19 @@ def test_directed_probes_catch_concentrated_violations():
     pt = rand_point(40, seed=33)
     j = int(np.argmax(pt.probs))
     e_j = np.eye(pt.n_outcomes)[j]
-    # gradient of p_j^2, for one point or an (R, n) stack of them
-    local = lambda p, phi: (2.0 * p[..., j, None] * e_j, np.zeros_like(p))
-    g = killing_residual(local, pt, n_probes=10, seed=2)
+    # gradient of p_j^2 and its derivative along a stack of displacements
+    local = lambda p, phi: (2.0 * p[j] * e_j, np.zeros_like(p))
+    local_hess = lambda p, phi, dp, dphi: (2.0 * dp[..., j, None] * e_j,
+                                           np.zeros_like(dp))
+    g = killing_residual(local, local_hess, pt, n_probes=10, seed=2)
     assert g > 1e-3
 
 
 def pairwise_killing_residual(grad, point, n_probes=10, seed=0,
                               probe_eps=1e-4):
-    """Reference for killing_residual: one probe pair at a time, one point
-    per pushed field, in the draw order of the batched version."""
+    """Finite-difference reference for killing_residual: one probe pair at a
+    time, the field derivative a central difference of the Hamiltonian
+    field at two pushed points, in the draw order of the closed form."""
     rng = np.random.default_rng(seed)
     p, hbar = point.probs, point.hbar
     x_field = hamilton_field(grad, point)
@@ -312,17 +356,22 @@ def test_batched_killing_residual_matches_pairwise_reference():
     pt = rand_point(24, seed=34)
     for seed in (35, 36, 37):
         q = rand_hermitian(25, seed=seed)
-        args = (kernel_gradient(q), pt)
-        kw = dict(n_probes=20, seed=seed, probe_eps=1e-5)
-        # both sit at the finite-difference floor (about 2e-7); BLAS may add
-        # up a stacked product in another order than one row at a time
-        assert abs(killing_residual(*args, **kw)
-                   - pairwise_killing_residual(*args, **kw)) < 1e-9
-    batched = killing_residual(quadratic_gradient, pt, n_probes=8, seed=38)
+        closed = killing_residual(*kernel_pair(q), pt, n_probes=20,
+                                  seed=seed)
+        # the difference quotient sits at its floor, about 2e-7; the
+        # closed form at roundoff
+        reference = pairwise_killing_residual(kernel_gradient(q), pt,
+                                              n_probes=20, seed=seed,
+                                              probe_eps=1e-5)
+        assert closed < 1e-13
+        assert 1e-12 < reference < 1e-6
+    # a gradient linear in p has an exact difference quotient
+    batched = killing_residual(quadratic_gradient, quadratic_hessian, pt,
+                               n_probes=8, seed=38)
     loop = pairwise_killing_residual(quadratic_gradient, pt, n_probes=8,
                                      seed=38)
     assert batched > 1e-3
-    assert batched == pytest.approx(loop, rel=1e-12, abs=0)
+    assert batched == pytest.approx(loop, rel=1e-10, abs=0)
 
 
 def test_stacked_structures_match_row_by_row():
@@ -343,15 +392,25 @@ def test_stacked_structures_match_row_by_row():
         assert np.array_equal(projected.dphi[i], alone.dphi)
 
 
-def test_killing_probes_may_not_leave_the_simplex():
-    # probe_eps times a unit probe (about sqrt(p) per outcome) pushes an
-    # outcome at 1e-10 below zero
-    p = np.full(9, 1.0 / 8)
-    p[4] = 1e-10
-    pt = EPhasePoint(p / p.sum(), np.zeros(9))
-    with pytest.raises(ValueError):
-        killing_residual(kernel_gradient(rand_hermitian(9, seed=41)), pt,
-                         n_probes=3)
+def test_killing_residual_of_unitary_flows_is_roundoff_at_a_skewed_point():
+    # a Dirichlet(1) point puts some outcomes near 1e-4, where a difference
+    # quotient of the field lost digits
+    rng = np.random.default_rng(45)
+    pt = EPhasePoint(rng.dirichlet(np.ones(65)),
+                     0.4 * rng.uniform(-1, 1, 65)).canonical()
+    assert pt.probs.min() < 1e-3
+    for seed in (46, 47):
+        res = killing_residual(*kernel_pair(rand_hermitian(65, seed=seed)),
+                               pt, n_probes=50, seed=seed)
+        assert res <= 1e-12
+
+
+def test_battery_passes_beyond_the_outcome_cap(monkeypatch):
+    # the cap bounds the command line, not the accuracy of the residual
+    monkeypatch.setattr(geometry, "MAX_OUTCOMES", 256)
+    rep = geometry_battery(outcomes=256, probes=10, kernels=3, seed=0)
+    assert rep["killing_hermitian_max"] < 1e-12
+    assert rep["all_passed"]
 
 
 def test_bracket_equals_commutator_expectation():

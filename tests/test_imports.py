@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, and
 a cold start of the command line imports no module it does not need.
 
-The package's `__init__` is skipped: it imports names to re-export them.
+The package's `__init__` is skipped: it imports nothing (see
+`test_api_reach.py`).
 """
 
 from __future__ import annotations
