@@ -221,8 +221,8 @@ def _quad_lattice(mean: np.ndarray, sigma: np.ndarray, points: int) -> list[np.n
     return axes
 
 
-def verify_maximizer(step: GaussianStep, perturbations: int = 50,
-                     seed: int = 0) -> dict:
+def verify_maximizer(step: GaussianStep, perturbations: int,
+                     seed: int) -> dict:
     """Check the Gaussian kernel against tilted competitors, at the centre
     node of the grid.
 

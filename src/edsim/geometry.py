@@ -284,7 +284,7 @@ def _hermitian(kernel: np.ndarray) -> np.ndarray:
     return q
 
 
-def kernel_gradient(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
+def kernel_gradient(kernel: np.ndarray, hbar: float) -> Callable:
     """Analytic gradient of a Hermitian-kernel expectation.
 
     Chain rule through psi_j = sqrt(p_j) e^{i phi_j/hbar}: with w = Q psi,
@@ -301,7 +301,7 @@ def kernel_gradient(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
     return g
 
 
-def kernel_hessian(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
+def kernel_hessian(kernel: np.ndarray, hbar: float) -> Callable:
     """Closed-form derivative of `kernel_gradient` along displacements.
 
     With dpsi = psi (dp/2p + i dphi/hbar) and dprod = dpsi* w + psi* Q dpsi,
@@ -323,7 +323,7 @@ def kernel_hessian(kernel: np.ndarray, hbar: float = 1.0) -> Callable:
 
 
 def killing_residual(grad: Callable, hess: Callable, point: EPhasePoint,
-                     n_probes: int = 10, seed: int = 0) -> float:
+                     n_probes: int, seed: int) -> float:
     """Largest |d/dlambda G(V, U)| along the flow of f over probe pairs.
 
     Uses the Lie-derivative identity L_X G (V, U) = X[G(V, U)]
@@ -384,8 +384,8 @@ def commutator_identity_gap(u_kernel: np.ndarray, v_kernel: np.ndarray,
     return float(abs(pb - comm.real) + abs(comm.imag))
 
 
-def geometry_battery(outcomes: int = 64, probes: int = 100, kernels: int = 20,
-                     seed: int = 0) -> dict:
+def geometry_battery(outcomes: int, probes: int, kernels: int,
+                     seed: int) -> dict:
     """Identity checks of the phase-space structures at a random point
     (hbar = 1).
 

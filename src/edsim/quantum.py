@@ -342,7 +342,7 @@ class MadelungPair:
     hbar: float
 
 
-def madelung(state: WaveState, hbar: float = 1.0) -> MadelungPair:
+def madelung(state: WaveState, hbar: float) -> MadelungPair:
     phi = hbar * np.angle(state.psi)
     return MadelungPair(state.grid, ScalarField(state.grid, state.rho),
                         ScalarField(state.grid, phi), hbar)

@@ -43,7 +43,7 @@ def histogram_on_grid(grid, samples: np.ndarray) -> np.ndarray:
 
 
 def compare_density(samples: np.ndarray, rho: ScalarField,
-                    n_calibration: int = 200, seed: int = 0) -> dict:
+                    n_calibration: int, seed: int) -> dict:
     """Total-variation comparison of walker positions against a density.
 
     Returns the observed TV distance, the 95th percentile of the TV under

@@ -1,6 +1,6 @@
 """Trajectory sampling for the sub-quantum processes.
 
-There is one step rule, `_StepPlan.step`: a predictor half-step on the drift
+There is one step rule, `_Walk.step`: a predictor half-step on the drift
 of the departure state, the corrector drift on the average of the departure
 and arrival states, and a move by that drift plus, for an ensemble, a
 Gaussian fluctuation with the per-axis variance of
@@ -29,14 +29,14 @@ own.  Both ways draw the same bits.
 
 Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
 subtract of the period, with an np.mod fallback for values more than one
-period outside the box.  Each run streams its flow tables: it builds the
-table of state k + 1 at step k, pads it into one of two slots and reuses
-its buffers (`_StepPlan`).  The arithmetic of the lookup and of the table
+period outside the box.  The arithmetic of the lookup and of the table
 blend is that of the plain np.mod formulation of the step, so positions,
 drifts and escape counts are byte-identical to it.
 
-A run is a stepper, `_Walk`: its step plan, noise, alive mask and escape
-count.  `simulate_ensemble` and `bohmian_trajectories` drive one;
+A run is one object, `_Walk`: its flow-table stream, streamed through two
+padded slots (it builds the table of state k + 1 at step k), its lookup
+and step buffers, allocated once, its positions, noise, alive mask and
+escape count.  `simulate_ensemble` and `bohmian_trajectories` drive one;
 `vanishing_noise_deviations` drives the Bohmian reference and one ensemble
 per eta together over one pass of the states.  A state's table is built in
 two parts: rows that do not depend on eta (`_flow_rows`), built once for
@@ -150,99 +150,6 @@ def _log_density_gradient(pair: MadelungPair) -> list[np.ndarray]:
 # lattice lookup
 # ---------------------------------------------------------------------------
 
-class _StepPlan:
-    """The two padded flat tables a walker step reads, and every temporary
-    of a lookup and of a step in buffers allocated once for m walkers.
-
-    `tables` streams the run's node tables: the first is read on
-    construction and table k + 1 at step k.  `slots` holds the last two
-    read as (2, k, padded nodes); `nodes` and `strides` describe the
-    unpadded node counts and the padded flat layout per axis.  Results read
-    from the buffers (lookups, drifts) are valid until the next call that
-    writes the same buffer.
-    """
-
-    def __init__(self, grid: ConfigGrid, tables, n_walkers: int):
-        self.tables = iter(tables)
-        first = next(self.tables)
-        self.grid = grid
-        self.nodes = first.shape[1:]
-        shape = tuple(n + 2 if per else n
-                      for n, per in zip(self.nodes, grid.periodic))
-        self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
-        self.padded = np.empty((2, first.shape[0]) + shape)
-        self.slots = self.padded.reshape(2, first.shape[0], -1)
-        self.loaded = 0
-        self.load(first)
-        k, m, dim = first.shape[0], n_walkers, grid.dim
-        # per axis: upper and lower node weight, lower node index
-        self.upper = np.empty((dim, m))
-        self.lower = np.empty((dim, m))
-        self.lo = np.empty((dim, m), dtype=np.intp)
-        # the weight of one corner of a multi-axis cell
-        self.weight = np.empty(m)
-        self.acc = np.empty((k, m))
-        self.tmp = np.empty((k, m))
-        # the blend of two adjacent tables and its scratch
-        self.mid = np.empty_like(self.slots)
-        self.half = np.empty((m, dim))
-
-    def load(self, table: np.ndarray) -> None:
-        """Copy `table` into the slot of the older of the two and repeat
-        nodes 0 and 1 of each periodic axis after its node n - 1, so the two
-        nodes of a cell are i0 and i0 + 1 with no integer mod and every
-        corner of a cell is a fixed offset from its lowest corner."""
-        out = self.padded[self.loaded % 2]
-        out[tuple(slice(0, n) for n in table.shape)] = table
-        for a, periodic in enumerate(self.grid.periodic):
-            if periodic:
-                n = table.shape[a + 1]
-                axes = (slice(None),) * (a + 1)
-                out[axes + (slice(n, n + 2),)] = out[axes + (slice(0, 2),)]
-        self.loaded += 1
-
-    def step(self, positions: np.ndarray, k: int, dt: float,
-             noise: np.ndarray | None, out: np.ndarray):
-        """One midpoint step of length dt from table k to table k + 1.
-
-        Steps run in order k = 0, 1, ..., and step k first loads table
-        k + 1.  A predictor half-step on table k, the corrector drift v on
-        the average of tables k and k + 1, then out = positions + v dt
-        (+ noise), wrapped on periodic axes.  Returns v (a view of `acc`)
-        and the mask of walkers on or beyond a hard wall, or None when none
-        is.
-        """
-        self.load(next(self.tables))
-        grid, half = self.grid, self.half
-        now, after = self.slots[k % 2], self.slots[(k + 1) % 2]
-        v0 = _ratio_drift(self, now, positions)
-        np.multiply(v0, 0.5 * dt, out=half)
-        np.add(positions, half, out=half)
-        grid.wrap(half, out=half)
-        mid, scratch = self.mid
-        np.multiply(now, 0.5, out=mid)
-        np.multiply(after, 0.5, out=scratch)
-        np.add(mid, scratch, out=mid)
-        v = _ratio_drift(self, mid, half)
-        np.multiply(v, dt, out=out)
-        np.add(positions, out, out=out)
-        if noise is not None:
-            np.add(out, noise, out=out)
-        grid.wrap(out, out=out)
-        escaped = None
-        for a in range(grid.dim):
-            if grid.periodic[a]:
-                continue
-            lo = grid.origin[a]
-            hi = grid.origin[a] + grid.extents[a]
-            col = out[:, a]
-            if col.min(initial=hi) > lo and col.max(initial=lo) < hi:
-                continue  # no walker at this axis' walls: skip the masks
-            hit = (col <= lo) | (col >= hi)
-            escaped = hit if escaped is None else escaped | hit
-        return v, escaped
-
-
 def _cell(grid: ConfigGrid, axis: int, n: int, x: np.ndarray,
           upper: np.ndarray, lower: np.ndarray, lo: np.ndarray) -> None:
     """Fill, for each coordinate on an n-node lattice along `axis`, the
@@ -267,42 +174,38 @@ def _cell(grid: ConfigGrid, axis: int, n: int, x: np.ndarray,
     np.subtract(1.0, upper, out=lower)
 
 
-def interpolate_vector(grid: ConfigGrid, values: np.ndarray,
-                       positions: np.ndarray,
-                       plan: _StepPlan | None = None) -> np.ndarray:
+def interpolate_vector(walk: _Walk, values: np.ndarray,
+                       positions: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of stacked node tables at walker positions.
 
-    `values` has shape (k, n_0, ..., n_{dim-1}): k component tables on a
-    lattice over the grid's box, laid out by the grid's conventions with
-    n_a nodes per axis (n_a may differ from grid.points, e.g. for a refined
-    table).  Returns shape (m, k).  Periodic axes wrap; non-periodic axes
-    clamp to the node range (constant extrapolation past the outermost
-    nodes).  Inside a run, `values` is one of `plan.slots` (or their blend)
-    and the result is a view of `plan.acc`.
+    `values` has shape (k, padded nodes): one of `walk.slots` or their blend,
+    k component tables on a lattice over the grid's box, laid out by the
+    grid's conventions with `walk.nodes` nodes per axis (which may differ
+    from grid.points, e.g. for a refined table).  Returns shape (m, k), a
+    view of `walk.acc`.  Periodic axes wrap; non-periodic axes clamp to the
+    node range (constant extrapolation past the outermost nodes).
     """
-    if plan is None:
-        plan = _StepPlan(grid, [values], positions.shape[0])
-        values = plan.slots[0]
+    grid = walk.grid
     # flat index of each walker's lowest cell corner; the corner with the
     # upper node on the axes `up` sits sum(strides[up]) further on
-    base = plan.lo[0]
-    for a, n in enumerate(plan.nodes):
-        lo = plan.lo[a]
-        _cell(grid, a, n, positions[:, a], plan.upper[a], plan.lower[a], lo)
-        if plan.strides[a] > 1:
-            lo *= plan.strides[a]
+    base = walk.lo[0]
+    for a, n in enumerate(walk.nodes):
+        lo = walk.lo[a]
+        _cell(grid, a, n, positions[:, a], walk.upper[a], walk.lower[a], lo)
+        if walk.strides[a] > 1:
+            lo *= walk.strides[a]
         if a:
             base += lo
     # mode="clip" lets take write straight into the buffer (its default
     # gathers into a temporary first); every index is in range already
-    acc, tmp = plan.acc, plan.tmp
+    acc, tmp = walk.acc, walk.tmp
     for i, up in enumerate(itertools.product((False, True), repeat=grid.dim)):
-        offset = sum(s for s, u in zip(plan.strides, up) if u)
+        offset = sum(s for s, u in zip(walk.strides, up) if u)
         weight = None  # the product of the axis weights, in axis order
         for a, u in enumerate(up):
-            w = plan.upper[a] if u else plan.lower[a]
+            w = walk.upper[a] if u else walk.lower[a]
             weight = w if weight is None else np.multiply(weight, w,
-                                                          out=plan.weight)
+                                                          out=walk.weight)
         dest = tmp if i else acc
         values[:, offset:].take(base, axis=1, out=dest, mode="clip")
         dest *= weight
@@ -405,13 +308,13 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
     return map(finish, _flow_rows(timeline, pot, system, mode == "ES"))
 
 
-def _ratio_drift(plan: _StepPlan, table: np.ndarray,
+def _ratio_drift(walk: _Walk, table: np.ndarray,
                  positions: np.ndarray) -> np.ndarray:
     """Drift at the positions, shape (m, dim): the interpolated rho v over
     the interpolated rho, floored by the table's density floor; a view of
-    `plan.acc`."""
-    interpolate_vector(plan.grid, table, positions, plan)
-    acc = plan.acc
+    `walk.acc`."""
+    interpolate_vector(walk, table, positions)
+    acc = walk.acc
     den = acc[-1]
     np.maximum(den, density_floor(table[-1]), out=den)
     np.divide(acc[:-1], den, out=acc[:-1])
@@ -462,10 +365,12 @@ def draw_initial_positions(state: WaveState, n_walkers: int,
 
 
 @contextmanager
-def _noise_stream(rng: np.random.Generator, sig: np.ndarray,
-                  shape: tuple[int, int], steps: int):
-    """The noise of `steps` walker steps: per step, a standard normal fill
-    of `shape` from `rng` times `sig`, drawn in step order.
+def _noise_stream(seed: int, variances: np.ndarray, shape: tuple[int, int],
+                  steps: int):
+    """The noise of `steps` walker steps of a run at `seed`: per step, a
+    standard normal fill of `shape` times sqrt(variances), drawn in step
+    order from one Philox generator; the initial draw uses the other child
+    of the same SeedSequence.
 
     From NOISE_THREAD_WALKERS walkers on, a helper thread fills step
     k + 1's buffer while the caller runs step k, and the two buffers take
@@ -473,6 +378,10 @@ def _noise_stream(rng: np.random.Generator, sig: np.ndarray,
     the stream yields is valid until the next one is taken.  The helper
     calls numpy only, and it is joined on every exit from the block.
     """
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed).spawn(2)[1]))
+    sig = np.sqrt(variances)
+
     def fill(buf: np.ndarray) -> np.ndarray:
         rng.standard_normal(out=buf)
         buf *= sig
@@ -496,32 +405,116 @@ def _noise_stream(rng: np.random.Generator, sig: np.ndarray,
 
 
 class _Walk:
-    """One run's walkers stepped along a stream of flow tables.
+    """One run: walkers stepped along a stream of flow tables.
 
-    Holds the run's `_StepPlan`, its noise (an iterator of per-step arrays),
-    the positions `pos`, the alive mask and the escape count.  A run with
-    noise checks escapes: escaped walkers (hard walls only) are frozen in
-    place and counted, and more than `MAX_ESCAPE_FRACTION` of them aborts
-    with a SafeguardError.  Deterministic paths (noises None) do neither.
+    `tables` streams the run's node tables: the first is read on
+    construction and table k + 1 at step k.  `slots` holds the last two
+    read as (2, k, padded nodes); `nodes` and `strides` describe the
+    unpadded node counts and the padded flat layout per axis.  Every
+    temporary of a lookup and of a step lives in buffers allocated once;
+    results read from them (lookups, drifts) are valid until the next call
+    that writes the same buffer.
+
+    `noises` is an iterator of per-step arrays, or None for deterministic
+    paths.  A run with noise checks escapes: escaped walkers (hard walls
+    only) are frozen in place and counted, and more than
+    `MAX_ESCAPE_FRACTION` of them aborts with a SafeguardError.
+    Deterministic paths do neither.
     """
 
     def __init__(self, grid: ConfigGrid, tables, positions: np.ndarray,
                  noises):
-        self.plan = _StepPlan(grid, tables, positions.shape[0])
+        self.tables = iter(tables)
+        first = next(self.tables)
+        self.grid = grid
+        self.nodes = first.shape[1:]
+        shape = tuple(n + 2 if per else n
+                      for n, per in zip(self.nodes, grid.periodic))
+        self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
+        self.padded = np.empty((2, first.shape[0]) + shape)
+        self.slots = self.padded.reshape(2, first.shape[0], -1)
+        self.loaded = 0
+        self.load(first)
+        k, (m, dim) = first.shape[0], positions.shape
+        # per axis: upper and lower node weight, lower node index
+        self.upper = np.empty((dim, m))
+        self.lower = np.empty((dim, m))
+        self.lo = np.empty((dim, m), dtype=np.intp)
+        # the weight of one corner of a multi-axis cell
+        self.weight = np.empty(m)
+        self.acc = np.empty((k, m))
+        self.tmp = np.empty((k, m))
+        # the blend of two adjacent tables and its scratch
+        self.mid = np.empty_like(self.slots)
+        self.half = np.empty((m, dim))
         self.pos = positions
         self.new = np.empty_like(positions)
         self.noises = noises
-        self.alive = np.ones(positions.shape[0], dtype=bool)
+        self.alive = np.ones(m, dtype=bool)
         self.escaped = 0
 
+    def load(self, table: np.ndarray) -> None:
+        """Copy `table` into the slot of the older of the two and repeat
+        nodes 0 and 1 of each periodic axis after its node n - 1, so the two
+        nodes of a cell are i0 and i0 + 1 with no integer mod and every
+        corner of a cell is a fixed offset from its lowest corner."""
+        out = self.padded[self.loaded % 2]
+        out[tuple(slice(0, n) for n in table.shape)] = table
+        for a, periodic in enumerate(self.grid.periodic):
+            if periodic:
+                n = table.shape[a + 1]
+                axes = (slice(None),) * (a + 1)
+                out[axes + (slice(n, n + 2),)] = out[axes + (slice(0, 2),)]
+        self.loaded += 1
+
     def step(self, k: int, dt: float) -> np.ndarray:
-        """Step k, from state k to k + 1: afterwards `pos` holds the new
-        positions and `new` the old ones.  Returns the corrector drift, a
-        view of the plan's buffer."""
+        """One midpoint step of length dt from table k to table k + 1.
+
+        Steps run in order k = 0, 1, ..., and step k first loads table
+        k + 1.  A predictor half-step on table k, the corrector drift v on
+        the average of tables k and k + 1, then new = pos + v dt (+ noise),
+        wrapped on periodic axes.  Afterwards `pos` holds the new positions
+        and `new` the old ones.  Returns v, a view of `acc`.
+        """
         noise = None if self.noises is None else next(self.noises)
-        v_mid, escaped = self.plan.step(self.pos, k, dt, noise, self.new)
-        alive = self.alive
-        if noise is not None and escaped is not None:
+        self.load(next(self.tables))
+        grid, half, pos, out = self.grid, self.half, self.pos, self.new
+        now, after = self.slots[k % 2], self.slots[(k + 1) % 2]
+        v0 = _ratio_drift(self, now, pos)
+        np.multiply(v0, 0.5 * dt, out=half)
+        np.add(pos, half, out=half)
+        grid.wrap(half, out=half)
+        mid, scratch = self.mid
+        np.multiply(now, 0.5, out=mid)
+        np.multiply(after, 0.5, out=scratch)
+        np.add(mid, scratch, out=mid)
+        v = _ratio_drift(self, mid, half)
+        np.multiply(v, dt, out=out)
+        np.add(pos, out, out=out)
+        if noise is not None:
+            np.add(out, noise, out=out)
+        grid.wrap(out, out=out)
+        if noise is not None:
+            self._check_walls()
+        self.pos, self.new = out, pos
+        return v
+
+    def _check_walls(self) -> None:
+        """Freeze and count the walkers of `new` on or beyond a hard wall;
+        abort once more than MAX_ESCAPE_FRACTION of all have escaped."""
+        grid, new, alive = self.grid, self.new, self.alive
+        escaped = None
+        for a in range(grid.dim):
+            if grid.periodic[a]:
+                continue
+            lo = grid.origin[a]
+            hi = grid.origin[a] + grid.extents[a]
+            col = new[:, a]
+            if col.min(initial=hi) > lo and col.max(initial=lo) < hi:
+                continue  # no walker at this axis' walls: skip the masks
+            hit = (col <= lo) | (col >= hi)
+            escaped = hit if escaped is None else escaped | hit
+        if escaped is not None:
             newly = escaped & alive
             if np.any(newly):
                 alive &= ~newly
@@ -531,9 +524,7 @@ class _Walk:
                         f"{self.escaped} walkers escaped the domain "
                         f"(> {MAX_ESCAPE_FRACTION:.1%} of {alive.size})")
         if self.escaped:
-            self.new[~alive] = self.pos[~alive]
-        self.pos, self.new = self.new, self.pos
-        return v_mid
+            new[~alive] = self.pos[~alive]
 
 
 def _check_spacing(timeline: Sequence[WaveState], dt: float) -> None:
@@ -546,13 +537,6 @@ def _check_spacing(timeline: Sequence[WaveState], dt: float) -> None:
 
 def _drift_mode(system: ParticleSystem) -> str:
     return "ES" if system.process_label == "ES" else "current"
-
-
-def _noise_rng(seed: int) -> np.random.Generator:
-    """The noise generator of a run at `seed`; the initial draw uses the
-    other child of the same SeedSequence."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed).spawn(2)[1]))
 
 
 def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
@@ -587,7 +571,6 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
         pos = np.array(initial_positions, dtype=float)
         if pos.shape != (n_walkers, grid.dim):
             raise ValueError("initial_positions shape mismatch")
-    sig = np.sqrt(system.step_variances(params.dt))
 
     # recorded states: the first, every record_stride-th and the last
     recorded = [0] + [k for k in range(1, steps + 1)
@@ -598,7 +581,8 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     velocities = [] if record_velocities else None
     drifts = [] if record_velocities else None
 
-    with _noise_stream(_noise_rng(seed), sig, pos.shape, steps) as noises:
+    with _noise_stream(seed, system.step_variances(params.dt), pos.shape,
+                       steps) as noises:
         walk = _Walk(grid, tables, pos, noises)
         for k in range(steps):
             v_mid = walk.step(k, params.dt)
@@ -623,7 +607,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
 # ---------------------------------------------------------------------------
 
 def fluctuation_covariance(system: ParticleSystem, params: TransitionParams,
-                           n_draws: int, seed: int = 0) -> dict:
+                           n_draws: int, seed: int) -> dict:
     """Monte-Carlo check of <dw_A dw_B> = step_variances(dt) delta_AB."""
     _check_constants(system, params)
     dim = len(system.axis_map)
@@ -659,7 +643,7 @@ def velocity_increment_stats(ens: Ensemble) -> dict:
 
 
 def scaling_exponent(system: ParticleSystem, dt_grid: Sequence[float],
-                     trials: int, seed: int = 0) -> dict:
+                     trials: int, seed: int) -> dict:
     """Fit log <|dw|^2> against log dt; the slope estimates gamma."""
     if system.eta == 0:
         raise ValueError("eta = 0: fluctuation scaling exponent is undefined")
@@ -761,8 +745,7 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
         runs = []
         for system, mode, own_rows in zip(systems, modes, rows[1:]):
             noises = streams.enter_context(_noise_stream(
-                _noise_rng(seed), np.sqrt(system.step_variances(dt)),
-                x0.shape, steps))
+                seed, system.step_variances(dt), x0.shape, steps))
             runs.append(_Walk(grid, map(_finisher(grid, system, mode),
                                         own_rows), x0.copy(), noises))
         worst = [_wrapped_distance(grid, run.pos - ref.pos) for run in runs]
@@ -789,7 +772,7 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
 # ---------------------------------------------------------------------------
 
 def center_of_mass_report(masses: Sequence[float], eta: float, dt: float,
-                          n_draws: int = 20000, seed: int = 0) -> dict:
+                          n_draws: int = 20000, *, seed: int) -> dict:
     """Fluctuation and quantum-potential scaling of the centre of mass.
 
     Draws independent per-particle fluctuations of the gamma = 3 process

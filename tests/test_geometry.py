@@ -180,8 +180,8 @@ def test_bracket_is_symplectic_form_of_hamilton_fields():
     # {f, g} = Omega(X_f, X_g) with X_f = (df/dphi, -df/dp)
     for seed in range(4):
         pt = rand_point(9, seed=50 + seed)
-        gf = kernel_gradient(rand_hermitian(10, seed=60 + seed))
-        gg = kernel_gradient(rand_hermitian(10, seed=70 + seed))
+        gf = kernel_gradient(rand_hermitian(10, seed=60 + seed), 1.0)
+        gg = kernel_gradient(rand_hermitian(10, seed=70 + seed), 1.0)
         bracket = poisson_bracket(gf, gg, pt)
         assert abs(bracket) > 1e-3
         assert bracket == symplectic(hamilton_field(gf, pt),
@@ -190,7 +190,7 @@ def test_bracket_is_symplectic_form_of_hamilton_fields():
 
 def test_normalization_generator_commutes_with_kernel_expectations():
     pt = rand_point(6, seed=15)
-    h = kernel_gradient(rand_hermitian(7, seed=16))
+    h = kernel_gradient(rand_hermitian(7, seed=16), 1.0)
     pb = poisson_bracket(normalization_gradient, h, pt)
     assert abs(pb) < 1e-12
 
@@ -205,7 +205,7 @@ def test_flow_of_normalization_constraint_shifts_phases():
 
 def test_flow_zero_step_is_identity():
     pt = rand_point(4, seed=18)
-    h = kernel_gradient(rand_hermitian(5, seed=19))
+    h = kernel_gradient(rand_hermitian(5, seed=19), 1.0)
     same = hamiltonian_flow_step(h, pt, 0.0)
     assert np.allclose(same.probs, pt.probs, atol=1e-14)
     assert np.allclose(same.phases, pt.phases, atol=1e-12)
@@ -224,7 +224,7 @@ def test_flow_rejects_steps_leaving_the_simplex():
 def test_flow_matches_unitary_evolution_to_second_order():
     pt = rand_point(3, seed=20)
     q = rand_hermitian(4, seed=21)
-    grad = kernel_gradient(q)
+    grad = kernel_gradient(q, 1.0)
     errs = []
     for dlam in (2e-2, 1e-2, 5e-3):
         euler = hamiltonian_flow_step(grad, pt, dlam).canonical()
@@ -255,7 +255,7 @@ def test_killing_residual_separates_isometries():
 def test_analytic_kernel_gradient_matches_finite_differences():
     pt = rand_point(7, seed=31)
     q = rand_hermitian(8, seed=32)
-    gp, gphi = kernel_gradient(q)(pt.probs, pt.phases)
+    gp, gphi = kernel_gradient(q, 1.0)(pt.probs, pt.phases)
     fp, fphi = central_difference_gradient(kernel_expectation(q), pt)
     assert np.max(np.abs(gp - fp)) < 1e-5
     assert np.max(np.abs(gphi - fphi)) < 1e-8
@@ -360,7 +360,7 @@ def test_batched_killing_residual_matches_pairwise_reference():
                                   seed=seed)
         # the difference quotient sits at its floor, about 2e-7; the
         # closed form at roundoff
-        reference = pairwise_killing_residual(kernel_gradient(q), pt,
+        reference = pairwise_killing_residual(kernel_gradient(q, 1.0), pt,
                                               n_probes=20, seed=seed,
                                               probe_eps=1e-5)
         assert closed < 1e-13

@@ -1,15 +1,19 @@
-"""Every defaulted parameter of the package is set by a real caller.
+"""Every defaulted parameter of the package is set by a real caller, and
+every default is used by one.
 
 A default that only unit tests override is a knob the contract does not
-use; it belongs in a module constant.  The real callers are the package
-itself, the benchmark in `perfbench/` and the acceptance suite.  A call
-sets a parameter by keyword or by position, and calls are matched to
-functions by their bare name, so a same-named call elsewhere also counts:
-the check can miss a knob but never flags a used one.  A class call counts
-as a call of its `__init__`, and `build_preset(name, **overrides)` as a
-call of every preset builder.  A `**name` argument sets the string keys
-stored into `name[...]` in the same module.  Parameters set only elsewhere
-are listed in ALLOWED with their reason.
+use; it belongs in a module constant.  A default that every real caller
+overrides is a test-only convenience, or a second copy of a command-line
+default; the parameter should be required.  The real callers are the
+package itself, the benchmark in `perfbench/`, the scripts in `tools/` and
+the acceptance suite.  A call sets a parameter by keyword or by position,
+and calls are matched to functions by their bare name, so a same-named
+call elsewhere also counts: each check can miss a parameter but never
+flags a good one.  A class call counts as a call of its `__init__`, and
+`build_preset(name, **overrides)` as a call of every preset builder.  A
+`**name` argument sets the string keys stored into `name[...]` in the same
+module.  Parameters set only elsewhere are listed in ALLOWED, defaults that
+every real caller overrides in ALWAYS_SET, each with its reason.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "edsim"
 CALLERS = (sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+           + sorted(ROOT.glob("tools/*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])
 
 ALLOWED = {
@@ -28,6 +33,8 @@ ALLOWED = {
         "the sign and size of the vortex, set through build_preset by the "
         "tests of Bohmian paths around a vortex of winding -1 and 2",
 }
+
+ALWAYS_SET: dict[str, str] = {}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -72,10 +79,11 @@ def _defaulted() -> dict[str, tuple[str, str, int | None]]:
     return found
 
 
-def _calls() -> dict[str, tuple[float, set[str]]]:
-    """Callee name -> (most positional arguments, keywords) over CALLERS."""
+def _call_sites() -> list[tuple[str, float, set[str]]]:
+    """(callee name, positional arguments, keywords) of each call in
+    CALLERS."""
     builders = _preset_builders()
-    seen: dict[str, tuple[float, set[str]]] = {}
+    sites = []
     for path in CALLERS:
         tree = _parse(path)
         stored = {}   # dict name -> string keys stored into it
@@ -102,9 +110,16 @@ def _calls() -> dict[str, tuple[float, set[str]]]:
             if name == "build_preset":
                 targets += sorted(builders)
                 n_args = 0   # the first argument is the preset's name
-            for target in targets:
-                most, kws = seen.get(target, (0, set()))
-                seen[target] = (max(most, n_args), kws | keywords)
+            sites += [(target, n_args, keywords) for target in targets]
+    return sites
+
+
+def _calls() -> dict[str, tuple[float, set[str]]]:
+    """Callee name -> (most positional arguments, keywords) over CALLERS."""
+    seen: dict[str, tuple[float, set[str]]] = {}
+    for target, n_args, keywords in _call_sites():
+        most, kws = seen.get(target, (0, set()))
+        seen[target] = (max(most, n_args), kws | keywords)
     return seen
 
 
@@ -116,6 +131,16 @@ def _unset() -> list[str]:
         if name not in keywords and (index is None or index >= most):
             unset.append(label)
     return sorted(unset)
+
+
+def _never_omitted() -> list[str]:
+    sites: dict[str, list[tuple[float, set[str]]]] = {}
+    for target, n_args, keywords in _call_sites():
+        sites.setdefault(target, []).append((n_args, keywords))
+    return sorted(
+        label for label, (callee, name, index) in _defaulted().items()
+        if not any(name not in keywords and (index is None or index >= n)
+                   for n, keywords in sites.get(callee, ())))
 
 
 def test_the_census_finds_defaults_and_calls():
@@ -135,3 +160,9 @@ def test_every_defaulted_parameter_is_set_by_a_real_caller():
 
 def test_every_allowed_parameter_is_still_unset():
     assert sorted(set(ALLOWED) - set(_unset())) == []
+
+
+def test_every_default_is_used_by_a_real_caller():
+    never = _never_omitted()
+    assert [p for p in never if p not in ALWAYS_SET] == []
+    assert sorted(set(ALWAYS_SET) - set(never)) == []

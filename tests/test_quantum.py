@@ -150,7 +150,7 @@ def test_free_packet_width_growth_quick():
 def test_madelung_compose_round_trip():
     g = ring()
     st = gaussian_packet(g, 0.5, 1.2, momentum=1.0)
-    pair = madelung(st)
+    pair = madelung(st, hbar=1.0)
     back = np.sqrt(pair.rho.values) * np.exp(1j * pair.phi.values / pair.hbar)
     keep = st.rho > density_floor(st.rho)
     assert np.max(np.abs(back[keep] - st.psi[keep])) < 1e-12

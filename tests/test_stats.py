@@ -95,4 +95,4 @@ def test_density_comparison_requires_normalization():
     grid = ConfigGrid((64,), (16.0,), (True,), origin=(-8.0,))
     bad = ScalarField(grid, np.full(64, 2.0))
     with pytest.raises(ValueError):
-        compare_density(np.zeros((10, 1)), bad)
+        compare_density(np.zeros((10, 1)), bad, n_calibration=200, seed=0)

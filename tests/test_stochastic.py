@@ -27,7 +27,7 @@ from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
                               max_deviation_from_deterministic,
                               scaling_exponent, simulate_ensemble,
                               vanishing_noise_deviations, with_eta)
-from edsim.stochastic import _flow_tables, _StepPlan, _zero_pad_spectrum
+from edsim.stochastic import _flow_tables, _Walk, _zero_pad_spectrum
 
 
 def test_params_labels_and_validation():
@@ -60,7 +60,7 @@ def test_params_must_match_system_constants(eta, gamma, name):
     message = re.escape(f"params.{name} = {getattr(params, name)!r} differs "
                         f"from system.{name} = {getattr(sys1, name)!r}")
     with pytest.raises(ValueError, match=message):
-        fluctuation_covariance(sys1, params, n_draws=10)
+        fluctuation_covariance(sys1, params, n_draws=10, seed=0)
     grid = ConfigGrid((64,), (20.0,), (True,), origin=(-10.0,))
     timeline = evolve_trajectory(gaussian_packet(grid, 0.0, 1.0),
                                  free_potentials(grid, sys1), 0.05, 2)
@@ -76,6 +76,13 @@ def test_with_eta_replaces_only_noise_constants():
     assert sys2.masses == sys1.masses
 
 
+def _lookup(grid, values, positions):
+    """`interpolate_vector` at the positions on a walk whose first table is
+    `values`."""
+    walk = _Walk(grid, [values], positions, None)
+    return interpolate_vector(walk, walk.slots[0], positions)
+
+
 def test_interpolation_exact_for_linear_fields():
     grid = ConfigGrid((40, 32), (4.0, 3.2), (False, False))
     xx, yy = grid.meshgrid()
@@ -85,7 +92,7 @@ def test_interpolation_exact_for_linear_fields():
     lo = [grid.axis_coords(a)[0] for a in range(2)]
     hi = [grid.axis_coords(a)[-1] for a in range(2)]
     pts = np.column_stack([rng.uniform(lo[a], hi[a], 300) for a in range(2)])
-    out = interpolate_vector(grid, values, pts)
+    out = _lookup(grid, values, pts)
     expect = np.column_stack([2 * pts[:, 0] + 3 * pts[:, 1] - 1,
                               pts[:, 0] * pts[:, 1], 0.5 - pts[:, 1]])
     assert out.shape == (300, 3)
@@ -95,7 +102,7 @@ def test_interpolation_exact_for_linear_fields():
     fine = -4.0 + 0.125 * np.arange(64)
     table = np.stack([3.0 * fine + 1.0, np.full(64, 2.0)])
     x = rng.uniform(fine[0], fine[-1], 200)
-    out = interpolate_vector(ring, table, x[:, None])
+    out = _lookup(ring, table, x[:, None])
     assert out.shape == (200, 2)
     assert np.max(np.abs(out[:, 0] - (3.0 * x + 1.0))) < 1e-12
     assert np.allclose(out[:, 1], 2.0, rtol=1e-14)
@@ -105,19 +112,19 @@ def test_interpolation_periodic_wrap_and_clamp():
     grid = ConfigGrid((16,), (8.0,), (True,), origin=(-4.0,))
     values = np.stack([np.full(16, 2.5)])
     pts = np.array([[-3.97], [3.99], [0.0], [7.5]])
-    out = interpolate_vector(grid, values, pts)
+    out = _lookup(grid, values, pts)
     assert np.allclose(out, 2.5, rtol=1e-14)
     gridw = ConfigGrid((16,), (8.0,), (False,), origin=(-4.0,))
     xs = gridw.axis_coords(0)
     vals = np.stack([xs.copy()])
-    outside = interpolate_vector(gridw, vals, np.array([[-5.0], [5.0]]))
+    outside = _lookup(gridw, vals, np.array([[-5.0], [5.0]]))
     assert np.allclose(outside[:, 0], [xs[0], xs[-1]], rtol=1e-14)
 
 
 @pytest.mark.parametrize("n_tables", [2, 3, 50])
 def test_step_plan_streams_its_tables_through_two_slots(n_tables):
     """Step k reads table k + 1 from the stream, not the whole timeline, and
-    the plan holds two padded tables however long the stream is.  Table j
+    the walk holds two padded tables however long the stream is.  Table j
     drifts the walkers by j + 1 along the ring, so step k, on the blend of
     tables k and k + 1, moves them by (2k + 3) / 2 * dt."""
     grid = ConfigGrid((8, 6), (4.0, 3.0), (True, False))
@@ -129,18 +136,16 @@ def test_step_plan_streams_its_tables_through_two_slots(n_tables):
             rho = np.ones(grid.shape)
             yield np.stack([(j + 1.0) * rho, 0.0 * rho, rho])
 
-    plan = _StepPlan(grid, tables(), 5)
-    assert len(pulled) == 1
-    assert plan.slots.shape == (2, 3, (8 + 2) * 6)
     pos = np.column_stack([np.linspace(0.0, 3.9, 5), np.full(5, 1.5)])
-    out = np.empty_like(pos)
+    walk = _Walk(grid, tables(), pos, None)
+    assert len(pulled) == 1
+    assert walk.slots.shape == (2, 3, (8 + 2) * 6)
     for k in range(n_tables - 1):
-        plan.step(pos, k, 0.01, None, out)
+        walk.step(k, 0.01)
         assert len(pulled) == k + 2
-        shift = nearest_image(out[:, 0] - pos[:, 0], 4.0)
+        shift = nearest_image(walk.pos[:, 0] - walk.new[:, 0], 4.0)
         assert np.allclose(shift, (2 * k + 3) / 2 * 0.01, rtol=1e-12)
-        assert np.array_equal(out[:, 1], pos[:, 1])
-        pos, out = out, pos
+        assert np.array_equal(walk.pos[:, 1], walk.new[:, 1])
     assert len(pulled) == n_tables
 
 
@@ -163,7 +168,7 @@ def test_current_drift_vanishes_for_real_state():
     grid = ConfigGrid((128,), (20.0,), (True,), origin=(-10.0,))
     state = gaussian_packet(grid, 0.0, 1.5)
     sys1 = single_particle(eta=1e-3)
-    pair = madelung(state)
+    pair = madelung(state, hbar=1.0)
     v = drift_velocity_field(pair, free_potentials(grid, sys1), sys1)
     assert np.max(np.abs(v.values)) < 1e-10
 
@@ -224,7 +229,7 @@ def test_scaling_exponent_recovers_gamma(gamma):
 def test_scaling_exponent_refuses_zero_eta():
     sys1 = single_particle(eta=0.0)
     with pytest.raises(ValueError):
-        scaling_exponent(sys1, [1e-3, 1e-2], trials=100)
+        scaling_exponent(sys1, [1e-3, 1e-2], trials=100, seed=0)
 
 
 def test_deterministic_trajectories_follow_spreading_packet():
@@ -304,19 +309,25 @@ def test_timeline_spacing_mismatch_rejected():
                           TransitionParams(0.1, 1e-3, 3.0), 10, seed=0)
 
 
-def _escape_run(n_escaping, walkers=100):
+def _escape_case(n_escaping, walkers):
     """`walkers` walkers under a uniform drift v = 2 to the right of a box
     [0, 4]: the first `n_escaping` start at 3.95 and cross the wall in the
-    first step, the rest start at 2.0 and stay inside."""
+    first step, the rest start at 2.0 and stay inside.  Returns the
+    timeline, potentials, system (eta = 0) and start positions."""
     grid = ConfigGrid((32,), (4.0,), (False,), origin=(0.0,))
     psi = np.exp(2j * grid.axis_coords(0))
     timeline = _stationary_timeline(grid, WaveState(grid, psi), 4, 0.05)
     sys1 = single_particle(eta=0.0)
-    params = TransitionParams.from_system(sys1, 0.05)
     x0 = np.full((walkers, 1), 2.0)
     x0[:n_escaping] = 3.95
-    return simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
-                             params, walkers, seed=0, initial_positions=x0)
+    return timeline, free_potentials(grid, sys1), sys1, x0
+
+
+def _escape_run(n_escaping, walkers=100):
+    timeline, pot, sys1, x0 = _escape_case(n_escaping, walkers)
+    params = TransitionParams.from_system(sys1, 0.05)
+    return simulate_ensemble(timeline, pot, sys1, params, walkers, seed=0,
+                             initial_positions=x0)
 
 
 def test_escape_abort_threshold():
@@ -330,6 +341,18 @@ def test_escaped_walkers_are_frozen_and_counted():
     assert ens.meta["escaped"] == 1
     assert np.all(ens.positions[:, 0, 0] == 3.95)
     assert np.allclose(ens.positions[:, 1:, 0].T, 2.0 + 0.1 * np.arange(5),
+                       rtol=1e-12)
+
+
+def test_deterministic_paths_are_not_frozen_at_a_wall():
+    """Bohmian paths have no escape check: the two walkers that cross the
+    wall at 4 (2% of 100, over the abort threshold) are neither frozen nor
+    counted, and nothing aborts."""
+    timeline, pot, sys1, x0 = _escape_case(2, 100)
+    paths = bohmian_trajectories(timeline, pot, sys1, x0)
+    assert np.allclose(paths[:, :2, 0].T, 3.95 + 0.1 * np.arange(5),
+                       rtol=1e-12)
+    assert np.allclose(paths[:, 2:, 0].T, 2.0 + 0.1 * np.arange(5),
                        rtol=1e-12)
 
 
@@ -678,7 +701,7 @@ def test_lockstep_builds_each_states_rows_once(name, monkeypatch):
     """One pass over the row stream serves the reference and three ES runs,
     and each run still holds two padded tables."""
     sc, timeline, x0 = _identity_case(name)
-    pulled, plans = [], []
+    pulled, walks = [], []
     rows = stochastic._flow_rows
 
     def counted(*args):
@@ -686,20 +709,20 @@ def test_lockstep_builds_each_states_rows_once(name, monkeypatch):
             pulled.append(r)
             yield r
 
-    class Plan(_StepPlan):
+    class Walk(_Walk):
         def __init__(self, *args):
             super().__init__(*args)
-            plans.append(self)
+            walks.append(self)
 
     monkeypatch.setattr(stochastic, "_flow_rows", counted)
-    monkeypatch.setattr(stochastic, "_StepPlan", Plan)
+    monkeypatch.setattr(stochastic, "_Walk", Walk)
     systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
                for eta in (1e-2, 1e-3, 1e-4)]
     vanishing_noise_deviations(timeline, sc.potentials,
                                with_eta(sc.system, 0.0), systems, sc.dt, 7, x0)
     assert len(pulled) == len(timeline)
-    assert len(plans) == 4
-    assert all(plan.slots.shape[0] == 2 for plan in plans)
+    assert len(walks) == 4
+    assert all(walk.slots.shape[0] == 2 for walk in walks)
 
 
 def test_lockstep_refuses_systems_that_differ_beyond_the_noise():
