@@ -104,6 +104,7 @@ def cmd_evolve(args) -> int:
         "energy_drift_rel": float(np.max(np.abs(energies - energies[0]))
                                   / max(abs(energies[0]), 1e-300)),
         "steps": sc.steps,
+        "max_cn_residual": timeline[-1].meta["cn_residual"],
     }
     writer.write_json("result.json", result)
     writer.finish()
@@ -165,6 +166,7 @@ def cmd_ensemble(args) -> int:
         "checkpoints": checkpoints,
         "n_passed": sum(c["passed"] for c in checkpoints),
         "final_histogram": histogram_on_grid(sc.grid, ens.positions[-1]),
+        "max_cn_residual": timeline[-1].meta["cn_residual"],
     }
     writer.write_json("report.json", result)
     writer.finish()
@@ -216,6 +218,7 @@ def cmd_limits(args) -> int:
         "max_deviations": deviations,
         "monotone": bool(np.all(np.diff(deviations) < 0)),
         "center_of_mass": cm,
+        "max_cn_residual": timeline[-1].meta["cn_residual"],
     }
     writer.write_json("report.json", result)
     writer.finish()

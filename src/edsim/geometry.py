@@ -33,7 +33,7 @@ import numpy as np
 
 from .grids import ParticleSystem
 
-MAX_OUTCOMES = 64
+MAX_OUTCOMES = 256
 MAX_PROBES = 10_000
 P_FLOOR = 1e-12
 

@@ -25,6 +25,7 @@ after construction; every operation returns a new field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,13 +123,15 @@ class ConfigGrid:
     def size(self) -> int:
         return int(np.prod(self.points))
 
-    @property
+    # the grid is frozen, so its constants are computed on first read and
+    # kept; `==`, `hash` and `repr` see only the fields
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(
             L / n if per else L / (n + 1)
             for n, L, per in zip(self.points, self.extents, self.periodic))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 

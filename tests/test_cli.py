@@ -9,6 +9,7 @@ from edsim.cli import build_parser, main
 from edsim.geometry import MAX_PROBES
 from edsim.io import INCOMPLETE_MARKER, load_json, verify_run_dir
 from edsim.presets import PRESETS, build_preset
+from edsim.quantum import CN_TOL
 
 
 def test_all_presets_build_normalized_states():
@@ -111,6 +112,28 @@ def test_limits_reports_monotone_deviations(tmp_path):
     rep = load_json(out / "report.json")
     assert len(rep["max_deviations"]) == 3
     assert rep["monotone"]
+
+
+@pytest.mark.parametrize("preset", ["interference", "vortex_2d"])
+def test_runs_report_their_largest_cn_residual(tmp_path, preset):
+    """evolve, ensemble and limits each report the running maximum of the
+    Crank-Nicolson residual over their timeline: the last `cn_residual` of
+    moments.csv, inside the step's own tolerance."""
+    runs = {
+        "evolve": (["evolve"], "result.json"),
+        "ensemble": (["ensemble", "--walkers", "200", "--calibration", "10"],
+                     "report.json"),
+        "limits": (["limits", "--walkers", "20"], "report.json"),
+    }
+    found = {}
+    for name, (argv, result) in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--preset", preset, "--out", str(out)]) == 0
+        found[name] = load_json(out / result)["max_cn_residual"]
+    last = (tmp_path / "evolve" / "moments.csv").read_text().splitlines()[-1]
+    assert found["evolve"] == float(last.split(",")[3])
+    assert found == dict.fromkeys(runs, found["evolve"])
+    assert 0 < found["evolve"] < CN_TOL
 
 
 def test_report_flags_incomplete_and_tampered(tmp_path):
@@ -276,7 +299,7 @@ FLOAT_OPTIONS = {
     ["entropic-step", "--dt", "inf"],
     ["entropic-step", "--eta", "-1"],
     ["entropic-step", "--perturbations", "0"],
-    ["geometry-check", "--outcomes", "100"],
+    ["geometry-check", "--outcomes", "257"],
     ["geometry-check", "--outcomes", "0"],
     ["geometry-check", "--probes", "0"],
     ["geometry-check", "--kernels", "1"],

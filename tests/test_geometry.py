@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from edsim import geometry
-from edsim.geometry import (EPhasePoint, EPhaseTangent, apply_J,
+from edsim.geometry import (MAX_OUTCOMES, EPhasePoint, EPhaseTangent, apply_J,
                             commutator_identity_gap, fs_length_squared,
                             gauge_invariant_metric, geometry_battery,
                             hamilton_field, hamiltonian_flow_step,
@@ -70,8 +69,9 @@ def test_point_validation_and_canonical_representative():
         EPhasePoint(np.array([0.6, 0.6]), np.zeros(2))
     with pytest.raises(ValueError):
         EPhasePoint(np.array([-0.1, 1.1]), np.zeros(2))
+    too_many = MAX_OUTCOMES + 2
     with pytest.raises(ValueError):
-        EPhasePoint(np.full(66, 1 / 66), np.zeros(66))
+        EPhasePoint(np.full(too_many, 1 / too_many), np.zeros(too_many))
     psi = pt.psi
     back = EPhasePoint(np.abs(psi) ** 2, np.angle(psi)).canonical()
     assert np.allclose(back.probs, pt.probs, atol=1e-14)
@@ -405,9 +405,9 @@ def test_killing_residual_of_unitary_flows_is_roundoff_at_a_skewed_point():
         assert res <= 1e-12
 
 
-def test_battery_passes_beyond_the_outcome_cap(monkeypatch):
-    # the cap bounds the command line, not the accuracy of the residual
-    monkeypatch.setattr(geometry, "MAX_OUTCOMES", 256)
+def test_battery_passes_beyond_the_outcome_cap():
+    # at the cap, four times the former cap of 64: the residual is
+    # roundoff at any size the command line accepts
     rep = geometry_battery(outcomes=256, probes=10, kernels=3, seed=0)
     assert rep["killing_hermitian_max"] < 1e-12
     assert rep["all_passed"]

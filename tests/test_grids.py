@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,36 @@ def test_spacing_conventions():
     assert g2.spacing == (0.25,)
     # interior nodes of a box [0, 2]
     assert np.allclose(g2.axis_coords(0), 0.25 * (1 + np.arange(7)))
+
+
+def _per_axis_spacing(points, extents, periodic):
+    return tuple(L / n if per else L / (n + 1)
+                 for n, L, per in zip(points, extents, periodic))
+
+
+@pytest.mark.parametrize("points, periodic", [
+    ((8,), (True,)),
+    ((7, 5), (False, True)),
+    ((3, 4, 6), (True, False, False)),
+])
+def test_grid_constants_are_computed_once(points, periodic):
+    """`spacing` and `cell_volume` follow the per-axis rule, are kept after
+    the first read, leave equality, hash, repr and describe() alone, and a
+    replaced grid computes its own."""
+    extents = (2.0, 3.0, 5.0)[:len(points)]
+    g = ConfigGrid(points, extents, periodic)
+    twin = ConfigGrid(points, extents, periodic)
+    before = (hash(g), repr(g), g.describe())
+    rule = _per_axis_spacing(points, extents, periodic)
+    assert g.spacing == rule and g.spacing is g.spacing
+    assert g.cell_volume == float(np.prod(rule))
+    assert (hash(g), repr(g), g.describe()) == before
+    assert g == twin and hash(g) == hash(twin)
+    finer = tuple(2 * n for n in points)
+    other = dataclasses.replace(g, points=finer)
+    assert other.spacing == _per_axis_spacing(finer, extents, periodic)
+    assert other.cell_volume == float(np.prod(other.spacing))
+    assert other != g and g.spacing == rule
 
 
 def test_grid_validation():

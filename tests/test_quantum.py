@@ -100,6 +100,13 @@ def test_crank_nicolson_norm_and_energy_conservation():
     assert abs(e1 - e0) < 1e-10 * abs(e0)
 
 
+def test_crank_nicolson_orders_the_2d_factor_for_low_fill():
+    # minimum degree on A + A^T; COLAMD left 599,936 entries in L + U
+    sc = build_preset("vortex_2d")
+    lu = CrankNicolson(sc.potentials, sc.dt)._lu
+    assert lu.L.nnz + lu.U.nnz < 400_000
+
+
 def test_potentials_share_one_frozen_hamiltonian():
     sc = build_preset("ring_constant_a")
     pot, st = sc.potentials, sc.state
