@@ -140,7 +140,8 @@ def cmd_ensemble(args) -> int:
 
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
     params = TransitionParams.from_system(system, sc.dt)
-    stride = max(1, sc.steps // args.checkpoints)
+    # at most --checkpoints states after the first, the last the final one
+    stride = math.ceil(sc.steps / args.checkpoints)
     ens = simulate_ensemble(timeline, sc.potentials, system, params,
                             n_walkers=args.walkers, seed=args.seed,
                             record_stride=stride)

@@ -1,7 +1,8 @@
 """Geometry of the discrete phase space of probabilities and phases.
 
-A point is (p, Phi) with p on the interior of the k-simplex and Phi a phase
-per outcome, defined up to a common additive constant; the canonical
+A point is (p, Phi) with p on the interior of the k-simplex (the metric is
+singular on its boundary, so `EPhasePoint` refuses any p <= 0) and Phi a
+phase per outcome, defined up to a common additive constant; the canonical
 representative fixes the mean phase sum(p * Phi) to zero.  Tangent vectors
 are gauge-fixed ("TGF") by sum(dp) = 0 and sum(p * dphi) = 0.  A tangent
 may also hold a stack of P displacements as (P, n) arrays; the bilinear
@@ -35,12 +36,12 @@ from .grids import ParticleSystem
 
 MAX_OUTCOMES = 256
 MAX_PROBES = 10_000
-P_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class EPhasePoint:
-    """Probabilities and phases over k+1 discrete outcomes."""
+    """Probabilities and phases over k+1 discrete outcomes, every
+    probability positive."""
 
     probs: np.ndarray
     phases: np.ndarray
@@ -55,8 +56,9 @@ class EPhasePoint:
             raise ValueError(f"need 2..{MAX_OUTCOMES + 1} outcomes")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(phi))):
             raise ValueError("non-finite entries")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
+        if np.any(p <= 0):
+            raise ValueError("probabilities must be positive: the metric is "
+                             "singular on the simplex boundary")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         if self.hbar <= 0:
@@ -141,24 +143,12 @@ def symplectic(v: EPhaseTangent, u: EPhaseTangent) -> float | np.ndarray:
     return np.sum(v.dp * u.dphi - v.dphi * u.dp, axis=-1)
 
 
-def _require_support(point: EPhasePoint, v: EPhaseTangent):
-    dead = point.probs <= P_FLOOR
-    if np.any(dead & ((v.dp != 0) | (v.dphi != 0))):
-        raise ValueError("variation on a zero-probability outcome")
-
-
 def metric(point: EPhasePoint, v: EPhaseTangent,
            u: EPhaseTangent) -> float | np.ndarray:
     """Phase-space scalar product of two TGF displacements."""
-    _require_support(point, v)
-    _require_support(point, u)
     p, hbar = point.probs, point.hbar
-    good = p > P_FLOOR
-    terms = (hbar / (2 * p[good]) * v.dp[..., good] * u.dp[..., good]
-             + 2 * p[good] / hbar * v.dphi[..., good] * u.dphi[..., good])
-    # masking leaves stacks column-major; summed contiguously, rows add up
-    # in the same order as a lone tangent
-    return np.sum(np.ascontiguousarray(terms), axis=-1)
+    return np.sum(hbar / (2 * p) * v.dp * u.dp
+                  + 2 * p / hbar * v.dphi * u.dphi, axis=-1)
 
 
 def gauge_invariant_metric(point: EPhasePoint, v: EPhaseTangent,
@@ -184,20 +174,16 @@ def fs_length_squared(point: EPhasePoint, v: EPhaseTangent,
     best constant shift numerically.  Both must agree: the minimization
     over the gauge orbit is what defines the induced metric.
     """
-    _require_support(point, v)
     p, hbar = point.probs, point.hbar
-    good = p > P_FLOOR
-    radial = float(np.sum(hbar / (2 * p[good]) * v.dp[good] ** 2))
+    radial = float(np.sum(hbar / (2 * p) * v.dp ** 2))
     if method == "closed":
         mean = np.sum(p * v.dphi)
-        return radial + float(np.sum(2 * p[good] / hbar
-                                     * (v.dphi[good] - mean) ** 2))
+        return radial + float(np.sum(2 * p / hbar * (v.dphi - mean) ** 2))
     if method == "minimize":
         import scipy.optimize  # its only use: a cold start skips it
 
         def length(alpha):
-            return float(np.sum(2 * p[good] / hbar
-                                * (v.dphi[good] + alpha) ** 2))
+            return float(np.sum(2 * p / hbar * (v.dphi + alpha) ** 2))
         res = scipy.optimize.minimize_scalar(length)
         return radial + float(res.fun)
     raise ValueError(f"unknown method {method!r}")
@@ -209,10 +195,7 @@ def apply_J(point: EPhasePoint, v: EPhaseTangent) -> EPhaseTangent:
     The image of a TGF vector is again TGF; this is verified (and then
     enforced against roundoff), not assumed.
     """
-    _require_support(point, v)
     p, hbar = point.probs, point.hbar
-    if np.any(p <= P_FLOOR):
-        raise ValueError("complex structure needs strictly interior p")
     out = EPhaseTangent(-(2.0 / hbar) * p * v.dphi,
                         hbar / (2.0 * p) * v.dp)
     r_in = tgf_residuals(point, v)
@@ -249,17 +232,17 @@ def hamiltonian_flow_step(grad: Callable, point: EPhasePoint,
                           dlam: float) -> EPhasePoint:
     """One explicit Euler step of the canonical flow generated by f.
 
-    Rejects steps that would push a probability negative (with the largest
-    admissible step size in the message).  The phases are not recentred;
-    `.canonical()` gives the representative with mean phase zero.
+    Rejects steps that would push a probability to zero or below (with the
+    largest admissible step size in the message).  The phases are not
+    recentred; `.canonical()` gives the representative with mean phase zero.
     """
     field_v = hamilton_field(grad, point)
     new_p = point.probs + dlam * field_v.dp
-    if np.any(new_p < 0):
-        bad = field_v.dp < 0
-        limit = float(np.min(point.probs[bad] / -field_v.dp[bad]))
+    if np.any(new_p <= 0):
+        bad = dlam * field_v.dp < 0
+        limit = float(np.min(point.probs[bad] / np.abs(field_v.dp[bad])))
         raise ValueError(
-            f"step d_lambda={dlam:g} drives probabilities negative; "
+            f"step d_lambda={dlam:g} drives probabilities to zero; "
             f"use |d_lambda| < {limit:g}")
     if abs(new_p.sum() - 1.0) > 1e-8:
         raise ValueError("flow leaves the simplex: sum(dp) != 0")
@@ -294,9 +277,9 @@ def kernel_gradient(kernel: np.ndarray, hbar: float) -> Callable:
     q = _hermitian(kernel)
 
     def g(p: np.ndarray, phi: np.ndarray):
-        psi = np.sqrt(np.clip(p, 0.0, None)) * np.exp(1j * phi / hbar)
+        psi = np.sqrt(p) * np.exp(1j * phi / hbar)
         prod = psi.conj() * (q @ psi)
-        return prod.real / np.clip(p, 1e-300, None), (2.0 / hbar) * prod.imag
+        return prod.real / p, (2.0 / hbar) * prod.imag
 
     return g
 

@@ -19,8 +19,9 @@ zero past a wall) and `_wall_ends` sets the one-sided first and last node
 on a wall.  Gradients, the quantum potential, the Hamiltonian's hopping and
 the Chapman-Kolmogorov scatter all go through them.
 
-Field values are stored C-contiguous (row-major in axis order) and are frozen
-after construction; every operation returns a new field.
+`ScalarField` and `VectorField` are the checked types where node values
+enter or leave the package: their values are finite, C-contiguous
+(row-major in axis order) and frozen.  The calculus works on plain arrays.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class ConfigGrid:
         }
 
 
-def _check_values(values: np.ndarray, grid: ConfigGrid, expect_shape) -> np.ndarray:
+def _check_values(values: np.ndarray, expect_shape) -> np.ndarray:
     values = np.ascontiguousarray(values)
     if values.shape != expect_shape:
         raise ValueError(f"field shape {values.shape} != expected {expect_shape}")
@@ -194,7 +195,7 @@ class ScalarField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", _check_values(v, self.grid, self.grid.shape))
+        object.__setattr__(self, "values", _check_values(v, self.grid.shape))
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ class VectorField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         expect = (self.grid.dim,) + self.grid.shape
-        object.__setattr__(self, "values", _check_values(v, self.grid, expect))
+        object.__setattr__(self, "values", _check_values(v, expect))
 
 
 def _shift(values: np.ndarray, axis: int, offset: int, periodic: bool) -> np.ndarray:
@@ -236,23 +237,19 @@ def _wall_ends(out: np.ndarray, fwd: np.ndarray, axis: int) -> None:
     out[lead + (-1,)] = fwd[lead + (-1,)]
 
 
-def gradient(f: ScalarField, axis: int) -> ScalarField:
-    """Second-order central difference along one axis.
+def gradient(grid: ConfigGrid, v: np.ndarray, axis: int) -> np.ndarray:
+    """Second-order central difference of node values along one axis.
 
     Periodic axes wrap.  On non-periodic axes the interior is central and the
     two boundary nodes fall back to one-sided differences.
     """
-    grid = f.grid
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} out of range for {grid.dim}-d grid")
     h = grid.spacing[axis]
-    v = f.values
     per = grid.periodic[axis]
     out = (_shift(v, axis, +1, per) - _shift(v, axis, -1, per)) / (2 * h)
     if not per:
         ends = np.take(v, [1, -1], axis) - np.take(v, [0, -2], axis)
         _wall_ends(out, ends / h, axis)
-    return ScalarField(grid, out)
+    return out
 
 
 def integrate(f: ScalarField) -> float:

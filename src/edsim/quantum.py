@@ -28,8 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import (RHO_FLOOR_REL, ConfigGrid, ParticleSystem, ScalarField,
-                    _shift, _wall_ends, density_floor, gradient, nearest_image)
+from .grids import (ConfigGrid, ParticleSystem, _shift, _wall_ends,
+                    density_floor, gradient, nearest_image)
 
 # relative residual and squared-norm change a Crank-Nicolson step may have
 CN_TOL = 1e-9
@@ -95,8 +95,8 @@ def gaussian_packet(grid: ConfigGrid, center, sigma,
 
 @dataclass(frozen=True)
 class Potentials:
-    """Scalar potential at nodes plus gauge data on links, each a read-only
-    float array that is zero when not given.
+    """Scalar potential at nodes plus gauge data on links, each a finite,
+    read-only float array that is zero when not given.
 
     `link_theta[a]` is the hopping phase angle on the bond from node i to
     i + e_a; `vector_a_nodes[a]` keeps plain node samples of A for drift and
@@ -120,6 +120,8 @@ class Potentials:
                 np.zeros(shape) if given is None else given, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -227,7 +229,8 @@ class CrankNicolson:
     roundoff.  Every step checks the residual of its solve, relative to the
     right-hand side, and its relative change of the squared norm against
     `CN_TOL`: with a huge step the residual can pass while the norm is
-    lost.
+    lost.  A step so large that dt H overflows is refused before the
+    factorization.
     """
 
     def __init__(self, pot: Potentials, dt: float):
@@ -237,8 +240,13 @@ class CrankNicolson:
         H = pot.hamiltonian
         z = 1j * dt / (2 * pot.system.hbar)
         eye = sp.identity(pot.grid.size, dtype=complex, format="csr")
-        self._A = (eye + z * H).tocsc()
-        self._B = (eye - z * H).tocsr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            zh = z * H
+        self._A = (eye + zh).tocsc()
+        self._B = (eye - zh).tocsr()
+        if not np.all(np.isfinite(self._A.data)):
+            raise SafeguardError(
+                f"Crank-Nicolson factor overflows at dt = {dt:g}")
         # minimum degree on A + A^T: A is structurally symmetric, and on a
         # 2-D lattice this leaves about half of COLAMD's fill
         self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A")
@@ -332,22 +340,21 @@ def position_moments(state: WaveState) -> dict:
 
 @dataclass(frozen=True)
 class MadelungPair:
-    """Density and phase with the phase stored modulo 2*pi*hbar.
+    """Density and phase node arrays, the phase stored modulo 2*pi*hbar.
 
     Phase-derived quantities are meaningful only where rho clears the
     support floor (`grids.density_floor`).
     """
 
     grid: ConfigGrid
-    rho: ScalarField
-    phi: ScalarField
+    rho: np.ndarray
+    phi: np.ndarray
     hbar: float
 
 
 def madelung(state: WaveState, hbar: float) -> MadelungPair:
-    phi = hbar * np.angle(state.psi)
-    return MadelungPair(state.grid, ScalarField(state.grid, state.rho),
-                        ScalarField(state.grid, phi), hbar)
+    return MadelungPair(state.grid, state.rho, hbar * np.angle(state.psi),
+                        hbar)
 
 
 def _wrap_branch(dphi: np.ndarray, hbar: float) -> np.ndarray:
@@ -361,7 +368,7 @@ def phase_gradient(pair: MadelungPair, axis: int) -> np.ndarray:
     averaged onto nodes (one-sided at hard walls)."""
     grid = pair.grid
     h = grid.spacing[axis]
-    phi = pair.phi.values
+    phi = pair.phi
     per = grid.periodic[axis]
     fwd = _wrap_branch(_shift(phi, axis, +1, per) - phi, pair.hbar) / h
     out = 0.5 * (fwd + _shift(fwd, axis, -1, per))
@@ -370,15 +377,15 @@ def phase_gradient(pair: MadelungPair, axis: int) -> np.ndarray:
     return out
 
 
-def quantum_potential(rho: ScalarField, system: ParticleSystem,
-                      floor_rel: float = RHO_FLOOR_REL) -> ScalarField:
-    """Q = - sum_A (hbar^2 / 2 m_A) (d^2_A sqrt(rho)) / sqrt(rho).
+def quantum_potential(grid: ConfigGrid, rho: np.ndarray,
+                      system: ParticleSystem) -> np.ndarray:
+    """Q = - sum_A (hbar^2 / 2 m_A) (d^2_A sqrt(rho)) / sqrt(rho) at the
+    nodes.
 
     Masked (set to zero) where rho is below the support floor.
     """
-    grid = rho.grid
-    amp = np.sqrt(np.maximum(rho.values, 0.0))
-    mask = rho.values > density_floor(rho.values, floor_rel)
+    amp = np.sqrt(np.maximum(rho, 0.0))
+    mask = rho > density_floor(rho)
     out = np.zeros(grid.shape)
     hbar = system.hbar
     masses = system.mass_per_axis
@@ -387,9 +394,7 @@ def quantum_potential(rho: ScalarField, system: ParticleSystem,
         per = grid.periodic[a]
         d2 = (_shift(amp, a, +1, per) - 2 * amp + _shift(amp, a, -1, per)) / h**2
         out = out - hbar**2 / (2 * masses[a]) * d2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(mask, out / np.where(mask, amp, 1.0), 0.0)
-    return ScalarField(grid, q)
+    return np.where(mask, out / np.where(mask, amp, 1.0), 0.0)
 
 
 def hamilton_residuals(state: WaveState, pot: Potentials, dt: float) -> dict:
@@ -397,7 +402,8 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float) -> dict:
 
     Time derivatives are centred: one Crank-Nicolson step forward and one
     backward around the state.  Both residuals are masked where rho is below
-    `RESIDUAL_FLOOR_REL` times its maximum.
+    `RESIDUAL_FLOOR_REL` times its maximum, which also covers the quantum
+    potential's own, lower floor.
     """
     grid = state.grid
     system = pot.system
@@ -408,7 +414,8 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float) -> dict:
     phi_dot = hbar * np.angle(fwd.psi * np.conj(bwd.psi)) / (2 * dt)
 
     pair = madelung(state, hbar=hbar)
-    mask = state.rho > density_floor(state.rho, RESIDUAL_FLOOR_REL)
+    rho = pair.rho
+    mask = rho > density_floor(rho, RESIDUAL_FLOOR_REL)
 
     masses = system.mass_per_axis
     beta = system.beta_per_axis
@@ -418,12 +425,10 @@ def hamilton_residuals(state: WaveState, pot: Potentials, dt: float) -> dict:
         mom = phase_gradient(pair, a) - hbar * beta[a] * pot.vector_a_nodes[a]
         vel = mom / masses[a]
         kin += mom * vel / 2
-        cur = ScalarField(grid, state.rho * vel)
-        div_current += gradient(cur, a).values
-    qpot = quantum_potential(ScalarField(grid, state.rho), system,
-                             floor_rel=RESIDUAL_FLOOR_REL)
+        div_current += gradient(grid, rho * vel, a)
+    qpot = quantum_potential(grid, rho, system)
     r_rho_field = rho_dot + div_current
-    r_phi_field = phi_dot + kin + qpot.values + pot.scalar_v
+    r_phi_field = phi_dot + kin + qpot + pot.scalar_v
     r_rho = float(np.max(np.abs(np.where(mask, r_rho_field, 0.0))))
     r_phi = float(np.max(np.abs(np.where(mask, r_phi_field, 0.0))))
     return {

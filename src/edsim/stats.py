@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import ScalarField
+from .grids import ScalarField, density_floor
 
 
 def _cell_indices(grid, samples: np.ndarray) -> tuple:
@@ -48,10 +48,11 @@ def compare_density(samples: np.ndarray, rho: ScalarField,
 
     Returns the observed TV distance, the 95th percentile of the TV under
     resampling from rho itself (the noise band for this walker count), a
-    Laplace-smoothed KL divergence and a chi-square statistic over the
-    well-populated cells.  `passed` means the observed TV sits inside the
-    band; `underpowered` warns when the walker count is too small for the
-    number of occupied cells to make the band meaningful.
+    Laplace-smoothed KL divergence over the cells above the density floor
+    and a chi-square statistic over the well-populated cells.  `passed`
+    means the observed TV sits inside the band; `underpowered` warns when
+    the walker count is too small for the number of occupied cells to make
+    the band meaningful.
     """
     grid = rho.grid
     p = rho.values.ravel() * grid.cell_volume
@@ -73,7 +74,7 @@ def compare_density(samples: np.ndarray, rho: ScalarField,
 
     k = p.size
     smoothed = (counts + 0.5) / (m + 0.5 * k)
-    support = p > 0
+    support = p > density_floor(p)
     kl = float(np.sum(smoothed[support]
                       * np.log(smoothed[support] / p[support])))
 

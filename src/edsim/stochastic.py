@@ -55,9 +55,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import (ConfigGrid, ParticleSystem, ScalarField, VectorField,
-                    density_floor, gradient, mod_period, nearest_image,
-                    particles_on_line, process_label, single_particle)
+from .grids import (ConfigGrid, ParticleSystem, density_floor, gradient,
+                    mod_period, nearest_image, particles_on_line,
+                    process_label, single_particle)
 from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
                       madelung, phase_gradient, quantum_potential)
 
@@ -121,8 +121,9 @@ def _check_constants(system: ParticleSystem, params: TransitionParams) -> None:
 # ---------------------------------------------------------------------------
 
 def drift_velocity_field(pair: MadelungPair, pot: Potentials,
-                         system: ParticleSystem) -> VectorField:
-    """Current velocity v_A = (grad_A Phi - hbar beta_A A_A) / m_A.
+                         system: ParticleSystem) -> np.ndarray:
+    """Current velocity v_A = (grad_A Phi - hbar beta_A A_A) / m_A, stacked
+    over the axes.
 
     The ES drift adds the osmotic term (eta / 2 m_A) grad_A log rho to it
     when a run's flow table is finished (`_finisher`).
@@ -135,15 +136,13 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials,
         mom = (phase_gradient(pair, a)
                - system.hbar * beta[a] * pot.vector_a_nodes[a])
         comps.append(mom / masses[a])
-    return VectorField(grid, np.stack(comps))
+    return np.stack(comps)
 
 
 def _log_density_gradient(pair: MadelungPair) -> list[np.ndarray]:
     """grad_A log rho per axis, with rho raised to its density floor."""
-    rho = pair.rho.values
-    floored = np.maximum(rho, density_floor(rho))
-    log_rho = ScalarField(pair.grid, np.log(floored))
-    return [gradient(log_rho, a).values for a in range(pair.grid.dim)]
+    log_rho = np.log(np.maximum(pair.rho, density_floor(pair.rho)))
+    return [gradient(pair.grid, log_rho, a) for a in range(pair.grid.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +250,8 @@ def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
         for state in timeline:
             pair = madelung(state, hbar=system.hbar)
             v = drift_velocity_field(pair, pot, system)
-            yield (v.values, _log_density_gradient(pair) if osmotic else None,
-                   state.rho)
+            yield (v, _log_density_gradient(pair) if osmotic else None,
+                   pair.rho)
         return
     # the potentials are static, so (hbar beta / m) A is resampled onto the
     # refined lattice once for the timeline
@@ -800,8 +799,8 @@ def center_of_mass_report(masses: Sequence[float], eta: float, dt: float,
     mags = {}
     for scale in (1.0, 4.0):
         sys_m = single_particle(mass=float(total * scale))
-        q = quantum_potential(ScalarField(grid, rho), sys_m)
-        mags[scale] = float(np.max(np.abs(q.values)))
+        q = quantum_potential(grid, rho, sys_m)
+        mags[scale] = float(np.max(np.abs(q)))
     ratio = mags[1.0] / mags[4.0]
 
     return {

@@ -68,9 +68,25 @@ def test_ensemble_reports_underpowered_checkpoints(tmp_path, capsys):
     assert main(["ensemble", "--walkers", "1", "--seed", "1",
                  "--out", str(out)]) == 0
     checkpoints = load_json(out / "report.json")["checkpoints"]
-    assert [c["underpowered"] for c in checkpoints] == [True] * 7
+    assert [c["underpowered"] for c in checkpoints] == [True] * 6
     assert capsys.readouterr().out.endswith(
         f"checkpoints in band ({len(checkpoints)} underpowered)\n")
+
+
+@pytest.mark.parametrize("steps, checkpoints, expect", [
+    (100, 6, 6), (12, 6, 6), (7, 3, 3), (10, 4, 4), (5, 8, 5), (10, 1, 1)])
+def test_ensemble_records_at_most_the_asked_checkpoints(
+        tmp_path, steps, checkpoints, expect):
+    """At most --checkpoints checkpoints, the last one at the final state."""
+    out = tmp_path / "run"
+    assert main(["ensemble", "--points", "64", "--steps", str(steps),
+                 "--checkpoints", str(checkpoints), "--walkers", "50",
+                 "--calibration", "5", "--out", str(out)]) == 0
+    dt = load_json(out / "config.json")["dt"]
+    times = [c["time"] for c in load_json(out / "report.json")["checkpoints"]]
+    assert len(times) == expect
+    assert times == sorted(set(times))
+    assert times[-1] == pytest.approx(steps * dt)
 
 
 def test_entropic_step_conserves_and_shifts(tmp_path):
@@ -176,11 +192,16 @@ def test_report_of_unparsable_manifest_is_one_line(tmp_path, capsys):
      "--dt", "1e300"],
     ["ensemble", "--preset", "harmonic", "--process", "ES", "--eta", "1e4",
      "--steps", "2", "--walkers", "200"],
+    # dt H overflows in the Crank-Nicolson factor
+    ["evolve", "--preset", "free", "--steps", "2", "--dt", "1e307"],
+    ["evolve", "--preset", "harmonic", "--steps", "2", "--dt", "1e308"],
+    ["evolve", "--preset", "vortex_2d", "--steps", "2", "--dt", "1e308"],
 ])
 def test_tripped_safeguard_is_one_line_and_leaves_run_incomplete(
         tmp_path, capsys, argv):
-    """A Crank-Nicolson step that loses the norm and an ensemble whose
-    walkers escape end with exit 1, one line on stderr and an aborted run."""
+    """A Crank-Nicolson step that loses the norm or overflows and an
+    ensemble whose walkers escape end with exit 1, one line on stderr and
+    an aborted run."""
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

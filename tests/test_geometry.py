@@ -127,11 +127,18 @@ def test_fs_length_closed_form_equals_minimization():
         assert abs(closed - minimized) < 1e-10 * max(closed, 1.0)
 
 
-def test_fs_length_rejects_variation_on_dead_outcome():
-    pt = EPhasePoint(np.array([0.0, 0.5, 0.5]), np.zeros(3))
-    v = EPhaseTangent(np.array([1e-3, -1e-3, 0.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        fs_length_squared(pt, v)
+def test_phase_point_refuses_the_simplex_boundary():
+    """The metric is singular where an outcome has probability zero, so a
+    point there is refused, and so is a flow step that lands there."""
+    with pytest.raises(ValueError, match="positive"):
+        EPhasePoint(np.array([0.0, 0.5, 0.5]), np.zeros(3))
+    pt = EPhasePoint(np.array([0.25, 0.75]), np.zeros(2))
+    # f = phi_0 - phi_1 moves p along (-1, 1); d_lambda = 0.25 reaches p_0 = 0
+    grad = lambda p, phi: (np.zeros(2), np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="d_lambda"):
+        hamiltonian_flow_step(grad, pt, 0.25)
+    with pytest.raises(ValueError, match="d_lambda"):
+        hamiltonian_flow_step(grad, pt, -0.75)
 
 
 def test_complex_structure_squares_to_minus_one():

@@ -31,7 +31,6 @@ from edsim.quantum import (
     time_reverse,
     winding_number,
 )
-from edsim.grids import ScalarField
 from edsim.presets import build_preset
 
 
@@ -158,12 +157,12 @@ def test_madelung_compose_round_trip():
     g = ring()
     st = gaussian_packet(g, 0.5, 1.2, momentum=1.0)
     pair = madelung(st, hbar=1.0)
-    back = np.sqrt(pair.rho.values) * np.exp(1j * pair.phi.values / pair.hbar)
+    back = np.sqrt(pair.rho) * np.exp(1j * pair.phi / pair.hbar)
     keep = st.rho > density_floor(st.rho)
     assert np.max(np.abs(back[keep] - st.psi[keep])) < 1e-12
     # phase stored on the principal branch
-    assert pair.phi.values.max() <= np.pi * pair.hbar + 1e-12
-    assert pair.phi.values.min() > -np.pi * pair.hbar - 1e-12
+    assert pair.phi.max() <= np.pi * pair.hbar + 1e-12
+    assert pair.phi.min() > -np.pi * pair.hbar - 1e-12
 
 
 def test_phase_gradient_unwraps_plane_wave():
@@ -182,11 +181,11 @@ def test_quantum_potential_gaussian_formula():
     x = g.axis_coords(0)
     rho = np.exp(-0.5 * (x / sigma) ** 2)
     rho /= rho.sum() * g.cell_volume
-    q = quantum_potential(ScalarField(g, rho), sys)
+    q = quantum_potential(g, rho, sys)
     # Q = -(hbar^2/2m) (d^2 sqrt(rho)) / sqrt(rho) = (hbar^2/2m)(1/(2 s^2) - x^2/(4 s^4))
     expected = (sys.hbar**2 / (2 * sys.masses[0])) * (1 / (2 * sigma**2) - x**2 / (4 * sigma**4))
     inner = np.abs(x) < 3 * sigma
-    assert np.max(np.abs(q.values[inner] - expected[inner])) < 2e-4
+    assert np.max(np.abs(q[inner] - expected[inner])) < 2e-4
 
 
 def test_hamilton_residuals_small_and_converging():
@@ -317,6 +316,18 @@ def test_absent_potentials_are_zero_arrays():
             Potentials(g, sys, **{name: np.zeros((3,) + shape)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["scalar_v", "link_theta", "vector_a_nodes"])
+def test_potentials_refuse_non_finite_entries(name, bad):
+    g = ConfigGrid((8, 6), (4.0, 3.0), (True, False))
+    shape = g.shape if name == "scalar_v" else (2,) + g.shape
+    arr = np.zeros(shape)
+    arr.flat[5] = bad
+    with pytest.raises(ValueError, match=name) as info:
+        Potentials(g, line_system([1.0, 1.0]), **{name: arr})
+    assert "\n" not in str(info.value)
+
+
 def line_system(charges):
     from edsim.grids import particles_on_line
     return particles_on_line((1.0,) * len(charges), charges)
@@ -410,9 +421,9 @@ def test_position_moments_periodic_seam():
 
 def random_pair(grid, hbar, seed):
     rng = np.random.default_rng(seed)
-    rho = ScalarField(grid, rng.random(grid.shape))
+    rho = rng.random(grid.shape)
     # phases spread over several branches, so the bond differences wrap
-    phi = ScalarField(grid, 4 * np.pi * hbar * rng.normal(size=grid.shape))
+    phi = 4 * np.pi * hbar * rng.normal(size=grid.shape)
     return MadelungPair(grid, rho, phi, hbar)
 
 
@@ -421,7 +432,7 @@ def phase_gradient_reference(pair, axis):
     hard walls, in per-slab slices."""
     grid = pair.grid
     h = grid.spacing[axis]
-    phi = pair.phi.values
+    phi = pair.phi
     period = 2 * np.pi * pair.hbar
     if grid.periodic[axis]:
         dphi = np.roll(phi, -1, axis=axis) - phi

@@ -91,6 +91,23 @@ def test_density_comparison_flags_underpowered_runs():
     assert rep["underpowered"]
 
 
+def test_kl_ignores_cells_below_the_density_floor():
+    """Cells at 1e-30 or 1e-20 of the peak density are roundoff, not
+    support: moving them leaves the KL divergence unchanged."""
+    grid = ConfigGrid((64,), (16.0,), (True,), origin=(-8.0,))
+    x = grid.axis_coords(0)
+    rng = np.random.default_rng(5)
+    samples = rng.uniform(-2.0, 2.0, size=(2_000, 1))
+    kl = []
+    for tail in (1e-30, 1e-20):
+        rho = np.where(np.abs(x) < 2.0, 1.0, tail)
+        rho /= rho.sum() * grid.cell_volume
+        rep = compare_density(samples, ScalarField(grid, rho),
+                              n_calibration=10, seed=0)
+        kl.append(rep["kl_smoothed"])
+    assert kl[0] == kl[1]
+
+
 def test_density_comparison_requires_normalization():
     grid = ConfigGrid((64,), (16.0,), (True,), origin=(-8.0,))
     bad = ScalarField(grid, np.full(64, 2.0))

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edsim import stochastic
-from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, ScalarField,
-                         density_floor, gradient, nearest_image,
-                         single_particle)
+from edsim import grids, stochastic
+from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, density_floor, gradient,
+                         nearest_image, single_particle)
 from edsim.presets import build_preset
 from edsim.quantum import (SafeguardError, WaveState, evolve_trajectory,
                            free_potentials, gaussian_packet, madelung,
@@ -170,7 +169,7 @@ def test_current_drift_vanishes_for_real_state():
     sys1 = single_particle(eta=1e-3)
     pair = madelung(state, hbar=1.0)
     v = drift_velocity_field(pair, free_potentials(grid, sys1), sys1)
-    assert np.max(np.abs(v.values)) < 1e-10
+    assert np.max(np.abs(v)) < 1e-10
 
 
 def test_osmotic_drift_matches_log_density_gradient():
@@ -618,12 +617,12 @@ def _reference_flow_tables(timeline, pot, system, mode):
                        - system.hbar * beta[a] * pot.vector_a_nodes[a])
                 comps.append(mom / masses[a])
             if mode == "ES":
-                rho = pair.rho.values
+                rho = pair.rho
                 floored = np.maximum(rho, density_floor(rho))
-                log_rho = ScalarField(grid, np.log(floored))
+                log_rho = np.log(floored)
                 for a in range(grid.dim):
                     comps[a] = comps[a] + ((system.eta / (2 * masses[a]))
-                                           * gradient(log_rho, a).values)
+                                           * gradient(grid, log_rho, a))
             v = np.stack(comps)
             yield np.concatenate([state.rho[None] * v, state.rho[None]])
         return
@@ -662,6 +661,25 @@ def test_shared_rows_finish_to_the_per_run_tables(name, overrides, mode):
     for table, ref in zip(got, expect):
         assert table.shape == ref.shape
         assert table.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["vortex_2d", "harmonic"])
+def test_flow_tables_build_no_checked_fields(name, monkeypatch):
+    """The stencils of an ES table build work on plain arrays: the field
+    check runs where data enters the package, never on its own arithmetic."""
+    sc, timeline, _ = _identity_case(name, walkers=1)
+    system = with_eta(sc.system, 0.05, gamma_exponent=1.0)
+    checks = []
+    check = grids._check_values
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(grids, "_check_values", counted)
+    tables = list(_flow_tables(timeline, sc.potentials, system, "ES"))
+    assert len(tables) == len(timeline)
+    assert checks == []
 
 
 def _separate_deviations(sc, timeline, base, systems, seed, x0):
