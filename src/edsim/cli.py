@@ -36,9 +36,9 @@ from .presets import PRESETS, build_preset
 from .quantum import (SafeguardError, energy, evolve_trajectory,
                       position_moments)
 from .stats import compare_density, histogram_on_grid
-from .stochastic import (TransitionParams, center_of_mass_report,
-                         draw_initial_positions, simulate_ensemble,
-                         vanishing_noise_deviations, with_eta)
+from .stochastic import (center_of_mass_report, draw_initial_positions,
+                         simulate_ensemble, vanishing_noise_deviations,
+                         with_eta)
 
 # the largest step-kernel mass gap and CK mass drift that entropic-step accepts
 MAX_MASS_DRIFT = 1e-6
@@ -139,10 +139,9 @@ def cmd_ensemble(args) -> int:
     writer.write_config(config)
 
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
-    params = TransitionParams.from_system(system, sc.dt)
     # at most --checkpoints states after the first, the last the final one
     stride = math.ceil(sc.steps / args.checkpoints)
-    ens = simulate_ensemble(timeline, sc.potentials, system, params,
+    ens = simulate_ensemble(timeline, sc.potentials, system,
                             n_walkers=args.walkers, seed=args.seed,
                             record_stride=stride)
     checkpoints = []
@@ -161,7 +160,7 @@ def cmd_ensemble(args) -> int:
             "chi2": rep["chi2"], "chi2_dof": rep["chi2_dof"],
         })
     result = {
-        "process": params.process_label,
+        "process": system.process_label,
         "walkers": args.walkers,
         "escaped": ens.meta["escaped"],
         "checkpoints": checkpoints,
@@ -174,7 +173,7 @@ def cmd_ensemble(args) -> int:
     # too few walkers for the occupied cells: the band verdict means little
     underpowered = sum(c["underpowered"] for c in checkpoints)
     note = f" ({underpowered} underpowered)" if underpowered else ""
-    print(f"ensemble: {params.process_label} x {args.preset}, "
+    print(f"ensemble: {system.process_label} x {args.preset}, "
           f"{result['n_passed']}/{len(checkpoints)} checkpoints in band{note}")
     return 0
 
@@ -210,7 +209,7 @@ def cmd_limits(args) -> int:
     deviations = vanishing_noise_deviations(
         timeline, sc.potentials, with_eta(sc.system, 0.0),
         [with_eta(sc.system, eta, gamma_exponent=1.0) for eta in etas],
-        sc.dt, args.seed, x0)
+        args.seed, x0)
     cm = [center_of_mass_report([1.0] * n, eta=1e-2, dt=0.05,
                                 seed=args.seed + n)
           for n in (1, 2, 4, 8)]

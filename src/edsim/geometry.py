@@ -113,6 +113,11 @@ def _rows(v: EPhaseTangent, index) -> EPhaseTangent:
     return EPhaseTangent(v.dp[index], v.dphi[index])
 
 
+def _gauge_fixed(p: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """dphi less its p-weighted mean sum(p * dphi), per row of a stack."""
+    return dphi - np.sum(p * dphi, axis=-1, keepdims=True)
+
+
 def tgf_residuals(point: EPhasePoint, v: EPhaseTangent) -> tuple[float, float]:
     return float(abs(v.dp.sum())), float(abs(np.sum(point.probs * v.dphi)))
 
@@ -120,8 +125,7 @@ def tgf_residuals(point: EPhasePoint, v: EPhaseTangent) -> tuple[float, float]:
 def project_tgf(point: EPhasePoint, v: EPhaseTangent) -> EPhaseTangent:
     """Remove the off-simplex and pure-gauge components of a displacement."""
     dp = v.dp - v.dp.mean(axis=-1, keepdims=True)
-    dphi = v.dphi - np.sum(point.probs * v.dphi, axis=-1, keepdims=True)
-    return EPhaseTangent(dp, dphi)
+    return EPhaseTangent(dp, _gauge_fixed(point.probs, v.dphi))
 
 
 def _unit_tgf(point: EPhasePoint, raw: np.ndarray) -> EPhaseTangent:
@@ -159,8 +163,7 @@ def gauge_invariant_metric(point: EPhasePoint, v: EPhaseTangent,
     which keeps flow-transported vectors comparable without re-projection.
     """
     p, hbar = point.probs, point.hbar
-    dv = v.dphi - np.sum(p * v.dphi, axis=-1, keepdims=True)
-    du = u.dphi - np.sum(p * u.dphi, axis=-1, keepdims=True)
+    dv, du = _gauge_fixed(p, v.dphi), _gauge_fixed(p, u.dphi)
     return np.sum(hbar / (2 * p) * v.dp * u.dp + 2 * p / hbar * dv * du,
                   axis=-1)
 
@@ -170,22 +173,24 @@ def fs_length_squared(point: EPhasePoint, v: EPhaseTangent,
     """Squared length of a displacement on the quotient by phase shifts.
 
     "closed" subtracts the mean phase analytically:
-    sum[(hbar/2p) dp^2 + (2p/hbar)(dphi - <dphi>)^2]; "minimize" finds the
-    best constant shift numerically.  Both must agree: the minimization
-    over the gauge orbit is what defines the induced metric.
+    sum[(hbar/2p) dp^2 + (2p/hbar)(dphi - <dphi>)^2]; "minimize" minimizes
+    the phase part sum[(2p/hbar)(dphi + alpha)^2] over a constant shift
+    alpha without forming that mean: the part is a parabola in alpha, whose
+    vertex follows from its values at alpha = -1, 0 and 1.  Both must
+    agree: the minimization over the gauge orbit is what defines the
+    induced metric.
     """
     p, hbar = point.probs, point.hbar
     radial = float(np.sum(hbar / (2 * p) * v.dp ** 2))
     if method == "closed":
-        mean = np.sum(p * v.dphi)
-        return radial + float(np.sum(2 * p / hbar * (v.dphi - mean) ** 2))
+        dphi = _gauge_fixed(p, v.dphi)
+        return radial + float(np.sum(2 * p / hbar * dphi ** 2))
     if method == "minimize":
-        import scipy.optimize  # its only use: a cold start skips it
-
         def length(alpha):
             return float(np.sum(2 * p / hbar * (v.dphi + alpha) ** 2))
-        res = scipy.optimize.minimize_scalar(length)
-        return radial + float(res.fun)
+        below, at, above = length(-1.0), length(0.0), length(1.0)
+        return radial + length(0.5 * (below - above)
+                               / (below - 2.0 * at + above))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -336,8 +341,7 @@ def killing_residual(grad: Callable, hess: Callable, point: EPhasePoint,
     first = np.r_[:n_probes, 2 * n_probes:len(w.dp)]
     v, dxv = _rows(w, first), _rows(dx, first)
     u, dxu = _rows(w, slice(n_probes, None)), _rows(dx, slice(n_probes, None))
-    dv = v.dphi - np.sum(p * v.dphi, axis=-1, keepdims=True)
-    du = u.dphi - np.sum(p * u.dphi, axis=-1, keepdims=True)
+    dv, du = _gauge_fixed(p, v.dphi), _gauge_fixed(p, u.dphi)
     coeff_term = np.sum(x_field.dp * (-hbar / (2 * p**2) * v.dp * u.dp
                                       + 2.0 / hbar * dv * du), axis=-1)
     lie = (coeff_term + gauge_invariant_metric(point, dxv, u)

@@ -329,7 +329,10 @@ class ParticleSystem:
         return np.array([b[n] for n, _ in self.axis_map])
 
     def step_variances(self, dt: float) -> np.ndarray:
-        """Per-axis fluctuation variance of one step: eta dt^gamma / m."""
+        """Per-axis fluctuation variance of one step: eta dt^gamma / m.
+        Refuses dt <= 0, where the law has no meaning."""
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         return self.eta * dt**self.gamma_exponent / self.mass_per_axis
 
     @property

@@ -16,6 +16,10 @@ sampled process.  The drift and fluctuation depend on gamma:
 * other gamma ("fractional"): sampled like OU, with no density-tracking
   guarantee outside gamma in {1, 3}.
 
+Each fact of a run has one source: the `ParticleSystem` gives eta, gamma
+and with its process label the drift, and the timeline of wave states gives
+the step dt, its uniform spacing, the step of entropic time.
+
 Drift values come from current-ratio interpolation: the smooth pair
 (rho * v, rho) is interpolated and divided at the walker position, which
 behaves near density nodes where v itself spikes; see the flow-table block
@@ -41,7 +45,7 @@ escape count.  `simulate_ensemble` and `bohmian_trajectories` drive one;
 per eta together over one pass of the states.  A state's table is built in
 two parts: rows that do not depend on eta (`_flow_rows`), built once for
 all runs, and a per-run finish (`_finisher`) that adds the osmotic term
-with the run's eta.
+with the run's eta when its process is ES (`_osmotic`).
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import numpy as np
 
 from .grids import (ConfigGrid, ParticleSystem, density_floor, gradient,
                     mod_period, nearest_image, particles_on_line,
-                    process_label, single_particle)
+                    single_particle)
 from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
                       madelung, phase_gradient, quantum_potential)
 
@@ -70,50 +74,12 @@ MAX_ESCAPE_FRACTION = 0.01
 NOISE_THREAD_WALKERS = 10_000
 
 
-@dataclass(frozen=True)
-class TransitionParams:
-    """Step size and fluctuation constants of the sampled process.
-
-    The system is the one source of eta and gamma: the sampler reads them
-    from it and refuses params that disagree.
-    """
-
-    dt: float
-    eta: float
-    gamma_exponent: float
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
-        if self.gamma_exponent <= 0:
-            raise ValueError("gamma_exponent must be positive")
-
-    @property
-    def process_label(self) -> str:
-        return process_label(self.gamma_exponent)
-
-    @classmethod
-    def from_system(cls, system: ParticleSystem, dt: float) -> "TransitionParams":
-        return cls(dt, system.eta, system.gamma_exponent)
-
-
 def with_eta(system: ParticleSystem, eta: float,
              gamma_exponent: float | None = None) -> ParticleSystem:
     kw = {"eta": eta}
     if gamma_exponent is not None:
         kw["gamma_exponent"] = gamma_exponent
     return replace(system, **kw)
-
-
-def _check_constants(system: ParticleSystem, params: TransitionParams) -> None:
-    """Refuse params whose eta or gamma differ from the system's."""
-    for name in ("eta", "gamma_exponent"):
-        mine, theirs = getattr(params, name), getattr(system, name)
-        if mine != theirs:
-            raise ValueError(f"params.{name} = {mine!r} differs from "
-                             f"system.{name} = {theirs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +201,12 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(pad) * REFINE
 
 
+def _osmotic(system: ParticleSystem) -> bool:
+    """Whether the system's sampler drift carries the osmotic term: only
+    the ES process's does."""
+    return system.process_label == "ES"
+
+
 def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
                system: ParticleSystem, osmotic: bool):
     """Per state, one at a time, the rows of its flow table that do not
@@ -269,19 +241,17 @@ def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
                rho_f)
 
 
-def _finisher(grid: ConfigGrid, system: ParticleSystem, mode: str):
-    """The function that turns one state's `_flow_rows` into its flow table
-    under `mode`, with the system's eta.  Each call binds its own system,
-    so runs at different eta can share one row stream."""
-    if mode not in ("current", "ES"):
-        raise ValueError(f"unknown drift mode {mode!r}")
-    es = mode == "ES"
+def _finisher(grid: ConfigGrid, system: ParticleSystem, osmotic: bool):
+    """The function that turns one state's `_flow_rows` into its flow table,
+    with the osmotic term at the system's eta when `osmotic`.  Each call
+    binds its own system, so runs at different eta can share one row
+    stream."""
     if grid.dim == 1 and grid.periodic[0]:
         m = system.mass_per_axis[0]
 
         def finish(rows):
             num, cross_real, rho = rows
-            if es:
+            if osmotic:
                 # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
                 # grad rho = 2 Re(psi* psi') needs no extra transform
                 num = num + (system.eta / m) * cross_real
@@ -290,7 +260,7 @@ def _finisher(grid: ConfigGrid, system: ParticleSystem, mode: str):
 
     def finish(rows):
         v, dlog, rho = rows
-        if es:
+        if osmotic:
             # the osmotic term (eta / 2 m_A) grad_A log rho cancels the
             # diffusive flux of the gamma = 1 process
             masses = system.mass_per_axis
@@ -301,10 +271,11 @@ def _finisher(grid: ConfigGrid, system: ParticleSystem, mode: str):
 
 
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
-                 system: ParticleSystem, mode: str):
-    """The flow table of every state under `mode`, one at a time."""
-    finish = _finisher(timeline[0].grid, system, mode)
-    return map(finish, _flow_rows(timeline, pot, system, mode == "ES"))
+                 system: ParticleSystem, osmotic: bool):
+    """The flow table of every state, one at a time, with the osmotic term
+    when `osmotic`."""
+    finish = _finisher(timeline[0].grid, system, osmotic)
+    return map(finish, _flow_rows(timeline, pot, system, osmotic))
 
 
 def _ratio_drift(walk: _Walk, table: np.ndarray,
@@ -331,12 +302,13 @@ class Ensemble:
     positions has shape (n_records, walkers, dim) at times `times`;
     velocities/drifts (present when velocity recording is on) hold the
     per-step displacement velocity and the frozen drift at the departure
-    point, shape (steps, walkers, dim).
+    point, shape (steps, walkers, dim).  dt is the timeline's spacing, the
+    step of entropic time.
     """
 
     grid: ConfigGrid
     system: ParticleSystem
-    params: TransitionParams
+    dt: float
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray | None
@@ -526,41 +498,42 @@ class _Walk:
             new[~alive] = self.pos[~alive]
 
 
-def _check_spacing(timeline: Sequence[WaveState], dt: float) -> None:
+def _check_spacing(timeline: Sequence[WaveState]) -> float:
+    """The step dt of a sampled run: the timeline's first spacing.  Refuses
+    a timeline of fewer than two states, or whose spacing is not positive
+    or not uniform."""
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
     dts = np.diff([s.time for s in timeline])
+    dt = float(dts[0])
+    if not np.all(dts > 0):
+        raise ValueError("timeline times must increase")
     if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("timeline spacing does not match params.dt")
-
-
-def _drift_mode(system: ParticleSystem) -> str:
-    return "ES" if system.process_label == "ES" else "current"
+        raise ValueError("timeline spacing is not uniform")
+    return dt
 
 
 def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
-                      system: ParticleSystem, params: TransitionParams,
-                      n_walkers: int, seed: int,
-                      mode: str | None = None,
+                      system: ParticleSystem, n_walkers: int, seed: int,
                       record_stride: int = 1,
                       record_velocities: bool = False,
                       initial_positions: np.ndarray | None = None) -> Ensemble:
     """March an ensemble along a timeline of wave states.
 
-    The state spacing must equal params.dt, and params must carry the
-    system's eta and gamma.  Each step is `_Walk.step` with the step's
-    Philox noise, drawn in step order from the run's one noise generator:
-    from NOISE_THREAD_WALKERS walkers on, one step ahead by a helper thread
-    that is joined before the call returns or raises (`_noise_stream`).
-    Escaped walkers (hard walls only) are frozen in place and counted; more
-    than `MAX_ESCAPE_FRACTION` of them aborts with a SafeguardError.
+    The system is the one source of eta, gamma and the drift: the ES
+    process's carries the osmotic term, every other process's is the
+    current velocity.  The timeline is the one source of the step dt: its
+    spacing, which must be positive and uniform.  Each step is `_Walk.step`
+    with the step's Philox noise, drawn in step order from the run's one
+    noise generator: from NOISE_THREAD_WALKERS walkers on, one step ahead
+    by a helper thread that is joined before the call returns or raises
+    (`_noise_stream`).  Escaped walkers (hard walls only) are frozen in
+    place and counted; more than `MAX_ESCAPE_FRACTION` of them aborts with
+    a SafeguardError.
     """
-    _check_constants(system, params)
-    _check_spacing(timeline, params.dt)
+    dt = _check_spacing(timeline)
     grid = timeline[0].grid
-    if mode is None:
-        mode = _drift_mode(system)
-    tables = _flow_tables(timeline, pot, system, mode)
+    tables = _flow_tables(timeline, pot, system, _osmotic(system))
     steps = len(timeline) - 1
     if initial_positions is None:
         init_seq = np.random.SeedSequence(seed).spawn(2)[0]
@@ -580,19 +553,19 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     velocities = [] if record_velocities else None
     drifts = [] if record_velocities else None
 
-    with _noise_stream(seed, system.step_variances(params.dt), pos.shape,
+    with _noise_stream(seed, system.step_variances(dt), pos.shape,
                        steps) as noises:
         walk = _Walk(grid, tables, pos, noises)
         for k in range(steps):
-            v_mid = walk.step(k, params.dt)
+            v_mid = walk.step(k, dt)
             if record_velocities:
-                velocities.append((walk.pos - walk.new) / params.dt)
+                velocities.append((walk.pos - walk.new) / dt)
                 drifts.append(v_mid.copy())
             if k + 1 in slot:
                 rec_positions[slot[k + 1]] = walk.pos
 
     return Ensemble(
-        grid, system, params,
+        grid, system, dt,
         times=np.array([timeline[k].time for k in recorded]),
         positions=rec_positions,
         velocities=None if velocities is None else np.array(velocities),
@@ -605,13 +578,12 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
 # statistics of the sampled process
 # ---------------------------------------------------------------------------
 
-def fluctuation_covariance(system: ParticleSystem, params: TransitionParams,
-                           n_draws: int, seed: int) -> dict:
+def fluctuation_covariance(system: ParticleSystem, dt: float, n_draws: int,
+                           seed: int) -> dict:
     """Monte-Carlo check of <dw_A dw_B> = step_variances(dt) delta_AB."""
-    _check_constants(system, params)
     dim = len(system.axis_map)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    variances = system.step_variances(params.dt)
+    variances = system.step_variances(dt)
     draws = rng.standard_normal((n_draws, dim)) * np.sqrt(variances)
     cov = np.cov(draws.T, bias=False).reshape(dim, dim)
     expected = np.diag(variances)
@@ -634,7 +606,7 @@ def velocity_increment_stats(ens: Ensemble) -> dict:
     flat = du.reshape(-1, du.shape[-1])
     dim = flat.shape[1]
     cov = np.cov(flat.T, bias=False).reshape(dim, dim)
-    expected = np.diag(2 * ens.system.eta * ens.params.dt
+    expected = np.diag(2 * ens.system.eta * ens.dt
                        / ens.system.mass_per_axis)
     return {"covariance": cov, "expected": expected,
             "rel_err_diag": np.abs(np.diag(cov) - np.diag(expected))
@@ -673,8 +645,8 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
     pos = np.array(initial_positions, dtype=float)
-    walk = _Walk(timeline[0].grid,
-                 _flow_tables(timeline, pot, system, "current"), pos, None)
+    walk = _Walk(timeline[0].grid, _flow_tables(timeline, pot, system, False),
+                 pos, None)
     out = np.empty((len(timeline),) + pos.shape)
     out[0] = pos
     for k in range(len(timeline) - 1):
@@ -705,15 +677,13 @@ def max_deviation_from_deterministic(ens: Ensemble,
 
 def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
                                reference: ParticleSystem,
-                               systems: Sequence[ParticleSystem], dt: float,
-                               seed: int,
+                               systems: Sequence[ParticleSystem], seed: int,
                                initial_positions: np.ndarray) -> list[float]:
     """Per system, how far its ensemble strays from the deterministic paths:
     bit for bit, `max_deviation_from_deterministic` of
 
-        simulate_ensemble(timeline, pot, system, params(system, dt),
-                          len(initial_positions), seed,
-                          initial_positions=initial_positions)
+        simulate_ensemble(timeline, pot, system, len(initial_positions),
+                          seed, initial_positions=initial_positions)
 
     against `bohmian_trajectories(timeline, pot, reference,
     initial_positions)`, with no history stored.
@@ -730,22 +700,22 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
                     reference.gamma_exponent) != reference:
             raise ValueError("systems must differ from the reference in eta "
                              "and gamma only")
-    _check_spacing(timeline, dt)
+    dt = _check_spacing(timeline)
     grid = timeline[0].grid
-    modes = [_drift_mode(system) for system in systems]
-    rows = itertools.tee(_flow_rows(timeline, pot, reference, "ES" in modes),
+    osmotic = [_osmotic(system) for system in systems]
+    rows = itertools.tee(_flow_rows(timeline, pot, reference, any(osmotic)),
                          len(systems) + 1)
     x0 = np.array(initial_positions, dtype=float)
     steps = len(timeline) - 1
     failure = None
     with ExitStack() as streams:
-        ref = _Walk(grid, map(_finisher(grid, reference, "current"), rows[0]),
+        ref = _Walk(grid, map(_finisher(grid, reference, False), rows[0]),
                     x0.copy(), None)
         runs = []
-        for system, mode, own_rows in zip(systems, modes, rows[1:]):
+        for system, osm, own_rows in zip(systems, osmotic, rows[1:]):
             noises = streams.enter_context(_noise_stream(
                 seed, system.step_variances(dt), x0.shape, steps))
-            runs.append(_Walk(grid, map(_finisher(grid, system, mode),
+            runs.append(_Walk(grid, map(_finisher(grid, system, osm),
                                         own_rows), x0.copy(), noises))
         worst = [_wrapped_distance(grid, run.pos - ref.pos) for run in runs]
         for k in range(steps):

@@ -54,7 +54,6 @@ from edsim.quantum import (
 from edsim.quantum import build_potentials
 from edsim.stats import compare_density, convergence_order
 from edsim.stochastic import (
-    TransitionParams,
     bohmian_trajectories,
     center_of_mass_report,
     draw_initial_positions,
@@ -161,8 +160,7 @@ def test_a04_ensembles_track_born_densities():
         stride = sc.steps // 6
         for gamma, eta in ((3.0, 1e-3), (1.0, 0.05)):
             system = with_eta(sc.system, eta, gamma_exponent=gamma)
-            params = TransitionParams(sc.dt, eta, gamma)
-            ens = simulate_ensemble(timeline, sc.potentials, system, params,
+            ens = simulate_ensemble(timeline, sc.potentials, system,
                                     n_walkers=n_walkers, seed=42,
                                     record_stride=stride)
             n_passed = 0
@@ -175,7 +173,7 @@ def test_a04_ensembles_track_born_densities():
                                       n_calibration=200, seed=100 + j)
                 assert not rep["underpowered"]
                 n_passed += rep["passed"]
-            assert n_passed >= 5, (preset, params.process_label, n_passed)
+            assert n_passed >= 5, (preset, system.process_label, n_passed)
 
 
 def test_a05_fluctuation_covariance_laws():
@@ -183,8 +181,7 @@ def test_a05_fluctuation_covariance_laws():
     # velocity-increment covariance 2 eta m^{AB} dt within 5% (gamma = 3),
     # fitted scaling exponents within 0.05 of the configured gamma
     sys2 = particles_on_line((1.0, 2.5), eta=0.2, gamma_exponent=3.0)
-    params = TransitionParams(0.05, 0.2, 3.0)
-    rep = fluctuation_covariance(sys2, params, n_draws=400_000, seed=11)
+    rep = fluctuation_covariance(sys2, 0.05, n_draws=400_000, seed=11)
     cov, expected = rep["covariance"], rep["expected"]
     n = rep["n_draws"]
     # Wishart sampling error: Var(S_AB) = (S_AA S_BB + S_AB^2) / (n - 1)
@@ -197,7 +194,6 @@ def test_a05_fluctuation_covariance_laws():
     system = with_eta(sc.system, eta, gamma_exponent=3.0)
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
     ens = simulate_ensemble(timeline, sc.potentials, system,
-                            TransitionParams(sc.dt, eta, 3.0),
                             n_walkers=20_000, seed=7, record_velocities=True)
     vstats = velocity_increment_stats(ens)
     assert np.all(vstats["rel_err_diag"] < 0.05)
@@ -222,9 +218,7 @@ def test_a06_vanishing_noise_recovers_deterministic_paths():
     for eta in (1e-2, 1e-3, 1e-4):
         system = with_eta(sc.system, eta, gamma_exponent=3.0)
         ens = simulate_ensemble(timeline, sc.potentials, system,
-                                TransitionParams(sc.dt, eta, 3.0),
-                                n_walkers=300, seed=5, mode="current",
-                                initial_positions=x0)
+                                n_walkers=300, seed=5, initial_positions=x0)
         deviations.append(max_deviation_from_deterministic(ens, reference))
     assert all(b < a for a, b in zip(deviations, deviations[1:])), deviations
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from edsim import geometry
 from edsim.geometry import (MAX_OUTCOMES, EPhasePoint, EPhaseTangent, apply_J,
                             commutator_identity_gap, fs_length_squared,
                             gauge_invariant_metric, geometry_battery,
@@ -125,6 +126,23 @@ def test_fs_length_closed_form_equals_minimization():
         closed = fs_length_squared(pt, v)
         minimized = fs_length_squared(pt, v, method="minimize")
         assert abs(closed - minimized) < 1e-10 * max(closed, 1.0)
+
+
+def test_minimization_catches_a_closed_form_without_its_mean(monkeypatch):
+    """The minimized length does not share the closed form's mean
+    subtraction: with that subtraction gone, the battery's gap exceeds
+    the 1e-10 bound of acceptance item a11 while the reference stays put."""
+    pt = rand_point(64, seed=3)
+    rng = np.random.default_rng(4)
+    v = EPhaseTangent(np.zeros(65), rng.standard_normal(65) + 0.3)
+    reference = fs_length_squared(pt, v, method="minimize")
+    assert abs(fs_length_squared(pt, v) - reference) < 1e-10
+    monkeypatch.setattr(geometry, "_gauge_fixed", lambda p, dphi: dphi)
+    assert fs_length_squared(pt, v, method="minimize") == reference
+    assert fs_length_squared(pt, v) - reference > 1e-10
+    rep = geometry_battery(outcomes=64, probes=100, kernels=2, seed=0)
+    assert rep["fs_closed_vs_minimized_max_gap"] > 1e-10
+    assert not rep["all_passed"]
 
 
 def test_phase_point_refuses_the_simplex_boundary():

@@ -133,6 +133,8 @@ def test_particle_system_validation():
         ParticleSystem((-1.0,), (0.0,), ((0, 0),))
     with pytest.raises(ValueError):
         ParticleSystem((1.0,), (0.0,), ((1, 0),))
+    with pytest.raises(ValueError):
+        ParticleSystem((1.0,), (0.0,), ((0, 0),), gamma_exponent=0.0)
 
 
 def test_process_labels():

@@ -45,8 +45,9 @@ def test_module_uses_every_name_it_imports(path):
 
 
 def test_a_cold_start_leaves_scipy_optimize_out():
-    """Importing the command line does not load scipy.optimize: only the
-    minimized Fubini-Study length uses it, and imports it when it runs."""
+    """Importing the command line does not load scipy.optimize: the package
+    does not use it (the minimized Fubini-Study length finds its minimum
+    as the vertex of a parabola), and no module it imports should load it."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
     probe = "import sys, edsim.cli; print('scipy.optimize' in sys.modules)"

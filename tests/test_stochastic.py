@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import operator
-import re
 import sys
 import threading
 
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edsim import grids, stochastic
+from edsim.geometry import transition_information_metric
 from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, density_floor, gradient,
                          nearest_image, single_particle)
 from edsim.presets import build_preset
@@ -19,7 +19,7 @@ from edsim.quantum import (SafeguardError, WaveState, evolve_trajectory,
                            free_potentials, gaussian_packet, madelung,
                            phase_gradient)
 from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
-                              Ensemble, TransitionParams,
+                              Ensemble,
                               bohmian_trajectories, center_of_mass_report,
                               draw_initial_positions, drift_velocity_field,
                               fluctuation_covariance, interpolate_vector,
@@ -29,43 +29,10 @@ from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
 from edsim.stochastic import _flow_tables, _Walk, _zero_pad_spectrum
 
 
-def test_params_labels_and_validation():
-    assert TransitionParams(0.1, 1e-3, 1.0).process_label == "ES"
-    assert TransitionParams(0.1, 1e-3, 3.0).process_label == "OU"
-    assert TransitionParams(0.1, 1e-3, 2.5).process_label == "fractional"
-    with pytest.raises(ValueError):
-        TransitionParams(-0.1, 1e-3, 1.0)
-    with pytest.raises(ValueError):
-        TransitionParams(0.1, -1e-3, 1.0)
-    with pytest.raises(ValueError):
-        TransitionParams(0.1, 1e-3, 0.0)
-    sys1 = single_particle(mass=2.0, eta=1e-4, gamma_exponent=3.0)
-    p = TransitionParams.from_system(sys1, 0.05)
-    assert p.eta == 1e-4 and p.process_label == "OU"
-
-
 def test_noise_sigma_formula():
     sys1 = single_particle(dim=1, mass=2.0, eta=1e-3, gamma_exponent=3.0)
     sig = np.sqrt(sys1.step_variances(0.01))
     assert np.allclose(sig, np.sqrt(1e-3 * 0.01**3 / 2.0), rtol=1e-14)
-
-
-@pytest.mark.parametrize("eta, gamma, name", [(2e-3, 3.0, "eta"),
-                                              (1e-3, 1.0, "gamma_exponent")],
-                         ids=["eta", "gamma"])
-def test_params_must_match_system_constants(eta, gamma, name):
-    sys1 = single_particle(eta=1e-3, gamma_exponent=3.0)
-    params = TransitionParams(0.05, eta, gamma)
-    message = re.escape(f"params.{name} = {getattr(params, name)!r} differs "
-                        f"from system.{name} = {getattr(sys1, name)!r}")
-    with pytest.raises(ValueError, match=message):
-        fluctuation_covariance(sys1, params, n_draws=10, seed=0)
-    grid = ConfigGrid((64,), (20.0,), (True,), origin=(-10.0,))
-    timeline = evolve_trajectory(gaussian_packet(grid, 0.0, 1.0),
-                                 free_potentials(grid, sys1), 0.05, 2)
-    with pytest.raises(ValueError, match=message):
-        simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
-                          10, seed=0)
 
 
 def test_with_eta_replaces_only_noise_constants():
@@ -178,7 +145,7 @@ def test_osmotic_drift_matches_log_density_gradient():
     state = gaussian_packet(grid, 0.0, s)
     sys1 = single_particle(mass=1.7, eta=2e-3, gamma_exponent=1.0)
     # the ES flow table (rho v, rho); on a ring it lives on a finer lattice
-    (table,) = _flow_tables([state], free_potentials(grid, sys1), sys1, "ES")
+    (table,) = _flow_tables([state], free_potentials(grid, sys1), sys1, True)
     v = table[0] / table[1]
     x = -12.0 + (24.0 / v.size) * np.arange(v.size)
     expect = (2e-3 / (2 * 1.7)) * (-x / s**2)
@@ -196,8 +163,7 @@ def test_velocity_increment_covariance_matches_ou_law():
     sys1 = single_particle(mass=1.3, eta=1e-2, gamma_exponent=3.0)
     dt = 0.01
     timeline = _stationary_timeline(grid, state, 30, dt)
-    params = TransitionParams.from_system(sys1, dt)
-    ens = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, params,
+    ens = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
                             n_walkers=2000, seed=7, record_velocities=True)
     from edsim.stochastic import velocity_increment_stats
     rep = velocity_increment_stats(ens)
@@ -208,8 +174,7 @@ def test_velocity_increment_covariance_matches_ou_law():
 
 def test_fluctuation_covariance_monte_carlo():
     sys1 = single_particle(dim=2, mass=2.0, eta=1e-3, gamma_exponent=3.0)
-    p = TransitionParams(0.05, 1e-3, 3.0)
-    rep = fluctuation_covariance(sys1, p, n_draws=200_000, seed=1)
+    rep = fluctuation_covariance(sys1, 0.05, n_draws=200_000, seed=1)
     diff = np.abs(np.diag(rep["covariance"]) - np.diag(rep["expected"]))
     assert np.all(diff < 4 * rep["stderr_diag"])
     off = rep["covariance"][0, 1]
@@ -254,9 +219,7 @@ def test_ensemble_mean_tracks_packet_center():
     pot = free_potentials(grid, sys1)
     dt, steps = 0.01, 40
     timeline = evolve_trajectory(state, pot, dt, steps)
-    params = TransitionParams.from_system(sys1, dt)
-    ens = simulate_ensemble(timeline, pot, sys1, params, n_walkers=4000,
-                            seed=5)
+    ens = simulate_ensemble(timeline, pot, sys1, n_walkers=4000, seed=5)
     assert abs(ens.positions[-1][:, 0].mean() - 0.5 * 0.4) < 0.05
 
 
@@ -273,9 +236,7 @@ def test_vanishing_noise_recovers_deterministic_flow():
     devs = []
     for eta in (1e-2, 1e-4, 1e-6):
         sys_eta = with_eta(base, eta)
-        params = TransitionParams.from_system(sys_eta, dt)
-        ens = simulate_ensemble(timeline, pot, sys_eta, params,
-                                n_walkers=300, seed=21,
+        ens = simulate_ensemble(timeline, pot, sys_eta, n_walkers=300, seed=21,
                                 initial_positions=x0)
         devs.append(max_deviation_from_deterministic(ens, ref))
     assert devs[0] > devs[1] > devs[2]
@@ -287,13 +248,12 @@ def test_ensemble_runs_are_reproducible():
     state = gaussian_packet(grid, 0.0, 1.5)
     sys1 = single_particle(eta=1e-2, gamma_exponent=1.0)
     timeline = _stationary_timeline(grid, state, 10, 0.01)
-    params = TransitionParams.from_system(sys1, 0.01)
-    a = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
-                          params, 500, seed=42)
-    b = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
-                          params, 500, seed=42)
-    c = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
-                          params, 500, seed=43)
+    a = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, 500,
+                          seed=42)
+    b = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, 500,
+                          seed=42)
+    c = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1, 500,
+                          seed=43)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
 
@@ -303,9 +263,49 @@ def test_timeline_spacing_mismatch_rejected():
     state = gaussian_packet(grid, 0.0, 1.5)
     states = [WaveState(grid, state.psi, time=t) for t in (0.0, 0.1, 0.3)]
     sys1 = single_particle(eta=1e-3)
-    with pytest.raises(ValueError):
-        simulate_ensemble(states, free_potentials(grid, sys1), sys1,
-                          TransitionParams(0.1, 1e-3, 3.0), 10, seed=0)
+    pot = free_potentials(grid, sys1)
+    with pytest.raises(ValueError, match="not uniform"):
+        simulate_ensemble(states, pot, sys1, 10, seed=0)
+    with pytest.raises(ValueError, match="not uniform"):
+        vanishing_noise_deviations(states, pot, with_eta(sys1, 0.0), [sys1],
+                                   0, np.zeros((10, 1)))
+
+
+@pytest.mark.parametrize("times, message", [
+    ((0.0, -0.1, -0.2), "must increase"),
+    ((0.0, 0.0, 0.0), "must increase"),
+    ((0.0, 0.1, 0.1), "must increase"),
+], ids=["backward", "zero", "stalled"])
+def test_timeline_without_one_positive_step_is_refused(times, message):
+    """The timeline is the one source of dt: a sampled run refuses one with
+    a spacing that is not positive (`test_timeline_spacing_mismatch_rejected`
+    covers an uneven one)."""
+    grid = ConfigGrid((64,), (16.0,), (True,), origin=(-8.0,))
+    state = gaussian_packet(grid, 0.0, 1.5)
+    states = [WaveState(grid, state.psi, time=t) for t in times]
+    sys1 = single_particle(eta=1e-3)
+    pot = free_potentials(grid, sys1)
+    x0 = np.zeros((10, 1))
+    with pytest.raises(ValueError, match=message):
+        simulate_ensemble(states, pot, sys1, 10, seed=0)
+    with pytest.raises(ValueError, match=message):
+        vanishing_noise_deviations(states, pot, with_eta(sys1, 0.0), [sys1],
+                                   0, x0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05])
+def test_fluctuation_laws_refuse_non_positive_dt(dt):
+    """`step_variances` refuses dt <= 0, so no caller of the fluctuation
+    law turns it into NaN: a negative step variance has no square root."""
+    sys1 = single_particle(eta=1e-3)
+    calls = [lambda: fluctuation_covariance(sys1, dt, n_draws=10, seed=0),
+             lambda: scaling_exponent(sys1, [dt, 0.1], trials=10, seed=0),
+             lambda: center_of_mass_report([1.0], eta=1e-3, dt=dt,
+                                           n_draws=10, seed=0),
+             lambda: transition_information_metric(sys1, dt)]
+    for call in calls:
+        with pytest.raises(ValueError, match="dt must be positive"):
+            call()
 
 
 def _escape_case(n_escaping, walkers):
@@ -324,8 +324,7 @@ def _escape_case(n_escaping, walkers):
 
 def _escape_run(n_escaping, walkers=100):
     timeline, pot, sys1, x0 = _escape_case(n_escaping, walkers)
-    params = TransitionParams.from_system(sys1, 0.05)
-    return simulate_ensemble(timeline, pot, sys1, params, walkers, seed=0,
+    return simulate_ensemble(timeline, pot, sys1, walkers, seed=0,
                              initial_positions=x0)
 
 
@@ -369,7 +368,6 @@ def test_vortex_ensemble_collapses_onto_bohmian_paths():
     for eta in (1e-6, 1e-8):
         sys_eta = with_eta(sc.system, eta, gamma_exponent=1.0)
         ens = simulate_ensemble(timeline, sc.potentials, sys_eta,
-                                TransitionParams.from_system(sys_eta, sc.dt),
                                 n_walkers=200, seed=5, initial_positions=x0)
         assert ens.meta["escaped"] == 0
         devs.append(max_deviation_from_deterministic(ens, ref))
@@ -444,19 +442,19 @@ def _ref_midpoint(grid, t0, t_half, pos, h):
     return _ref_drift(grid, t_half, half)
 
 
-def _ref_ensemble(timeline, pot, system, params, seed, x0):
+def _ref_ensemble(timeline, pot, system, dt, seed, x0):
     grid = timeline[0].grid
-    mode = "ES" if params.process_label == "ES" else "current"
-    tables = list(_flow_tables(timeline, pot, system, mode))
+    tables = list(_flow_tables(timeline, pot, system,
+                               system.process_label == "ES"))
     noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
     rng = np.random.Generator(np.random.Philox(noise_seq))
     pos, alive, path = x0.copy(), np.ones(len(x0), dtype=bool), [x0]
     for k in range(len(timeline) - 1):
         v = _ref_midpoint(grid, tables[k], 0.5 * tables[k] + 0.5 * tables[k + 1],
-                          pos, params.dt)
-        new = _ref_wrap(grid, pos + v * params.dt
+                          pos, dt)
+        new = _ref_wrap(grid, pos + v * dt
                         + rng.standard_normal(pos.shape)
-                        * np.sqrt(system.step_variances(params.dt)))
+                        * np.sqrt(system.step_variances(dt)))
         for a in range(grid.dim):
             if not grid.periodic[a]:
                 lo, hi = grid.origin[a], grid.origin[a] + grid.extents[a]
@@ -469,7 +467,7 @@ def _ref_ensemble(timeline, pot, system, params, seed, x0):
 
 def _ref_bohmian(timeline, pot, system, x0):
     grid = timeline[0].grid
-    tables = list(_flow_tables(timeline, pot, system, "current"))
+    tables = list(_flow_tables(timeline, pot, system, False))
     pos, path = x0.copy(), [x0]
     for k in range(len(timeline) - 1):
         h = timeline[k + 1].time - timeline[k].time
@@ -499,10 +497,9 @@ def _identity_case(name, walkers=400, **overrides):
 def test_ensemble_is_bit_identical_to_np_mod_stepper(name, gamma, eta):
     sc, timeline, x0 = _identity_case(name)
     system = with_eta(sc.system, eta, gamma_exponent=gamma)
-    params = TransitionParams(sc.dt, eta, gamma)
-    ens = simulate_ensemble(timeline, sc.potentials, system, params, 400,
-                            seed=7, initial_positions=x0)
-    path, escaped = _ref_ensemble(timeline, sc.potentials, system, params, 7,
+    ens = simulate_ensemble(timeline, sc.potentials, system, 400, seed=7,
+                            initial_positions=x0)
+    path, escaped = _ref_ensemble(timeline, sc.potentials, system, sc.dt, 7,
                                   x0)
     assert np.array_equal(ens.positions, path)
     assert ens.meta["escaped"] == escaped
@@ -536,12 +533,11 @@ def test_threaded_noise_is_bit_identical_to_np_mod_stepper(
     stepper, the escaping walker of `_identity_case` included."""
     sc, timeline, x0 = _identity_case(name, NOISE_THREAD_WALKERS)
     system = with_eta(sc.system, eta, gamma_exponent=gamma)
-    params = TransitionParams(sc.dt, eta, gamma)
-    ens = simulate_ensemble(timeline, sc.potentials, system, params,
+    ens = simulate_ensemble(timeline, sc.potentials, system,
                             NOISE_THREAD_WALKERS, seed=7,
                             initial_positions=x0)
     assert started_threads
-    path, escaped = _ref_ensemble(timeline, sc.potentials, system, params, 7,
+    path, escaped = _ref_ensemble(timeline, sc.potentials, system, sc.dt, 7,
                                   x0)
     assert np.array_equal(ens.positions, path)
     assert ens.meta["escaped"] == escaped
@@ -581,15 +577,14 @@ def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
 def test_noiseless_ensemble_follows_bohmian_paths(name, gamma):
     """At eta = 0 the sampler's step is the deterministic step: the ensemble
     ("current" drift for gamma = 3, "ES" drift for gamma = 1) lands on the
-    Bohmian paths from the same start, up to params.dt against the
-    timeline's own spacing."""
+    Bohmian paths from the same start, up to the first spacing of the
+    timeline, the ensemble's step, against each step's own spacing."""
     sc = build_preset(name, steps=30)
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
     x0 = draw_initial_positions(timeline[0], 300, np.random.default_rng(4))
     system = with_eta(sc.system, 0.0, gamma_exponent=gamma)
-    ens = simulate_ensemble(timeline, sc.potentials, system,
-                            TransitionParams.from_system(system, sc.dt), 300,
-                            seed=1, initial_positions=x0)
+    ens = simulate_ensemble(timeline, sc.potentials, system, 300, seed=1,
+                            initial_positions=x0)
     paths = bohmian_trajectories(timeline, sc.potentials, system, x0)
     dev = ens.positions - paths
     for a in range(sc.grid.dim):
@@ -654,7 +649,7 @@ def test_shared_rows_finish_to_the_per_run_tables(name, overrides, mode):
     that run would have built on its own."""
     sc, timeline, _ = _identity_case(name, **overrides)
     system = with_eta(sc.system, 0.05, gamma_exponent=1.0)
-    got = list(_flow_tables(timeline, sc.potentials, system, mode))
+    got = list(_flow_tables(timeline, sc.potentials, system, mode == "ES"))
     expect = list(_reference_flow_tables(timeline, sc.potentials, system,
                                          mode))
     assert len(got) == len(expect) == len(timeline)
@@ -677,7 +672,7 @@ def test_flow_tables_build_no_checked_fields(name, monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(grids, "_check_values", counted)
-    tables = list(_flow_tables(timeline, sc.potentials, system, "ES"))
+    tables = list(_flow_tables(timeline, sc.potentials, system, True))
     assert len(tables) == len(timeline)
     assert checks == []
 
@@ -688,9 +683,8 @@ def _separate_deviations(sc, timeline, base, systems, seed, x0):
     reference = bohmian_trajectories(timeline, sc.potentials, base, x0)
     out = []
     for system in systems:
-        ens = simulate_ensemble(timeline, sc.potentials, system,
-                                TransitionParams.from_system(system, sc.dt),
-                                len(x0), seed=seed, initial_positions=x0)
+        ens = simulate_ensemble(timeline, sc.potentials, system, len(x0),
+                                seed=seed, initial_positions=x0)
         out.append(max_deviation_from_deterministic(ens, reference))
     return out
 
@@ -709,7 +703,7 @@ def test_lockstep_deviations_equal_separate_runs(name, overrides, gammas):
     systems = [with_eta(sc.system, eta, gamma_exponent=g)
                for eta, g in zip((0.05, 1e-2, 1e-3), gammas)]
     got = vanishing_noise_deviations(timeline, sc.potentials, base, systems,
-                                     sc.dt, 7, x0)
+                                     7, x0)
     assert got == _separate_deviations(sc, timeline, base, systems, 7, x0)
     assert len(set(got)) == 3
 
@@ -737,7 +731,7 @@ def test_lockstep_builds_each_states_rows_once(name, monkeypatch):
     systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
                for eta in (1e-2, 1e-3, 1e-4)]
     vanishing_noise_deviations(timeline, sc.potentials,
-                               with_eta(sc.system, 0.0), systems, sc.dt, 7, x0)
+                               with_eta(sc.system, 0.0), systems, 7, x0)
     assert len(pulled) == len(timeline)
     assert len(walks) == 4
     assert all(walk.slots.shape[0] == 2 for walk in walks)
@@ -748,8 +742,7 @@ def test_lockstep_refuses_systems_that_differ_beyond_the_noise():
     heavier = single_particle(mass=2.0, eta=1e-3, gamma_exponent=1.0)
     with pytest.raises(ValueError, match="eta and gamma only"):
         vanishing_noise_deviations(timeline, sc.potentials,
-                                   with_eta(sc.system, 0.0), [heavier],
-                                   sc.dt, 7, x0)
+                                   with_eta(sc.system, 0.0), [heavier], 7, x0)
 
 
 def _wall_case(steps=8, dt=0.05):
@@ -776,9 +769,8 @@ def test_lockstep_raises_the_first_failure_and_joins_every_stream(
     first = None
     for system in systems:
         try:
-            simulate_ensemble(timeline, pot, system,
-                              TransitionParams.from_system(system, 0.05),
-                              len(x0), seed=3, initial_positions=x0)
+            simulate_ensemble(timeline, pot, system, len(x0), seed=3,
+                              initial_positions=x0)
         except SafeguardError as exc:
             first = str(exc)
             break
@@ -786,7 +778,7 @@ def test_lockstep_raises_the_first_failure_and_joins_every_stream(
     before = threading.enumerate()
     started_threads.clear()
     with pytest.raises(SafeguardError) as info:
-        vanishing_noise_deviations(timeline, pot, base, systems, 0.05, 3, x0)
+        vanishing_noise_deviations(timeline, pot, base, systems, 3, x0)
     assert str(info.value) == first
     assert sum(t.name.startswith("edsim-noise") for t in started_threads) == 3
     assert not any(t.is_alive() for t in started_threads)

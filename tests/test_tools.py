@@ -1,0 +1,39 @@
+"""The scripts in `tools/` still run against the package.
+
+Nothing else executes them, so a changed signature in the package would
+break them silently.  The seed sweep runs one preset at one seed and a few
+hundred walkers; the run matrix, each of whose runs is a CLI call tested
+elsewhere, is imported and lists its runs.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_sweep_runs_a_short_case(monkeypatch, capsys):
+    sweep = _load("seed_sweep")
+    monkeypatch.setattr(sweep, "WALKERS", 300)
+    monkeypatch.setattr(sweep, "PRESETS", ("free",))
+    sweep.sweep(range(1, 2))
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["case", "1", "pass"]
+    assert [row.split()[0] for row in rows] == ["free/OU", "free/ES"]
+    for row in rows:
+        # a record every steps // 6 steps: 7 checkpoints
+        assert 0 <= int(row.split()[1].rstrip("u")) <= 7
+
+
+def test_run_matrix_imports():
+    matrix = _load("run_matrix").matrix()
+    assert len(matrix) == 28

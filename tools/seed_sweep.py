@@ -19,12 +19,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from edsim.grids import ScalarField  # noqa: E402
+from edsim.grids import ScalarField, process_label  # noqa: E402
 from edsim.presets import build_preset  # noqa: E402
 from edsim.quantum import evolve_trajectory  # noqa: E402
 from edsim.stats import compare_density  # noqa: E402
-from edsim.stochastic import (TransitionParams, simulate_ensemble,  # noqa: E402
-                              with_eta)
+from edsim.stochastic import simulate_ensemble, with_eta  # noqa: E402
 
 WALKERS = 100_000
 PRESETS = ("free", "harmonic", "interference")
@@ -36,7 +35,6 @@ def in_band(sc, timeline, gamma: float, eta: float, seed: int) -> tuple[int, boo
     """Checkpoints in band and whether any is underpowered, for one case."""
     system = with_eta(sc.system, eta, gamma_exponent=gamma)
     ens = simulate_ensemble(timeline, sc.potentials, system,
-                            TransitionParams(sc.dt, eta, gamma),
                             n_walkers=WALKERS, seed=seed,
                             record_stride=sc.steps // 6)
     passed, underpowered = 0, False
@@ -61,7 +59,7 @@ def sweep(seeds: range) -> None:
                 n, under = in_band(sc, timeline, gamma, eta, seed)
                 cells.append(f"{n}{'u' if under else ''}")
                 ok += n >= MIN_IN_BAND and not under
-            label = f"{preset}/{TransitionParams(sc.dt, eta, gamma).process_label}"
+            label = f"{preset}/{process_label(gamma)}"
             print(f"{label:<16}" + "".join(f"{c:>5}" for c in cells)
                   + f"   {ok}/{len(seeds)}", flush=True)
 
