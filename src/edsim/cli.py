@@ -35,13 +35,15 @@ from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
 from .quantum import (SafeguardError, energy, evolve_trajectory,
                       position_moments)
-from .stats import compare_density, histogram_on_grid
+from .stats import compare_density, fit_power_law, histogram_on_grid
 from .stochastic import (center_of_mass_report, draw_initial_positions,
                          simulate_ensemble, vanishing_noise_deviations,
                          with_eta)
 
 # the largest step-kernel mass gap and CK mass drift that entropic-step accepts
 MAX_MASS_DRIFT = 1e-6
+# the noise strengths of the vanishing-noise study of `limits`
+LIMIT_ETAS = (1e-2, 1e-3, 1e-4)
 
 
 def _scenario_from_args(args) -> tuple:
@@ -195,35 +197,49 @@ def cmd_geometry_check(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+def limit_study(sc, timeline, walkers: int, seed: int) -> dict:
+    """The vanishing-noise study of `limits` on a preset's timeline: the
+    mean largest distance of ES walkers at each of LIMIT_ETAS to their
+    eta = 0 paths from one shared start, whether it falls monotonically
+    with eta, and the exponent of its power law in eta with the fit's
+    stderr (1/2 for a Brownian displacement)."""
+    etas = list(LIMIT_ETAS)
+    x0 = draw_initial_positions(timeline[0], walkers,
+                                np.random.default_rng(seed))
+    deviations = vanishing_noise_deviations(
+        timeline, sc.potentials, with_eta(sc.system, 0.0),
+        [with_eta(sc.system, eta, gamma_exponent=1.0) for eta in etas],
+        seed, x0)
+    fit = fit_power_law(np.array(etas), np.array(deviations))
+    return {
+        "etas": etas,
+        "max_deviations": deviations,
+        "monotone": bool(np.all(np.diff(deviations) < 0)),
+        "deviation_exponent": fit["exponent"],
+        "deviation_exponent_stderr": fit["stderr"],
+    }
+
+
 def cmd_limits(args) -> int:
     sc, config = _scenario_from_args(args)
-    etas = [1e-2, 1e-3, 1e-4]
     config.update({"command": "limits", "walkers": args.walkers,
-                   "seed": args.seed, "etas": etas})
+                   "seed": args.seed, "etas": list(LIMIT_ETAS)})
     writer = RunWriter(args.out)
     writer.write_config(config)
 
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
-    rng = np.random.default_rng(args.seed)
-    x0 = draw_initial_positions(timeline[0], args.walkers, rng)
-    deviations = vanishing_noise_deviations(
-        timeline, sc.potentials, with_eta(sc.system, 0.0),
-        [with_eta(sc.system, eta, gamma_exponent=1.0) for eta in etas],
-        args.seed, x0)
-    cm = [center_of_mass_report([1.0] * n, eta=1e-2, dt=0.05,
-                                seed=args.seed + n)
-          for n in (1, 2, 4, 8)]
-    result = {
-        "etas": etas,
-        "max_deviations": deviations,
-        "monotone": bool(np.all(np.diff(deviations) < 0)),
-        "center_of_mass": cm,
-        "max_cn_residual": timeline[-1].meta["cn_residual"],
-    }
+    result = limit_study(sc, timeline, args.walkers, args.seed)
+    deviations = result["max_deviations"]
+    result["center_of_mass"] = [
+        center_of_mass_report([1.0] * n, eta=1e-2, dt=0.05,
+                              seed=args.seed + n)
+        for n in (1, 2, 4, 8)]
+    result["max_cn_residual"] = timeline[-1].meta["cn_residual"]
     writer.write_json("report.json", result)
     writer.finish()
     print(f"limits: deviations {', '.join('%.3e' % d for d in deviations)} "
-          f"({'monotone' if result['monotone'] else 'NOT monotone'})")
+          f"({'monotone' if result['monotone'] else 'NOT monotone'}), "
+          f"exponent {result['deviation_exponent']:.3f}")
     return 0
 
 

@@ -26,10 +26,11 @@ behaves near density nodes where v itself spikes; see the flow-table block
 below.  Randomness: a master seed feeds a SeedSequence; independent children
 drive the initial draw and the per-step noise (counter-based Philox
 streams), so a run is bit-reproducible for fixed (seed, walkers, timeline).
-The noise of a run comes from its one generator in step order.  From
-NOISE_THREAD_WALKERS walkers on, a helper thread draws step k + 1's noise
-while step k runs (the fill releases the GIL); below, each step draws its
-own.  Both ways draw the same bits.
+The noise of a walk comes from its one generator in step order: one
+standard normal fill per step, scaled by each noisy block's deviation.
+From NOISE_THREAD_WALKERS walkers on, a helper thread draws step k + 1's
+noise while step k runs (the fill releases the GIL); below, each step draws
+its own.  Both ways draw the same bits.
 
 Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
 subtract of the period, with an np.mod fallback for values more than one
@@ -37,15 +38,19 @@ period outside the box.  The arithmetic of the lookup and of the table
 blend is that of the plain np.mod formulation of the step, so positions,
 drifts and escape counts are byte-identical to it.
 
-A run is one object, `_Walk`: its flow-table stream, streamed through two
+A walk is one object, `_Walk`: R blocks of walkers over a stream of
+run-stacked flow tables of shape (k, R, *nodes), streamed through two
 padded slots (it builds the table of state k + 1 at step k), its lookup
 and step buffers, allocated once, its positions, noise, alive mask and
-escape count.  `simulate_ensemble` and `bohmian_trajectories` drive one;
-`vanishing_noise_deviations` drives the Bohmian reference and one ensemble
-per eta together over one pass of the states.  A state's table is built in
-two parts: rows that do not depend on eta (`_flow_rows`), built once for
-all runs, and a per-run finish (`_finisher`) that adds the osmotic term
-with the run's eta when its process is ES (`_osmotic`).
+per-block escape counts.  A walker of block r reads its own block of the
+table through a flat offset.  `simulate_ensemble` and
+`bohmian_trajectories` each step a walk of one block.
+`vanishing_noise_deviations` steps the whole limit study as one walk:
+block 0 is the Bohmian reference, with no noise and no escape check, and
+one block per eta follows.  A state's table is built in two parts: rows
+that do not depend on eta (`_flow_rows`), built once for all blocks, and
+one finish (`_finisher`) that stacks the blocks and adds each ES block's
+osmotic term at that block's eta (`_osmotic`).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -143,12 +148,13 @@ def interpolate_vector(walk: _Walk, values: np.ndarray,
                        positions: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of stacked node tables at walker positions.
 
-    `values` has shape (k, padded nodes): one of `walk.slots` or their blend,
-    k component tables on a lattice over the grid's box, laid out by the
-    grid's conventions with `walk.nodes` nodes per axis (which may differ
-    from grid.points, e.g. for a refined table).  Returns shape (m, k), a
-    view of `walk.acc`.  Periodic axes wrap; non-periodic axes clamp to the
-    node range (constant extrapolation past the outermost nodes).
+    `values` has shape (k, R * padded nodes): one of `walk.slots` or their
+    blend, k component tables per block on a lattice over the grid's box,
+    laid out by the grid's conventions with `walk.nodes` nodes per axis
+    (which may differ from grid.points, e.g. for a refined table).  The
+    walkers of block r read block r.  Returns shape (R * m, k), a view of
+    `walk.acc`.  Periodic axes wrap; non-periodic axes clamp to the node
+    range (constant extrapolation past the outermost nodes).
     """
     grid = walk.grid
     # flat index of each walker's lowest cell corner; the corner with the
@@ -161,6 +167,8 @@ def interpolate_vector(walk: _Walk, values: np.ndarray,
             lo *= walk.strides[a]
         if a:
             base += lo
+    if walk.offsets is not None:
+        base += walk.offsets
     # mode="clip" lets take write straight into the buffer (its default
     # gathers into a temporary first); every index is in range already
     acc, tmp = walk.acc, walk.tmp
@@ -187,7 +195,8 @@ def interpolate_vector(walk: _Walk, values: np.ndarray,
 # spikes on a sub-cell scale.  The step therefore interpolates the smooth
 # pair (rho * v, rho) and divides at the sample point.  A flow table stacks
 # it as one array [rho v_0, ..., rho v_{dim-1}, rho] of shape
-# (dim + 1, *nodes).
+# (dim + 1, *nodes); a walk of R blocks reads R of them stacked as
+# (dim + 1, R, *nodes).
 # On 1-D fully periodic grids the pair is first resampled onto a REFINE-times
 # finer zero-padded Fourier lattice, which is exact for the band-limited
 # solver output.
@@ -215,7 +224,7 @@ def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
     On a 1-D ring, on the refined lattice: num = rho v of the current
     velocity, Re(psi* psi') and rho.  Elsewhere: the current velocity per
     axis (`drift_velocity_field`), grad log rho per axis when `osmotic`
-    (else None) and rho.  `_finisher` turns them into one run's table.
+    (else None) and rho.  `_finisher` turns them into a run-stacked table.
     """
     grid = timeline[0].grid
     if not (grid.dim == 1 and grid.periodic[0]):
@@ -241,41 +250,55 @@ def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
                rho_f)
 
 
-def _finisher(grid: ConfigGrid, system: ParticleSystem, osmotic: bool):
-    """The function that turns one state's `_flow_rows` into its flow table,
-    with the osmotic term at the system's eta when `osmotic`.  Each call
-    binds its own system, so runs at different eta can share one row
-    stream."""
+def _finisher(grid: ConfigGrid, systems: Sequence[ParticleSystem],
+              osmotic: Sequence[bool]):
+    """The function that turns one state's `_flow_rows` into its run-stacked
+    flow table, of shape (k, len(systems), *nodes): block r is the table of
+    systems[r], with the osmotic term at that system's eta when
+    osmotic[r].  The systems differ in eta and gamma only, so they share
+    one row stream."""
+    blocks = list(zip(systems, osmotic))
     if grid.dim == 1 and grid.periodic[0]:
-        m = system.mass_per_axis[0]
+        m = systems[0].mass_per_axis[0]
 
         def finish(rows):
             num, cross_real, rho = rows
-            if osmotic:
-                # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho, and
-                # grad rho = 2 Re(psi* psi') needs no extra transform
-                num = num + (system.eta / m) * cross_real
-            return np.stack([num, rho])
+            out = np.empty((2, len(blocks)) + rho.shape)
+            out[1] = rho
+            for r, (system, osm) in enumerate(blocks):
+                if osm:
+                    # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho,
+                    # and grad rho = 2 Re(psi* psi') needs no extra transform
+                    np.add(num, (system.eta / m) * cross_real, out=out[0, r])
+                else:
+                    out[0, r] = num
+            return out
         return finish
+
+    masses = systems[0].mass_per_axis
 
     def finish(rows):
         v, dlog, rho = rows
-        if osmotic:
-            # the osmotic term (eta / 2 m_A) grad_A log rho cancels the
-            # diffusive flux of the gamma = 1 process
-            masses = system.mass_per_axis
-            v = np.stack([v[a] + ((system.eta / (2 * masses[a])) * dlog[a])
-                          for a in range(len(dlog))])
-        return np.concatenate([rho[None] * v, rho[None]])
+        out = np.empty((len(v) + 1, len(blocks)) + rho.shape)
+        out[-1] = rho
+        for r, (system, osm) in enumerate(blocks):
+            for a, va in enumerate(v):
+                if osm:
+                    # the osmotic term (eta / 2 m_A) grad_A log rho cancels
+                    # the diffusive flux of the gamma = 1 process
+                    va = va + ((system.eta / (2 * masses[a])) * dlog[a])
+                np.multiply(rho, va, out=out[a, r])
+        return out
     return finish
 
 
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
-                 system: ParticleSystem, osmotic: bool):
-    """The flow table of every state, one at a time, with the osmotic term
-    when `osmotic`."""
-    finish = _finisher(timeline[0].grid, system, osmotic)
-    return map(finish, _flow_rows(timeline, pot, system, osmotic))
+                 systems: Sequence[ParticleSystem], osmotic: Sequence[bool]):
+    """The run-stacked flow table of every state, one at a time: block r
+    carries the osmotic term at systems[r]'s eta when osmotic[r].  Each
+    state's eta-free rows are built once for all blocks."""
+    finish = _finisher(timeline[0].grid, systems, osmotic)
+    return map(finish, _flow_rows(timeline, pot, systems[0], any(osmotic)))
 
 
 def _ratio_drift(walk: _Walk, table: np.ndarray,
@@ -338,10 +361,12 @@ def draw_initial_positions(state: WaveState, n_walkers: int,
 @contextmanager
 def _noise_stream(seed: int, variances: np.ndarray, shape: tuple[int, int],
                   steps: int):
-    """The noise of `steps` walker steps of a run at `seed`: per step, a
-    standard normal fill of `shape` times sqrt(variances), drawn in step
-    order from one Philox generator; the initial draw uses the other child
-    of the same SeedSequence.
+    """The noise of `steps` walker steps at `seed` for the blocks whose
+    per-axis variances are the rows of `variances`: per step, one standard
+    normal fill of `shape` times each row's sqrt, shape (blocks, *shape),
+    drawn in step order from one Philox generator; the initial draw uses
+    the other child of the same SeedSequence.  Every block thus gets the
+    bits a run of its own at `seed` would draw.
 
     From NOISE_THREAD_WALKERS walkers on, a helper thread fills step
     k + 1's buffer while the caller runs step k, and the two buffers take
@@ -352,13 +377,16 @@ def _noise_stream(seed: int, variances: np.ndarray, shape: tuple[int, int],
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed).spawn(2)[1]))
     sig = np.sqrt(variances)
+    shape = (len(sig),) + tuple(shape)
 
     def fill(buf: np.ndarray) -> np.ndarray:
-        rng.standard_normal(out=buf)
-        buf *= sig
+        unit = buf[0]
+        rng.standard_normal(out=unit)
+        np.multiply(unit, sig[1:, None], out=buf[1:])
+        unit *= sig[0]
         return buf
 
-    if shape[0] < NOISE_THREAD_WALKERS:
+    if shape[1] < NOISE_THREAD_WALKERS:
         buf = np.empty(shape)
         yield (fill(buf) for _ in range(steps))
         return
@@ -376,53 +404,71 @@ def _noise_stream(seed: int, variances: np.ndarray, shape: tuple[int, int],
 
 
 class _Walk:
-    """One run: walkers stepped along a stream of flow tables.
+    """One walk: R blocks of m walkers stepped along a stream of run-stacked
+    flow tables of shape (k, R, *nodes), block r along its own lattice r.
 
-    `tables` streams the run's node tables: the first is read on
-    construction and table k + 1 at step k.  `slots` holds the last two
-    read as (2, k, padded nodes); `nodes` and `strides` describe the
-    unpadded node counts and the padded flat layout per axis.  Every
-    temporary of a lookup and of a step lives in buffers allocated once;
-    results read from them (lookups, drifts) are valid until the next call
-    that writes the same buffer.
+    `tables` streams the tables: the first is read on construction and
+    table k + 1 at step k.  `slots` holds the last two read as
+    (2, k, R * padded nodes); `nodes` and `strides` describe the unpadded
+    node counts and the padded flat layout of one block per axis.  A walker
+    of block r reads its own lattice through the flat offset r * (padded
+    nodes) added to its lowest cell corner, an add skipped at R = 1.
+    `positions` holds the blocks one after another, shape (R * m, dim).
+    Every temporary of a lookup and of a step lives in buffers allocated
+    once; results read from them (lookups, drifts) are valid until the
+    next call that writes the same buffer.
 
-    `noises` is an iterator of per-step arrays, or None for deterministic
-    paths.  A run with noise checks escapes: escaped walkers (hard walls
-    only) are frozen in place and counted, and more than
-    `MAX_ESCAPE_FRACTION` of them aborts with a SafeguardError.
-    Deterministic paths do neither.
+    The first `quiet` blocks take no noise and no escape check: they are
+    deterministic paths.  `noises` is an iterator of per-step arrays of
+    shape (R - quiet, m, dim) for the other blocks, or None when
+    quiet == R.  Those blocks check escapes: escaped walkers (hard walls
+    only) are frozen in place and counted per block.  Once more than
+    `MAX_ESCAPE_FRACTION` of a block's walkers have escaped, `failure`
+    holds its SafeguardError if no earlier block has failed; the failure
+    of the first noisy block is raised at once, and any later one is for
+    the caller to raise when the walk is over, as no earlier block may
+    fail after it.
     """
 
     def __init__(self, grid: ConfigGrid, tables, positions: np.ndarray,
-                 noises):
+                 noises, quiet: int):
         self.tables = iter(tables)
         first = next(self.tables)
         self.grid = grid
-        self.nodes = first.shape[1:]
+        k, blocks = first.shape[:2]
+        self.nodes = first.shape[2:]
         shape = tuple(n + 2 if per else n
                       for n, per in zip(self.nodes, grid.periodic))
         self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
-        self.padded = np.empty((2, first.shape[0]) + shape)
-        self.slots = self.padded.reshape(2, first.shape[0], -1)
+        self.padded = np.empty((2, k, blocks) + shape)
+        self.slots = self.padded.reshape(2, k, -1)
         self.loaded = 0
         self.load(first)
-        k, (m, dim) = first.shape[0], positions.shape
+        n, dim = positions.shape
+        m = n // blocks
+        # the flat offset of each walker's own block in a slot row
+        self.offsets = (np.repeat(np.arange(blocks) * math.prod(shape), m)
+                        if blocks > 1 else None)
         # per axis: upper and lower node weight, lower node index
-        self.upper = np.empty((dim, m))
-        self.lower = np.empty((dim, m))
-        self.lo = np.empty((dim, m), dtype=np.intp)
+        self.upper = np.empty((dim, n))
+        self.lower = np.empty((dim, n))
+        self.lo = np.empty((dim, n), dtype=np.intp)
         # the weight of one corner of a multi-axis cell
-        self.weight = np.empty(m)
-        self.acc = np.empty((k, m))
-        self.tmp = np.empty((k, m))
+        self.weight = np.empty(n)
+        self.acc = np.empty((k, n))
+        self.tmp = np.empty((k, n))
         # the blend of two adjacent tables and its scratch
         self.mid = np.empty_like(self.slots)
-        self.half = np.empty((m, dim))
+        self.half = np.empty((n, dim))
         self.pos = positions
         self.new = np.empty_like(positions)
         self.noises = noises
-        self.alive = np.ones(m, dtype=bool)
-        self.escaped = 0
+        # the rows of the noisy blocks, their alive mask and escape counts
+        self.noisy = slice(quiet * m, None)
+        self.alive = np.ones((blocks - quiet, m), dtype=bool)
+        self.escaped = np.zeros(blocks - quiet, dtype=int)
+        self.failure = None
+        self.failed = blocks
 
     def load(self, table: np.ndarray) -> None:
         """Copy `table` into the slot of the older of the two and repeat
@@ -433,8 +479,8 @@ class _Walk:
         out[tuple(slice(0, n) for n in table.shape)] = table
         for a, periodic in enumerate(self.grid.periodic):
             if periodic:
-                n = table.shape[a + 1]
-                axes = (slice(None),) * (a + 1)
+                n = table.shape[a + 2]
+                axes = (slice(None),) * (a + 2)
                 out[axes + (slice(n, n + 2),)] = out[axes + (slice(0, 2),)]
         self.loaded += 1
 
@@ -463,7 +509,8 @@ class _Walk:
         np.multiply(v, dt, out=out)
         np.add(pos, out, out=out)
         if noise is not None:
-            np.add(out, noise, out=out)
+            noisy = out[self.noisy]
+            np.add(noisy, noise.reshape(noisy.shape), out=noisy)
         grid.wrap(out, out=out)
         if noise is not None:
             self._check_walls()
@@ -471,9 +518,11 @@ class _Walk:
         return v
 
     def _check_walls(self) -> None:
-        """Freeze and count the walkers of `new` on or beyond a hard wall;
-        abort once more than MAX_ESCAPE_FRACTION of all have escaped."""
-        grid, new, alive = self.grid, self.new, self.alive
+        """Freeze and count, per noisy block, the walkers of `new` on or
+        beyond a hard wall; a block fails once more than
+        MAX_ESCAPE_FRACTION of its walkers have escaped."""
+        grid, alive = self.grid, self.alive.reshape(-1)
+        new, old = self.new[self.noisy], self.pos[self.noisy]
         escaped = None
         for a in range(grid.dim):
             if grid.periodic[a]:
@@ -489,13 +538,18 @@ class _Walk:
             newly = escaped & alive
             if np.any(newly):
                 alive &= ~newly
-                self.escaped += int(newly.sum())
-                if self.escaped > MAX_ESCAPE_FRACTION * alive.size:
-                    raise SafeguardError(
-                        f"{self.escaped} walkers escaped the domain "
-                        f"(> {MAX_ESCAPE_FRACTION:.1%} of {alive.size})")
-        if self.escaped:
-            new[~alive] = self.pos[~alive]
+                m = self.alive.shape[1]
+                self.escaped += newly.reshape(-1, m).sum(axis=1)
+                over = np.flatnonzero(self.escaped > MAX_ESCAPE_FRACTION * m)
+                if over.size and over[0] < self.failed:
+                    b = self.failed = int(over[0])
+                    self.failure = SafeguardError(
+                        f"{self.escaped[b]} walkers escaped the domain "
+                        f"(> {MAX_ESCAPE_FRACTION:.1%} of {m})")
+                    if b == 0:
+                        raise self.failure
+        if self.escaped.any():
+            new[~alive] = old[~alive]
 
 
 def _check_spacing(timeline: Sequence[WaveState]) -> float:
@@ -533,7 +587,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     """
     dt = _check_spacing(timeline)
     grid = timeline[0].grid
-    tables = _flow_tables(timeline, pot, system, _osmotic(system))
+    tables = _flow_tables(timeline, pot, [system], [_osmotic(system)])
     steps = len(timeline) - 1
     if initial_positions is None:
         init_seq = np.random.SeedSequence(seed).spawn(2)[0]
@@ -553,9 +607,9 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     velocities = [] if record_velocities else None
     drifts = [] if record_velocities else None
 
-    with _noise_stream(seed, system.step_variances(dt), pos.shape,
+    with _noise_stream(seed, system.step_variances(dt)[None], pos.shape,
                        steps) as noises:
-        walk = _Walk(grid, tables, pos, noises)
+        walk = _Walk(grid, tables, pos, noises, 0)
         for k in range(steps):
             v_mid = walk.step(k, dt)
             if record_velocities:
@@ -570,7 +624,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
         positions=rec_positions,
         velocities=None if velocities is None else np.array(velocities),
         drifts=None if drifts is None else np.array(drifts),
-        meta={"escaped": walk.escaped},
+        meta={"escaped": int(walk.escaped[0])},
     )
 
 
@@ -638,19 +692,20 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
                          initial_positions: np.ndarray) -> np.ndarray:
     """Integrate dx/dt = v(x, t) along the timeline: the sampler's step
     (`_Walk.step`) on the current velocity, with no noise and no escape
-    check, over each spacing of the timeline.
+    check, one block of walkers.  The step dt is the timeline's one
+    spacing, as in `simulate_ensemble`, which must be positive and
+    uniform.
 
     Returns positions of shape (len(timeline), K, dim).
     """
-    if len(timeline) < 2:
-        raise ValueError("timeline needs at least two states")
+    dt = _check_spacing(timeline)
     pos = np.array(initial_positions, dtype=float)
-    walk = _Walk(timeline[0].grid, _flow_tables(timeline, pot, system, False),
-                 pos, None)
+    walk = _Walk(timeline[0].grid,
+                 _flow_tables(timeline, pot, [system], [False]), pos, None, 1)
     out = np.empty((len(timeline),) + pos.shape)
     out[0] = pos
     for k in range(len(timeline) - 1):
-        walk.step(k, timeline[k + 1].time - timeline[k].time)
+        walk.step(k, dt)
         out[k + 1] = walk.pos
     return out
 
@@ -688,12 +743,16 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
     against `bohmian_trajectories(timeline, pot, reference,
     initial_positions)`, with no history stored.
 
-    The systems may differ from `reference` in eta and gamma only.  All
-    runs step together over one pass of the timeline: each state's eta-free
-    rows (`_flow_rows`) are built once and finished per run, each run keeps
-    its own noise stream and escape check, and each run's per-walker
-    maximum distance to the reference is folded in as the runs go.  A
-    SafeguardError is that of the first system, in order, whose run fails.
+    The systems may differ from `reference` in eta and gamma only.  The
+    study is one walk (`_Walk`) of 1 + len(systems) blocks over one pass of
+    the timeline: block 0 is the reference, with no noise and no escape
+    check, and block r the ensemble of systems[r - 1].  Each state's
+    eta-free rows are built once and finished for every block at once.
+    Each step draws one standard normal fill, scaled by every system's
+    step deviation, so each block gets the noise of its own run.  Escapes
+    are counted per block, and a SafeguardError is that of the first
+    system, in order, whose run fails.  Each block's per-walker maximum
+    distance to the reference is folded in as the walk goes.
     """
     for system in systems:
         if with_eta(system, reference.eta,
@@ -702,37 +761,22 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
                              "and gamma only")
     dt = _check_spacing(timeline)
     grid = timeline[0].grid
-    osmotic = [_osmotic(system) for system in systems]
-    rows = itertools.tee(_flow_rows(timeline, pot, reference, any(osmotic)),
-                         len(systems) + 1)
+    tables = _flow_tables(timeline, pot, [reference, *systems],
+                          [False] + [_osmotic(system) for system in systems])
     x0 = np.array(initial_positions, dtype=float)
+    blocks = 1 + len(systems)
+    variances = np.array([system.step_variances(dt) for system in systems])
     steps = len(timeline) - 1
-    failure = None
-    with ExitStack() as streams:
-        ref = _Walk(grid, map(_finisher(grid, reference, False), rows[0]),
-                    x0.copy(), None)
-        runs = []
-        for system, osm, own_rows in zip(systems, osmotic, rows[1:]):
-            noises = streams.enter_context(_noise_stream(
-                seed, system.step_variances(dt), x0.shape, steps))
-            runs.append(_Walk(grid, map(_finisher(grid, system, osm),
-                                        own_rows), x0.copy(), noises))
-        worst = [_wrapped_distance(grid, run.pos - ref.pos) for run in runs]
+    with _noise_stream(seed, variances, x0.shape, steps) as noises:
+        walk = _Walk(grid, tables, np.tile(x0, (blocks, 1)), noises, 1)
+        worst = np.zeros((len(systems), len(x0)))
         for k in range(steps):
-            ref.step(k, timeline[k + 1].time - timeline[k].time)
-            for i, run in enumerate(runs):
-                try:
-                    run.step(k, dt)
-                except SafeguardError as exc:
-                    # the runs after this one no longer matter; the ones
-                    # before it finish, and the first failure is raised
-                    failure = exc
-                    del runs[i:]
-                    break
-                dist = _wrapped_distance(grid, run.pos - ref.pos)
-                np.maximum(worst[i], dist, out=worst[i])
-    if failure is not None:
-        raise failure
+            walk.step(k, dt)
+            paths = walk.pos.reshape((blocks,) + x0.shape)
+            dist = _wrapped_distance(grid, paths[1:] - paths[0])
+            np.maximum(worst, dist, out=worst)
+    if walk.failure is not None:
+        raise walk.failure
     return [float(w.mean()) for w in worst]
 
 

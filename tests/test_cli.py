@@ -10,6 +10,7 @@ from edsim.geometry import MAX_PROBES
 from edsim.io import INCOMPLETE_MARKER, load_json, verify_run_dir
 from edsim.presets import PRESETS, build_preset
 from edsim.quantum import CN_TOL
+from edsim.stats import fit_power_law
 
 
 def test_all_presets_build_normalized_states():
@@ -128,6 +129,21 @@ def test_limits_reports_monotone_deviations(tmp_path):
     rep = load_json(out / "report.json")
     assert len(rep["max_deviations"]) == 3
     assert rep["monotone"]
+
+
+def test_limits_reports_the_power_law_of_its_deviations(tmp_path, capsys):
+    """The exponent and its stderr are the log-log fit of the reported
+    deviations against the reported eta, and the summary line prints the
+    exponent."""
+    out = tmp_path / "run"
+    assert main(["limits", "--preset", "harmonic", "--points", "64",
+                 "--steps", "20", "--walkers", "40", "--out", str(out)]) == 0
+    rep = load_json(out / "report.json")
+    fit = fit_power_law(np.array(rep["etas"]),
+                        np.array(rep["max_deviations"]))
+    assert rep["deviation_exponent"] == fit["exponent"]
+    assert rep["deviation_exponent_stderr"] == fit["stderr"]
+    assert f"exponent {fit['exponent']:.3f}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("preset", ["interference", "vortex_2d"])

@@ -43,9 +43,9 @@ def test_with_eta_replaces_only_noise_constants():
 
 
 def _lookup(grid, values, positions):
-    """`interpolate_vector` at the positions on a walk whose first table is
-    `values`."""
-    walk = _Walk(grid, [values], positions, None)
+    """`interpolate_vector` at the positions on a one-block walk whose first
+    table is `values`."""
+    walk = _Walk(grid, [values[:, None]], positions, None, 1)
     return interpolate_vector(walk, walk.slots[0], positions)
 
 
@@ -100,10 +100,10 @@ def test_step_plan_streams_its_tables_through_two_slots(n_tables):
         for j in range(n_tables):
             pulled.append(j)
             rho = np.ones(grid.shape)
-            yield np.stack([(j + 1.0) * rho, 0.0 * rho, rho])
+            yield np.stack([(j + 1.0) * rho, 0.0 * rho, rho])[:, None]
 
     pos = np.column_stack([np.linspace(0.0, 3.9, 5), np.full(5, 1.5)])
-    walk = _Walk(grid, tables(), pos, None)
+    walk = _Walk(grid, tables(), pos, None, 1)
     assert len(pulled) == 1
     assert walk.slots.shape == (2, 3, (8 + 2) * 6)
     for k in range(n_tables - 1):
@@ -145,8 +145,9 @@ def test_osmotic_drift_matches_log_density_gradient():
     state = gaussian_packet(grid, 0.0, s)
     sys1 = single_particle(mass=1.7, eta=2e-3, gamma_exponent=1.0)
     # the ES flow table (rho v, rho); on a ring it lives on a finer lattice
-    (table,) = _flow_tables([state], free_potentials(grid, sys1), sys1, True)
-    v = table[0] / table[1]
+    (table,) = _flow_tables([state], free_potentials(grid, sys1), [sys1],
+                            [True])
+    v = table[0, 0] / table[1, 0]
     x = -12.0 + (24.0 / v.size) * np.arange(v.size)
     expect = (2e-3 / (2 * 1.7)) * (-x / s**2)
     inner = np.abs(x) < 4 * s
@@ -267,6 +268,8 @@ def test_timeline_spacing_mismatch_rejected():
     with pytest.raises(ValueError, match="not uniform"):
         simulate_ensemble(states, pot, sys1, 10, seed=0)
     with pytest.raises(ValueError, match="not uniform"):
+        bohmian_trajectories(states, pot, sys1, np.zeros((10, 1)))
+    with pytest.raises(ValueError, match="not uniform"):
         vanishing_noise_deviations(states, pot, with_eta(sys1, 0.0), [sys1],
                                    0, np.zeros((10, 1)))
 
@@ -288,6 +291,8 @@ def test_timeline_without_one_positive_step_is_refused(times, message):
     x0 = np.zeros((10, 1))
     with pytest.raises(ValueError, match=message):
         simulate_ensemble(states, pot, sys1, 10, seed=0)
+    with pytest.raises(ValueError, match=message):
+        bohmian_trajectories(states, pot, sys1, x0)
     with pytest.raises(ValueError, match=message):
         vanishing_noise_deviations(states, pot, with_eta(sys1, 0.0), [sys1],
                                    0, x0)
@@ -444,8 +449,8 @@ def _ref_midpoint(grid, t0, t_half, pos, h):
 
 def _ref_ensemble(timeline, pot, system, dt, seed, x0):
     grid = timeline[0].grid
-    tables = list(_flow_tables(timeline, pot, system,
-                               system.process_label == "ES"))
+    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system],
+                                            [system.process_label == "ES"])]
     noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
     rng = np.random.Generator(np.random.Philox(noise_seq))
     pos, alive, path = x0.copy(), np.ones(len(x0), dtype=bool), [x0]
@@ -467,10 +472,12 @@ def _ref_ensemble(timeline, pot, system, dt, seed, x0):
 
 def _ref_bohmian(timeline, pot, system, x0):
     grid = timeline[0].grid
-    tables = list(_flow_tables(timeline, pot, system, False))
+    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system],
+                                            [False])]
+    # every step is the timeline's one spacing
+    h = timeline[1].time - timeline[0].time
     pos, path = x0.copy(), [x0]
     for k in range(len(timeline) - 1):
-        h = timeline[k + 1].time - timeline[k].time
         v = _ref_midpoint(grid, 1.0 * tables[k] + 0.0 * tables[k + 1],
                           0.5 * tables[k] + 0.5 * tables[k + 1], pos, h)
         pos = _ref_wrap(grid, pos + h * v)
@@ -577,8 +584,8 @@ def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
 def test_noiseless_ensemble_follows_bohmian_paths(name, gamma):
     """At eta = 0 the sampler's step is the deterministic step: the ensemble
     ("current" drift for gamma = 3, "ES" drift for gamma = 1) lands on the
-    Bohmian paths from the same start, up to the first spacing of the
-    timeline, the ensemble's step, against each step's own spacing."""
+    Bohmian paths from the same start; both step by the timeline's one
+    spacing."""
     sc = build_preset(name, steps=30)
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
     x0 = draw_initial_positions(timeline[0], 300, np.random.default_rng(4))
@@ -645,17 +652,21 @@ LOCKSTEP_CASES = [("free", {}), ("ring_constant_a", {}), ("harmonic", {}),
                          ids=[c[0] for c in LOCKSTEP_CASES])
 @pytest.mark.parametrize("mode", ["current", "ES"])
 def test_shared_rows_finish_to_the_per_run_tables(name, overrides, mode):
-    """Rows built once and finished for one eta are, bit for bit, the table
-    that run would have built on its own."""
+    """Rows built once and finished for two eta into one run-stacked table
+    give in each block, bit for bit, the table that run would have built on
+    its own."""
     sc, timeline, _ = _identity_case(name, **overrides)
-    system = with_eta(sc.system, 0.05, gamma_exponent=1.0)
-    got = list(_flow_tables(timeline, sc.potentials, system, mode == "ES"))
-    expect = list(_reference_flow_tables(timeline, sc.potentials, system,
-                                         mode))
-    assert len(got) == len(expect) == len(timeline)
-    for table, ref in zip(got, expect):
-        assert table.shape == ref.shape
-        assert table.tobytes() == ref.tobytes()
+    systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
+               for eta in (0.05, 1e-3)]
+    got = list(_flow_tables(timeline, sc.potentials, systems,
+                            [mode == "ES"] * 2))
+    assert len(got) == len(timeline)
+    for r, system in enumerate(systems):
+        expect = list(_reference_flow_tables(timeline, sc.potentials, system,
+                                             mode))
+        for table, ref in zip(got, expect):
+            assert table[:, r].shape == ref.shape
+            assert table[:, r].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", ["vortex_2d", "harmonic"])
@@ -672,7 +683,7 @@ def test_flow_tables_build_no_checked_fields(name, monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(grids, "_check_values", counted)
-    tables = list(_flow_tables(timeline, sc.potentials, system, True))
+    tables = list(_flow_tables(timeline, sc.potentials, [system], [True]))
     assert len(tables) == len(timeline)
     assert checks == []
 
@@ -708,10 +719,52 @@ def test_lockstep_deviations_equal_separate_runs(name, overrides, gammas):
     assert len(set(got)) == 3
 
 
+@pytest.mark.parametrize("name, overrides", LOCKSTEP_CASES,
+                         ids=[c[0] for c in LOCKSTEP_CASES])
+def test_lockstep_walkers_at_the_top_edge_read_their_own_block(name,
+                                                               overrides):
+    """Walkers just below the upper end of every axis, origin + extent - ulp
+    (on a ring the last cell, whose upper node is the padded repeat of node
+    0; by a hard wall the last node), and the same per axis alone, in every
+    block: a wrong block offset or pad would read the next block's first
+    node, and the deviations would differ from separate runs."""
+    sc, timeline, x0 = _identity_case(name, walkers=1000, **overrides)
+    top = np.nextafter(np.array(sc.grid.origin) + np.array(sc.grid.extents),
+                       -np.inf)
+    x0[1] = top
+    for a in range(sc.grid.dim):
+        x0[2 + a, a] = top[a]
+    base = with_eta(sc.system, 0.0)
+    systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
+               for eta in (0.05, 1e-2, 1e-3)]
+    got = vanishing_noise_deviations(timeline, sc.potentials, base, systems,
+                                     7, x0)
+    assert got == _separate_deviations(sc, timeline, base, systems, 7, x0)
+
+
+def test_lockstep_draws_every_runs_noise_from_one_generator(monkeypatch):
+    """The three runs of a limit study share one Philox generator: one
+    standard normal fill per step, scaled by each run's deviation."""
+    sc, timeline, x0 = _identity_case("free")
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args):
+        built.append(args)
+        return philox(*args)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
+               for eta in (1e-2, 1e-3, 1e-4)]
+    vanishing_noise_deviations(timeline, sc.potentials,
+                               with_eta(sc.system, 0.0), systems, 7, x0)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("name", ["free", "harmonic"])
 def test_lockstep_builds_each_states_rows_once(name, monkeypatch):
     """One pass over the row stream serves the reference and three ES runs,
-    and each run still holds two padded tables."""
+    stepped as the blocks of one walk that holds two padded tables."""
     sc, timeline, x0 = _identity_case(name)
     pulled, walks = [], []
     rows = stochastic._flow_rows
@@ -733,8 +786,10 @@ def test_lockstep_builds_each_states_rows_once(name, monkeypatch):
     vanishing_noise_deviations(timeline, sc.potentials,
                                with_eta(sc.system, 0.0), systems, 7, x0)
     assert len(pulled) == len(timeline)
-    assert len(walks) == 4
-    assert all(walk.slots.shape[0] == 2 for walk in walks)
+    (walk,) = walks
+    # two slots, each of 1 + len(systems) blocks
+    assert walk.padded.shape[0] == 2
+    assert walk.padded.shape[2] == 1 + len(systems)
 
 
 def test_lockstep_refuses_systems_that_differ_beyond_the_noise():
@@ -763,7 +818,8 @@ def test_lockstep_raises_the_first_failure_and_joins_every_stream(
     """A run that lets too many walkers escape partway raises the
     SafeguardError the separate runs, in order, would raise first (at
     eta = 1 the escape check trips at step 4 of 8, at eta = 0.2 at step 8),
-    and no noise thread outlives the call."""
+    the one noise thread of the walk draws for every run, and it does not
+    outlive the call."""
     timeline, pot, base, x0 = _wall_case()
     systems = [with_eta(base, eta, gamma_exponent=1.0) for eta in etas]
     first = None
@@ -780,7 +836,7 @@ def test_lockstep_raises_the_first_failure_and_joins_every_stream(
     with pytest.raises(SafeguardError) as info:
         vanishing_noise_deviations(timeline, pot, base, systems, 3, x0)
     assert str(info.value) == first
-    assert sum(t.name.startswith("edsim-noise") for t in started_threads) == 3
+    assert sum(t.name.startswith("edsim-noise") for t in started_threads) == 1
     assert not any(t.is_alive() for t in started_threads)
     assert threading.enumerate() == before
 

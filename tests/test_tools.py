@@ -2,7 +2,8 @@
 
 Nothing else executes them, so a changed signature in the package would
 break them silently.  The seed sweep runs one preset at one seed and a few
-hundred walkers; the run matrix, each of whose runs is a CLI call tested
+hundred walkers, the limit sweep one preset at one seed and a few dozen
+walkers; the run matrix, each of whose runs is a CLI call tested
 elsewhere, is imported and lists its runs.
 """
 
@@ -32,6 +33,18 @@ def test_seed_sweep_runs_a_short_case(monkeypatch, capsys):
     for row in rows:
         # a record every steps // 6 steps: 7 checkpoints
         assert 0 <= int(row.split()[1].rstrip("u")) <= 7
+
+
+def test_limit_sweep_runs_a_short_case(monkeypatch, capsys):
+    sweep = _load("limit_sweep")
+    monkeypatch.setattr(sweep, "WALKERS", 40)
+    monkeypatch.setattr(sweep, "PRESETS", ("free",))
+    sweep.sweep(range(1, 2))
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["preset", "1", "mean", "sd"]
+    name, exponent, mean, sd = row.split()
+    assert name == "free" and sd == "-"
+    assert float(exponent.rstrip("*")) == float(mean)
 
 
 def test_run_matrix_imports():
