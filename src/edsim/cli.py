@@ -116,6 +116,20 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def density_checkpoints(sc, timeline, ens, n_calibration: int,
+                        seed: int) -> list[dict]:
+    """The `compare_density` report of every snapshot of `ens` after the
+    first against |psi|^2 of its state on the preset's timeline, seeded
+    seed + j at snapshot j."""
+    reports = []
+    for j, t in enumerate(ens.times[1:], start=1):
+        k = int(round((t - timeline[0].time) / sc.dt))
+        reports.append(compare_density(
+            ens.positions[j], ScalarField(sc.grid, timeline[k].rho),
+            n_calibration=n_calibration, seed=seed + j))
+    return reports
+
+
 def cmd_ensemble(args) -> int:
     gamma = (args.gamma if args.gamma is not None
              else PROCESS_GAMMA.get(args.process))
@@ -146,21 +160,14 @@ def cmd_ensemble(args) -> int:
     ens = simulate_ensemble(timeline, sc.potentials, system,
                             n_walkers=args.walkers, seed=args.seed,
                             record_stride=stride)
-    checkpoints = []
-    for j, t in enumerate(ens.times):
-        if j == 0:
-            continue
-        k = int(round((t - timeline[0].time) / sc.dt))
-        rho = ScalarField(sc.grid, timeline[k].rho)
-        rep = compare_density(ens.positions[j], rho,
-                              n_calibration=args.calibration,
-                              seed=args.seed + j)
-        checkpoints.append({
-            "time": float(t), "tv": rep["tv"], "tv_band_95": rep["tv_band_95"],
-            "passed": rep["passed"], "underpowered": rep["underpowered"],
-            "kl_smoothed": rep["kl_smoothed"],
-            "chi2": rep["chi2"], "chi2_dof": rep["chi2_dof"],
-        })
+    reports = density_checkpoints(sc, timeline, ens, args.calibration,
+                                  args.seed)
+    checkpoints = [{
+        "time": float(t), "tv": rep["tv"], "tv_band_95": rep["tv_band_95"],
+        "passed": rep["passed"], "underpowered": rep["underpowered"],
+        "kl_smoothed": rep["kl_smoothed"],
+        "chi2": rep["chi2"], "chi2_dof": rep["chi2_dof"],
+    } for t, rep in zip(ens.times[1:], reports)]
     result = {
         "process": system.process_label,
         "walkers": args.walkers,

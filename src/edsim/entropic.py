@@ -117,6 +117,23 @@ def _axis_windows(step: GaussianStep) -> list[tuple[int, int]]:
     return out
 
 
+def _axis_weights(step: GaussianStep) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The truncated Gaussian kernel, per axis: the offsets j of the axis'
+    window and w[j], the weight of P(x + j h | x) dV along the axis,
+    evaluated at every node x (the drift field makes it node-dependent)."""
+    grid = step.grid
+    weights = []
+    for a, (lo, hi) in enumerate(_axis_windows(step)):
+        h = grid.spacing[a]
+        sig = step.sigmas[a]
+        mshift = step.mean_shift.values[a]
+        offs = np.arange(lo, hi + 1)
+        u = offs.reshape((-1,) + (1,) * grid.dim) * h - mshift[None]
+        w = (h / (np.sqrt(2 * np.pi) * sig)) * np.exp(-0.5 * (u / sig) ** 2)
+        weights.append((offs, w))
+    return weights
+
+
 def chapman_kolmogorov_step(rho: ScalarField, step: GaussianStep) -> tuple[ScalarField, dict]:
     """Push a density through the transition kernel: rho'(x') = sum_x P(x'|x) rho(x) dV.
 
@@ -131,19 +148,7 @@ def chapman_kolmogorov_step(rho: ScalarField, step: GaussianStep) -> tuple[Scala
     if abs(mass_in - 1.0) > 1e-6:
         raise ValueError(f"input density is not normalized: integral = {mass_in}")
 
-    windows = _axis_windows(step)
-    # per-axis weight tables: w[a][j] is the kernel weight for offset j,
-    # evaluated at every node (the drift field makes it node-dependent)
-    weights = []
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        sig = step.sigmas[a]
-        mshift = step.mean_shift.values[a]
-        lo, hi = windows[a]
-        offs = np.arange(lo, hi + 1)
-        u = offs.reshape((-1,) + (1,) * grid.dim) * h - mshift[None]
-        w = (h / (np.sqrt(2 * np.pi) * sig)) * np.exp(-0.5 * (u / sig) ** 2)
-        weights.append((offs, w))
+    weights = _axis_weights(step)
 
     # each offset combination scatters rho times its weights; what lands
     # past a hard wall is zero, and adding a zero changes no bit of `out`
@@ -167,34 +172,6 @@ def chapman_kolmogorov_step(rho: ScalarField, step: GaussianStep) -> tuple[Scala
     return result, report
 
 
-def transition_kernel_at(step: GaussianStep, x_next_index: tuple) -> np.ndarray:
-    """P(x'|x) for fixed target node x', evaluated at every source node x.
-
-    Mirrors the forward scatter exactly, including the truncation window, so
-    that Bayes reversal against a Chapman-Kolmogorov output renormalizes to
-    one at machine precision.
-    """
-    grid = step.grid
-    windows = _axis_windows(step)
-    dens = np.ones(grid.shape)
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        sig = step.sigmas[a]
-        lo, hi = windows[a]
-        idx = np.arange(grid.points[a])
-        j = x_next_index[a] - idx
-        if grid.periodic[a]:
-            j = np.mod(j - lo, grid.points[a]) + lo
-        inside = (j >= lo) & (j <= hi)
-        shape = [1] * grid.dim
-        shape[a] = grid.points[a]
-        u = j.reshape(shape) * h - step.mean_shift.values[a]
-        w = np.exp(-0.5 * (u / sig) ** 2) / (np.sqrt(2 * np.pi) * sig)
-        w = w * inside.reshape(shape)
-        dens = dens * w
-    return dens
-
-
 def bayes_reverse(step: GaussianStep, rho_t: ScalarField, rho_next: ScalarField,
                   x_next_index: tuple) -> ScalarField:
     """Reverse-step density P(x|x') = rho_t(x) P(x'|x) / rho_next(x')."""
@@ -204,8 +181,22 @@ def bayes_reverse(step: GaussianStep, rho_t: ScalarField, rho_next: ScalarField,
     if marginal <= floor:
         raise ValueError(
             f"rho_next at {tuple(x_next_index)} is below the support floor")
-    kern = transition_kernel_at(step, tuple(x_next_index))
-    return ScalarField(grid, rho_t.values * kern / marginal)
+    # P(x'|x) dV at every source node x, from the weights of the forward
+    # scatter: per axis the offset x' - x, wrapped into the window on a
+    # periodic axis, with zero outside the window
+    kern = np.ones(grid.shape)
+    for a, (offs, w) in enumerate(_axis_weights(step)):
+        lo, hi = offs[0], offs[-1]
+        j = x_next_index[a] - np.arange(grid.points[a])
+        if grid.periodic[a]:
+            j = np.mod(j - lo, grid.points[a]) + lo
+        shape = [1] * grid.dim
+        shape[a] = grid.points[a]
+        at = np.clip(j - lo, 0, hi - lo).reshape([1] + shape)
+        inside = ((j >= lo) & (j <= hi)).reshape(shape)
+        kern = kern * (np.take_along_axis(w, at, axis=0)[0] * inside)
+    return ScalarField(grid, rho_t.values * kern
+                       / (marginal * grid.cell_volume))
 
 
 # ---------------------------------------------------------------------------

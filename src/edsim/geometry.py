@@ -118,8 +118,10 @@ def _gauge_fixed(p: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return dphi - np.sum(p * dphi, axis=-1, keepdims=True)
 
 
-def tgf_residuals(point: EPhasePoint, v: EPhaseTangent) -> tuple[float, float]:
-    return float(abs(v.dp.sum())), float(abs(np.sum(point.probs * v.dphi)))
+def tgf_residuals(point: EPhasePoint, v: EPhaseTangent):
+    """|sum(dp)| and |sum(p * dphi)|, per row of a stack."""
+    return (np.abs(v.dp.sum(axis=-1)),
+            np.abs(np.sum(point.probs * v.dphi, axis=-1)))
 
 
 def project_tgf(point: EPhasePoint, v: EPhaseTangent) -> EPhaseTangent:
@@ -132,11 +134,6 @@ def _unit_tgf(point: EPhasePoint, raw: np.ndarray) -> EPhaseTangent:
     """Unit-length TGF tangents from raw (..., 2, n) draws: dp, then dphi."""
     v = project_tgf(point, EPhaseTangent(raw[..., 0, :], raw[..., 1, :]))
     return v.scaled(1.0 / np.sqrt(metric(point, v, v)))
-
-
-def random_tgf_tangent(point: EPhasePoint,
-                       rng: np.random.Generator) -> EPhaseTangent:
-    return _unit_tgf(point, rng.standard_normal((2, point.n_outcomes)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,28 +166,29 @@ def gauge_invariant_metric(point: EPhasePoint, v: EPhaseTangent,
 
 
 def fs_length_squared(point: EPhasePoint, v: EPhaseTangent,
-                      method: str = "closed") -> float:
-    """Squared length of a displacement on the quotient by phase shifts.
+                      method: str = "closed") -> float | np.ndarray:
+    """Squared length of a displacement on the quotient by phase shifts,
+    per row of a stack.
 
     "closed" subtracts the mean phase analytically:
     sum[(hbar/2p) dp^2 + (2p/hbar)(dphi - <dphi>)^2]; "minimize" minimizes
     the phase part sum[(2p/hbar)(dphi + alpha)^2] over a constant shift
     alpha without forming that mean: the part is a parabola in alpha, whose
-    vertex follows from its values at alpha = -1, 0 and 1.  Both must
-    agree: the minimization over the gauge orbit is what defines the
+    vertex follows from its values at alpha = -1, 0 and 1, per row.  Both
+    must agree: the minimization over the gauge orbit is what defines the
     induced metric.
     """
     p, hbar = point.probs, point.hbar
-    radial = float(np.sum(hbar / (2 * p) * v.dp ** 2))
+    radial = np.sum(hbar / (2 * p) * v.dp ** 2, axis=-1)
     if method == "closed":
         dphi = _gauge_fixed(p, v.dphi)
-        return radial + float(np.sum(2 * p / hbar * dphi ** 2))
+        return radial + np.sum(2 * p / hbar * dphi ** 2, axis=-1)
     if method == "minimize":
         def length(alpha):
-            return float(np.sum(2 * p / hbar * (v.dphi + alpha) ** 2))
+            return np.sum(2 * p / hbar * (v.dphi + alpha) ** 2, axis=-1)
         below, at, above = length(-1.0), length(0.0), length(1.0)
-        return radial + length(0.5 * (below - above)
-                               / (below - 2.0 * at + above))
+        vertex = 0.5 * (below - above) / (below - 2.0 * at + above)
+        return radial + length(np.expand_dims(vertex, -1))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -203,10 +201,11 @@ def apply_J(point: EPhasePoint, v: EPhaseTangent) -> EPhaseTangent:
     p, hbar = point.probs, point.hbar
     out = EPhaseTangent(-(2.0 / hbar) * p * v.dphi,
                         hbar / (2.0 * p) * v.dp)
-    r_in = tgf_residuals(point, v)
-    r_out = tgf_residuals(point, out)
-    scale = max(np.max(np.abs(out.dp)), np.max(np.abs(out.dphi)), 1e-300)
-    if max(r_in) < 1e-9 and max(r_out) > 1e-9 * scale:
+    r_in = np.maximum(*tgf_residuals(point, v))
+    r_out = np.maximum(*tgf_residuals(point, out))
+    scale = np.maximum(np.max(np.abs(out.dp), axis=-1),
+                       np.max(np.abs(out.dphi), axis=-1))
+    if np.any((r_in < 1e-9) & (r_out > 1e-9 * np.maximum(scale, 1e-300))):
         raise AssertionError("TGF closure under J failed")
     return project_tgf(point, out)
 
@@ -390,25 +389,29 @@ def geometry_battery(outcomes: int, probes: int, kernels: int,
     phi = 0.4 * rng.uniform(-1.0, 1.0, outcomes + 1)
     point = EPhasePoint(p, phi).canonical()
 
-    j_sq = compat_metric = compat_omega = fs_gap = 0.0
-    for _ in range(probes):
-        v = random_tgf_tangent(point, rng)
-        u = random_tgf_tangent(point, rng)
-        jv = apply_J(point, v)
-        jjv = apply_J(point, jv)
-        j_sq = max(j_sq, float(np.max(np.abs(jjv.dp + v.dp))),
-                   float(np.max(np.abs(jjv.dphi + v.dphi))))
-        compat_metric = max(compat_metric,
-                            abs(metric(point, jv, jv) - metric(point, v, v)))
-        compat_omega = max(compat_omega,
-                           abs(metric(point, jv, u) - symplectic(v, u)))
-        w = EPhaseTangent(v.dp, v.dphi + rng.uniform(-1, 1))
-        fs_gap = max(fs_gap, abs(fs_length_squared(point, w)
-                                 - fs_length_squared(point, w,
-                                                     method="minimize")))
+    n = outcomes + 1
+    # drawn probe by probe (v, u, then v's phase shift), so a seed draws
+    # the probes it always has; checked as one stack
+    raw = np.empty((2, probes, 2, n))
+    shifts = np.empty((probes, 1))
+    for i in range(probes):
+        raw[:, i] = rng.standard_normal((2, 2, n))
+        shifts[i] = rng.uniform(-1, 1)
+    v, u = _unit_tgf(point, raw[0]), _unit_tgf(point, raw[1])
+    jv = apply_J(point, v)
+    jjv = apply_J(point, jv)
+
+    def largest(x):
+        return float(np.max(np.abs(x), initial=0.0))
+
+    j_sq = max(largest(jjv.dp + v.dp), largest(jjv.dphi + v.dphi))
+    compat_metric = largest(metric(point, jv, jv) - metric(point, v, v))
+    compat_omega = largest(metric(point, jv, u) - symplectic(v, u))
+    w = EPhaseTangent(v.dp, v.dphi + shifts)
+    fs_gap = largest(fs_length_squared(point, w)
+                     - fs_length_squared(point, w, method="minimize"))
 
     killing_max = commutator_max = 0.0
-    n = outcomes + 1
     prev = None
     for _ in range(kernels):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

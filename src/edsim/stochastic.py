@@ -47,10 +47,12 @@ table through a flat offset.  `simulate_ensemble` and
 `bohmian_trajectories` each step a walk of one block.
 `vanishing_noise_deviations` steps the whole limit study as one walk:
 block 0 is the Bohmian reference, with no noise and no escape check, and
-one block per eta follows.  A state's table is built in two parts: rows
-that do not depend on eta (`_flow_rows`), built once for all blocks, and
-one finish (`_finisher`) that stacks the blocks and adds each ES block's
-osmotic term at that block's eta (`_osmotic`).
+one block per eta follows.  One generator, `_flow_tables`, builds each
+state's table: the rows that do not depend on eta once for all blocks,
+then every block, with each ES block's osmotic term at that block's eta
+(`_osmotic`).  Every walk is checked once on entry (`_check_run`): the
+timeline gives a positive, uniform step, and the systems differ from the
+potentials' system in eta and gamma only.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials,
     over the axes.
 
     The ES drift adds the osmotic term (eta / 2 m_A) grad_A log rho to it
-    when a run's flow table is finished (`_finisher`).
+    in each ES block of a run's flow table (`_flow_tables`).
     """
     grid = pair.grid
     masses = system.mass_per_axis
@@ -108,12 +110,6 @@ def drift_velocity_field(pair: MadelungPair, pot: Potentials,
                - system.hbar * beta[a] * pot.vector_a_nodes[a])
         comps.append(mom / masses[a])
     return np.stack(comps)
-
-
-def _log_density_gradient(pair: MadelungPair) -> list[np.ndarray]:
-    """grad_A log rho per axis, with rho raised to its density floor."""
-    log_rho = np.log(np.maximum(pair.rho, density_floor(pair.rho)))
-    return [gradient(pair.grid, log_rho, a) for a in range(pair.grid.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,89 +212,62 @@ def _osmotic(system: ParticleSystem) -> bool:
     return system.process_label == "ES"
 
 
-def _flow_rows(timeline: Sequence[WaveState], pot: Potentials,
-               system: ParticleSystem, osmotic: bool):
-    """Per state, one at a time, the rows of its flow table that do not
-    depend on eta, as a triple (flux or velocity, osmotic rows, density).
-
-    On a 1-D ring, on the refined lattice: num = rho v of the current
-    velocity, Re(psi* psi') and rho.  Elsewhere: the current velocity per
-    axis (`drift_velocity_field`), grad log rho per axis when `osmotic`
-    (else None) and rho.  `_finisher` turns them into a run-stacked table.
+def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
+                 systems: Sequence[ParticleSystem], osmotic: Sequence[bool]):
+    """The run-stacked flow table of every state, one at a time, of shape
+    (k, len(systems), *nodes): block r is the table of systems[r], with the
+    osmotic term at that system's eta when osmotic[r].  The systems differ
+    in eta and gamma only (`_check_run`), so each state's eta-free rows are
+    built once for all blocks: on a 1-D ring, on the refined lattice, rho v
+    of the current velocity, Re(psi* psi') and rho; elsewhere the current
+    velocity (`drift_velocity_field`), grad log rho with rho raised to its
+    density floor (when any block is osmotic) and rho.
     """
     grid = timeline[0].grid
-    if not (grid.dim == 1 and grid.periodic[0]):
-        for state in timeline:
-            pair = madelung(state, hbar=system.hbar)
-            v = drift_velocity_field(pair, pot, system)
-            yield (v, _log_density_gradient(pair) if osmotic else None,
-                   pair.rho)
-        return
-    # the potentials are static, so (hbar beta / m) A is resampled onto the
-    # refined lattice once for the timeline
-    m = system.mass_per_axis[0]
-    a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
-    a_term = (system.hbar * system.beta_per_axis[0] / m) * a_f
-    ik = 2j * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
+    system = systems[0]
+    masses = system.mass_per_axis
+    ring = grid.dim == 1 and grid.periodic[0]
+    if ring:
+        # the potentials are static, so (hbar beta / m) A is resampled onto
+        # the refined lattice once for the timeline
+        m = masses[0]
+        a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
+        a_term = (system.hbar * system.beta_per_axis[0] / m) * a_f
+        ik = 2j * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
     for state in timeline:
-        spec = np.fft.fft(state.psi)
-        psi_f = _zero_pad_spectrum(spec)
-        dpsi_f = _zero_pad_spectrum(spec * ik)
-        cross = np.conj(psi_f) * dpsi_f
-        rho_f = np.abs(psi_f) ** 2
-        yield ((system.hbar / m) * cross.imag - a_term * rho_f, cross.real,
-               rho_f)
-
-
-def _finisher(grid: ConfigGrid, systems: Sequence[ParticleSystem],
-              osmotic: Sequence[bool]):
-    """The function that turns one state's `_flow_rows` into its run-stacked
-    flow table, of shape (k, len(systems), *nodes): block r is the table of
-    systems[r], with the osmotic term at that system's eta when
-    osmotic[r].  The systems differ in eta and gamma only, so they share
-    one row stream."""
-    blocks = list(zip(systems, osmotic))
-    if grid.dim == 1 and grid.periodic[0]:
-        m = systems[0].mass_per_axis[0]
-
-        def finish(rows):
-            num, cross_real, rho = rows
-            out = np.empty((2, len(blocks)) + rho.shape)
+        if ring:
+            spec = np.fft.fft(state.psi)
+            psi_f = _zero_pad_spectrum(spec)
+            dpsi_f = _zero_pad_spectrum(spec * ik)
+            cross = np.conj(psi_f) * dpsi_f
+            rho = np.abs(psi_f) ** 2
+            num = (system.hbar / m) * cross.imag - a_term * rho
+            out = np.empty((2, len(systems)) + rho.shape)
             out[1] = rho
-            for r, (system, osm) in enumerate(blocks):
+            for r, (block, osm) in enumerate(zip(systems, osmotic)):
                 if osm:
                     # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho,
                     # and grad rho = 2 Re(psi* psi') needs no extra transform
-                    np.add(num, (system.eta / m) * cross_real, out=out[0, r])
+                    np.add(num, (block.eta / m) * cross.real, out=out[0, r])
                 else:
                     out[0, r] = num
-            return out
-        return finish
-
-    masses = systems[0].mass_per_axis
-
-    def finish(rows):
-        v, dlog, rho = rows
-        out = np.empty((len(v) + 1, len(blocks)) + rho.shape)
-        out[-1] = rho
-        for r, (system, osm) in enumerate(blocks):
-            for a, va in enumerate(v):
-                if osm:
-                    # the osmotic term (eta / 2 m_A) grad_A log rho cancels
-                    # the diffusive flux of the gamma = 1 process
-                    va = va + ((system.eta / (2 * masses[a])) * dlog[a])
-                np.multiply(rho, va, out=out[a, r])
-        return out
-    return finish
-
-
-def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
-                 systems: Sequence[ParticleSystem], osmotic: Sequence[bool]):
-    """The run-stacked flow table of every state, one at a time: block r
-    carries the osmotic term at systems[r]'s eta when osmotic[r].  Each
-    state's eta-free rows are built once for all blocks."""
-    finish = _finisher(timeline[0].grid, systems, osmotic)
-    return map(finish, _flow_rows(timeline, pot, systems[0], any(osmotic)))
+        else:
+            pair = madelung(state, hbar=system.hbar)
+            v = drift_velocity_field(pair, pot, system)
+            rho = pair.rho
+            if any(osmotic):
+                log_rho = np.log(np.maximum(rho, density_floor(rho)))
+                dlog = [gradient(grid, log_rho, a) for a in range(grid.dim)]
+            out = np.empty((len(v) + 1, len(systems)) + rho.shape)
+            out[-1] = rho
+            for r, (block, osm) in enumerate(zip(systems, osmotic)):
+                for a, va in enumerate(v):
+                    if osm:
+                        # the osmotic term (eta / 2 m_A) grad_A log rho
+                        # cancels the diffusive flux of the gamma = 1 process
+                        va = va + ((block.eta / (2 * masses[a])) * dlog[a])
+                    np.multiply(rho, va, out=out[a, r])
+        yield out
 
 
 def _ratio_drift(walk: _Walk, table: np.ndarray,
@@ -552,10 +521,13 @@ class _Walk:
             new[~alive] = old[~alive]
 
 
-def _check_spacing(timeline: Sequence[WaveState]) -> float:
+def _check_run(timeline: Sequence[WaveState], pot: Potentials,
+               systems: Sequence[ParticleSystem]) -> float:
     """The step dt of a sampled run: the timeline's first spacing.  Refuses
     a timeline of fewer than two states, or whose spacing is not positive
-    or not uniform."""
+    or not uniform, and any system whose particles differ from those the
+    potentials (and so the wave states) were built for: a run's systems
+    may differ from `pot.system` in eta and gamma only."""
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
     dts = np.diff([s.time for s in timeline])
@@ -564,6 +536,11 @@ def _check_spacing(timeline: Sequence[WaveState]) -> float:
         raise ValueError("timeline times must increase")
     if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("timeline spacing is not uniform")
+    base = pot.system
+    for system in systems:
+        if with_eta(system, base.eta, base.gamma_exponent) != base:
+            raise ValueError("a run's systems may differ from the potentials' "
+                             "system in eta and gamma only")
     return dt
 
 
@@ -577,7 +554,8 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     The system is the one source of eta, gamma and the drift: the ES
     process's carries the osmotic term, every other process's is the
     current velocity.  The timeline is the one source of the step dt: its
-    spacing, which must be positive and uniform.  Each step is `_Walk.step`
+    spacing, which must be positive and uniform.  The system may differ
+    from the potentials' in eta and gamma only.  Each step is `_Walk.step`
     with the step's Philox noise, drawn in step order from the run's one
     noise generator: from NOISE_THREAD_WALKERS walkers on, one step ahead
     by a helper thread that is joined before the call returns or raises
@@ -585,7 +563,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     place and counted; more than `MAX_ESCAPE_FRACTION` of them aborts with
     a SafeguardError.
     """
-    dt = _check_spacing(timeline)
+    dt = _check_run(timeline, pot, [system])
     grid = timeline[0].grid
     tables = _flow_tables(timeline, pot, [system], [_osmotic(system)])
     steps = len(timeline) - 1
@@ -698,7 +676,7 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
 
     Returns positions of shape (len(timeline), K, dim).
     """
-    dt = _check_spacing(timeline)
+    dt = _check_run(timeline, pot, [system])
     pos = np.array(initial_positions, dtype=float)
     walk = _Walk(timeline[0].grid,
                  _flow_tables(timeline, pot, [system], [False]), pos, None, 1)
@@ -743,23 +721,18 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
     against `bohmian_trajectories(timeline, pot, reference,
     initial_positions)`, with no history stored.
 
-    The systems may differ from `reference` in eta and gamma only.  The
-    study is one walk (`_Walk`) of 1 + len(systems) blocks over one pass of
-    the timeline: block 0 is the reference, with no noise and no escape
+    The reference and the systems may differ from the potentials' system
+    in eta and gamma only (`_check_run`).  The study is one walk (`_Walk`)
+    of 1 + len(systems) blocks over one pass of the timeline: block 0 is the reference, with no noise and no escape
     check, and block r the ensemble of systems[r - 1].  Each state's
-    eta-free rows are built once and finished for every block at once.
+    eta-free rows are built once for every block (`_flow_tables`).
     Each step draws one standard normal fill, scaled by every system's
     step deviation, so each block gets the noise of its own run.  Escapes
     are counted per block, and a SafeguardError is that of the first
     system, in order, whose run fails.  Each block's per-walker maximum
     distance to the reference is folded in as the walk goes.
     """
-    for system in systems:
-        if with_eta(system, reference.eta,
-                    reference.gamma_exponent) != reference:
-            raise ValueError("systems must differ from the reference in eta "
-                             "and gamma only")
-    dt = _check_spacing(timeline)
+    dt = _check_run(timeline, pot, [reference, *systems])
     grid = timeline[0].grid
     tables = _flow_tables(timeline, pot, [reference, *systems],
                           [False] + [_osmotic(system) for system in systems])

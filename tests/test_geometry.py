@@ -10,8 +10,9 @@ from edsim.geometry import (MAX_OUTCOMES, EPhasePoint, EPhaseTangent, apply_J,
                             kernel_gradient, kernel_hessian,
                             killing_residual, metric,
                             normalization_gradient, poisson_bracket,
-                            project_tgf, random_tgf_tangent, symplectic,
+                            project_tgf, symplectic,
                             tgf_residuals, transition_information_metric)
+from edsim.geometry import _unit_tgf
 from edsim.grids import particles_on_line, single_particle
 
 
@@ -97,7 +98,7 @@ def test_tangent_gauge_fixing_projection():
     v = project_tgf(pt, raw)
     res = tgf_residuals(pt, v)
     assert res[0] < 1e-13 and res[1] < 1e-13
-    w = random_tgf_tangent(pt, rng)
+    w = _unit_tgf(pt, rng.standard_normal((2, pt.n_outcomes)))
     assert max(tgf_residuals(pt, w)) < 1e-12
     assert np.isclose(metric(pt, w, w), 1.0, rtol=1e-12)
 
@@ -163,7 +164,7 @@ def test_complex_structure_squares_to_minus_one():
     pt = rand_point(12, seed=8)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        v = random_tgf_tangent(pt, rng)
+        v = _unit_tgf(pt, rng.standard_normal((2, pt.n_outcomes)))
         jv = apply_J(pt, v)
         jjv = apply_J(pt, jv)
         assert np.max(np.abs(jjv.dp + v.dp)) < 1e-10
@@ -174,8 +175,8 @@ def test_complex_structure_is_compatible_with_metric_and_form():
     pt = rand_point(10, seed=10)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        v = random_tgf_tangent(pt, rng)
-        u = random_tgf_tangent(pt, rng)
+        v = _unit_tgf(pt, rng.standard_normal((2, pt.n_outcomes)))
+        u = _unit_tgf(pt, rng.standard_normal((2, pt.n_outcomes)))
         jv = apply_J(pt, v)
         assert np.isclose(metric(pt, jv, jv), metric(pt, v, v), rtol=1e-10)
         assert np.isclose(metric(pt, jv, u), symplectic(v, u), rtol=0,
@@ -185,7 +186,7 @@ def test_complex_structure_is_compatible_with_metric_and_form():
 def test_complex_structure_closes_on_gauge_fixed_vectors():
     pt = rand_point(8, seed=12)
     rng = np.random.default_rng(13)
-    v = random_tgf_tangent(pt, rng)
+    v = _unit_tgf(pt, rng.standard_normal((2, pt.n_outcomes)))
     jv = apply_J(pt, v)
     assert max(tgf_residuals(pt, jv)) < 1e-13
 
@@ -348,7 +349,8 @@ def pairwise_killing_residual(grad, point, n_probes=10, seed=0,
         return EPhaseTangent((xp.dp - xm.dp) / (2 * probe_eps),
                              (xp.dphi - xm.dphi) / (2 * probe_eps))
 
-    pairs = [(random_tgf_tangent(point, rng), random_tgf_tangent(point, rng))
+    pairs = [(_unit_tgf(point, rng.standard_normal((2, point.n_outcomes))),
+              _unit_tgf(point, rng.standard_normal((2, point.n_outcomes))))
              for _ in range(n_probes)]
     for j in range(p.size):
         dp = np.zeros(p.size)

@@ -761,43 +761,70 @@ def test_lockstep_draws_every_runs_noise_from_one_generator(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("name", ["free", "harmonic"])
-def test_lockstep_builds_each_states_rows_once(name, monkeypatch):
-    """One pass over the row stream serves the reference and three ES runs,
-    stepped as the blocks of one walk that holds two padded tables."""
-    sc, timeline, x0 = _identity_case(name)
-    pulled, walks = [], []
-    rows = stochastic._flow_rows
+# per case, the function of the eta-free row work, its calls per state and
+# its calls once per timeline: on a ring psi and psi' are resampled per
+# state and A once, elsewhere each state is split into (rho, phase) once
+ROW_WORK = [("free", "_zero_pad_spectrum", 2, 1),
+            ("harmonic", "madelung", 1, 0)]
 
-    def counted(*args):
-        for r in rows(*args):
-            pulled.append(r)
-            yield r
+
+@pytest.mark.parametrize("name, work, per_state, once", ROW_WORK,
+                         ids=[c[0] for c in ROW_WORK])
+def test_lockstep_builds_each_states_rows_once(name, work, per_state, once,
+                                               monkeypatch):
+    """One pass over the states builds each state's eta-free rows once for
+    the reference and three ES runs, stepped as the blocks of one walk that
+    holds two padded tables: rows built per block would call the row work
+    four times per state."""
+    sc, timeline, x0 = _identity_case(name)
+    calls, walks = [], []
+    row_work = getattr(stochastic, work)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return row_work(*args, **kwargs)
 
     class Walk(_Walk):
         def __init__(self, *args):
             super().__init__(*args)
             walks.append(self)
 
-    monkeypatch.setattr(stochastic, "_flow_rows", counted)
+    monkeypatch.setattr(stochastic, work, counted)
     monkeypatch.setattr(stochastic, "_Walk", Walk)
     systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
                for eta in (1e-2, 1e-3, 1e-4)]
     vanishing_noise_deviations(timeline, sc.potentials,
                                with_eta(sc.system, 0.0), systems, 7, x0)
-    assert len(pulled) == len(timeline)
+    assert len(calls) == per_state * len(timeline) + once
     (walk,) = walks
     # two slots, each of 1 + len(systems) blocks
     assert walk.padded.shape[0] == 2
     assert walk.padded.shape[2] == 1 + len(systems)
 
 
-def test_lockstep_refuses_systems_that_differ_beyond_the_noise():
+@pytest.mark.parametrize("driver", ["ensemble", "bohmian", "lockstep",
+                                    "lockstep-reference"])
+def test_lockstep_refuses_systems_that_differ_beyond_the_noise(driver):
+    """The wave states were evolved for the potentials' particles: a walk
+    whose drift divides by another mass is refused by every driver, the
+    lockstep's too when its heavier reference and systems agree with each
+    other."""
     sc, timeline, x0 = _identity_case("free")
     heavier = single_particle(mass=2.0, eta=1e-3, gamma_exponent=1.0)
     with pytest.raises(ValueError, match="eta and gamma only"):
-        vanishing_noise_deviations(timeline, sc.potentials,
-                                   with_eta(sc.system, 0.0), [heavier], 7, x0)
+        if driver == "ensemble":
+            simulate_ensemble(timeline, sc.potentials, heavier, len(x0), 7,
+                              initial_positions=x0)
+        elif driver == "bohmian":
+            bohmian_trajectories(timeline, sc.potentials, heavier, x0)
+        elif driver == "lockstep":
+            vanishing_noise_deviations(timeline, sc.potentials,
+                                       with_eta(sc.system, 0.0), [heavier],
+                                       7, x0)
+        else:
+            vanishing_noise_deviations(timeline, sc.potentials,
+                                       with_eta(heavier, 0.0), [heavier],
+                                       7, x0)
 
 
 def _wall_case(steps=8, dt=0.05):

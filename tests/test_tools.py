@@ -4,12 +4,14 @@ Nothing else executes them, so a changed signature in the package would
 break them silently.  The seed sweep runs one preset at one seed and a few
 hundred walkers, the limit sweep one preset at one seed and a few dozen
 walkers; the run matrix, each of whose runs is a CLI call tested
-elsewhere, is imported and lists its runs.
+elsewhere, is imported and lists its runs, and its comparison of two run
+directories is run on two tiny ones.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -50,3 +52,23 @@ def test_limit_sweep_runs_a_short_case(monkeypatch, capsys):
 def test_run_matrix_imports():
     matrix = _load("run_matrix").matrix()
     assert len(matrix) == 28
+
+
+def _run_dir(path: Path, tv: list[float]) -> Path:
+    """A run directory with a report of checkpoint TVs and a manifest."""
+    path.mkdir()
+    report = {"n_passed": 2, "checkpoints": [{"tv": x} for x in tv]}
+    (path / "report.json").write_text(json.dumps(report))
+    (path / "manifest.json").write_text(json.dumps({"tv": tv}))
+    return path
+
+
+def test_run_matrix_names_what_moved(tmp_path):
+    compare = _load("run_matrix")._compare_run
+    base = _run_dir(tmp_path / "base", [0.5, 0.25])
+    same = _run_dir(tmp_path / "same", [0.5, 0.25])
+    assert compare(same, base) == []
+    moved = _run_dir(tmp_path / "moved", [0.5, 0.375])
+    assert compare(moved, base) == [
+        "report.json: checkpoints[].tv 2.5e-01 [1.2e-01]",
+        "verdicts: n_passed same"]

@@ -19,10 +19,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from edsim.grids import ScalarField, process_label  # noqa: E402
+from edsim.cli import density_checkpoints  # noqa: E402
+from edsim.grids import process_label  # noqa: E402
 from edsim.presets import build_preset  # noqa: E402
 from edsim.quantum import evolve_trajectory  # noqa: E402
-from edsim.stats import compare_density  # noqa: E402
 from edsim.stochastic import simulate_ensemble, with_eta  # noqa: E402
 
 WALKERS = 100_000
@@ -37,15 +37,9 @@ def in_band(sc, timeline, gamma: float, eta: float, seed: int) -> tuple[int, boo
     ens = simulate_ensemble(timeline, sc.potentials, system,
                             n_walkers=WALKERS, seed=seed,
                             record_stride=sc.steps // 6)
-    passed, underpowered = 0, False
-    for j, t in enumerate(ens.times[1:], start=1):
-        k = int(round((t - timeline[0].time) / sc.dt))
-        rep = compare_density(ens.positions[j],
-                              ScalarField(sc.grid, timeline[k].rho),
-                              n_calibration=200, seed=100 + j)
-        passed += rep["passed"]
-        underpowered |= rep["underpowered"]
-    return passed, underpowered
+    reports = density_checkpoints(sc, timeline, ens, 200, 100)
+    return (sum(rep["passed"] for rep in reports),
+            any(rep["underpowered"] for rep in reports))
 
 
 def sweep(seeds: range) -> None:
