@@ -182,19 +182,20 @@ def bayes_reverse(step: GaussianStep, rho_t: ScalarField, rho_next: ScalarField,
         raise ValueError(
             f"rho_next at {tuple(x_next_index)} is below the support floor")
     # P(x'|x) dV at every source node x, from the weights of the forward
-    # scatter: per axis the offset x' - x, wrapped into the window on a
-    # periodic axis, with zero outside the window
+    # scatter: per axis the sum of the weights of every window offset j
+    # that lands on x' from x, j = x' - x or, on a periodic axis, any j of
+    # that residue (a window wider than the ring wraps onto x' more than
+    # once); zero when none does
     kern = np.ones(grid.shape)
     for a, (offs, w) in enumerate(_axis_weights(step)):
-        lo, hi = offs[0], offs[-1]
-        j = x_next_index[a] - np.arange(grid.points[a])
+        n = grid.points[a]
+        target = np.add.outer(offs, np.arange(n))
         if grid.periodic[a]:
-            j = np.mod(j - lo, grid.points[a]) + lo
-        shape = [1] * grid.dim
-        shape[a] = grid.points[a]
-        at = np.clip(j - lo, 0, hi - lo).reshape([1] + shape)
-        inside = ((j >= lo) & (j <= hi)).reshape(shape)
-        kern = kern * (np.take_along_axis(w, at, axis=0)[0] * inside)
+            target = np.mod(target, n)
+        shape = [len(offs)] + [1] * grid.dim
+        shape[1 + a] = n
+        lands = (target == x_next_index[a]).reshape(shape)
+        kern = kern * np.sum(w * lands, axis=0)
     return ScalarField(grid, rho_t.values * kern
                        / (marginal * grid.cell_volume))
 

@@ -151,6 +151,30 @@ class ConfigGrid:
         shape[axis] = self.points[axis]
         return np.broadcast_to(c.reshape(shape), self.shape).copy()
 
+    @functools.cached_property
+    def coordinates(self) -> tuple[np.ndarray, ...]:
+        """`coordinate_array` of every axis, computed once and read-only."""
+        out = tuple(self.coordinate_array(a) for a in range(self.dim))
+        for c in out:
+            c.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def ring_phasors(self) -> tuple[np.ndarray | None, ...]:
+        """Per axis, each node's place on its ring as exp(i angle), angle =
+        2 pi (x - origin) / extent, broadcast to grid shape; None on a
+        hard-wall axis.  Computed once and read-only."""
+        out = []
+        for a, x in enumerate(self.coordinates):
+            if not self.periodic[a]:
+                out.append(None)
+                continue
+            ang = 2 * np.pi * (x - self.origin[a]) / self.extents[a]
+            z = np.exp(1j * ang)
+            z.setflags(write=False)
+            out.append(z)
+        return tuple(out)
+
     def meshgrid(self) -> list[np.ndarray]:
         return [self.coordinate_array(a) for a in range(self.dim)]
 

@@ -5,6 +5,14 @@ Potentials are static.  Each `Potentials` owns one frozen sparse
 Hamiltonian (`Potentials.hamiltonian`), built on first use; Crank-Nicolson
 stepping, `energy` and `hamilton_residuals` all read that one matrix.
 
+The flow is linear, so a Crank-Nicolson step may be solved in any
+eigenbasis of H.  When H on a grid of two or more axes is a Kronecker sum
+of per-axis Hamiltonians, read off H itself (free motion, or a scalar
+potential that is a sum of per-axis terms, and no curl), the step is
+diagonal in products of per-axis eigenmodes and costs a few small dense
+products per axis; otherwise, and on every 1-D grid, it is one sparse LU
+solve.  Both are checked against the sparse H at every step.
+
 Gauge data lives on lattice links: the hopping term between nodes x and
 x + e_A carries the phase exp(-i * theta_A(x)) with
 theta_A = beta_n * (line integral of A along the bond).  Gauge
@@ -221,16 +229,73 @@ def energy(state: WaveState, pot: Potentials) -> float:
     return float(val.real)
 
 
+def _axis_hamiltonians(H: sp.csr_matrix,
+                       shape: tuple[int, ...]) -> list[np.ndarray] | None:
+    """Dense per-axis Hamiltonians K_a whose Kronecker sum is H, or None
+    when H does not split that way.
+
+    K_a is read from H itself: its block on the line of nodes through node 0
+    along axis a, which is the axis' own term plus the other axes' terms at
+    node 0.  Every block holds H[0, 0] on its diagonal, so it is taken off
+    every block but the first.  The split is accepted when the Kronecker sum
+    reproduces H to within 1e-12 of its largest entry, which a scalar
+    potential that couples axes or a gauge field with curl does not.
+    """
+    blocks, kron_sum = [], sp.csr_matrix(H.shape, dtype=H.dtype)
+    for a, n in enumerate(shape):
+        before, after = int(np.prod(shape[:a])), int(np.prod(shape[a + 1:]))
+        line = after * np.arange(n)
+        K = H[line][:, line].toarray()
+        if a:
+            K -= H[0, 0] * np.eye(n)
+        blocks.append(K)
+        kron_sum = kron_sum + sp.kron(
+            sp.kron(sp.identity(before), K), sp.identity(after), format="csr")
+    if abs(kron_sum - H).max() > 1e-12 * abs(H).max():
+        return None
+    return blocks
+
+
+def _along_axes(mats: Sequence[np.ndarray], x: np.ndarray,
+                roll: tuple[int, int]) -> np.ndarray:
+    """Apply each matrix of `mats` in turn to the leading axis of `x`,
+    moving the grid axes by `roll` (an np.moveaxis source and destination)
+    between two products.
+
+    `x` holds the grid axes first and may carry one trailing axis that no
+    matrix touches (the real and imaginary parts of a complex array viewed
+    as floats).  Each product is one matrix product on the leading axis;
+    each move is one copy.
+    """
+    for k, m in enumerate(mats):
+        if k:
+            x = np.moveaxis(x, *roll)
+        x = (m @ x.reshape(m.shape[1], -1)).reshape(x.shape)
+    return x
+
+
 class CrankNicolson:
     """(1 + i dt H / 2 hbar) psi' = (1 - i dt H / 2 hbar) psi.
 
     The propagator is a Cayley transform of a Hermitian matrix, so the step
-    is norm-preserving; the direct sparse solve keeps the defect near
-    roundoff.  Every step checks the residual of its solve, relative to the
-    right-hand side, and its relative change of the squared norm against
-    `CN_TOL`: with a huge step the residual can pass while the norm is
-    lost.  A step so large that dt H overflows is refused before the
-    factorization.
+    is norm-preserving.  It is solved one of two ways, chosen by the
+    Hamiltonian alone:
+
+    * on a grid of two or more axes whose H is a Kronecker sum of per-axis
+      Hamiltonians (no curl, no potential that couples axes), in their
+      eigenmodes: with H = U diag(lambda) U^H and U the Kronecker product of
+      the per-axis eigenvectors, psi' = U (m * U^H psi) with the multiplier
+      m = (1 - z lambda) / (1 + z lambda), z = i dt / 2 hbar, applied one
+      axis at a time (the fast diagonalization of Lynch, Rice and Thomas);
+    * otherwise by one sparse LU of the left-hand side, ordered by minimum
+      degree on A + A^T.  On a 1-D grid A is tridiagonal, so the LU has no
+      fill and beats any dense transform.
+
+    Either way every step checks the residual of its result against the
+    sparse left-hand side, relative to the right-hand side, and its
+    relative change of the squared norm, against `CN_TOL`: with a huge step
+    the residual can pass while the norm is lost.  A step so large that
+    dt H overflows is refused before either set-up.
     """
 
     def __init__(self, pot: Potentials, dt: float):
@@ -247,13 +312,44 @@ class CrankNicolson:
         if not np.all(np.isfinite(self._A.data)):
             raise SafeguardError(
                 f"Crank-Nicolson factor overflows at dt = {dt:g}")
-        # minimum degree on A + A^T: A is structurally symmetric, and on a
-        # 2-D lattice this leaves about half of COLAMD's fill
-        self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A")
+        blocks = (_axis_hamiltonians(H, pot.grid.shape)
+                  if pot.grid.dim > 1 else None)
+        if blocks is None:
+            # minimum degree on A + A^T: A is structurally symmetric, and on
+            # a 2-D lattice this leaves about half of COLAMD's fill
+            self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A")
+            return
+        self._lu = None
+        # a real block has real modes, which act on the float view of psi
+        self._real = not any(np.any(K.imag) for K in blocks)
+        modes = [np.linalg.eigh(K.real if self._real else K) for K in blocks]
+        lam = functools.reduce(np.add.outer, [w for w, _ in modes])
+        # into modes axis by axis, rolling the axes left between products,
+        # leaves the last axis first; the multiplier is kept in that order,
+        # and the way back goes through the axes in reverse, rolling right
+        self._shape = pot.grid.shape
+        self._mult = np.ascontiguousarray(
+            np.moveaxis((1 - z * lam) / (1 + z * lam), -1, 0))
+        self._into_modes = [U.conj().T.copy() for _, U in modes]
+        self._from_modes = [U for _, U in modes[::-1]]
+
+    def _mode_step(self, psi: np.ndarray) -> np.ndarray:
+        """U (m * U^H psi), flattened."""
+        last = len(self._shape) - 1
+        psi = np.ascontiguousarray(psi).reshape(self._shape)
+        if not self._real:
+            c = _along_axes(self._into_modes, psi, (0, last)) * self._mult
+            return _along_axes(self._from_modes, c, (last, 0)).ravel()
+        view = lambda x: x.view(float).reshape(x.shape + (2,))
+        c = _along_axes(self._into_modes, view(psi), (0, last))
+        c = c.view(complex)[..., 0] * self._mult
+        out = _along_axes(self._from_modes, view(c), (last, 0))
+        return out.view(complex).ravel()
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         b = self._B @ psi.ravel()
-        out = self._lu.solve(b)
+        out = (self._lu.solve(b) if self._lu is not None
+               else self._mode_step(psi))
         resid = np.max(np.abs(self._A @ out - b))
         scale = max(np.max(np.abs(b)), 1e-300)
         self.max_residual = max(self.max_residual, resid / scale)
@@ -308,18 +404,17 @@ def position_moments(state: WaveState) -> dict:
     """Mean and width of the density per axis.
 
     Periodic axes use the circular mean and moments of the wrapped deviation,
-    so a packet drifting through the seam keeps sensible statistics.
+    so a packet drifting through the seam keeps sensible statistics.  The
+    coordinates and ring phasors are the grid's, computed once per grid.
     """
     grid = state.grid
     rho = state.rho
     vol = grid.cell_volume
     means, widths = [], []
-    for a in range(grid.dim):
-        x = grid.coordinate_array(a)
+    for a, (x, phasor) in enumerate(zip(grid.coordinates, grid.ring_phasors)):
         if grid.periodic[a]:
             L = grid.extents[a]
-            ang = 2 * np.pi * (x - grid.origin[a]) / L
-            z = np.sum(rho * np.exp(1j * ang)) * vol
+            z = np.sum(rho * phasor) * vol
             mean_ang = np.angle(z) % (2 * np.pi)
             mean = grid.origin[a] + L * mean_ang / (2 * np.pi)
             dev = nearest_image(x - mean, L)

@@ -163,6 +163,22 @@ def test_bayes_reverse_normalized_everywhere_above_floor():
     assert checked >= 10
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.4])
+def test_bayes_reverse_folds_every_periodic_image(sigma):
+    # at sigma = 1.4 the window (6 sigma each way) is wider than the ring,
+    # so the scatter lands on a node from several offsets of one residue;
+    # the reverse must gather all of them to stay normalized
+    g = ring(64, L=10.0)
+    step = GaussianStep(g, VectorField(g, np.zeros((1,) + g.shape)),
+                        np.array([sigma**2]), 0.1)
+    lo, hi = _axis_windows(step)[0]
+    assert (hi - lo + 1 > g.points[0]) == (sigma > 1.0)
+    rho0 = normalized_gaussian(g, sigma=1.0)
+    rho1, _ = chapman_kolmogorov_step(rho0, step)
+    rev = bayes_reverse(step, rho0, rho1, (32,))
+    assert abs(integrate(rev) - 1.0) < 1e-13
+
+
 def box(n=256, L=20.0):
     return ConfigGrid((n,), (L,), (False,), origin=(-L / 2,))
 

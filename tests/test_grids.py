@@ -41,7 +41,8 @@ def _per_axis_spacing(points, extents, periodic):
 def test_grid_constants_are_computed_once(points, periodic):
     """`spacing` and `cell_volume` follow the per-axis rule, are kept after
     the first read, leave equality, hash, repr and describe() alone, and a
-    replaced grid computes its own."""
+    replaced grid computes its own; `coordinates` and `ring_phasors` are
+    kept too, read-only."""
     extents = (2.0, 3.0, 5.0)[:len(points)]
     g = ConfigGrid(points, extents, periodic)
     twin = ConfigGrid(points, extents, periodic)
@@ -49,6 +50,17 @@ def test_grid_constants_are_computed_once(points, periodic):
     rule = _per_axis_spacing(points, extents, periodic)
     assert g.spacing == rule and g.spacing is g.spacing
     assert g.cell_volume == float(np.prod(rule))
+    assert g.coordinates is g.coordinates
+    assert g.ring_phasors is g.ring_phasors
+    for a, (x, z) in enumerate(zip(g.coordinates, g.ring_phasors)):
+        assert np.array_equal(x, g.coordinate_array(a))
+        assert not x.flags.writeable
+        if periodic[a]:
+            assert not z.flags.writeable
+            np.testing.assert_allclose(
+                z, np.exp(2j * np.pi * x / extents[a]), rtol=0, atol=1e-15)
+        else:
+            assert z is None
     assert (hash(g), repr(g), g.describe()) == before
     assert g == twin and hash(g) == hash(twin)
     finer = tuple(2 * n for n in points)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from edsim.grids import (ConfigGrid, ParticleSystem, density_floor,
                          rectangle_loop, single_particle)
@@ -11,6 +12,7 @@ from edsim.quantum import (
     CrankNicolson,
     MadelungPair,
     Potentials,
+    SafeguardError,
     WaveState,
     build_potentials,
     charge_quantization_check,
@@ -32,6 +34,8 @@ from edsim.quantum import (
     winding_number,
 )
 from edsim.presets import build_preset
+
+from conftest import BOUNDARY_GRIDS
 
 
 def ring(n=128, L=16.0):
@@ -99,11 +103,73 @@ def test_crank_nicolson_norm_and_energy_conservation():
     assert abs(e1 - e0) < 1e-10 * abs(e0)
 
 
+def uniform_field_potentials(grid, b_field):
+    """Unit charge in a uniform magnetic field, symmetric gauge."""
+    system = single_particle(dim=2, charge=1.0)
+    return build_potentials(grid, system, vector_a=(
+        lambda x, y: -0.5 * b_field * y, lambda x, y: 0.5 * b_field * x))
+
+
 def test_crank_nicolson_orders_the_2d_factor_for_low_fill():
-    # minimum degree on A + A^T; COLAMD left 599,936 entries in L + U
+    # a field with curl does not split into per-axis modes, so the vortex
+    # lattice factorizes; minimum degree on A + A^T, where COLAMD left
+    # 599,936 entries in L + U
     sc = build_preset("vortex_2d")
-    lu = CrankNicolson(sc.potentials, sc.dt)._lu
+    lu = CrankNicolson(uniform_field_potentials(sc.grid, 0.5), sc.dt)._lu
     assert lu.L.nnz + lu.U.nnz < 400_000
+
+
+SPLIT_GRIDS = [g for g in BOUNDARY_GRIDS if g.dim > 1]
+
+
+def split_potentials(grid, kind):
+    """Potentials whose Hamiltonian is a Kronecker sum of per-axis ones."""
+    system = single_particle(dim=grid.dim, charge=1.0)
+    if kind == "free":
+        return free_potentials(grid, system)
+    if kind == "separable_v":
+        return build_potentials(grid, system, scalar_v=lambda *xs: sum(
+            (a + 1) * 0.3 * x**2 + np.cos(x) for a, x in enumerate(xs)))
+    # a uniform vector potential: complex per-axis blocks
+    return build_potentials(grid, system, vector_a=[0.7 - 0.5 * a
+                                                    for a in range(grid.dim)])
+
+
+@pytest.mark.parametrize("kind", ["free", "separable_v", "uniform_a"])
+@pytest.mark.parametrize("grid", SPLIT_GRIDS,
+                         ids=lambda g: "x".join(map(str, g.points)))
+def test_split_hamiltonian_steps_in_axis_modes_as_the_sparse_solve(grid, kind):
+    pot = split_potentials(grid, kind)
+    cn = CrankNicolson(pot, 0.07)
+    assert cn._lu is None
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    ref = scipy.sparse.linalg.splu(cn._A).solve(cn._B @ psi.ravel())
+    out = cn.step(psi).ravel()
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["coupled_v", "uniform_b", "line"])
+def test_hamiltonians_that_do_not_split_factorize(kind):
+    plane = ConfigGrid((12, 10), (3.0, 2.5), (False, True), origin=(-1.5, 0.0))
+    if kind == "coupled_v":
+        pot = build_potentials(plane, single_particle(dim=2),
+                               scalar_v=lambda x, y: 0.3 * x * y)
+    elif kind == "uniform_b":
+        pot = uniform_field_potentials(plane, 0.5)
+    else:
+        pot = free_potentials(ring(32), single_particle())
+    assert CrankNicolson(pot, 0.07)._lu is not None
+
+
+def test_a_corrupted_mode_multiplier_trips_the_residual_check():
+    sc = build_preset("vortex_2d", points=24)
+    cn = CrankNicolson(sc.potentials, sc.dt)
+    cn.step(sc.state.psi)
+    # a unit-modulus error keeps the norm: only the residual can see it
+    cn._mult = cn._mult * np.exp(1e-6j)
+    with pytest.raises(SafeguardError, match="residual"):
+        cn.step(sc.state.psi)
 
 
 def test_potentials_share_one_frozen_hamiltonian():
