@@ -176,7 +176,8 @@ class ConfigGrid:
         return tuple(out)
 
     def meshgrid(self) -> list[np.ndarray]:
-        return [self.coordinate_array(a) for a in range(self.dim)]
+        """The read-only `coordinates`, as a list."""
+        return list(self.coordinates)
 
     def wrap(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map positions back into the domain on periodic axes:

@@ -7,11 +7,11 @@ stepping, `energy` and `hamilton_residuals` all read that one matrix.
 
 The flow is linear, so a Crank-Nicolson step may be solved in any
 eigenbasis of H.  When H on a grid of two or more axes is a Kronecker sum
-of per-axis Hamiltonians, read off H itself (free motion, or a scalar
-potential that is a sum of per-axis terms, and no curl), the step is
-diagonal in products of per-axis eigenmodes and costs a few small dense
-products per axis; otherwise, and on every 1-D grid, it is one sparse LU
-solve.  Both are checked against the sparse H at every step.
+of real per-axis Hamiltonians, read off H itself (free motion, or a scalar
+potential that is a sum of per-axis terms, and no vector potential), the
+step is diagonal in products of per-axis eigenmodes and costs a few small
+dense products per axis; otherwise, and on every 1-D grid, it is one sparse
+LU solve.  Both are checked against the sparse H at every step.
 
 Gauge data lives on lattice links: the hopping term between nodes x and
 x + e_A carries the phase exp(-i * theta_A(x)) with
@@ -231,23 +231,28 @@ def energy(state: WaveState, pot: Potentials) -> float:
 
 def _axis_hamiltonians(H: sp.csr_matrix,
                        shape: tuple[int, ...]) -> list[np.ndarray] | None:
-    """Dense per-axis Hamiltonians K_a whose Kronecker sum is H, or None
-    when H does not split that way.
+    """Dense real per-axis Hamiltonians K_a whose Kronecker sum is H, or
+    None when H does not split that way.
 
     K_a is read from H itself: its block on the line of nodes through node 0
     along axis a, which is the axis' own term plus the other axes' terms at
     node 0.  Every block holds H[0, 0] on its diagonal, so it is taken off
-    every block but the first.  The split is accepted when the Kronecker sum
-    reproduces H to within 1e-12 of its largest entry, which a scalar
-    potential that couples axes or a gauge field with curl does not.
+    every block but the first.  The split is accepted when every block is
+    real and the Kronecker sum reproduces H to within 1e-12 of its largest
+    entry, which a scalar potential that couples axes or a gauge field with
+    curl does not.  A block with hopping phases (any vector potential) is
+    left to the sparse LU.
     """
-    blocks, kron_sum = [], sp.csr_matrix(H.shape, dtype=H.dtype)
+    blocks, kron_sum = [], sp.csr_matrix(H.shape)
     for a, n in enumerate(shape):
         before, after = int(np.prod(shape[:a])), int(np.prod(shape[a + 1:]))
         line = after * np.arange(n)
-        K = H[line][:, line].toarray()
+        block = H[line][:, line].toarray()
+        if np.any(block.imag):
+            return None
+        K = block.real.copy()
         if a:
-            K -= H[0, 0] * np.eye(n)
+            K -= H[0, 0].real * np.eye(n)
         blocks.append(K)
         kron_sum = kron_sum + sp.kron(
             sp.kron(sp.identity(before), K), sp.identity(after), format="csr")
@@ -281,10 +286,11 @@ class CrankNicolson:
     is norm-preserving.  It is solved one of two ways, chosen by the
     Hamiltonian alone:
 
-    * on a grid of two or more axes whose H is a Kronecker sum of per-axis
-      Hamiltonians (no curl, no potential that couples axes), in their
-      eigenmodes: with H = U diag(lambda) U^H and U the Kronecker product of
-      the per-axis eigenvectors, psi' = U (m * U^H psi) with the multiplier
+    * on a grid of two or more axes whose H is a Kronecker sum of real
+      per-axis Hamiltonians (no vector potential, no scalar potential that
+      couples axes), in their eigenmodes: with H = U diag(lambda) U^T and U
+      the Kronecker product of the real per-axis eigenvectors,
+      psi' = U (m * U^T psi) with the multiplier
       m = (1 - z lambda) / (1 + z lambda), z = i dt / 2 hbar, applied one
       axis at a time (the fast diagonalization of Lynch, Rice and Thomas);
     * otherwise by one sparse LU of the left-hand side, ordered by minimum
@@ -320,26 +326,26 @@ class CrankNicolson:
             self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A")
             return
         self._lu = None
-        # a real block has real modes, which act on the float view of psi
-        self._real = not any(np.any(K.imag) for K in blocks)
-        modes = [np.linalg.eigh(K.real if self._real else K) for K in blocks]
+        modes = [np.linalg.eigh(K) for K in blocks]
         lam = functools.reduce(np.add.outer, [w for w, _ in modes])
+        # eigh's vectors are orthonormal to a few ulp, with an error of one
+        # sign that a long run accumulates in the norm; one Newton-Schulz
+        # step, U (3 - U^T U) / 2, takes them to roundoff
+        vecs = [U @ (1.5 * np.eye(len(U)) - 0.5 * (U.T @ U)) for _, U in modes]
         # into modes axis by axis, rolling the axes left between products,
         # leaves the last axis first; the multiplier is kept in that order,
         # and the way back goes through the axes in reverse, rolling right
         self._shape = pot.grid.shape
         self._mult = np.ascontiguousarray(
             np.moveaxis((1 - z * lam) / (1 + z * lam), -1, 0))
-        self._into_modes = [U.conj().T.copy() for _, U in modes]
-        self._from_modes = [U for _, U in modes[::-1]]
+        self._into_modes = [U.T.copy() for U in vecs]
+        self._from_modes = vecs[::-1]
 
     def _mode_step(self, psi: np.ndarray) -> np.ndarray:
-        """U (m * U^H psi), flattened."""
+        """U (m * U^T psi), flattened.  U is real, so each product acts on
+        the float view of psi, its real and imaginary parts at once."""
         last = len(self._shape) - 1
         psi = np.ascontiguousarray(psi).reshape(self._shape)
-        if not self._real:
-            c = _along_axes(self._into_modes, psi, (0, last)) * self._mult
-            return _along_axes(self._from_modes, c, (last, 0)).ravel()
         view = lambda x: x.view(float).reshape(x.shape + (2,))
         c = _along_axes(self._into_modes, view(psi), (0, last))
         c = c.view(complex)[..., 0] * self._mult
