@@ -34,7 +34,7 @@ from .grids import (MAX_POINTS_PER_AXIS, PROCESS_GAMMA, ConfigGrid,
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
 from .quantum import (SafeguardError, energy, evolve_trajectory,
-                      position_moments)
+                      position_moments, trajectory)
 from .stats import compare_density, fit_power_law, histogram_on_grid
 from .stochastic import (center_of_mass_report, draw_initial_positions,
                          simulate_ensemble, vanishing_noise_deviations,
@@ -75,9 +75,11 @@ def cmd_evolve(args) -> int:
     writer = RunWriter(args.out)
     writer.write_config(config)
 
-    timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
-    rows = []
-    for st in timeline:
+    # one pass over the states: a row per state, and only the snapshots kept
+    snap_idx = set(_checkpoint_indices(sc.steps + 1, args.snapshots))
+    rows, snapshots = [], []
+    for i, st in enumerate(
+            trajectory(sc.state, sc.potentials, sc.dt, sc.steps)):
         mom = position_moments(st)
         row = [st.time,
                abs(st.meta.get("raw_norm", 1.0) - 1.0),
@@ -86,27 +88,28 @@ def cmd_evolve(args) -> int:
         for a in range(sc.grid.dim):
             row.extend([mom["mean"][a], mom["width"][a]])
         rows.append(row)
+        if i in snap_idx:
+            snapshots.append(st)
     header = ["time", "norm_gap", "energy", "cn_residual"]
     for a in range(sc.grid.dim):
         header.extend([f"mean_{a}", f"width_{a}"])
     writer.write_csv("moments.csv", header, rows)
 
-    snap_idx = _checkpoint_indices(len(timeline), args.snapshots)
     snaps = {
-        "times": np.array([timeline[i].time for i in snap_idx]),
-        "psi": np.stack([timeline[i].psi for i in snap_idx]),
+        "times": np.array([s.time for s in snapshots]),
+        "psi": np.stack([s.psi for s in snapshots]),
         "grid": sc.grid.describe(),
     }
     writer.write_json("snapshots.json", snaps)
 
     energies = np.array([r[2] for r in rows])
     result = {
-        "final_time": timeline[-1].time,
+        "final_time": st.time,
         "max_norm_gap": float(max(r[1] for r in rows)),
         "energy_drift_rel": float(np.max(np.abs(energies - energies[0]))
                                   / max(abs(energies[0]), 1e-300)),
         "steps": sc.steps,
-        "max_cn_residual": timeline[-1].meta["cn_residual"],
+        "max_cn_residual": st.meta["cn_residual"],
     }
     writer.write_json("result.json", result)
     writer.finish()

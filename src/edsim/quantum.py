@@ -13,6 +13,11 @@ step is diagonal in products of per-axis eigenmodes and costs a few small
 dense products per axis; otherwise, and on every 1-D grid, it is one sparse
 LU solve.  Both are checked against the sparse H at every step.
 
+`trajectory` yields the states of a run one at a time, so `edsim evolve`,
+which reads each state once, holds a handful of them whatever the step
+count; `evolve_trajectory` keeps them all, for the walker ensembles and
+limit studies that index the timeline.
+
 Gauge data lives on lattice links: the hopping term between nodes x and
 x + e_A carries the phase exp(-i * theta_A(x)) with
 theta_A = beta_n * (line integral of A along the bond).  Gauge
@@ -399,11 +404,20 @@ def evolve(state: WaveState, pot: Potentials, dt: float,
     return _stepped_state(state.grid, *last)
 
 
+def trajectory(state: WaveState, pot: Potentials, dt: float, steps: int):
+    """Yield `state`, then the state after each of `steps` Crank-Nicolson
+    steps.  One state is built at a time, so a caller that reads each state
+    once and keeps only what it needs holds memory flat in `steps`."""
+    yield state
+    for s in _cn_steps(state, pot, dt, steps):
+        yield _stepped_state(state.grid, *s)
+
+
 def evolve_trajectory(state: WaveState, pot: Potentials, dt: float,
                       steps: int) -> list[WaveState]:
-    """Snapshots at every step, initial state included."""
-    return [state] + [_stepped_state(state.grid, *s)
-                      for s in _cn_steps(state, pot, dt, steps)]
+    """Every state of `trajectory`, initial state included, as a list, for
+    callers that index the timeline or walk it more than once."""
+    return list(trajectory(state, pot, dt, steps))
 
 
 def position_moments(state: WaveState) -> dict:

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edsim.cli import build_parser, main
+from edsim.cli import _checkpoint_indices, build_parser, main
 from edsim.geometry import MAX_PROBES
-from edsim.io import INCOMPLETE_MARKER, load_json, verify_run_dir
+from edsim.io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from edsim.presets import PRESETS, build_preset
-from edsim.quantum import CN_TOL
+from edsim.quantum import (CN_TOL, CrankNicolson, energy, evolve_trajectory,
+                           position_moments)
 from edsim.stats import fit_power_law
 
 
@@ -50,6 +52,86 @@ def test_evolve_writes_complete_run(tmp_path):
     result = load_json(out / "result.json")
     assert result["max_norm_gap"] < 1e-10
     assert main(["report", str(out)]) == 0
+
+
+def _evolve_reference(out, preset: str, overrides: dict, snapshots: int):
+    """moments.csv, snapshots.json and result.json of `evolve`, built from
+    the whole `evolve_trajectory` list."""
+    sc = build_preset(preset, **overrides)
+    timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
+    rows = []
+    for state in timeline:
+        mom = position_moments(state)
+        row = [state.time, abs(state.meta.get("raw_norm", 1.0) - 1.0),
+               energy(state, sc.potentials),
+               state.meta.get("cn_residual", 0.0)]
+        for a in range(sc.grid.dim):
+            row.extend([mom["mean"][a], mom["width"][a]])
+        rows.append(row)
+    header = ["time", "norm_gap", "energy", "cn_residual"]
+    for a in range(sc.grid.dim):
+        header.extend([f"mean_{a}", f"width_{a}"])
+    writer = RunWriter(out)
+    writer.write_csv("moments.csv", header, rows)
+    idx = _checkpoint_indices(len(timeline), snapshots)
+    writer.write_json("snapshots.json", {
+        "times": np.array([timeline[i].time for i in idx]),
+        "psi": np.stack([timeline[i].psi for i in idx]),
+        "grid": sc.grid.describe(),
+    })
+    energies = np.array([r[2] for r in rows])
+    writer.write_json("result.json", {
+        "final_time": timeline[-1].time,
+        "max_norm_gap": float(max(r[1] for r in rows)),
+        "energy_drift_rel": float(np.max(np.abs(energies - energies[0]))
+                                  / max(abs(energies[0]), 1e-300)),
+        "steps": sc.steps,
+        "max_cn_residual": timeline[-1].meta["cn_residual"],
+    })
+
+
+@pytest.mark.parametrize("preset, overrides, snapshots", [
+    ("interference", {"steps": 30}, 5),
+    ("interference", {"steps": 7}, 3),
+    ("vortex_2d", {"points": 24}, 5),
+])
+def test_evolve_streams_its_states_once_into_the_list_files(
+        tmp_path, monkeypatch, preset, overrides, snapshots):
+    """`evolve` writes, byte for byte, the files built from the whole
+    timeline, and steps Crank-Nicolson exactly `steps` times: it walks the
+    stream of states once."""
+    _evolve_reference(tmp_path / "ref", preset, overrides, snapshots)
+    steps = []
+    step = CrankNicolson.step
+    monkeypatch.setattr(CrankNicolson, "step",
+                        lambda self, psi: steps.append(1) or step(self, psi))
+    argv = ["evolve", "--preset", preset, "--snapshots", str(snapshots)]
+    for key, value in overrides.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    assert len(steps) == build_preset(preset, **overrides).steps
+    for name in ("moments.csv", "snapshots.json", "result.json"):
+        assert ((tmp_path / "run" / name).read_bytes()
+                == (tmp_path / "ref" / name).read_bytes()), name
+
+
+def test_evolve_memory_is_flat_in_its_step_count(tmp_path):
+    """`evolve` keeps its snapshot states, not one state per step: after a
+    warm-up, its traced peak at 200 steps of a 32^2 vortex stays within ten
+    states of its peak at 20 steps (a timeline list adds 180)."""
+    def peak(steps: int, out: str) -> int:
+        tracemalloc.reset_peak()
+        assert main(["evolve", "--preset", "vortex_2d", "--points", "32",
+                     "--steps", str(steps), "--out", str(tmp_path / out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(20, "warm")
+        at_20, at_200 = peak(20, "s20"), peak(200, "s200")
+    finally:
+        tracemalloc.stop()
+    assert at_200 - at_20 <= 10 * 32**2 * 16, (at_20, at_200)
 
 
 def test_ensemble_runs_reproduce_byte_for_byte(tmp_path):

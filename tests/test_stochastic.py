@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edsim import grids, stochastic
+from edsim import grids, stats, stochastic
 from edsim.geometry import transition_information_metric
 from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, density_floor, gradient,
                          nearest_image, single_particle)
@@ -211,6 +211,53 @@ def test_deterministic_trajectories_follow_spreading_packet():
     sig_t = sigma0 * np.sqrt(1 + (t / (2 * sigma0**2)) ** 2)
     expect = k * t + x0[:, 0] * sig_t / sigma0
     assert np.max(np.abs(paths[-1][:, 0] - expect)) < 0.02
+
+
+# The free preset's largest Bohmian error against its closed form at 512
+# points reads 1.05e-3; with node-lattice ring tables (REFINE = 1) it reads
+# 1.43e-3, at the same order 2.  The bound sits between the two.
+FREE_512_MAX_ERROR = 1.2e-3
+
+
+def _closed_form_error(name: str, points: int) -> float:
+    """Largest distance, over T = 2 at dt = 0.0025, between the Bohmian paths
+    of 200 starts within 2 sigma of the preset packet's centre and their
+    closed form: x0 + cos t - 1 in the harmonic preset's coherent state
+    (centre 1, omega = 1), k t + x0 sqrt(1 + (t / 2)^2) for the free
+    preset's packet (sigma 1, k = 2 pi 3 / 30), taken to the nearest image
+    on its ring of length 30."""
+    sc = build_preset(name, points=points, dt=0.0025, steps=800)
+    timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
+    t = np.array([s.time for s in timeline])[:, None]
+    if name == "harmonic":
+        x0 = 1.0 + np.sqrt(0.5) * np.linspace(-2, 2, 200)
+        exact = x0 + np.cos(t) - 1
+    else:
+        x0 = np.linspace(-2, 2, 200)
+        exact = 2 * np.pi * 3 / 30 * t + x0 * np.sqrt(1 + (t / 2) ** 2)
+    paths = bohmian_trajectories(timeline, sc.potentials, sc.system,
+                                 x0[:, None])[..., 0]
+    return float(np.max(np.abs(nearest_image(paths - exact, 30.0))))
+
+
+@pytest.mark.parametrize("name", ["harmonic", "free"])
+def test_bohmian_paths_converge_to_their_closed_form(name):
+    """The eta = 0 paths of a Gaussian packet against the closed form, at
+    128, 256 and 512 points: second order in the grid spacing, and on the
+    free ring within FREE_512_MAX_ERROR at 512 points."""
+    points = (128, 256, 512)
+    errors = [_closed_form_error(name, n) for n in points]
+    assert stats.convergence_order([1 / n for n in points],
+                                   errors)["order"] >= 1.8, errors
+    if name == "free":
+        assert errors[-1] <= FREE_512_MAX_ERROR
+
+
+def test_the_closed_form_bound_catches_node_lattice_ring_tables(monkeypatch):
+    """Without the spectral resample of the ring's flow tables the free
+    paths at 512 points miss FREE_512_MAX_ERROR."""
+    monkeypatch.setattr(stochastic, "REFINE", 1)
+    assert _closed_form_error("free", 512) > FREE_512_MAX_ERROR
 
 
 def test_ensemble_mean_tracks_packet_center():
