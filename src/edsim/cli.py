@@ -44,6 +44,8 @@ from .stochastic import (center_of_mass_report, draw_initial_positions,
 MAX_MASS_DRIFT = 1e-6
 # the noise strengths of the vanishing-noise study of `limits`
 LIMIT_ETAS = (1e-2, 1e-3, 1e-4)
+# the ES walkers of the vanishing-noise study at each eta (`limits --walkers`)
+LIMIT_WALKERS = 300
 
 
 def _scenario_from_args(args) -> tuple:
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="vanishing-noise and CM studies")
     _add_scenario_flags(p)
-    p.add_argument("--walkers", type=_count, default=300)
+    p.add_argument("--walkers", type=_count, default=LIMIT_WALKERS)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_limits)

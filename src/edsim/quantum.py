@@ -13,6 +13,13 @@ step is diagonal in products of per-axis eigenmodes and costs a few small
 dense products per axis; otherwise, and on every 1-D grid, it is one sparse
 LU solve.  Both are checked against the sparse H at every step.
 
+The sparse stack is imported where it runs: `scipy.sparse` inside the
+functions that build sparse matrices (`hamiltonian_matrix`,
+`_axis_hamiltonians`, `CrankNicolson.__init__`), and `scipy.sparse.linalg`
+only in the LU branch of `CrankNicolson.__init__`.  Importing the module,
+building potentials or presets, and the commands that step no wave load
+neither; the per-axis mode path loads no LU.
+
 `trajectory` yields the states of a run one at a time, so `edsim evolve`,
 which reads each state once, holds a handful of them whatever the step
 count; `evolve_trajectory` keeps them all, for the walker ensembles and
@@ -35,14 +42,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import (ConfigGrid, ParticleSystem, _shift, _wall_ends,
                     density_floor, gradient, nearest_image)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # relative residual and squared-norm change a Crank-Nicolson step may have
 CN_TOL = 1e-9
@@ -196,6 +204,8 @@ def hamiltonian_matrix(pot: Potentials) -> sp.csr_matrix:
     """Sparse covariant Hamiltonian: hopping with link phases, hard walls on
     non-periodic axes, scalar potential on the diagonal.  A fresh matrix on
     every call; `pot.hamiltonian` is the shared one."""
+    import scipy.sparse as sp
+
     grid = pot.grid
     system = pot.system
     size = grid.size
@@ -248,6 +258,8 @@ def _axis_hamiltonians(H: sp.csr_matrix,
     curl does not.  A block with hopping phases (any vector potential) is
     left to the sparse LU.
     """
+    import scipy.sparse as sp
+
     blocks, kron_sum = [], sp.csr_matrix(H.shape)
     for a, n in enumerate(shape):
         before, after = int(np.prod(shape[:a])), int(np.prod(shape[a + 1:]))
@@ -310,6 +322,8 @@ class CrankNicolson:
     """
 
     def __init__(self, pot: Potentials, dt: float):
+        import scipy.sparse as sp
+
         if dt == 0:
             raise ValueError("dt must be nonzero")
         self.max_residual = 0.0
@@ -326,6 +340,8 @@ class CrankNicolson:
         blocks = (_axis_hamiltonians(H, pot.grid.shape)
                   if pot.grid.dim > 1 else None)
         if blocks is None:
+            import scipy.sparse.linalg as spla
+
             # minimum degree on A + A^T: A is structurally symmetric, and on
             # a 2-D lattice this leaves about half of COLAMD's fill
             self._lu = spla.splu(self._A, permc_spec="MMD_AT_PLUS_A")

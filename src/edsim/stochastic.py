@@ -30,7 +30,8 @@ The noise of a walk comes from its one generator in step order: one
 standard normal fill per step, scaled by each noisy block's deviation.
 From NOISE_THREAD_WALKERS walkers on, a helper thread draws step k + 1's
 noise while step k runs (the fill releases the GIL); below, each step draws
-its own.  Both ways draw the same bits.
+its own.  Both ways draw the same bits.  The helper's
+`concurrent.futures` is imported only when a run has that many walkers.
 
 Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
 subtract of the period, with an np.mod fallback for values more than one
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -359,6 +359,8 @@ def _noise_stream(seed: int, variances: np.ndarray, shape: tuple[int, int],
         buf = np.empty(shape)
         yield (fill(buf) for _ in range(steps))
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     bufs = np.empty((2,) + shape)
     with ThreadPoolExecutor(1, "edsim-noise") as helper:
         def ahead():

@@ -219,24 +219,34 @@ def test_deterministic_trajectories_follow_spreading_packet():
 FREE_512_MAX_ERROR = 1.2e-3
 
 
-def _closed_form_error(name: str, points: int) -> float:
-    """Largest distance, over T = 2 at dt = 0.0025, between the Bohmian paths
-    of 200 starts within 2 sigma of the preset packet's centre and their
-    closed form: x0 + cos t - 1 in the harmonic preset's coherent state
-    (centre 1, omega = 1), k t + x0 sqrt(1 + (t / 2)^2) for the free
-    preset's packet (sigma 1, k = 2 pi 3 / 30), taken to the nearest image
-    on its ring of length 30."""
-    sc = build_preset(name, points=points, dt=0.0025, steps=800)
+def _preset_paths(name: str, points: int, dt: float) -> tuple:
+    """The times of a T = 2 run of preset `name` at `points` points and step
+    dt, with the Bohmian paths of 200 evenly spaced starts within 2 sigma
+    of the preset packet's centre (centre 1 and sigma sqrt(1/2) on
+    harmonic, centre 0 and sigma 1 on free), shape (steps + 1, 200)."""
+    sc = build_preset(name, points=points, dt=dt, steps=round(2 / dt))
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
-    t = np.array([s.time for s in timeline])[:, None]
+    x0 = np.linspace(-2, 2, 200)
     if name == "harmonic":
-        x0 = 1.0 + np.sqrt(0.5) * np.linspace(-2, 2, 200)
-        exact = x0 + np.cos(t) - 1
-    else:
-        x0 = np.linspace(-2, 2, 200)
-        exact = 2 * np.pi * 3 / 30 * t + x0 * np.sqrt(1 + (t / 2) ** 2)
+        x0 = 1.0 + np.sqrt(0.5) * x0
     paths = bohmian_trajectories(timeline, sc.potentials, sc.system,
                                  x0[:, None])[..., 0]
+    return np.array([s.time for s in timeline]), paths
+
+
+def _closed_form_error(name: str, points: int) -> float:
+    """Largest distance, over T = 2 at dt = 0.0025, between the Bohmian paths
+    of `_preset_paths` and their closed form: x0 + cos t - 1 in the
+    harmonic preset's coherent state (centre 1, omega = 1),
+    k t + x0 sqrt(1 + (t / 2)^2) for the free preset's packet (sigma 1,
+    k = 2 pi 3 / 30), taken to the nearest image on its ring of length
+    30."""
+    t, paths = _preset_paths(name, points, 0.0025)
+    t, x0 = t[:, None], paths[0]
+    if name == "harmonic":
+        exact = x0 + np.cos(t) - 1
+    else:
+        exact = 2 * np.pi * 3 / 30 * t + x0 * np.sqrt(1 + (t / 2) ** 2)
     return float(np.max(np.abs(nearest_image(paths - exact, 30.0))))
 
 
@@ -258,6 +268,31 @@ def test_the_closed_form_bound_catches_node_lattice_ring_tables(monkeypatch):
     paths at 512 points miss FREE_512_MAX_ERROR."""
     monkeypatch.setattr(stochastic, "REFINE", 1)
     assert _closed_form_error("free", 512) > FREE_512_MAX_ERROR
+
+
+# The largest Bohmian error at dt = 0.01 against a dt = 0.00125 reference
+# on 256 points reads 4.15e-5 on free and 1.66e-4 on harmonic (6.7e-4 and
+# 2.7e-3 at dt = 0.04, order 2.00 on both).  The bounds leave a fifth.
+DT_001_MAX_ERROR = {"free": 5e-5, "harmonic": 2e-4}
+
+
+@pytest.mark.parametrize("name", ["harmonic", "free"])
+def test_bohmian_paths_converge_in_the_step(name):
+    """The eta = 0 paths of `_preset_paths` at dt = 0.04, 0.02 and 0.01
+    against those at dt = 0.00125 on the same 256 points, compared at the
+    coarse steps: second order in dt (the midpoint rule's, and Crank-
+    Nicolson's under it), and within DT_001_MAX_ERROR at dt = 0.01."""
+    dts, fine = (0.04, 0.02, 0.01), 0.00125
+    t_ref, ref = _preset_paths(name, 256, fine)
+    errors = []
+    for dt in dts:
+        t, paths = _preset_paths(name, 256, dt)
+        stride = round(dt / fine)
+        np.testing.assert_allclose(t, t_ref[::stride], rtol=0, atol=1e-12)
+        errors.append(float(np.max(np.abs(
+            nearest_image(paths - ref[::stride], 30.0)))))
+    assert stats.convergence_order(dts, errors)["order"] >= 1.8, errors
+    assert errors[-1] <= DT_001_MAX_ERROR[name], errors
 
 
 def test_ensemble_mean_tracks_packet_center():

@@ -5,7 +5,8 @@ break them silently.  The seed sweep runs one preset at one seed and a few
 hundred walkers, the limit sweep one preset at one seed and a few dozen
 walkers; the run matrix, each of whose runs is a CLI call tested
 elsewhere, is imported and lists its runs, and its comparison of two run
-directories is run on two tiny ones.
+directories is run on two tiny ones.  The cold-start timer makes one
+fresh-interpreter run and tabulates it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def test_seed_sweep_runs_a_short_case(monkeypatch, capsys):
 
 def test_limit_sweep_runs_a_short_case(monkeypatch, capsys):
     sweep = _load("limit_sweep")
-    monkeypatch.setattr(sweep, "WALKERS", 40)
+    monkeypatch.setattr(sweep, "LIMIT_WALKERS", 40)
     monkeypatch.setattr(sweep, "PRESETS", ("free",))
     sweep.sweep(range(1, 2))
     header, row = capsys.readouterr().out.splitlines()
@@ -52,6 +53,16 @@ def test_limit_sweep_runs_a_short_case(monkeypatch, capsys):
 def test_run_matrix_imports():
     matrix = _load("run_matrix").matrix()
     assert len(matrix) == 28
+
+
+def test_cold_start_times_one_fresh_run(tmp_path):
+    cold = _load("cold_start")
+    run = cold.run_case(cold.ROOT, cold.CASES["entropic-step"], tmp_path)
+    assert run["s"] > 0 and run["loaded"] == []
+    runs = {str(cold.ROOT): {case: [run] for case in cold.CASES}}
+    head, *rows = cold.table(runs, cold.ROOT, None)
+    assert head.split() == ["case", "this", "(s)", "loads"]
+    assert [row.split()[-1] for row in rows] == ["-"] * len(cold.CASES)
 
 
 def _run_dir(path: Path, tv: list[float]) -> Path:

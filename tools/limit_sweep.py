@@ -3,10 +3,11 @@
     python3 tools/limit_sweep.py FIRST LAST
 
 For every preset at its defaults and every seed in FIRST..LAST inclusive,
-the script runs the study of `limits` (`edsim.cli.limit_study`: 300 ES
-walkers at each of eta = 1e-2, 1e-3 and 1e-4 against their eta = 0 paths)
-and prints the fitted exponent of the mean largest deviation in eta,
-marked `*` where the deviations do not fall monotonically.  The Brownian
+the script runs the study of `limits` (`edsim.cli.limit_study`:
+`edsim.cli.LIMIT_WALKERS` ES walkers, the default of `limits --walkers`, at
+each of eta = 1e-2, 1e-3 and 1e-4 against their eta = 0 paths) and prints
+the fitted exponent of the mean largest deviation in eta, marked `*` where
+the deviations do not fall monotonically.  The Brownian
 displacement sqrt(eta t / m) gives 1/2.  For each preset it then prints the
 exponent's mean over the seeds and its sample standard deviation (`-` for
 one seed), the spread a gate on |exponent - 1/2| has to allow for.
@@ -21,11 +22,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from edsim.cli import limit_study  # noqa: E402
+from edsim.cli import LIMIT_WALKERS, limit_study  # noqa: E402
 from edsim.presets import PRESETS, build_preset  # noqa: E402
 from edsim.quantum import evolve_trajectory  # noqa: E402
-
-WALKERS = 300   # the default of `limits --walkers`
 
 
 def sweep(seeds: range) -> None:
@@ -36,7 +35,7 @@ def sweep(seeds: range) -> None:
         timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
         cells, exponents = [], []
         for seed in seeds:
-            study = limit_study(sc, timeline, WALKERS, seed)
+            study = limit_study(sc, timeline, LIMIT_WALKERS, seed)
             exponents.append(study["deviation_exponent"])
             mark = "" if study["monotone"] else "*"
             cells.append(f"{exponents[-1]:.3f}{mark}")
