@@ -6,12 +6,14 @@ Hamiltonian (`Potentials.hamiltonian`), built on first use; Crank-Nicolson
 stepping, `energy` and `hamilton_residuals` all read that one matrix.
 
 The flow is linear, so a Crank-Nicolson step may be solved in any
-eigenbasis of H.  When H on a grid of two or more axes is a Kronecker sum
-of real per-axis Hamiltonians, read off H itself (free motion, or a scalar
-potential that is a sum of per-axis terms, and no vector potential), the
-step is diagonal in products of per-axis eigenmodes and costs a few small
-dense products per axis; otherwise, and on every 1-D grid, it is one sparse
-LU solve.  Both are checked against the sparse H at every step.
+eigenbasis of H, where it is a pure phase rotation of each mode.  When H on
+a grid of two or more axes is a Kronecker sum of real per-axis
+Hamiltonians, read off H itself (free motion, or a scalar potential that is
+a sum of per-axis terms, and no vector potential), the run stays in
+products of per-axis eigenmodes: each step rotates the coefficients it kept
+and makes one pass of small dense products back to the grid; otherwise, and
+on every 1-D grid, a step is one sparse LU solve.  Both are checked against
+the sparse H at every step.
 
 The sparse stack is imported where it runs: `scipy.sparse` inside the
 functions that build sparse matrices (`hamiltonian_matrix`,
@@ -20,10 +22,12 @@ only in the LU branch of `CrankNicolson.__init__`.  Importing the module,
 building potentials or presets, and the commands that step no wave load
 neither; the per-axis mode path loads no LU.
 
-`trajectory` yields the states of a run one at a time, so `edsim evolve`,
-which reads each state once, holds a handful of them whatever the step
-count; `evolve_trajectory` keeps them all, for the walker ensembles and
-limit studies that index the timeline.
+`evolve_trajectory` keeps every state of a run, for the walker ensembles
+and limit studies that index the timeline.  `edsim evolve` reads the raw
+stream of `_cn_steps` instead, one step at a time: it computes its rows a
+block of states at a time with `_energies` and `_moments`, the stacked
+forms of `energy` and `position_moments`, and builds a `WaveState` only for
+each snapshot, so its memory stays flat in the step count.
 
 Gauge data lives on lattice links: the hopping term between nodes x and
 x + e_A carries the phase exp(-i * theta_A(x)) with
@@ -239,9 +243,22 @@ def free_potentials(grid: ConfigGrid, system: ParticleSystem) -> Potentials:
 
 
 def energy(state: WaveState, pot: Potentials) -> float:
-    hpsi = pot.hamiltonian @ state.psi.ravel()
-    val = np.vdot(state.psi, hpsi) * state.grid.cell_volume
-    return float(val.real)
+    return float(_energies(pot, state.psi[None])[0])
+
+
+def _energies(pot: Potentials, psi: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> dV of each state of a stack, shaped (B,) + grid shape.
+
+    One sparse product serves the stack: H times the C-contiguous (n, B)
+    array of its columns, which gives each column the bits of H @ psi.
+    Each scalar product then reads two contiguous rows, as for one state.
+    """
+    flat = psi.reshape(len(psi), -1)
+    columns = np.ascontiguousarray(flat.T)
+    hpsi = np.ascontiguousarray((pot.hamiltonian @ columns).T)
+    vol = pot.grid.cell_volume
+    return np.array([(np.vdot(x, hx) * vol).real
+                     for x, hx in zip(flat, hpsi)])
 
 
 def _axis_hamiltonians(H: sp.csr_matrix,
@@ -308,8 +325,12 @@ class CrankNicolson:
       couples axes), in their eigenmodes: with H = U diag(lambda) U^T and U
       the Kronecker product of the real per-axis eigenvectors,
       psi' = U (m * U^T psi) with the multiplier
-      m = (1 - z lambda) / (1 + z lambda), z = i dt / 2 hbar, applied one
-      axis at a time (the fast diagonalization of Lynch, Rice and Thomas);
+      m = (1 - i theta) / (1 + i theta) = exp(-2i arctan theta),
+      theta = dt lambda / 2 hbar, applied one axis at a time (the fast
+      diagonalization of Lynch, Rice and Thomas).  The solver keeps the
+      coefficients m * U^T psi of the state it last returned, which is
+      read-only, so stepping that state again skips U^T; any other psi
+      goes into modes first;
     * otherwise by one sparse LU of the left-hand side, ordered by minimum
       degree on A + A^T.  On a 1-D grid A is tridiagonal, so the LU has no
       fill and beats any dense transform.
@@ -317,8 +338,9 @@ class CrankNicolson:
     Either way every step checks the residual of its result against the
     sparse left-hand side, relative to the right-hand side, and its
     relative change of the squared norm, against `CN_TOL`: with a huge step
-    the residual can pass while the norm is lost.  A step so large that
-    dt H overflows is refused before either set-up.
+    the residual can pass while the norm is lost, and a non-finite result
+    fails both.  A step so large that dt H overflows is refused before
+    either set-up.  `step` returns a read-only array.
     """
 
     def __init__(self, pot: Potentials, dt: float):
@@ -357,45 +379,66 @@ class CrankNicolson:
         # leaves the last axis first; the multiplier is kept in that order,
         # and the way back goes through the axes in reverse, rolling right
         self._shape = pot.grid.shape
+        # (1 - i theta) / (1 + i theta) as a pure phase: a run that stays in
+        # modes multiplies by it every step, and the quotient's rounding of
+        # |m| would drift the norm
+        theta = dt * lam / (2 * pot.system.hbar)
         self._mult = np.ascontiguousarray(
-            np.moveaxis((1 - z * lam) / (1 + z * lam), -1, 0))
+            np.moveaxis(np.exp(-2j * np.arctan(theta)), -1, 0))
         self._into_modes = [U.T.copy() for U in vecs]
         self._from_modes = vecs[::-1]
+        # the state `step` last returned and its mode coefficients
+        self._last = self._coeffs = None
 
-    def _mode_step(self, psi: np.ndarray) -> np.ndarray:
-        """U (m * U^T psi), flattened.  U is real, so each product acts on
-        the float view of psi, its real and imaginary parts at once."""
+    def _mode_step(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """U (m * c) flattened, and m * c, with c = U^T psi or, when `psi`
+        is the state this solver last returned, the coefficients kept with
+        it.  U is real, so each product acts on the float view of its
+        operand, the real and imaginary parts at once."""
         last = len(self._shape) - 1
-        psi = np.ascontiguousarray(psi).reshape(self._shape)
         view = lambda x: x.view(float).reshape(x.shape + (2,))
-        c = _along_axes(self._into_modes, view(psi), (0, last))
-        c = c.view(complex)[..., 0] * self._mult
+        if psi is self._last:
+            c = self._coeffs
+        else:
+            psi = np.ascontiguousarray(psi).reshape(self._shape)
+            c = _along_axes(self._into_modes, view(psi), (0, last))
+            c = c.view(complex)[..., 0]
+        c = c * self._mult
         out = _along_axes(self._from_modes, view(c), (last, 0))
-        return out.view(complex).ravel()
+        return out.view(complex).ravel(), c
 
     def step(self, psi: np.ndarray) -> np.ndarray:
+        """The state one step after `psi`, read-only."""
         b = self._B @ psi.ravel()
-        out = (self._lu.solve(b) if self._lu is not None
-               else self._mode_step(psi))
+        if self._lu is not None:
+            out = self._lu.solve(b)
+        else:
+            out, coeffs = self._mode_step(psi)
         resid = np.max(np.abs(self._A @ out - b))
         scale = max(np.max(np.abs(b)), 1e-300)
         self.max_residual = max(self.max_residual, resid / scale)
-        if resid / scale > CN_TOL:
+        # written so that a NaN fails them too
+        if not resid / scale <= CN_TOL:
             raise SafeguardError(
                 f"Crank-Nicolson solve residual {resid / scale:.3e} exceeds "
                 f"tolerance {CN_TOL:.3e}")
         before, after = np.vdot(psi, psi).real, np.vdot(out, out).real
-        if abs(after - before) > CN_TOL * before:
+        if not abs(after - before) <= CN_TOL * before:
             raise SafeguardError(
                 f"Crank-Nicolson step changed the squared norm by "
                 f"{abs(after - before) / before:.3e}, beyond tolerance "
                 f"{CN_TOL:.3e}")
-        return out.reshape(psi.shape)
+        out = out.reshape(psi.shape)
+        out.setflags(write=False)
+        if self._lu is None:
+            coeffs.setflags(write=False)
+            self._last, self._coeffs = out, coeffs
+        return out
 
 
 def _cn_steps(state: WaveState, pot: Potentials, dt: float, steps: int):
     """The Crank-Nicolson loop: after each step, yield (psi, time, largest
-    residual so far)."""
+    residual so far), psi the solver's read-only, unnormalized result."""
     cn = CrankNicolson(pot, dt)
     psi, t = state.psi, state.time
     for _ in range(steps):
@@ -420,49 +463,50 @@ def evolve(state: WaveState, pot: Potentials, dt: float,
     return _stepped_state(state.grid, *last)
 
 
-def trajectory(state: WaveState, pot: Potentials, dt: float, steps: int):
-    """Yield `state`, then the state after each of `steps` Crank-Nicolson
-    steps.  One state is built at a time, so a caller that reads each state
-    once and keeps only what it needs holds memory flat in `steps`."""
-    yield state
-    for s in _cn_steps(state, pot, dt, steps):
-        yield _stepped_state(state.grid, *s)
-
-
 def evolve_trajectory(state: WaveState, pot: Potentials, dt: float,
                       steps: int) -> list[WaveState]:
-    """Every state of `trajectory`, initial state included, as a list, for
-    callers that index the timeline or walk it more than once."""
-    return list(trajectory(state, pot, dt, steps))
+    """`state`, then the state after each of `steps` Crank-Nicolson steps,
+    as a list, for callers that index the timeline or walk it more than
+    once."""
+    return [state] + [_stepped_state(state.grid, *s)
+                      for s in _cn_steps(state, pot, dt, steps)]
 
 
 def position_moments(state: WaveState) -> dict:
-    """Mean and width of the density per axis.
+    """Mean and width of the density per axis (see `_moments`)."""
+    means, widths = _moments(state.grid, state.psi[None])
+    return {"mean": means[0].tolist(), "width": widths[0].tolist()}
+
+
+def _moments(grid: ConfigGrid, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Means and widths of the densities of a stack of states, shaped
+    (B,) + grid shape, as two (B, dim) arrays.
 
     Periodic axes use the circular mean and moments of the wrapped deviation,
     so a packet drifting through the seam keeps sensible statistics.  The
     coordinates and ring phasors are the grid's, computed once per grid.
+    Each sum runs over one state's flattened grid, as for a lone state.
     """
-    grid = state.grid
-    rho = state.rho
+    rho = psi.real**2 + psi.imag**2
     vol = grid.cell_volume
+    col = (-1,) + (1,) * grid.dim
+    total = lambda f: np.sum(f.reshape(len(f), -1), axis=1) * vol
     means, widths = [], []
     for a, (x, phasor) in enumerate(zip(grid.coordinates, grid.ring_phasors)):
         if grid.periodic[a]:
             L = grid.extents[a]
-            z = np.sum(rho * phasor) * vol
-            mean_ang = np.angle(z) % (2 * np.pi)
+            mean_ang = np.angle(total(rho * phasor)) % (2 * np.pi)
             mean = grid.origin[a] + L * mean_ang / (2 * np.pi)
-            dev = nearest_image(x - mean, L)
-            correction = np.sum(rho * dev) * vol
-            var = np.sum(rho * (dev - correction) ** 2) * vol
-            means.append(float(mean + correction))
+            dev = nearest_image(x - mean.reshape(col), L)
+            correction = total(rho * dev)
+            var = total(rho * (dev - correction.reshape(col)) ** 2)
+            means.append(mean + correction)
         else:
-            mean = np.sum(rho * x) * vol
-            var = np.sum(rho * (x - mean) ** 2) * vol
-            means.append(float(mean))
-        widths.append(float(np.sqrt(max(var, 0.0))))
-    return {"mean": means, "width": widths}
+            mean = total(rho * x)
+            var = total(rho * (x - mean.reshape(col)) ** 2)
+            means.append(mean)
+        widths.append(np.sqrt(np.maximum(var, 0.0)))
+    return np.stack(means, axis=1), np.stack(widths, axis=1)
 
 
 # ---------------------------------------------------------------------------

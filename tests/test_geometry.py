@@ -467,6 +467,15 @@ def test_information_metric_mass_tensor_structure():
     assert abs(g[0, 0] - expected) < 0.01 * expected
 
 
+def test_the_battery_checks_each_kernel_once(monkeypatch):
+    checked = []
+    hermitian = geometry._hermitian
+    monkeypatch.setattr(geometry, "_hermitian",
+                        lambda q: checked.append(1) or hermitian(q))
+    geometry_battery(outcomes=8, probes=5, kernels=4, seed=0)
+    assert len(checked) == 4
+
+
 def test_battery_passes_at_small_scale():
     rep = geometry_battery(outcomes=12, probes=25, kernels=4, seed=5)
     assert rep["all_passed"]

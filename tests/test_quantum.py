@@ -33,6 +33,7 @@ from edsim.quantum import (
     time_reverse,
     winding_number,
 )
+from edsim import quantum
 from edsim.presets import build_preset
 
 from conftest import BOUNDARY_GRIDS
@@ -186,6 +187,36 @@ def test_a_corrupted_mode_multiplier_trips_the_residual_check():
     cn.step(sc.state.psi)
     # a unit-modulus error keeps the norm: only the residual can see it
     cn._mult = cn._mult * np.exp(1e-6j)
+    with pytest.raises(SafeguardError, match="residual"):
+        cn.step(sc.state.psi)
+
+
+def test_mode_steps_stay_in_modes_for_the_state_they_returned(monkeypatch):
+    # the multiplier is a pure phase, the returned state is read-only, and
+    # stepping it again starts from its kept coefficients: one pass back,
+    # where a copy of it goes into modes first
+    sc = build_preset("vortex_2d")
+    cn = CrankNicolson(sc.potentials, sc.dt)
+    assert cn._lu is None
+    assert np.max(np.abs(np.abs(cn._mult) - 1)) <= 4.5e-16
+    psi = cn.step(sc.state.psi)
+    assert not psi.flags.writeable
+    passes = []
+    along = quantum._along_axes
+    monkeypatch.setattr(quantum, "_along_axes",
+                        lambda *a: passes.append(1) or along(*a))
+    kept = cn.step(psi)
+    assert len(passes) == 1
+    fresh = cn.step(psi.copy())
+    assert len(passes) == 3
+    assert np.max(np.abs(kept - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+
+def test_a_non_finite_step_trips_the_safeguard():
+    # a NaN fails every comparison, so the checks are written to fail it
+    sc = build_preset("vortex_2d", points=24)
+    cn = CrankNicolson(sc.potentials, sc.dt)
+    cn._mult = cn._mult * np.nan
     with pytest.raises(SafeguardError, match="residual"):
         cn.step(sc.state.psi)
 
@@ -592,3 +623,44 @@ def test_hamiltonian_is_bit_identical_to_bond_slice_reference(boundary_grid):
     got, want = hamiltonian_matrix(pot), hamiltonian_reference(pot)
     for part in ("data", "indices", "indptr"):
         assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+def moments_reference(state):
+    """Mean and width per axis of one state, sum by sum on its own grid."""
+    grid, rho, vol = state.grid, state.rho, state.grid.cell_volume
+    means, widths = [], []
+    for a, (x, phasor) in enumerate(zip(grid.coordinates, grid.ring_phasors)):
+        if grid.periodic[a]:
+            L = grid.extents[a]
+            mean_ang = np.angle(np.sum(rho * phasor) * vol) % (2 * np.pi)
+            mean = grid.origin[a] + L * mean_ang / (2 * np.pi)
+            dev = (x - mean + L / 2) % L - L / 2
+            correction = np.sum(rho * dev) * vol
+            var = np.sum(rho * (dev - correction) ** 2) * vol
+            means.append(float(mean + correction))
+        else:
+            mean = np.sum(rho * x) * vol
+            var = np.sum(rho * (x - mean) ** 2) * vol
+            means.append(float(mean))
+        widths.append(float(np.sqrt(max(var, 0.0))))
+    return means, widths
+
+
+def test_stacked_rows_are_bit_identical_to_the_lone_state_formulas(
+        boundary_grid):
+    # `evolve` computes its rows for a stack of states at once
+    grid = boundary_grid
+    rng = np.random.default_rng(grid.size)
+    pot = Potentials(grid, single_particle(dim=grid.dim, charge=1.0),
+                     scalar_v=rng.normal(size=grid.shape),
+                     link_theta=rng.normal(size=(grid.dim,) + grid.shape))
+    states = [WaveState(grid, rng.normal(size=grid.shape)
+                        + 1j * rng.normal(size=grid.shape)) for _ in range(3)]
+    stack = np.stack([s.psi for s in states])
+    means, widths = quantum._moments(grid, stack)
+    energies = quantum._energies(pot, stack)
+    for k, s in enumerate(states):
+        assert (means[k].tolist(), widths[k].tolist()) == moments_reference(s)
+        hpsi = pot.hamiltonian @ s.psi.ravel()
+        assert energies[k] == (np.vdot(s.psi, hpsi) * grid.cell_volume).real
+        assert energy(s, pot) == energies[k]
