@@ -20,7 +20,6 @@ Repeated runs with identical configuration and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -34,8 +33,7 @@ from .grids import (MAX_POINTS_PER_AXIS, PROCESS_GAMMA, ConfigGrid,
                     ScalarField, VectorField, process_label, single_particle)
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
-from .quantum import (SafeguardError, _cn_steps, _energies, _moments,
-                      _stepped_state, evolve_trajectory)
+from .quantum import SafeguardError, _evolve_rows, evolve_trajectory
 from .stats import compare_density, fit_power_law, histogram_on_grid
 from .stochastic import (center_of_mass_report, draw_initial_positions,
                          simulate_ensemble, vanishing_noise_deviations,
@@ -47,9 +45,6 @@ MAX_MASS_DRIFT = 1e-6
 LIMIT_ETAS = (1e-2, 1e-3, 1e-4)
 # the ES walkers of the vanishing-noise study at each eta (`limits --walkers`)
 LIMIT_WALKERS = 300
-# the bytes of psi whose `moments.csv` rows `evolve` computes together; a
-# block holds at least one state
-ROW_BLOCK_BYTES = 64 * 1024
 
 
 def _scenario_from_args(args) -> tuple:
@@ -75,48 +70,16 @@ def _checkpoint_indices(n_states: int, checkpoints: int) -> list[int]:
     return sorted(set(int(i) for i in idx[1:]))
 
 
-def _moment_rows(sc, psi: np.ndarray, times, gaps, residuals) -> list[list]:
-    """The `moments.csv` rows of a stack of normalized states."""
-    energies = _energies(sc.potentials, psi)
-    means, widths = _moments(sc.grid, psi)
-    cols = np.stack([means, widths], axis=2).reshape(len(psi), -1)
-    return [[t, gap, e, r, *c] for t, gap, e, r, c in zip(
-        times, gaps, energies.tolist(), residuals, cols.tolist())]
-
-
-def _evolve_rows(sc, n_snapshots: int) -> tuple:
-    """One pass over the preset's Crank-Nicolson states, a block at a time:
-    the `moments.csv` rows of every state, a WaveState of each snapshot, and
-    the final time and largest residual.  Nothing of the pass outlives it."""
-    snap_idx = set(_checkpoint_indices(sc.steps + 1, n_snapshots))
-    first = sc.state
-    rows = _moment_rows(sc, first.psi[None], [first.time], [0.0], [0.0])
-    snapshots = [first] if 0 in snap_idx else []
-    per_block = max(1, ROW_BLOCK_BYTES // first.psi.nbytes)
-    stream = enumerate(
-        _cn_steps(first, sc.potentials, sc.dt, sc.steps), start=1)
-    while block := list(itertools.islice(stream, per_block)):
-        index, steps = zip(*block)
-        psis, times, residuals = zip(*steps)
-        norms = [float(np.vdot(p, p).real * sc.grid.cell_volume)
-                 for p in psis]
-        psi = np.stack(psis)
-        psi /= np.sqrt(norms).reshape((-1,) + (1,) * sc.grid.dim)
-        rows += _moment_rows(sc, psi, times, [abs(n - 1.0) for n in norms],
-                             residuals)
-        snapshots += [_stepped_state(sc.grid, *steps[k])
-                      for k, i in enumerate(index) if i in snap_idx]
-    return rows, snapshots, times[-1], residuals[-1]
-
-
 def cmd_evolve(args) -> int:
     sc, config = _scenario_from_args(args)
     config.update({"command": "evolve", "snapshots": args.snapshots})
     writer = RunWriter(args.out)
     writer.write_config(config)
 
-    rows, snapshots, final_time, final_residual = _evolve_rows(
-        sc, args.snapshots)
+    # one pass over the states: a row per state, and only the snapshots kept
+    rows, snapshots = _evolve_rows(
+        sc.state, sc.potentials, sc.dt, sc.steps,
+        set(_checkpoint_indices(sc.steps + 1, args.snapshots)))
     header = ["time", "norm_gap", "energy", "cn_residual"]
     for a in range(sc.grid.dim):
         header.extend([f"mean_{a}", f"width_{a}"])
@@ -131,12 +94,12 @@ def cmd_evolve(args) -> int:
 
     energies = np.array([r[2] for r in rows])
     result = {
-        "final_time": final_time,
+        "final_time": rows[-1][0],
         "max_norm_gap": float(max(r[1] for r in rows)),
         "energy_drift_rel": float(np.max(np.abs(energies - energies[0]))
                                   / max(abs(energies[0]), 1e-300)),
         "steps": sc.steps,
-        "max_cn_residual": final_residual,
+        "max_cn_residual": rows[-1][3],
     }
     writer.write_json("result.json", result)
     writer.finish()

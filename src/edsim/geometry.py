@@ -266,7 +266,9 @@ def _hermitian(kernel: np.ndarray) -> np.ndarray:
     q = np.asarray(kernel, dtype=complex)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("kernel must be a square matrix")
-    if not np.allclose(q, q.conj().T, rtol=0, atol=1e-12 * np.abs(q).max()):
+    # the largest entry of Q - Q^H against 1e-12 of the largest of Q; a
+    # non-finite entry fails it
+    if not np.max(np.abs(q - q.conj().T)) <= 1e-12 * np.abs(q).max():
         raise ValueError("kernel must be Hermitian")
     return q
 
@@ -276,10 +278,9 @@ def kernel_gradient(kernel: np.ndarray, hbar: float) -> Callable:
 
     Chain rule through psi_j = sqrt(p_j) e^{i phi_j/hbar}: with w = Q psi,
     df/dp_j = Re(psi_j* w_j)/p_j and df/dphi_j = (2/hbar) Im(psi_j* w_j).
-    Returned callable maps (p, phi) -> (df_dp, df_dphi).  The kernel is
-    taken as Hermitian; `geometry_battery` checks each of its kernels once.
+    Returned callable maps (p, phi) -> (df_dp, df_dphi).
     """
-    q = np.asarray(kernel, dtype=complex)
+    q = _hermitian(kernel)
 
     def g(p: np.ndarray, phi: np.ndarray):
         psi = np.sqrt(p) * np.exp(1j * phi / hbar)
@@ -295,9 +296,8 @@ def kernel_hessian(kernel: np.ndarray, hbar: float) -> Callable:
     With dpsi = psi (dp/2p + i dphi/hbar) and dprod = dpsi* w + psi* Q dpsi,
     (p, phi, dp, dphi) -> (Re dprod/p - Re prod dp/p^2, (2/hbar) Im dprod)
     at the point (p, phi), for one displacement or a (P, n) stack of them.
-    The kernel is taken as Hermitian, as in `kernel_gradient`.
     """
-    q = np.asarray(kernel, dtype=complex)
+    q = _hermitian(kernel)
 
     def h(p: np.ndarray, phi: np.ndarray, dp: np.ndarray, dphi: np.ndarray):
         psi = np.sqrt(p) * np.exp(1j * phi / hbar)
@@ -360,8 +360,7 @@ def commutator_identity_gap(u_kernel: np.ndarray, v_kernel: np.ndarray,
 
     The bracket side is evaluated on the (p, phi) coordinates with
     chain-rule gradients; the commutator side by exact matrix algebra on
-    the wave components.  Both kernels are taken as Hermitian, as in
-    `kernel_gradient`.
+    the wave components.
     """
     hbar = point.hbar
     pb = poisson_bracket(kernel_gradient(u_kernel, hbar),
@@ -418,7 +417,7 @@ def geometry_battery(outcomes: int, probes: int, kernels: int,
     prev = None
     for _ in range(kernels):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q = _hermitian(0.5 * (a + a.conj().T))
+        q = 0.5 * (a + a.conj().T)
         killing_max = max(killing_max,
                           killing_residual(kernel_gradient(q, point.hbar),
                                            kernel_hessian(q, point.hbar),

@@ -23,11 +23,11 @@ building potentials or presets, and the commands that step no wave load
 neither; the per-axis mode path loads no LU.
 
 `evolve_trajectory` keeps every state of a run, for the walker ensembles
-and limit studies that index the timeline.  `edsim evolve` reads the raw
-stream of `_cn_steps` instead, one step at a time: it computes its rows a
-block of states at a time with `_energies` and `_moments`, the stacked
-forms of `energy` and `position_moments`, and builds a `WaveState` only for
-each snapshot, so its memory stays flat in the step count.
+and limit studies that index the timeline.  `edsim evolve` takes its rows
+from `_evolve_rows` instead, which reads the raw stream of `_cn_steps` a
+block of states at a time: `_energies` and `_moments`, the stacked forms of
+`energy` and `position_moments`, serve a whole block, and a `WaveState` is
+built only for each snapshot, so memory stays flat in the step count.
 
 Gauge data lives on lattice links: the hopping term between nodes x and
 x + e_A carries the phase exp(-i * theta_A(x)) with
@@ -45,6 +45,7 @@ come from sums of those increments along a closed loop.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -58,6 +59,9 @@ if TYPE_CHECKING:
 
 # relative residual and squared-norm change a Crank-Nicolson step may have
 CN_TOL = 1e-9
+# the bytes of psi whose `_evolve_rows` rows are computed together; a block
+# holds at least one state
+ROW_BLOCK_BYTES = 64 * 1024
 # `hamilton_residuals` skips nodes whose density is below this fraction of
 # the peak
 RESIDUAL_FLOOR_REL = 1e-8
@@ -243,11 +247,14 @@ def free_potentials(grid: ConfigGrid, system: ParticleSystem) -> Potentials:
 
 
 def energy(state: WaveState, pot: Potentials) -> float:
-    return float(_energies(pot, state.psi[None])[0])
+    hpsi = pot.hamiltonian @ state.psi.ravel()
+    val = np.vdot(state.psi, hpsi) * state.grid.cell_volume
+    return float(val.real)
 
 
 def _energies(pot: Potentials, psi: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> dV of each state of a stack, shaped (B,) + grid shape.
+    """`energy` of each state of a stack, shaped (B,) + grid shape, with
+    its bits.
 
     One sparse product serves the stack: H times the C-contiguous (n, B)
     array of its columns, which gives each column the bits of H @ psi.
@@ -447,11 +454,15 @@ def _cn_steps(state: WaveState, pot: Potentials, dt: float, steps: int):
         yield psi, t, cn.max_residual
 
 
+def _raw_norm(grid: ConfigGrid, psi: np.ndarray) -> float:
+    """The norm of a stepped psi before `WaveState` normalizes it."""
+    return float(np.vdot(psi, psi).real * grid.cell_volume)
+
+
 def _stepped_state(grid: ConfigGrid, psi: np.ndarray, t: float,
                    residual: float) -> WaveState:
-    raw_norm = float(np.vdot(psi, psi).real * grid.cell_volume)
-    return WaveState(grid, psi, time=t,
-                     meta={"cn_residual": residual, "raw_norm": raw_norm})
+    return WaveState(grid, psi, time=t, meta={
+        "cn_residual": residual, "raw_norm": _raw_norm(grid, psi)})
 
 
 def evolve(state: WaveState, pot: Potentials, dt: float,
@@ -507,6 +518,44 @@ def _moments(grid: ConfigGrid, psi: np.ndarray) -> tuple[np.ndarray, ...]:
             means.append(mean)
         widths.append(np.sqrt(np.maximum(var, 0.0)))
     return np.stack(means, axis=1), np.stack(widths, axis=1)
+
+
+def _evolve_rows(state: WaveState, pot: Potentials, dt: float, steps: int,
+                 keep: set) -> tuple[list[list], list[WaveState]]:
+    """The rows of `state` and of the state after each of `steps`
+    Crank-Nicolson steps, and the states whose index is in `keep`.
+
+    A row is (time, |raw norm - 1|, energy, largest residual so far), then
+    the mean and width of each axis: the bits that `energy`,
+    `position_moments` and the `meta` of `evolve_trajectory`'s states give.
+    The stepped states are taken a block of at most `ROW_BLOCK_BYTES` of
+    psi at a time, normalized together and their rows computed together; a
+    `WaveState` is built only for each kept state, and nothing else of the
+    pass outlives it.
+    """
+    grid = state.grid
+
+    def rows(psi, times, raw_norms, residuals):
+        means, widths = _moments(grid, psi)
+        cols = np.stack([means, widths], axis=2).reshape(len(psi), -1)
+        return [[t, abs(n - 1.0), e, r, *c] for t, n, e, r, c in zip(
+            times, raw_norms, _energies(pot, psi).tolist(), residuals,
+            cols.tolist())]
+
+    out = rows(state.psi[None], [state.time],
+               [state.meta.get("raw_norm", 1.0)],
+               [state.meta.get("cn_residual", 0.0)])
+    kept = [state] if 0 in keep else []
+    per_block = max(1, ROW_BLOCK_BYTES // state.psi.nbytes)
+    stream = enumerate(_cn_steps(state, pot, dt, steps), start=1)
+    while block := list(itertools.islice(stream, per_block)):
+        psis, times, residuals = zip(*(s for _, s in block))
+        norms = [_raw_norm(grid, p) for p in psis]
+        psi = np.stack(psis)
+        psi /= np.sqrt(norms).reshape((-1,) + (1,) * grid.dim)
+        out += rows(psi, times, norms, residuals)
+        kept += [_stepped_state(grid, *s) for i, s in block if i in keep]
+    return out, kept
 
 
 # ---------------------------------------------------------------------------

@@ -467,13 +467,30 @@ def test_information_metric_mass_tensor_structure():
     assert abs(g[0, 0] - expected) < 0.01 * expected
 
 
-def test_the_battery_checks_each_kernel_once(monkeypatch):
-    checked = []
-    hermitian = geometry._hermitian
-    monkeypatch.setattr(geometry, "_hermitian",
-                        lambda q: checked.append(1) or hermitian(q))
-    geometry_battery(outcomes=8, probes=5, kernels=4, seed=0)
-    assert len(checked) == 4
+@pytest.mark.parametrize("kernel, message", [
+    (np.ones((3, 4)), "square"),
+    (np.triu(np.ones((4, 4))), "Hermitian"),
+    # Hermitian but for 1e-10 of its largest entry
+    (np.eye(4) + np.diag([1e-10] * 3, 1), "Hermitian"),
+    (np.diag([1.0, np.nan, 1.0]), "Hermitian"),
+])
+def test_the_kernel_functions_refuse_a_kernel_that_is_not_hermitian(
+        kernel, message):
+    pt = rand_point(kernel.shape[0] - 1, seed=3)
+    with pytest.raises(ValueError, match=message):
+        kernel_gradient(kernel, 1.0)
+    with pytest.raises(ValueError, match=message):
+        kernel_hessian(kernel, 1.0)
+    with pytest.raises(ValueError, match=message):
+        commutator_identity_gap(np.eye(kernel.shape[0]), kernel, pt)
+
+
+def test_the_hermitian_check_allows_roundoff():
+    q = rand_hermitian(6, seed=4)
+    q[0, 1] += 1e-13 * np.abs(q).max()
+    pt = rand_point(5, seed=4)
+    gp, gphi = kernel_gradient(q, 1.0)(pt.probs, pt.phases)
+    assert np.all(np.isfinite(gp)) and np.all(np.isfinite(gphi))
 
 
 def test_battery_passes_at_small_scale():
