@@ -207,7 +207,7 @@ def limit_study(sc, timeline, walkers: int, seed: int) -> dict:
     x0 = draw_initial_positions(timeline[0], walkers,
                                 np.random.default_rng(seed))
     deviations = vanishing_noise_deviations(
-        timeline, sc.potentials, with_eta(sc.system, 0.0),
+        timeline, sc.potentials,
         [with_eta(sc.system, eta, gamma_exponent=1.0) for eta in etas],
         seed, x0)
     fit = fit_power_law(np.array(etas), np.array(deviations))

@@ -17,7 +17,6 @@ import platform
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 INCOMPLETE_MARKER = "INCOMPLETE"
 
@@ -120,6 +119,9 @@ class RunWriter:
         self._hashes[name] = sha256_hex((self.dir / name).read_bytes())
 
     def finish(self) -> dict:
+        # scipy is loaded for its version only when a run is written
+        import scipy
+
         from . import __version__
         manifest = {
             "config_sha256": self._config_sha,

@@ -4,9 +4,10 @@ There is one step rule, `_Walk.step`: a predictor half-step on the drift
 of the departure state, the corrector drift on the average of the departure
 and arrival states, and a move by that drift plus, for an ensemble, a
 Gaussian fluctuation with the per-axis variance of
-`ParticleSystem.step_variances`.  Deterministic (Bohmian) paths are the same
-step on the current velocity with no fluctuation, the eta -> 0 limit of the
-sampled process.  The drift and fluctuation depend on gamma:
+`ParticleSystem.step_variances`.  Deterministic (Bohmian) paths are the
+sampled process of gamma = 3 at eta = 0, its eta -> 0 limit: the same step
+on the current velocity, with a fluctuation of zero variance.  The drift
+and fluctuation depend on gamma:
 
 * gamma = 3 ("OU"): differentiable velocities, fluctuations vanish fast, the
   drift is the current velocity (grad Phi - A) / m;
@@ -27,7 +28,7 @@ below.  Randomness: a master seed feeds a SeedSequence; independent children
 drive the initial draw and the per-step noise (counter-based Philox
 streams), so a run is bit-reproducible for fixed (seed, walkers, timeline).
 The noise of a walk comes from its one generator in step order: one
-standard normal fill per step, scaled by each noisy block's deviation.
+standard normal fill per step, scaled by each block's deviation.
 From NOISE_THREAD_WALKERS walkers on, a helper thread draws step k + 1's
 noise while step k runs (the fill releases the GIL); below, each step draws
 its own.  Both ways draw the same bits.  The helper's
@@ -44,14 +45,14 @@ run-stacked flow tables of shape (k, R, *nodes), streamed through two
 padded slots (it builds the table of state k + 1 at step k), its lookup
 and step buffers, allocated once, its positions, noise, alive mask and
 per-block escape counts.  A walker of block r reads its own block of the
-table through a flat offset.  `simulate_ensemble` and
-`bohmian_trajectories` each step a walk of one block.
-`vanishing_noise_deviations` steps the whole limit study as one walk:
-block 0 is the Bohmian reference, with no noise and no escape check, and
+table through a flat offset.  Every block is a sampled run.
+`simulate_ensemble` steps a walk of one block, and `bohmian_trajectories`
+is its run at eta = 0.  `vanishing_noise_deviations` steps the whole limit
+study as one walk: block 0 is the eta = 0 run, the Bohmian reference, and
 one block per eta follows.  One generator, `_flow_tables`, builds each
 state's table: the rows that do not depend on eta once for all blocks,
-then every block, with each ES block's osmotic term at that block's eta
-(`_osmotic`).  Every walk is checked once on entry (`_check_run`): the
+then every block, with the osmotic term at that block's eta when its
+process is ES.  Every walk is checked once on entry (`_check_run`): the
 timeline gives a positive, uniform step, and the systems differ from the
 potentials' system in eta and gamma only.
 """
@@ -82,11 +83,8 @@ NOISE_THREAD_WALKERS = 10_000
 
 
 def with_eta(system: ParticleSystem, eta: float,
-             gamma_exponent: float | None = None) -> ParticleSystem:
-    kw = {"eta": eta}
-    if gamma_exponent is not None:
-        kw["gamma_exponent"] = gamma_exponent
-    return replace(system, **kw)
+             gamma_exponent: float) -> ParticleSystem:
+    return replace(system, eta=eta, gamma_exponent=gamma_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +204,20 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(pad) * REFINE
 
 
-def _osmotic(system: ParticleSystem) -> bool:
-    """Whether the system's sampler drift carries the osmotic term: only
-    the ES process's does."""
-    return system.process_label == "ES"
-
-
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
-                 systems: Sequence[ParticleSystem], osmotic: Sequence[bool]):
+                 systems: Sequence[ParticleSystem]):
     """The run-stacked flow table of every state, one at a time, of shape
     (k, len(systems), *nodes): block r is the table of systems[r], with the
-    osmotic term at that system's eta when osmotic[r].  The systems differ
-    in eta and gamma only (`_check_run`), so each state's eta-free rows are
-    built once for all blocks: on a 1-D ring, on the refined lattice, rho v
-    of the current velocity, Re(psi* psi') and rho; elsewhere the current
-    velocity (`drift_velocity_field`), grad log rho with rho raised to its
-    density floor (when any block is osmotic) and rho.
+    osmotic term at that system's eta when its process is ES.  The systems
+    differ in eta and gamma only (`_check_run`), so each state's eta-free
+    rows are built once for all blocks: on a 1-D ring, on the refined
+    lattice, rho v of the current velocity, Re(psi* psi') and rho;
+    elsewhere the current velocity (`drift_velocity_field`), grad log rho
+    with rho raised to its density floor (when any block is ES) and rho.
     """
     grid = timeline[0].grid
     system = systems[0]
+    osmotic = [block.process_label == "ES" for block in systems]
     masses = system.mass_per_axis
     ring = grid.dim == 1 and grid.periodic[0]
     if ring:
@@ -389,20 +382,18 @@ class _Walk:
     once; results read from them (lookups, drifts) are valid until the
     next call that writes the same buffer.
 
-    The first `quiet` blocks take no noise and no escape check: they are
-    deterministic paths.  `noises` is an iterator of per-step arrays of
-    shape (R - quiet, m, dim) for the other blocks, or None when
-    quiet == R.  Those blocks check escapes: escaped walkers (hard walls
-    only) are frozen in place and counted per block.  Once more than
-    `MAX_ESCAPE_FRACTION` of a block's walkers have escaped, `failure`
-    holds its SafeguardError if no earlier block has failed; the failure
-    of the first noisy block is raised at once, and any later one is for
-    the caller to raise when the walk is over, as no earlier block may
-    fail after it.
+    `noises` is an iterator of per-step arrays of shape (R, m, dim); a
+    block at eta = 0 takes zeros, and its walkers follow the deterministic
+    paths.  Escaped walkers (hard walls only) are frozen in place and
+    counted per block.  Once more than `MAX_ESCAPE_FRACTION` of a block's
+    walkers have escaped, `failure` holds its SafeguardError if no earlier
+    block has failed; the failure of block 0 is raised at once, and any
+    later one is for the caller to raise when the walk is over, as no
+    earlier block may fail after it.
     """
 
     def __init__(self, grid: ConfigGrid, tables, positions: np.ndarray,
-                 noises, quiet: int):
+                 noises):
         self.tables = iter(tables)
         first = next(self.tables)
         self.grid = grid
@@ -434,10 +425,9 @@ class _Walk:
         self.pos = positions
         self.new = np.empty_like(positions)
         self.noises = noises
-        # the rows of the noisy blocks, their alive mask and escape counts
-        self.noisy = slice(quiet * m, None)
-        self.alive = np.ones((blocks - quiet, m), dtype=bool)
-        self.escaped = np.zeros(blocks - quiet, dtype=int)
+        # per block, its alive mask and escape count
+        self.alive = np.ones((blocks, m), dtype=bool)
+        self.escaped = np.zeros(blocks, dtype=int)
         self.failure = None
         self.failed = blocks
 
@@ -464,7 +454,7 @@ class _Walk:
         wrapped on periodic axes.  Afterwards `pos` holds the new positions
         and `new` the old ones.  Returns v, a view of `acc`.
         """
-        noise = None if self.noises is None else next(self.noises)
+        noise = next(self.noises)
         self.load(next(self.tables))
         grid, half, pos, out = self.grid, self.half, self.pos, self.new
         now, after = self.slots[k % 2], self.slots[(k + 1) % 2]
@@ -479,21 +469,18 @@ class _Walk:
         v = _ratio_drift(self, mid, half)
         np.multiply(v, dt, out=out)
         np.add(pos, out, out=out)
-        if noise is not None:
-            noisy = out[self.noisy]
-            np.add(noisy, noise.reshape(noisy.shape), out=noisy)
+        np.add(out, noise.reshape(out.shape), out=out)
         grid.wrap(out, out=out)
-        if noise is not None:
-            self._check_walls()
+        self._check_walls()
         self.pos, self.new = out, pos
         return v
 
     def _check_walls(self) -> None:
-        """Freeze and count, per noisy block, the walkers of `new` on or
-        beyond a hard wall; a block fails once more than
-        MAX_ESCAPE_FRACTION of its walkers have escaped."""
+        """Freeze and count, per block, the walkers of `new` on or beyond a
+        hard wall; a block fails once more than MAX_ESCAPE_FRACTION of its
+        walkers have escaped."""
         grid, alive = self.grid, self.alive.reshape(-1)
-        new, old = self.new[self.noisy], self.pos[self.noisy]
+        new, old = self.new, self.pos
         escaped = None
         for a in range(grid.dim):
             if grid.periodic[a]:
@@ -567,7 +554,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     """
     dt = _check_run(timeline, pot, [system])
     grid = timeline[0].grid
-    tables = _flow_tables(timeline, pot, [system], [_osmotic(system)])
+    tables = _flow_tables(timeline, pot, [system])
     steps = len(timeline) - 1
     if initial_positions is None:
         init_seq = np.random.SeedSequence(seed).spawn(2)[0]
@@ -589,7 +576,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
 
     with _noise_stream(seed, system.step_variances(dt)[None], pos.shape,
                        steps) as noises:
-        walk = _Walk(grid, tables, pos, noises, 0)
+        walk = _Walk(grid, tables, pos, noises)
         for k in range(steps):
             v_mid = walk.step(k, dt)
             if record_velocities:
@@ -670,24 +657,19 @@ def scaling_exponent(system: ParticleSystem, dt_grid: Sequence[float],
 def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
                          system: ParticleSystem,
                          initial_positions: np.ndarray) -> np.ndarray:
-    """Integrate dx/dt = v(x, t) along the timeline: the sampler's step
-    (`_Walk.step`) on the current velocity, with no noise and no escape
-    check, one block of walkers.  The step dt is the timeline's one
-    spacing, as in `simulate_ensemble`, which must be positive and
-    uniform.
+    """Integrate dx/dt = v(x, t) along the timeline: `simulate_ensemble` of
+    the system at eta = 0 and gamma = 3, whose drift is the current
+    velocity and whose noise is 0 x N(0, 1).  The system's own eta and
+    gamma are not read.  As every sampled walker, one that reaches a hard
+    wall is frozen there, and more than `MAX_ESCAPE_FRACTION` of them abort
+    with a SafeguardError.
 
     Returns positions of shape (len(timeline), K, dim).
     """
-    dt = _check_run(timeline, pot, [system])
-    pos = np.array(initial_positions, dtype=float)
-    walk = _Walk(timeline[0].grid,
-                 _flow_tables(timeline, pot, [system], [False]), pos, None, 1)
-    out = np.empty((len(timeline),) + pos.shape)
-    out[0] = pos
-    for k in range(len(timeline) - 1):
-        walk.step(k, dt)
-        out[k + 1] = walk.pos
-    return out
+    return simulate_ensemble(timeline, pot,
+                             with_eta(system, 0.0, gamma_exponent=3.0),
+                             len(initial_positions), 0,
+                             initial_positions=initial_positions).positions
 
 
 def _wrapped_distance(grid: ConfigGrid, dev: np.ndarray) -> np.ndarray:
@@ -711,7 +693,6 @@ def max_deviation_from_deterministic(ens: Ensemble,
 
 
 def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
-                               reference: ParticleSystem,
                                systems: Sequence[ParticleSystem], seed: int,
                                initial_positions: np.ndarray) -> list[float]:
     """Per system, how far its ensemble strays from the deterministic paths:
@@ -720,30 +701,31 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
         simulate_ensemble(timeline, pot, system, len(initial_positions),
                           seed, initial_positions=initial_positions)
 
-    against `bohmian_trajectories(timeline, pot, reference,
+    against `bohmian_trajectories(timeline, pot, pot.system,
     initial_positions)`, with no history stored.
 
-    The reference and the systems may differ from the potentials' system
-    in eta and gamma only (`_check_run`).  The study is one walk (`_Walk`)
-    of 1 + len(systems) blocks over one pass of the timeline: block 0 is the reference, with no noise and no escape
-    check, and block r the ensemble of systems[r - 1].  Each state's
-    eta-free rows are built once for every block (`_flow_tables`).
-    Each step draws one standard normal fill, scaled by every system's
-    step deviation, so each block gets the noise of its own run.  Escapes
-    are counted per block, and a SafeguardError is that of the first
-    system, in order, whose run fails.  Each block's per-walker maximum
+    The systems may differ from the potentials' system in eta and gamma
+    only (`_check_run`).  The study is one walk (`_Walk`) of
+    1 + len(systems) blocks over one pass of the timeline: block 0 is the
+    potentials' system at eta = 0 and gamma = 3, the Bohmian reference, and
+    block r the ensemble of systems[r - 1].  Each state's eta-free rows are
+    built once for every block (`_flow_tables`).  Each step draws one
+    standard normal fill, scaled by every block's step deviation (zero for
+    block 0), so each block gets the noise of its own run.  Escapes are
+    counted per block, and a SafeguardError is that of the first run, the
+    reference first, whose run fails.  Each block's per-walker maximum
     distance to the reference is folded in as the walk goes.
     """
-    dt = _check_run(timeline, pot, [reference, *systems])
+    runs = [with_eta(pot.system, 0.0, gamma_exponent=3.0), *systems]
+    dt = _check_run(timeline, pot, runs)
     grid = timeline[0].grid
-    tables = _flow_tables(timeline, pot, [reference, *systems],
-                          [False] + [_osmotic(system) for system in systems])
+    tables = _flow_tables(timeline, pot, runs)
     x0 = np.array(initial_positions, dtype=float)
-    blocks = 1 + len(systems)
-    variances = np.array([system.step_variances(dt) for system in systems])
+    blocks = len(runs)
+    variances = np.array([run.step_variances(dt) for run in runs])
     steps = len(timeline) - 1
     with _noise_stream(seed, variances, x0.shape, steps) as noises:
-        walk = _Walk(grid, tables, np.tile(x0, (blocks, 1)), noises, 1)
+        walk = _Walk(grid, tables, np.tile(x0, (blocks, 1)), noises)
         worst = np.zeros((len(systems), len(x0)))
         for k in range(steps):
             walk.step(k, dt)

@@ -307,3 +307,42 @@ def test_ck_is_bit_identical_to_sliced_scatter_reference(boundary_grid):
         assert per or hi >= n and lo <= -n
     got, _ = chapman_kolmogorov_step(rho, step)
     assert got.values.tobytes() == ck_scatter_reference(rho, step).tobytes()
+
+
+def _problem(**changes):
+    """A MaxEntProblem on a 32-node ring with `changes` to its fields."""
+    grid = ring(32)
+    fields = {"grid": grid, "system": single_particle(), "dt": 0.01,
+              "drift_grad": VectorField(grid, np.zeros((1, 32)))}
+    return MaxEntProblem(**{**fields, **changes})
+
+
+def _step(grid, variances):
+    return GaussianStep(grid, VectorField(grid, np.zeros((1,) + grid.shape)),
+                        np.asarray(variances, dtype=float), 0.01)
+
+
+REFUSALS = {
+    "problem-dt": (lambda: _problem(dt=0.0), "dt must be positive"),
+    "problem-grid": (lambda: _problem(
+        drift_grad=VectorField(ring(64), np.zeros((1, 64)))),
+        "different grid"),
+    "problem-axis-map": (lambda: _problem(system=single_particle(dim=2)),
+                         "axis_map does not match"),
+    "problem-vector-a": (lambda: _problem(vector_a=np.zeros((2, 32))),
+                         "one component per grid axis"),
+    "step-variance-shape": (lambda: _step(ring(32), [0.1, 0.1]),
+                            "variances must be per-axis"),
+    "step-variance-zero": (lambda: _step(ring(32), [0.0]),
+                           "variances must be positive"),
+    "ck-grid": (lambda: chapman_kolmogorov_step(
+        normalized_gaussian(ring(64)), _step(ring(32), [0.1])),
+        "different grids"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_entropic_inputs_are_refused(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()

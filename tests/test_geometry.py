@@ -501,3 +501,33 @@ def test_battery_passes_at_small_scale():
     assert rep["killing_counterexample"] > 1e-3
     assert rep["commutator_identity_max_gap"] < 1e-6
     assert rep["normalization_flow_ok"]
+
+
+_HALVES = np.array([0.5, 0.5])
+
+REFUSALS = {
+    "point-shape": (lambda: EPhasePoint(np.full((2, 2), 0.25),
+                                        np.zeros((2, 2))),
+                    "matching 1-d arrays"),
+    "point-non-finite": (lambda: EPhasePoint(_HALVES, [0.0, np.nan]),
+                         "non-finite"),
+    "point-hbar": (lambda: EPhasePoint(_HALVES, np.zeros(2), hbar=0.0),
+                   "hbar must be positive"),
+    "tangent-shape": (lambda: EPhaseTangent(np.zeros(3), np.zeros(2)),
+                      "matching arrays"),
+    "length-method": (lambda: fs_length_squared(
+        rand_point(3), EPhaseTangent(np.zeros(4), np.zeros(4)), "nearest"),
+        "unknown method 'nearest'"),
+    "battery-outcomes": (lambda: geometry_battery(MAX_OUTCOMES + 1, 1, 1,
+                                                  seed=0),
+                         f"at most {MAX_OUTCOMES} outcomes"),
+    "information-eta": (lambda: transition_information_metric(
+        single_particle(eta=0.0), 0.1), "eta must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_geometry_inputs_are_refused(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -13,6 +13,7 @@ from edsim.grids import (
     gradient,
     integrate,
     particles_on_line,
+    rectangle_loop,
     single_particle,
 )
 
@@ -212,3 +213,32 @@ def test_gradient_is_bit_identical_to_slab_reference(boundary_grid):
     for axis in range(grid.dim):
         got = gradient(grid, f, axis)
         assert got.tobytes() == gradient_reference(grid, f, axis).tobytes(), axis
+
+
+_LINE = ConfigGrid((8,), (1.0,), (True,))
+
+REFUSALS = {
+    "per-axis-count": (lambda: ConfigGrid((8,), (1.0, 2.0), (True,)),
+                       "expected 1 per-axis entries, got 2"),
+    "field-shape": (lambda: ScalarField(_LINE, np.ones(7)),
+                    r"field shape \(7,\) != expected \(8,\)"),
+    "empty-rectangle": (lambda: rectangle_loop((2, 2), (2, 5)),
+                        "positive index extent"),
+    "charges-length": (lambda: ParticleSystem((1.0, 1.0), (0.0,),
+                                              ((0, 0),)),
+                       "equal length"),
+    "hbar": (lambda: ParticleSystem((1.0,), (0.0,), ((0, 0),), hbar=0.0),
+             "hbar and light_speed must be positive"),
+    "light-speed": (lambda: ParticleSystem((1.0,), (0.0,), ((0, 0),),
+                                           light_speed=-1.0),
+                    "hbar and light_speed must be positive"),
+    "axis-direction": (lambda: ParticleSystem((1.0,), (0.0,), ((0, 3),)),
+                       "direction index 3 out of range"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_grid_inputs_are_refused(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -48,6 +48,8 @@ def test_module_uses_every_name_it_imports(path):
 # Hamiltonian and Crank-Nicolson, the LU of Crank-Nicolson, and the helper
 # thread that draws the noise of large ensembles
 LAZY = ("scipy.sparse", "scipy.sparse.linalg", "concurrent.futures")
+# scipy itself is loaded by every command that writes a run, for the
+# manifest's version string (`RunWriter.finish`), and by no other
 
 
 def _fresh(code: str, *args: str) -> list[str]:
@@ -61,11 +63,12 @@ def _fresh(code: str, *args: str) -> list[str]:
     return out.stdout.splitlines()
 
 
-def _loaded_by(*argv: str) -> set[str]:
-    """Which of LAZY a fresh interpreter holds after `edsim` ran `argv`."""
+def _loaded_by(*argv: str, modules: tuple[str, ...] = LAZY) -> set[str]:
+    """Which of `modules` a fresh interpreter holds after `edsim` ran
+    `argv`."""
     probe = ("import sys, edsim.cli\n"
              "rc = edsim.cli.main(sys.argv[1:])\n"
-             f"print('loaded:', *(m for m in {LAZY!r} if m in sys.modules))\n"
+             f"print('loaded:', *(m for m in {modules!r} if m in sys.modules))\n"
              "sys.exit(rc)")
     tag, *names = _fresh(probe, *argv)[-1].split()
     assert tag == "loaded:"
@@ -77,6 +80,13 @@ def test_a_cold_start_leaves_scipy_optimize_out():
     does not use it (the minimized Fubini-Study length finds its minimum
     as the vertex of a parabola), and no module it imports should load it."""
     probe = "import sys, edsim.cli; print('scipy.optimize' in sys.modules)"
+    assert _fresh(probe) == ["False"]
+
+
+def test_a_cold_start_leaves_scipy_out():
+    """Importing the command line loads no scipy at all: `edsim.io` reads
+    its version only when a run's manifest is written."""
+    probe = "import sys, edsim.cli; print('scipy' in sys.modules)"
     assert _fresh(probe) == ["False"]
 
 
@@ -95,6 +105,17 @@ def test_report_leaves_the_lazy_imports_out(tmp_path):
     assert main(["evolve", "--preset", "free", "--steps", "2",
                  "--out", str(run)]) == 0
     assert _loaded_by("report", str(run)) == set()
+
+
+def test_report_leaves_scipy_out(tmp_path):
+    """`report` reads a finished run and writes none, so it loads no
+    scipy."""
+    from edsim.cli import main
+
+    run = tmp_path / "run"
+    assert main(["evolve", "--preset", "free", "--steps", "2",
+                 "--out", str(run)]) == 0
+    assert _loaded_by("report", str(run), modules=("scipy",)) == set()
 
 
 def test_evolve_in_per_axis_modes_leaves_the_sparse_lu_out(tmp_path):

@@ -94,3 +94,17 @@ def test_unfinished_run_reported_incomplete(tmp_path):
     writer.write_config({"alpha": 1})
     check = verify_run_dir(out)
     assert not check["complete"]
+
+
+@pytest.mark.parametrize("value, expect", [
+    (np.bool_(True), True), (np.bool_(False), False),
+    (np.int32(-3), -3), (np.uint8(7), 7)],
+    ids=["bool-true", "bool-false", "int32", "uint8"])
+def test_numpy_scalars_become_python_scalars(value, expect):
+    got = to_jsonable(value)
+    assert type(got) is type(expect) and got == expect
+
+
+def test_unknown_types_are_refused():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        to_jsonable({"x": {1, 2}})

@@ -664,3 +664,40 @@ def test_stacked_rows_are_bit_identical_to_the_lone_state_formulas(
         hpsi = pot.hamiltonian @ s.psi.ravel()
         assert energies[k] == (np.vdot(s.psi, hpsi) * grid.cell_volume).real
         assert energy(s, pot) == energies[k]
+
+
+_LINE = ConfigGrid((16,), (8.0,), (True,), origin=(-4.0,))
+_PLANE = ConfigGrid((8, 8), (4.0, 4.0), (True, True))
+
+REFUSALS = {
+    "state-shape": (lambda: WaveState(_LINE, np.ones(15)),
+                    r"psi shape \(15,\) != grid shape \(16,\)"),
+    "state-non-finite": (lambda: WaveState(_LINE, np.full(16, np.inf)),
+                         "non-finite"),
+    "state-zero": (lambda: WaveState(_LINE, np.zeros(16)),
+                   "identically zero"),
+    "potential-samples": (lambda: build_potentials(
+        _LINE, single_particle(), scalar_v=np.zeros(15)),
+        "does not match the grid"),
+    "vector-a-count": (lambda: build_potentials(
+        _LINE, single_particle(), vector_a=[0.0, 0.0]),
+        "one spec per grid axis"),
+    "cn-dt": (lambda: CrankNicolson(free_potentials(_LINE, single_particle()),
+                                    0.0),
+              "dt must be nonzero"),
+    "superpose-grids": (lambda: superpose(
+        1.0, gaussian_packet(_LINE, 0.0, 1.0), 1.0,
+        gaussian_packet(ConfigGrid((32,), (8.0,), (True,), origin=(-4.0,)),
+                        0.0, 1.0)),
+        "different grids"),
+    "open-loop": (lambda: winding_number(
+        WaveState(_PLANE, np.ones((8, 8))), [(0, 0), (1, 0), (1, 1)]),
+        "loop is not closed"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_quantum_inputs_are_refused(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -113,3 +113,40 @@ def test_density_comparison_requires_normalization():
     bad = ScalarField(grid, np.full(64, 2.0))
     with pytest.raises(ValueError):
         compare_density(np.zeros((10, 1)), bad, n_calibration=200, seed=0)
+
+
+_LINE = ConfigGrid((16,), (8.0,), (True,))
+
+REFUSALS = {
+    "histogram-shape": (lambda: histogram_on_grid(_LINE, np.zeros(5)),
+                        r"shape \(n, dim\)"),
+    "fit-one-point": (lambda: fit_power_law([1.0], [1.0]),
+                      "at least two matching points"),
+    "fit-unmatched": (lambda: fit_power_law([1.0, 2.0], [1.0, 2.0, 3.0]),
+                      "at least two matching points"),
+    "fit-zero": (lambda: fit_power_law([1.0, 2.0], [1.0, 0.0]),
+                 "needs positive data"),
+    "order-one-point": (lambda: convergence_order([0.1], [1e-2]),
+                        "at least two matching points"),
+    "order-zero-error": (lambda: convergence_order([0.1, 0.05], [1e-2, 0.0]),
+                         "errors must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_stats_inputs_are_refused(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_two_points_fit_exactly():
+    """Two points leave no residual: the fit's stderr is 0, and the
+    convergence ladder has one pairwise order and never stagnates."""
+    fit = fit_power_law([1.0, 2.0], [3.0, 12.0])
+    assert fit["stderr"] == 0.0
+    assert fit["exponent"] == pytest.approx(2.0, rel=1e-12)
+    rep = convergence_order([0.1, 0.05], [4e-2, 1e-2])
+    assert rep["order"] == pytest.approx(2.0, rel=1e-12)
+    assert rep["pairwise_orders"] == pytest.approx([2.0], rel=1e-12)
+    assert rep["monotone"] and not rep["stagnating"]

@@ -25,7 +25,8 @@ from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
                               fluctuation_covariance, interpolate_vector,
                               max_deviation_from_deterministic,
                               scaling_exponent, simulate_ensemble,
-                              vanishing_noise_deviations, with_eta)
+                              vanishing_noise_deviations,
+                              velocity_increment_stats, with_eta)
 from edsim.stochastic import _flow_tables, _Walk, _zero_pad_spectrum
 
 
@@ -45,7 +46,7 @@ def test_with_eta_replaces_only_noise_constants():
 def _lookup(grid, values, positions):
     """`interpolate_vector` at the positions on a one-block walk whose first
     table is `values`."""
-    walk = _Walk(grid, [values[:, None]], positions, None, 1)
+    walk = _Walk(grid, [values[:, None]], positions, iter(()))
     return interpolate_vector(walk, walk.slots[0], positions)
 
 
@@ -103,7 +104,7 @@ def test_step_plan_streams_its_tables_through_two_slots(n_tables):
             yield np.stack([(j + 1.0) * rho, 0.0 * rho, rho])[:, None]
 
     pos = np.column_stack([np.linspace(0.0, 3.9, 5), np.full(5, 1.5)])
-    walk = _Walk(grid, tables(), pos, None, 1)
+    walk = _Walk(grid, tables(), pos, itertools.repeat(np.zeros(pos.shape)))
     assert len(pulled) == 1
     assert walk.slots.shape == (2, 3, (8 + 2) * 6)
     for k in range(n_tables - 1):
@@ -145,8 +146,7 @@ def test_osmotic_drift_matches_log_density_gradient():
     state = gaussian_packet(grid, 0.0, s)
     sys1 = single_particle(mass=1.7, eta=2e-3, gamma_exponent=1.0)
     # the ES flow table (rho v, rho); on a ring it lives on a finer lattice
-    (table,) = _flow_tables([state], free_potentials(grid, sys1), [sys1],
-                            [True])
+    (table,) = _flow_tables([state], free_potentials(grid, sys1), [sys1])
     v = table[0, 0] / table[1, 0]
     x = -12.0 + (24.0 / v.size) * np.arange(v.size)
     expect = (2e-3 / (2 * 1.7)) * (-x / s**2)
@@ -166,7 +166,6 @@ def test_velocity_increment_covariance_matches_ou_law():
     timeline = _stationary_timeline(grid, state, 30, dt)
     ens = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
                             n_walkers=2000, seed=7, record_velocities=True)
-    from edsim.stochastic import velocity_increment_stats
     rep = velocity_increment_stats(ens)
     assert np.allclose(np.diag(rep["expected"]), 2 * 1e-2 * dt / 1.3,
                        rtol=1e-14)
@@ -318,7 +317,7 @@ def test_vanishing_noise_recovers_deterministic_flow():
     ref = bohmian_trajectories(timeline, pot, base, x0)
     devs = []
     for eta in (1e-2, 1e-4, 1e-6):
-        sys_eta = with_eta(base, eta)
+        sys_eta = with_eta(base, eta, gamma_exponent=1.0)
         ens = simulate_ensemble(timeline, pot, sys_eta, n_walkers=300, seed=21,
                                 initial_positions=x0)
         devs.append(max_deviation_from_deterministic(ens, ref))
@@ -352,8 +351,7 @@ def test_timeline_spacing_mismatch_rejected():
     with pytest.raises(ValueError, match="not uniform"):
         bohmian_trajectories(states, pot, sys1, np.zeros((10, 1)))
     with pytest.raises(ValueError, match="not uniform"):
-        vanishing_noise_deviations(states, pot, with_eta(sys1, 0.0), [sys1],
-                                   0, np.zeros((10, 1)))
+        vanishing_noise_deviations(states, pot, [sys1], 0, np.zeros((10, 1)))
 
 
 @pytest.mark.parametrize("times, message", [
@@ -376,8 +374,7 @@ def test_timeline_without_one_positive_step_is_refused(times, message):
     with pytest.raises(ValueError, match=message):
         bohmian_trajectories(states, pot, sys1, x0)
     with pytest.raises(ValueError, match=message):
-        vanishing_noise_deviations(states, pot, with_eta(sys1, 0.0), [sys1],
-                                   0, x0)
+        vanishing_noise_deviations(states, pot, [sys1], 0, x0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05])
@@ -415,29 +412,31 @@ def _escape_run(n_escaping, walkers=100):
                              initial_positions=x0)
 
 
-def test_escape_abort_threshold():
-    # MAX_ESCAPE_FRACTION = 1% of 100 walkers: the second escape aborts
+def _escape_paths(driver, n_escaping):
+    """The paths of `_escape_case` over 100 walkers under `driver`, and the
+    escape count of the run (None for the Bohmian paths, which report
+    none)."""
+    if driver == "ensemble":
+        ens = _escape_run(n_escaping)
+        return ens.positions, ens.meta["escaped"]
+    timeline, pot, sys1, x0 = _escape_case(n_escaping, 100)
+    return bohmian_trajectories(timeline, pot, sys1, x0), None
+
+
+@pytest.mark.parametrize("driver", ["ensemble", "bohmian"])
+def test_escape_abort_threshold(driver):
+    # MAX_ESCAPE_FRACTION = 1% of 100 walkers: the second escape aborts,
+    # the deterministic paths' as the sampled ones'
     with pytest.raises(RuntimeError):
-        _escape_run(2)
+        _escape_paths(driver, 2)
 
 
-def test_escaped_walkers_are_frozen_and_counted():
-    ens = _escape_run(1)
-    assert ens.meta["escaped"] == 1
-    assert np.all(ens.positions[:, 0, 0] == 3.95)
-    assert np.allclose(ens.positions[:, 1:, 0].T, 2.0 + 0.1 * np.arange(5),
-                       rtol=1e-12)
-
-
-def test_deterministic_paths_are_not_frozen_at_a_wall():
-    """Bohmian paths have no escape check: the two walkers that cross the
-    wall at 4 (2% of 100, over the abort threshold) are neither frozen nor
-    counted, and nothing aborts."""
-    timeline, pot, sys1, x0 = _escape_case(2, 100)
-    paths = bohmian_trajectories(timeline, pot, sys1, x0)
-    assert np.allclose(paths[:, :2, 0].T, 3.95 + 0.1 * np.arange(5),
-                       rtol=1e-12)
-    assert np.allclose(paths[:, 2:, 0].T, 2.0 + 0.1 * np.arange(5),
+@pytest.mark.parametrize("driver", ["ensemble", "bohmian"])
+def test_escaped_walkers_are_frozen_and_counted(driver):
+    positions, escaped = _escape_paths(driver, 1)
+    assert escaped == (1 if driver == "ensemble" else None)
+    assert np.all(positions[:, 0, 0] == 3.95)
+    assert np.allclose(positions[:, 1:, 0].T, 2.0 + 0.1 * np.arange(5),
                        rtol=1e-12)
 
 
@@ -449,8 +448,7 @@ def _vortex_timeline(winding):
 def test_vortex_ensemble_collapses_onto_bohmian_paths():
     sc, timeline = _vortex_timeline(1)
     x0 = draw_initial_positions(timeline[0], 200, np.random.default_rng(3))
-    ref = bohmian_trajectories(timeline, sc.potentials,
-                               with_eta(sc.system, 0.0), x0)
+    ref = bohmian_trajectories(timeline, sc.potentials, sc.system, x0)
     devs = []
     for eta in (1e-6, 1e-8):
         sys_eta = with_eta(sc.system, eta, gamma_exponent=1.0)
@@ -468,8 +466,7 @@ def test_bohmian_walkers_circle_vortex_with_winding_sign(winding):
     sc, timeline = _vortex_timeline(winding)
     angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     x0 = 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-    paths = bohmian_trajectories(timeline, sc.potentials,
-                                 with_eta(sc.system, 0.0), x0)
+    paths = bohmian_trajectories(timeline, sc.potentials, sc.system, x0)
     theta = np.unwrap(np.arctan2(paths[..., 1], paths[..., 0]), axis=0)
     turned = theta[-1] - theta[0]
     expect = winding * (timeline[-1].time - timeline[0].time) / 2.0**2
@@ -531,8 +528,7 @@ def _ref_midpoint(grid, t0, t_half, pos, h):
 
 def _ref_ensemble(timeline, pot, system, dt, seed, x0):
     grid = timeline[0].grid
-    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system],
-                                            [system.process_label == "ES"])]
+    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system])]
     noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
     rng = np.random.Generator(np.random.Philox(noise_seq))
     pos, alive, path = x0.copy(), np.ones(len(x0), dtype=bool), [x0]
@@ -554,8 +550,7 @@ def _ref_ensemble(timeline, pot, system, dt, seed, x0):
 
 def _ref_bohmian(timeline, pot, system, x0):
     grid = timeline[0].grid
-    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system],
-                                            [False])]
+    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system])]
     # every step is the timeline's one spacing
     h = timeline[1].time - timeline[0].time
     pos, path = x0.copy(), [x0]
@@ -654,7 +649,7 @@ def test_noise_helper_thread_is_joined_on_every_exit(too_many,
 @pytest.mark.parametrize("name", [c[0] for c in IDENTITY_CASES])
 def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
     sc, timeline, x0 = _identity_case(name)
-    system = with_eta(sc.system, 0.0)
+    system = with_eta(sc.system, 0.0, gamma_exponent=3.0)
     paths = bohmian_trajectories(timeline, sc.potentials, system, x0)
     assert np.array_equal(paths, _ref_bohmian(timeline, sc.potentials,
                                               system, x0))
@@ -738,10 +733,10 @@ def test_shared_rows_finish_to_the_per_run_tables(name, overrides, mode):
     give in each block, bit for bit, the table that run would have built on
     its own."""
     sc, timeline, _ = _identity_case(name, **overrides)
-    systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
+    gamma = 1.0 if mode == "ES" else 3.0
+    systems = [with_eta(sc.system, eta, gamma_exponent=gamma)
                for eta in (0.05, 1e-3)]
-    got = list(_flow_tables(timeline, sc.potentials, systems,
-                            [mode == "ES"] * 2))
+    got = list(_flow_tables(timeline, sc.potentials, systems))
     assert len(got) == len(timeline)
     for r, system in enumerate(systems):
         expect = list(_reference_flow_tables(timeline, sc.potentials, system,
@@ -765,15 +760,15 @@ def test_flow_tables_build_no_checked_fields(name, monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(grids, "_check_values", counted)
-    tables = list(_flow_tables(timeline, sc.potentials, [system], [True]))
+    tables = list(_flow_tables(timeline, sc.potentials, [system]))
     assert len(tables) == len(timeline)
     assert checks == []
 
 
-def _separate_deviations(sc, timeline, base, systems, seed, x0):
+def _separate_deviations(sc, timeline, systems, seed, x0):
     """The limit study one run after another: the Bohmian reference, then
     one recorded ensemble per system."""
-    reference = bohmian_trajectories(timeline, sc.potentials, base, x0)
+    reference = bohmian_trajectories(timeline, sc.potentials, sc.system, x0)
     out = []
     for system in systems:
         ens = simulate_ensemble(timeline, sc.potentials, system, len(x0),
@@ -792,12 +787,10 @@ def test_lockstep_deviations_equal_separate_runs(name, overrides, gammas):
     another run's table or noise.  The walker `_identity_case` puts just
     outside the box escapes on hard walls and is frozen."""
     sc, timeline, x0 = _identity_case(name, **overrides)
-    base = with_eta(sc.system, 0.0)
     systems = [with_eta(sc.system, eta, gamma_exponent=g)
                for eta, g in zip((0.05, 1e-2, 1e-3), gammas)]
-    got = vanishing_noise_deviations(timeline, sc.potentials, base, systems,
-                                     7, x0)
-    assert got == _separate_deviations(sc, timeline, base, systems, 7, x0)
+    got = vanishing_noise_deviations(timeline, sc.potentials, systems, 7, x0)
+    assert got == _separate_deviations(sc, timeline, systems, 7, x0)
     assert len(set(got)) == 3
 
 
@@ -816,12 +809,10 @@ def test_lockstep_walkers_at_the_top_edge_read_their_own_block(name,
     x0[1] = top
     for a in range(sc.grid.dim):
         x0[2 + a, a] = top[a]
-    base = with_eta(sc.system, 0.0)
     systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
                for eta in (0.05, 1e-2, 1e-3)]
-    got = vanishing_noise_deviations(timeline, sc.potentials, base, systems,
-                                     7, x0)
-    assert got == _separate_deviations(sc, timeline, base, systems, 7, x0)
+    got = vanishing_noise_deviations(timeline, sc.potentials, systems, 7, x0)
+    assert got == _separate_deviations(sc, timeline, systems, 7, x0)
 
 
 def test_lockstep_draws_every_runs_noise_from_one_generator(monkeypatch):
@@ -838,8 +829,7 @@ def test_lockstep_draws_every_runs_noise_from_one_generator(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counted)
     systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
                for eta in (1e-2, 1e-3, 1e-4)]
-    vanishing_noise_deviations(timeline, sc.potentials,
-                               with_eta(sc.system, 0.0), systems, 7, x0)
+    vanishing_noise_deviations(timeline, sc.potentials, systems, 7, x0)
     assert len(built) == 1
 
 
@@ -875,8 +865,7 @@ def test_lockstep_builds_each_states_rows_once(name, work, per_state, once,
     monkeypatch.setattr(stochastic, "_Walk", Walk)
     systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
                for eta in (1e-2, 1e-3, 1e-4)]
-    vanishing_noise_deviations(timeline, sc.potentials,
-                               with_eta(sc.system, 0.0), systems, 7, x0)
+    vanishing_noise_deviations(timeline, sc.potentials, systems, 7, x0)
     assert len(calls) == per_state * len(timeline) + once
     (walk,) = walks
     # two slots, each of 1 + len(systems) blocks
@@ -884,13 +873,10 @@ def test_lockstep_builds_each_states_rows_once(name, work, per_state, once,
     assert walk.padded.shape[2] == 1 + len(systems)
 
 
-@pytest.mark.parametrize("driver", ["ensemble", "bohmian", "lockstep",
-                                    "lockstep-reference"])
+@pytest.mark.parametrize("driver", ["ensemble", "bohmian", "lockstep"])
 def test_lockstep_refuses_systems_that_differ_beyond_the_noise(driver):
     """The wave states were evolved for the potentials' particles: a walk
-    whose drift divides by another mass is refused by every driver, the
-    lockstep's too when its heavier reference and systems agree with each
-    other."""
+    whose drift divides by another mass is refused by every driver."""
     sc, timeline, x0 = _identity_case("free")
     heavier = single_particle(mass=2.0, eta=1e-3, gamma_exponent=1.0)
     with pytest.raises(ValueError, match="eta and gamma only"):
@@ -899,13 +885,8 @@ def test_lockstep_refuses_systems_that_differ_beyond_the_noise(driver):
                               initial_positions=x0)
         elif driver == "bohmian":
             bohmian_trajectories(timeline, sc.potentials, heavier, x0)
-        elif driver == "lockstep":
-            vanishing_noise_deviations(timeline, sc.potentials,
-                                       with_eta(sc.system, 0.0), [heavier],
-                                       7, x0)
         else:
-            vanishing_noise_deviations(timeline, sc.potentials,
-                                       with_eta(heavier, 0.0), [heavier],
+            vanishing_noise_deviations(timeline, sc.potentials, [heavier],
                                        7, x0)
 
 
@@ -943,7 +924,7 @@ def test_lockstep_raises_the_first_failure_and_joins_every_stream(
     before = threading.enumerate()
     started_threads.clear()
     with pytest.raises(SafeguardError) as info:
-        vanishing_noise_deviations(timeline, pot, base, systems, 3, x0)
+        vanishing_noise_deviations(timeline, pot, systems, 3, x0)
     assert str(info.value) == first
     assert sum(t.name.startswith("edsim-noise") for t in started_threads) == 1
     assert not any(t.is_alive() for t in started_threads)
@@ -974,3 +955,38 @@ def test_wrap_rule_equals_np_mod(inside, far, box):
                           (np.mod(d + period / 2, period)
                            - period / 2).view(np.int64))
     assert np.all(np.abs(image) <= period / 2)
+
+
+def _line_run(steps=2):
+    """A stationary timeline of `steps` steps on a 32-node ring, its
+    potentials and an OU system."""
+    grid = ConfigGrid((32,), (8.0,), (True,), origin=(-4.0,))
+    sys1 = single_particle(eta=1e-3)
+    timeline = _stationary_timeline(grid, gaussian_packet(grid, 0.0, 1.0),
+                                    steps, 0.01)
+    return timeline, free_potentials(grid, sys1), sys1
+
+
+def _recorded():
+    """A 10-walker ensemble of `_line_run`, recorded without velocities."""
+    return simulate_ensemble(*_line_run(), 10, seed=0)
+
+
+REFUSALS = {
+    "one-state": (lambda: simulate_ensemble(*_line_run(steps=0), 10, seed=0),
+                  "at least two states"),
+    "start-shape": (lambda: simulate_ensemble(
+        *_line_run(), 10, seed=0, initial_positions=np.zeros((9, 1))),
+        "initial_positions shape mismatch"),
+    "no-velocities": (lambda: velocity_increment_stats(_recorded()),
+                      "without velocity samples"),
+    "reference-shape": (lambda: max_deviation_from_deterministic(
+        _recorded(), np.zeros((3, 9, 1))), "different shapes"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_stochastic_inputs_are_refused(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
