@@ -18,11 +18,16 @@ G and Omega are compatible through J (G(JV, U) = Omega(V, U), J^2 = -1),
 and (G + i Omega)/2hbar contracted on wave components sqrt(p) e^{i Phi/hbar}
 reproduces the usual complex scalar product.
 
+G is written once, in `metric`, which gauge-fixes the phase part of each
+slot: on TGF vectors it is the formula above, and it ignores pure-gauge
+phase parts, so flow-transported vectors compare without re-projection.
+
 A phase-space generator f is passed as its gradient callable
 (p, Phi) -> (df/dp, df/dPhi) on the unconstrained coordinates.  Poisson
 brackets and Hamiltonian flows read nothing else; the Killing residual
 also takes the derivative of that gradient along a stack of displacements
-(see kernel_hessian), so every derivative here is in closed form.
+(see kernel_generator), so every derivative here is in closed form.  A
+Hermitian kernel Q enters only as Q @ psi and one stack product.
 """
 
 from __future__ import annotations
@@ -146,19 +151,9 @@ def symplectic(v: EPhaseTangent, u: EPhaseTangent) -> float | np.ndarray:
 
 def metric(point: EPhasePoint, v: EPhaseTangent,
            u: EPhaseTangent) -> float | np.ndarray:
-    """Phase-space scalar product of two TGF displacements."""
-    p, hbar = point.probs, point.hbar
-    return np.sum(hbar / (2 * p) * v.dp * u.dp
-                  + 2 * p / hbar * v.dphi * u.dphi, axis=-1)
-
-
-def gauge_invariant_metric(point: EPhasePoint, v: EPhaseTangent,
-                           u: EPhaseTangent) -> float | np.ndarray:
-    """Metric with the mean-phase component projected out of each slot.
-
-    Agrees with `metric` on TGF vectors but ignores pure-gauge phase parts,
-    which keeps flow-transported vectors comparable without re-projection.
-    """
+    """Phase-space scalar product G(V, U), with the mean-phase component
+    sum(p * dphi) projected out of each slot: on TGF vectors the formula
+    of the module docstring, and blind to pure-gauge phase parts."""
     p, hbar = point.probs, point.hbar
     dv, du = _gauge_fixed(p, v.dphi), _gauge_fixed(p, u.dphi)
     return np.sum(hbar / (2 * p) * v.dp * u.dp + 2 * p / hbar * dv * du,
@@ -170,20 +165,19 @@ def fs_length_squared(point: EPhasePoint, v: EPhaseTangent,
     """Squared length of a displacement on the quotient by phase shifts,
     per row of a stack.
 
-    "closed" subtracts the mean phase analytically:
-    sum[(hbar/2p) dp^2 + (2p/hbar)(dphi - <dphi>)^2]; "minimize" minimizes
-    the phase part sum[(2p/hbar)(dphi + alpha)^2] over a constant shift
-    alpha without forming that mean: the part is a parabola in alpha, whose
-    vertex follows from its values at alpha = -1, 0 and 1, per row.  Both
-    must agree: the minimization over the gauge orbit is what defines the
-    induced metric.
+    "closed" is G(v, v), whose mean-phase subtraction is analytic;
+    "minimize" minimizes the phase part sum[(2p/hbar)(dphi + alpha)^2] over
+    a constant shift alpha without forming that mean: the part is a
+    parabola in alpha, whose vertex follows from its values at alpha = -1,
+    0 and 1, per row.  Both must agree: the minimization over the gauge
+    orbit is what defines the induced metric.
     """
-    p, hbar = point.probs, point.hbar
-    radial = np.sum(hbar / (2 * p) * v.dp ** 2, axis=-1)
     if method == "closed":
-        dphi = _gauge_fixed(p, v.dphi)
-        return radial + np.sum(2 * p / hbar * dphi ** 2, axis=-1)
+        return metric(point, v, v)
     if method == "minimize":
+        p, hbar = point.probs, point.hbar
+        radial = np.sum(hbar / (2 * p) * v.dp ** 2, axis=-1)
+
         def length(alpha):
             return np.sum(2 * p / hbar * (v.dphi + alpha) ** 2, axis=-1)
         below, at, above = length(-1.0), length(0.0), length(1.0)
@@ -273,33 +267,27 @@ def _hermitian(kernel: np.ndarray) -> np.ndarray:
     return q
 
 
-def kernel_gradient(kernel: np.ndarray, hbar: float) -> Callable:
-    """Analytic gradient of a Hermitian-kernel expectation.
+def kernel_generator(kernel: np.ndarray,
+                     hbar: float) -> tuple[Callable, Callable]:
+    """Gradient of a Hermitian-kernel expectation <psi|Q|psi>, and its
+    closed-form derivative along displacements; Q is checked once.
 
-    Chain rule through psi_j = sqrt(p_j) e^{i phi_j/hbar}: with w = Q psi,
-    df/dp_j = Re(psi_j* w_j)/p_j and df/dphi_j = (2/hbar) Im(psi_j* w_j).
-    Returned callable maps (p, phi) -> (df_dp, df_dphi).
+    Chain rule through psi_j = sqrt(p_j) e^{i phi_j/hbar}: with w = Q psi
+    and prod = psi* w, the gradient maps (p, phi) -> (Re prod/p,
+    (2/hbar) Im prod).  With dpsi = psi (dp/2p + i dphi/hbar) and
+    dprod = dpsi* w + psi* Q dpsi, the derivative maps (p, phi, dp, dphi)
+    -> (Re dprod/p - Re prod dp/p^2, (2/hbar) Im dprod) at the point
+    (p, phi), for one displacement or a (P, n) stack of them.
     """
     q = _hermitian(kernel)
 
-    def g(p: np.ndarray, phi: np.ndarray):
+    def grad(p: np.ndarray, phi: np.ndarray):
         psi = np.sqrt(p) * np.exp(1j * phi / hbar)
         prod = psi.conj() * (q @ psi)
         return prod.real / p, (2.0 / hbar) * prod.imag
 
-    return g
-
-
-def kernel_hessian(kernel: np.ndarray, hbar: float) -> Callable:
-    """Closed-form derivative of `kernel_gradient` along displacements.
-
-    With dpsi = psi (dp/2p + i dphi/hbar) and dprod = dpsi* w + psi* Q dpsi,
-    (p, phi, dp, dphi) -> (Re dprod/p - Re prod dp/p^2, (2/hbar) Im dprod)
-    at the point (p, phi), for one displacement or a (P, n) stack of them.
-    """
-    q = _hermitian(kernel)
-
-    def h(p: np.ndarray, phi: np.ndarray, dp: np.ndarray, dphi: np.ndarray):
+    def hess(p: np.ndarray, phi: np.ndarray, dp: np.ndarray,
+             dphi: np.ndarray):
         psi = np.sqrt(p) * np.exp(1j * phi / hbar)
         w = q @ psi
         dpsi = psi * (dp / (2.0 * p) + 1j * dphi / hbar)
@@ -308,7 +296,7 @@ def kernel_hessian(kernel: np.ndarray, hbar: float) -> Callable:
         return (dprod.real / p - prod.real * dp / p**2,
                 (2.0 / hbar) * dprod.imag)
 
-    return h
+    return grad, hess
 
 
 def killing_residual(grad: Callable, hess: Callable, point: EPhasePoint,
@@ -318,7 +306,7 @@ def killing_residual(grad: Callable, hess: Callable, point: EPhasePoint,
     Uses the Lie-derivative identity L_X G (V, U) = X[G(V, U)]
     + G(D_V X, U) + G(V, D_U X) for constant extensions of V, U; the field
     derivative D_V X is the canonical field of `hess(p, phi, dp, dphi)`,
-    the derivative of f's gradient (see kernel_hessian), along all probes
+    the derivative of f's gradient (see kernel_generator), along all probes
     as one (P, n) stack.  The probes are `n_probes` random pairs, plus one
     self-pair per coordinate, concentrated on that outcome, so violations
     localized on high-weight outcomes are not washed out by averaging.
@@ -345,8 +333,7 @@ def killing_residual(grad: Callable, hess: Callable, point: EPhasePoint,
     dv, du = _gauge_fixed(p, v.dphi), _gauge_fixed(p, u.dphi)
     coeff_term = np.sum(x_field.dp * (-hbar / (2 * p**2) * v.dp * u.dp
                                       + 2.0 / hbar * dv * du), axis=-1)
-    lie = (coeff_term + gauge_invariant_metric(point, dxv, u)
-           + gauge_invariant_metric(point, v, dxu))
+    lie = coeff_term + metric(point, dxv, u) + metric(point, v, dxu)
     return float(np.max(np.abs(lie), initial=0.0))
 
 
@@ -359,17 +346,14 @@ def commutator_identity_gap(u_kernel: np.ndarray, v_kernel: np.ndarray,
     """|{U~, V~} - <psi|[U, V]|psi>/i hbar| at the given point.
 
     The bracket side is evaluated on the (p, phi) coordinates with
-    chain-rule gradients; the commutator side by exact matrix algebra on
-    the wave components.
+    chain-rule gradients; the commutator side on the wave components as
+    2 Im<U psi|V psi>/hbar, which it is for Hermitian U and V.
     """
-    hbar = point.hbar
-    pb = poisson_bracket(kernel_gradient(u_kernel, hbar),
-                         kernel_gradient(v_kernel, hbar), point)
-    uu = np.asarray(u_kernel, complex)
-    vv = np.asarray(v_kernel, complex)
-    psi = point.psi
-    comm = np.vdot(psi, (uu @ vv - vv @ uu) @ psi) / (1j * hbar)
-    return float(abs(pb - comm.real) + abs(comm.imag))
+    hbar, psi = point.hbar, point.psi
+    pb = poisson_bracket(kernel_generator(u_kernel, hbar)[0],
+                         kernel_generator(v_kernel, hbar)[0], point)
+    comm = 2.0 * np.vdot(u_kernel @ psi, v_kernel @ psi).imag / hbar
+    return float(abs(pb - comm))
 
 
 def geometry_battery(outcomes: int, probes: int, kernels: int,
@@ -419,8 +403,7 @@ def geometry_battery(outcomes: int, probes: int, kernels: int,
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q = 0.5 * (a + a.conj().T)
         killing_max = max(killing_max,
-                          killing_residual(kernel_gradient(q, point.hbar),
-                                           kernel_hessian(q, point.hbar),
+                          killing_residual(*kernel_generator(q, point.hbar),
                                            point, n_probes=probes,
                                            seed=int(rng.integers(2**31))))
         if prev is not None:

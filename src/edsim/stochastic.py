@@ -53,8 +53,9 @@ one block per eta follows.  One generator, `_flow_tables`, builds each
 state's table: the rows that do not depend on eta once for all blocks,
 then every block, with the osmotic term at that block's eta when its
 process is ES.  Every walk is checked once on entry (`_check_run`): the
-timeline gives a positive, uniform step, and the systems differ from the
-potentials' system in eta and gamma only.
+timeline gives a positive, uniform step, the systems differ from the
+potentials' system in eta and gamma only, and given start positions hold
+one row per walker with one column per axis.
 """
 
 from __future__ import annotations
@@ -511,12 +512,14 @@ class _Walk:
 
 
 def _check_run(timeline: Sequence[WaveState], pot: Potentials,
-               systems: Sequence[ParticleSystem]) -> float:
+               systems: Sequence[ParticleSystem],
+               positions: np.ndarray | None, n_walkers: int) -> float:
     """The step dt of a sampled run: the timeline's first spacing.  Refuses
     a timeline of fewer than two states, or whose spacing is not positive
-    or not uniform, and any system whose particles differ from those the
-    potentials (and so the wave states) were built for: a run's systems
-    may differ from `pot.system` in eta and gamma only."""
+    or not uniform; any system whose particles differ from those the
+    potentials (and so the wave states) were built for, as a run's systems
+    may differ from `pot.system` in eta and gamma only; and start positions
+    (None when they are drawn) of any shape but (n_walkers, dim)."""
     if len(timeline) < 2:
         raise ValueError("timeline needs at least two states")
     dts = np.diff([s.time for s in timeline])
@@ -530,6 +533,9 @@ def _check_run(timeline: Sequence[WaveState], pot: Potentials,
         if with_eta(system, base.eta, base.gamma_exponent) != base:
             raise ValueError("a run's systems may differ from the potentials' "
                              "system in eta and gamma only")
+    if (positions is not None
+            and np.shape(positions) != (n_walkers, timeline[0].grid.dim)):
+        raise ValueError("initial_positions shape mismatch")
     return dt
 
 
@@ -552,7 +558,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     place and counted; more than `MAX_ESCAPE_FRACTION` of them aborts with
     a SafeguardError.
     """
-    dt = _check_run(timeline, pot, [system])
+    dt = _check_run(timeline, pot, [system], initial_positions, n_walkers)
     grid = timeline[0].grid
     tables = _flow_tables(timeline, pot, [system])
     steps = len(timeline) - 1
@@ -562,8 +568,6 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
         pos = draw_initial_positions(timeline[0], n_walkers, init_rng)
     else:
         pos = np.array(initial_positions, dtype=float)
-        if pos.shape != (n_walkers, grid.dim):
-            raise ValueError("initial_positions shape mismatch")
 
     # recorded states: the first, every record_stride-th and the last
     recorded = [0] + [k for k in range(1, steps + 1)
@@ -580,7 +584,8 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
         for k in range(steps):
             v_mid = walk.step(k, dt)
             if record_velocities:
-                velocities.append((walk.pos - walk.new) / dt)
+                velocities.append(_nearest_displacement(
+                    grid, walk.pos - walk.new) / dt)
                 drifts.append(v_mid.copy())
             if k + 1 in slot:
                 rec_positions[slot[k + 1]] = walk.pos
@@ -672,13 +677,19 @@ def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
                              initial_positions=initial_positions).positions
 
 
-def _wrapped_distance(grid: ConfigGrid, dev: np.ndarray) -> np.ndarray:
-    """|dev| over the last axis, each periodic component taken to its
-    nearest image first; periodic components of `dev` are overwritten."""
+def _nearest_displacement(grid: ConfigGrid, dev: np.ndarray) -> np.ndarray:
+    """`dev`, each periodic component overwritten by its nearest image, so
+    a walker that crossed a seam moves by its step, not by a period."""
     for a in range(grid.dim):
         if grid.periodic[a]:
             dev[..., a] = nearest_image(dev[..., a], grid.extents[a])
-    return np.sqrt((dev**2).sum(axis=-1))
+    return dev
+
+
+def _wrapped_distance(grid: ConfigGrid, dev: np.ndarray) -> np.ndarray:
+    """|dev| over the last axis, each periodic component taken to its
+    nearest image first; periodic components of `dev` are overwritten."""
+    return np.sqrt((_nearest_displacement(grid, dev)**2).sum(axis=-1))
 
 
 def max_deviation_from_deterministic(ens: Ensemble,
@@ -717,7 +728,8 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
     distance to the reference is folded in as the walk goes.
     """
     runs = [with_eta(pot.system, 0.0, gamma_exponent=3.0), *systems]
-    dt = _check_run(timeline, pot, runs)
+    dt = _check_run(timeline, pot, runs, initial_positions,
+                    len(initial_positions))
     grid = timeline[0].grid
     tables = _flow_tables(timeline, pot, runs)
     x0 = np.array(initial_positions, dtype=float)

@@ -5,9 +5,8 @@ import scipy.linalg
 from edsim import geometry
 from edsim.geometry import (MAX_OUTCOMES, EPhasePoint, EPhaseTangent, apply_J,
                             commutator_identity_gap, fs_length_squared,
-                            gauge_invariant_metric, geometry_battery,
-                            hamilton_field, hamiltonian_flow_step,
-                            kernel_gradient, kernel_hessian,
+                            geometry_battery, hamilton_field,
+                            hamiltonian_flow_step, kernel_generator,
                             killing_residual, metric,
                             normalization_gradient, poisson_bracket,
                             project_tgf, symplectic,
@@ -57,10 +56,9 @@ def quadratic_hessian(p, phi, dp, dphi):
     return 2.0 * dp, np.zeros_like(dp)
 
 
-def kernel_pair(q, hbar=1.0):
-    """Gradient and gradient derivative of <psi|Q|psi>, as killing_residual
-    takes them."""
-    return kernel_gradient(q, hbar), kernel_hessian(q, hbar)
+def expectation_gradient(q, hbar=1.0):
+    """The gradient of <psi|Q|psi> alone, of `kernel_generator`'s pair."""
+    return kernel_generator(q, hbar)[0]
 
 
 def test_point_validation_and_canonical_representative():
@@ -206,8 +204,8 @@ def test_bracket_is_symplectic_form_of_hamilton_fields():
     # {f, g} = Omega(X_f, X_g) with X_f = (df/dphi, -df/dp)
     for seed in range(4):
         pt = rand_point(9, seed=50 + seed)
-        gf = kernel_gradient(rand_hermitian(10, seed=60 + seed), 1.0)
-        gg = kernel_gradient(rand_hermitian(10, seed=70 + seed), 1.0)
+        gf = expectation_gradient(rand_hermitian(10, seed=60 + seed), 1.0)
+        gg = expectation_gradient(rand_hermitian(10, seed=70 + seed), 1.0)
         bracket = poisson_bracket(gf, gg, pt)
         assert abs(bracket) > 1e-3
         assert bracket == symplectic(hamilton_field(gf, pt),
@@ -216,7 +214,7 @@ def test_bracket_is_symplectic_form_of_hamilton_fields():
 
 def test_normalization_generator_commutes_with_kernel_expectations():
     pt = rand_point(6, seed=15)
-    h = kernel_gradient(rand_hermitian(7, seed=16), 1.0)
+    h = expectation_gradient(rand_hermitian(7, seed=16), 1.0)
     pb = poisson_bracket(normalization_gradient, h, pt)
     assert abs(pb) < 1e-12
 
@@ -231,7 +229,7 @@ def test_flow_of_normalization_constraint_shifts_phases():
 
 def test_flow_zero_step_is_identity():
     pt = rand_point(4, seed=18)
-    h = kernel_gradient(rand_hermitian(5, seed=19), 1.0)
+    h = expectation_gradient(rand_hermitian(5, seed=19), 1.0)
     same = hamiltonian_flow_step(h, pt, 0.0)
     assert np.allclose(same.probs, pt.probs, atol=1e-14)
     assert np.allclose(same.phases, pt.phases, atol=1e-12)
@@ -250,7 +248,7 @@ def test_flow_rejects_steps_leaving_the_simplex():
 def test_flow_matches_unitary_evolution_to_second_order():
     pt = rand_point(3, seed=20)
     q = rand_hermitian(4, seed=21)
-    grad = kernel_gradient(q, 1.0)
+    grad = expectation_gradient(q, 1.0)
     errs = []
     for dlam in (2e-2, 1e-2, 5e-3):
         euler = hamiltonian_flow_step(grad, pt, dlam).canonical()
@@ -267,7 +265,7 @@ def test_flow_matches_unitary_evolution_to_second_order():
 
 def test_killing_residual_separates_isometries():
     pt = rand_point(8, seed=22)
-    hermitian = kernel_pair(rand_hermitian(9, seed=23))
+    hermitian = kernel_generator(rand_hermitian(9, seed=23), 1.0)
     assert killing_residual(*hermitian, pt, n_probes=10, seed=1) < 1e-13
     assert killing_residual(quadratic_gradient, quadratic_hessian, pt,
                             n_probes=10, seed=1) > 1e-3
@@ -281,7 +279,7 @@ def test_killing_residual_separates_isometries():
 def test_analytic_kernel_gradient_matches_finite_differences():
     pt = rand_point(7, seed=31)
     q = rand_hermitian(8, seed=32)
-    gp, gphi = kernel_gradient(q, 1.0)(pt.probs, pt.phases)
+    gp, gphi = expectation_gradient(q, 1.0)(pt.probs, pt.phases)
     fp, fphi = central_difference_gradient(kernel_expectation(q), pt)
     assert np.max(np.abs(gp - fp)) < 1e-5
     assert np.max(np.abs(gphi - fphi)) < 1e-8
@@ -291,7 +289,7 @@ def test_kernel_hessian_matches_central_differences_of_the_gradient():
     # the gap to a central difference falls as eps^2, down to roundoff
     pt = rand_point(11, seed=42, hbar=0.7)
     q = rand_hermitian(12, seed=43)
-    grad, hess = kernel_pair(q, pt.hbar)
+    grad, hess = kernel_generator(q, pt.hbar)
     rng = np.random.default_rng(44)
     w = project_tgf(pt, EPhaseTangent(rng.standard_normal((5, 12)),
                                       rng.standard_normal((5, 12))))
@@ -373,8 +371,7 @@ def pairwise_killing_residual(grad, point, n_probes=10, seed=0,
         coeff_term = float(np.sum(x_field.dp *
                                   (-hbar / (2 * p**2) * v.dp * u.dp
                                    + 2.0 / hbar * dv * du)))
-        lie = (coeff_term + gauge_invariant_metric(point, dxv, u)
-               + gauge_invariant_metric(point, v, dxu))
+        lie = coeff_term + metric(point, dxv, u) + metric(point, v, dxu)
         worst = max(worst, abs(lie))
     return worst
 
@@ -383,11 +380,11 @@ def test_batched_killing_residual_matches_pairwise_reference():
     pt = rand_point(24, seed=34)
     for seed in (35, 36, 37):
         q = rand_hermitian(25, seed=seed)
-        closed = killing_residual(*kernel_pair(q), pt, n_probes=20,
-                                  seed=seed)
+        closed = killing_residual(*kernel_generator(q, 1.0), pt,
+                                  n_probes=20, seed=seed)
         # the difference quotient sits at its floor, about 2e-7; the
         # closed form at roundoff
-        reference = pairwise_killing_residual(kernel_gradient(q, 1.0), pt,
+        reference = pairwise_killing_residual(expectation_gradient(q, 1.0), pt,
                                               n_probes=20, seed=seed,
                                               probe_eps=1e-5)
         assert closed < 1e-13
@@ -408,11 +405,14 @@ def test_stacked_structures_match_row_by_row():
                           rng.standard_normal((7, 31))) for _ in range(2))
     row = lambda t, i: EPhaseTangent(t.dp[i], t.dphi[i])
     projected = project_tgf(pt, v)
-    for fn in (lambda a, b: metric(pt, a, b),
-               lambda a, b: gauge_invariant_metric(pt, a, b), symplectic):
+    for fn in (lambda a, b: metric(pt, a, b), symplectic):
         stacked = fn(v, u)
         assert stacked.shape == (7,)
         assert all(stacked[i] == fn(row(v, i), row(u, i)) for i in range(7))
+    # the metric is blind to a pure-gauge phase part of either slot
+    shifted = EPhaseTangent(v.dp, v.dphi + rng.standard_normal((7, 1)))
+    assert np.allclose(metric(pt, shifted, u), metric(pt, v, u),
+                       rtol=1e-12, atol=1e-12)
     for i in range(7):
         alone = project_tgf(pt, row(v, i))
         assert np.array_equal(projected.dp[i], alone.dp)
@@ -427,8 +427,9 @@ def test_killing_residual_of_unitary_flows_is_roundoff_at_a_skewed_point():
                      0.4 * rng.uniform(-1, 1, 65)).canonical()
     assert pt.probs.min() < 1e-3
     for seed in (46, 47):
-        res = killing_residual(*kernel_pair(rand_hermitian(65, seed=seed)),
-                               pt, n_probes=50, seed=seed)
+        q = rand_hermitian(65, seed=seed)
+        res = killing_residual(*kernel_generator(q, 1.0), pt, n_probes=50,
+                               seed=seed)
         assert res <= 1e-12
 
 
@@ -447,6 +448,32 @@ def test_bracket_equals_commutator_expectation():
     assert commutator_identity_gap(u, v, pt) < 1e-6
     same = commutator_identity_gap(u, u, pt)
     assert same < 1e-8
+
+
+def test_commutator_side_matches_the_dense_commutator():
+    """The commutator side, 2 Im<U psi|V psi>/hbar, reads what the dense
+    <psi|(UV - VU)|psi>/i hbar reads, to roundoff."""
+    for n, hbar, seed in [(2, 1.0, 1), (9, 0.7, 2), (65, 1.0, 3),
+                          (65, 0.3, 4)]:
+        pt = rand_point(n - 1, seed=seed, hbar=hbar)
+        u = rand_hermitian(n, seed=80 + seed)
+        v = rand_hermitian(n, seed=90 + seed)
+        pb = poisson_bracket(expectation_gradient(u, hbar),
+                             expectation_gradient(v, hbar), pt)
+        dense = np.vdot(pt.psi, (u @ v - v @ u) @ pt.psi) / (1j * hbar)
+        reference = abs(pb - dense.real) + abs(dense.imag)
+        assert abs(commutator_identity_gap(u, v, pt) - reference) < 1e-13
+
+
+def test_the_battery_checks_each_kernel_once_per_use(monkeypatch):
+    """One Hermitian check per Killing kernel and one per kernel of each
+    commutator pair: 20 + 2 x 19 for 20 kernels."""
+    calls = []
+    check = geometry._hermitian
+    monkeypatch.setattr(geometry, "_hermitian",
+                        lambda kernel: calls.append(1) or check(kernel))
+    assert geometry_battery(64, 100, 20, 0)["all_passed"]
+    assert len(calls) <= 58
 
 
 def test_information_metric_single_particle_value():
@@ -478,9 +505,7 @@ def test_the_kernel_functions_refuse_a_kernel_that_is_not_hermitian(
         kernel, message):
     pt = rand_point(kernel.shape[0] - 1, seed=3)
     with pytest.raises(ValueError, match=message):
-        kernel_gradient(kernel, 1.0)
-    with pytest.raises(ValueError, match=message):
-        kernel_hessian(kernel, 1.0)
+        kernel_generator(kernel, 1.0)
     with pytest.raises(ValueError, match=message):
         commutator_identity_gap(np.eye(kernel.shape[0]), kernel, pt)
 
@@ -489,7 +514,7 @@ def test_the_hermitian_check_allows_roundoff():
     q = rand_hermitian(6, seed=4)
     q[0, 1] += 1e-13 * np.abs(q).max()
     pt = rand_point(5, seed=4)
-    gp, gphi = kernel_gradient(q, 1.0)(pt.probs, pt.phases)
+    gp, gphi = expectation_gradient(q, 1.0)(pt.probs, pt.phases)
     assert np.all(np.isfinite(gp)) and np.all(np.isfinite(gphi))
 
 

@@ -158,18 +158,38 @@ def _stationary_timeline(grid, state, steps, dt):
     return [WaveState(grid, state.psi, time=k * dt) for k in range(steps + 1)]
 
 
+def _ou_law_error(timeline, system):
+    """`velocity_increment_stats`' relative error of a recorded 2,000-walker
+    ensemble on a free ring, and how many walkers crossed its seam."""
+    grid = timeline[0].grid
+    ens = simulate_ensemble(timeline, free_potentials(grid, system), system,
+                            n_walkers=2000, seed=7, record_velocities=True)
+    rep = velocity_increment_stats(ens)
+    assert np.allclose(np.diag(rep["expected"]),
+                       2 * system.eta * ens.dt / system.masses[0],
+                       rtol=1e-14)
+    jumps = np.abs(np.diff(ens.positions[..., 0], axis=0))
+    return rep["rel_err_diag"][0], int(np.any(jumps > 0.5 * grid.extents[0],
+                                              axis=0).sum())
+
+
 def test_velocity_increment_covariance_matches_ou_law():
+    """The OU law of the velocity increments holds for a packet at rest,
+    and for a moving packet whose walkers cross the ring's seam: a
+    walker's velocity is its nearest-image step over dt, not a period's
+    jump (which read a relative error of 1.9e9)."""
     grid = ConfigGrid((128,), (20.0,), (True,), origin=(-10.0,))
     state = gaussian_packet(grid, 0.0, 2.0)
     sys1 = single_particle(mass=1.3, eta=1e-2, gamma_exponent=3.0)
-    dt = 0.01
-    timeline = _stationary_timeline(grid, state, 30, dt)
-    ens = simulate_ensemble(timeline, free_potentials(grid, sys1), sys1,
-                            n_walkers=2000, seed=7, record_velocities=True)
-    rep = velocity_increment_stats(ens)
-    assert np.allclose(np.diag(rep["expected"]), 2 * 1e-2 * dt / 1.3,
-                       rtol=1e-14)
-    assert rep["rel_err_diag"][0] < 0.03
+    err, _ = _ou_law_error(_stationary_timeline(grid, state, 30, 0.01), sys1)
+    assert err < 0.03
+    ring = ConfigGrid((256,), (30.0,), (True,), origin=(-15.0,))
+    sys2 = single_particle(eta=1e-3, gamma_exponent=3.0)
+    seam = gaussian_packet(ring, 14.0, 1.0, momentum=2 * np.pi * 3 / 30)
+    timeline = evolve_trajectory(seam, free_potentials(ring, sys2), 0.01, 200)
+    err, crossed = _ou_law_error(timeline, sys2)
+    assert crossed > 500
+    assert err < 0.03
 
 
 def test_fluctuation_covariance_monte_carlo():
@@ -967,6 +987,12 @@ def _line_run(steps=2):
     return timeline, free_potentials(grid, sys1), sys1
 
 
+def _deviations(start):
+    """`vanishing_noise_deviations` of `_line_run` from `start`."""
+    timeline, pot, sys1 = _line_run()
+    return vanishing_noise_deviations(timeline, pot, [sys1], 0, start)
+
+
 def _recorded():
     """A 10-walker ensemble of `_line_run`, recorded without velocities."""
     return simulate_ensemble(*_line_run(), 10, seed=0)
@@ -978,6 +1004,14 @@ REFUSALS = {
     "start-shape": (lambda: simulate_ensemble(
         *_line_run(), 10, seed=0, initial_positions=np.zeros((9, 1))),
         "initial_positions shape mismatch"),
+    # a walk of the limit study is checked as a run's: one row a walker,
+    # one column an axis
+    "deviations-start-columns": (lambda: _deviations(np.zeros((50, 2))),
+                                 "initial_positions shape mismatch"),
+    "deviations-start-flat": (lambda: _deviations(np.zeros(50)),
+                              "initial_positions shape mismatch"),
+    "deviations-start-nested": (lambda: _deviations(np.zeros((50, 1, 1))),
+                                "initial_positions shape mismatch"),
     "no-velocities": (lambda: velocity_increment_stats(_recorded()),
                       "without velocity samples"),
     "reference-shape": (lambda: max_deviation_from_deterministic(

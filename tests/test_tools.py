@@ -52,7 +52,7 @@ def test_limit_sweep_runs_a_short_case(monkeypatch, capsys):
 
 def test_run_matrix_imports():
     matrix = _load("run_matrix").matrix()
-    assert len(matrix) == 28
+    assert len(matrix) == 29
 
 
 def test_cold_start_times_one_fresh_run(tmp_path):
@@ -83,3 +83,17 @@ def test_run_matrix_names_what_moved(tmp_path):
     assert compare(moved, base) == [
         "report.json: checkpoints[].tv 2.5e-01 [1.2e-01]",
         "verdicts: n_passed same"]
+
+
+def test_run_matrix_names_a_run_without_a_counterpart(tmp_path, monkeypatch,
+                                                      capsys):
+    tool = _load("run_matrix")
+    monkeypatch.setattr(tool, "matrix", lambda: {"old": [], "new": []})
+    (tmp_path / "out").mkdir()
+    (tmp_path / "base").mkdir()
+    for run in ("out/old", "base/old", "out/new"):
+        _run_dir(tmp_path / run, [0.5])
+    tool.compare_all(tmp_path / "out", tmp_path / "base")
+    assert capsys.readouterr().out.splitlines() == [
+        "new: no run in BASE",
+        f"run_matrix: 0/1 runs differ from {tmp_path / 'base'}"]

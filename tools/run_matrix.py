@@ -6,6 +6,8 @@ Runs, with the `edsim` of this checkout and at fixed seeds:
 
 * every preset x {evolve, ensemble --process OU,
   ensemble --process ES --eta 0.05, limits} at the preset's defaults;
+* ensemble --preset free --dt 0.1 --steps 300, whose walkers cross the
+  ring's seam (the shift branch of `grids.mod_period`);
 * geometry-check --outcomes 64 at seeds 0, 1 and 3;
 * entropic-step.
 
@@ -14,14 +16,15 @@ or fails `verify_run_dir`, else 0.  Every run is deterministic, so
 `diff -r` of the OUT of two checkouts shows whether a change altered any
 output byte.
 
-`--against BASE` then compares OUT with the OUT of another checkout and
-prints, for each run whose bytes differ, how far its numbers moved: for
-every numeric array of its JSON and CSV files, the largest |change|
-relative to that array's peak in BASE (the absolute one in brackets), and
-whether the run's verdicts (`VERDICTS`) are the same.  Numbers under one
-key path are one array, with list positions written as `[]`:
-`checkpoints[].tv` holds the TV of every checkpoint.  The comparison does
-not change the exit code.
+`--against BASE` then compares OUT with the OUT of another checkout. It
+names each run that has no directory on one side, and prints, for each
+run whose bytes differ, how far its numbers moved: for every numeric
+array of its JSON and CSV files, the largest |change| relative to that
+array's peak in BASE (the absolute one in brackets), and whether the
+run's verdicts (`VERDICTS`) are the same.  Numbers under one key path are
+one array, with list positions written as `[]`: `checkpoints[].tv` holds
+the TV of every checkpoint.  The comparison does not change the exit
+code.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ def matrix() -> dict[str, list[str]]:
     runs = {f"{name}-{preset}": argv + ["--preset", preset]
             for preset in sorted(PRESETS)
             for name, argv in SUBCOMMANDS.items()}
+    runs["ensemble-free-seam"] = ["ensemble", "--preset", "free",
+                                  "--dt", "0.1", "--steps", "300"]
     for seed in (0, 1, 3):
         runs[f"geometry-check-seed{seed}"] = [
             "geometry-check", "--outcomes", "64", "--seed", str(seed)]
@@ -159,16 +164,24 @@ def _compare_run(run: Path, base: Path) -> list[str]:
 
 
 def compare_all(out: Path, base: Path) -> None:
-    """Print what moved in every run of the matrix against BASE."""
-    differ = 0
+    """Print what moved in every run of the matrix against BASE; a run
+    with no directory on one side (new in this matrix, or failed) is
+    named and not compared."""
+    differ = compared = 0
     for name in matrix():
+        absent = [side for side, root in (("OUT", out), ("BASE", base))
+                  if not (root / name).is_dir()]
+        if absent:
+            print(f"{name}: no run in {' or '.join(absent)}")
+            continue
+        compared += 1
         lines = _compare_run(out / name, base / name)
         if lines:
             differ += 1
             print(f"{name}:")
             for line in lines:
                 print(f"    {line}")
-    print(f"run_matrix: {differ}/{len(matrix())} runs differ from {base}")
+    print(f"run_matrix: {differ}/{compared} runs differ from {base}")
 
 
 if __name__ == "__main__":
