@@ -46,10 +46,10 @@ def test_module_uses_every_name_it_imports(path):
 
 # modules the package imports only in the code that runs them: the sparse
 # Hamiltonian and Crank-Nicolson, the LU of Crank-Nicolson, and the helper
-# thread that draws the noise of large ensembles.  scipy itself is loaded
-# by every command that writes a run, for the manifest's version string
-# (`RunWriter.finish`), and by no other
+# thread that draws the noise of large ensembles
 LAZY = ("scipy.sparse", "scipy.sparse.linalg", "concurrent.futures")
+# scipy itself is loaded by every command that writes a run, for the
+# manifest's version string (`RunWriter.finish`), and by no other
 
 
 def _fresh(code: str, *args: str) -> list[str]:
@@ -75,11 +75,17 @@ def _loaded_by(*argv: str, modules: tuple[str, ...] = LAZY) -> set[str]:
     return set(names)
 
 
+def test_a_cold_start_leaves_scipy_optimize_out():
+    """Importing the command line does not load scipy.optimize: the package
+    does not use it (the minimized Fubini-Study length finds its minimum
+    as the vertex of a parabola), and no module it imports should load it."""
+    probe = "import sys, edsim.cli; print('scipy.optimize' in sys.modules)"
+    assert _fresh(probe) == ["False"]
+
+
 def test_a_cold_start_leaves_scipy_out():
-    """Importing the command line loads no scipy at all, so no
-    scipy.optimize either (the minimized Fubini-Study length finds its
-    minimum as the vertex of a parabola): `edsim.io` reads scipy's version
-    only when a run's manifest is written."""
+    """Importing the command line loads no scipy at all: `edsim.io` reads
+    its version only when a run's manifest is written."""
     probe = "import sys, edsim.cli; print('scipy' in sys.modules)"
     assert _fresh(probe) == ["False"]
 
@@ -93,15 +99,23 @@ def test_a_command_that_steps_no_wave_leaves_the_lazy_imports_out(
 
 
 def test_report_leaves_the_lazy_imports_out(tmp_path):
-    """`report` reads a finished run and writes none, so it loads no
-    scipy, and none of the lazy modules."""
     from edsim.cli import main
 
     run = tmp_path / "run"
     assert main(["evolve", "--preset", "free", "--steps", "2",
                  "--out", str(run)]) == 0
-    assert _loaded_by("report", str(run),
-                      modules=LAZY + ("scipy",)) == set()
+    assert _loaded_by("report", str(run)) == set()
+
+
+def test_report_leaves_scipy_out(tmp_path):
+    """`report` reads a finished run and writes none, so it loads no
+    scipy."""
+    from edsim.cli import main
+
+    run = tmp_path / "run"
+    assert main(["evolve", "--preset", "free", "--steps", "2",
+                 "--out", str(run)]) == 0
+    assert _loaded_by("report", str(run), modules=("scipy",)) == set()
 
 
 def test_evolve_in_per_axis_modes_leaves_the_sparse_lu_out(tmp_path):
