@@ -9,8 +9,8 @@ Modules by theme; names are imported from them, e.g.
                composition, Bayes reversal, maximizer verification
 * quantum    - lattice Hamiltonians, Crank-Nicolson evolution, Madelung
                variables, gauge transforms, winding numbers
-* stochastic - trajectory ensembles (ES / OU / fractional), deterministic
-               limit, centre-of-mass reports
+* stochastic - trajectory ensembles of every fluctuation law, one drift
+               rule, deterministic limit, centre-of-mass reports
 * geometry   - probability-simplex phase space: symplectic form, metric,
                complex structure, Hamilton-Killing checks, Fisher metric
 * stats      - density comparisons with calibrated noise bands, power-law

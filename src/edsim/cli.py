@@ -139,6 +139,12 @@ def cmd_ensemble(args) -> int:
     sc, config = _scenario_from_args(args)
     eta = args.eta if args.eta is not None else sc.system.eta
     system = with_eta(sc.system, eta, gamma_exponent=gamma)
+    try:
+        system.step_variances(sc.dt)
+        system.diffusion(sc.dt)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config.update({
         "command": "ensemble", "process": args.process, "eta": eta,
         "gamma": gamma, "walkers": args.walkers, "seed": args.seed,

@@ -354,11 +354,32 @@ class ParticleSystem:
         return np.array([b[n] for n, _ in self.axis_map])
 
     def step_variances(self, dt: float) -> np.ndarray:
-        """Per-axis fluctuation variance of one step: eta dt^gamma / m.
-        Refuses dt <= 0, where the law has no meaning."""
+        """Per-axis fluctuation variance of one step: eta dt^gamma / m."""
+        return self._law(dt, self.gamma_exponent, self.mass_per_axis)
+
+    def diffusion(self, dt: float) -> np.ndarray:
+        """Per-axis diffusion coefficient Var / 2 dt = eta dt^(gamma-1) / 2m,
+        not as that quotient: dt**0.0 is exactly 1, so at gamma = 1 it has
+        the bits of eta / 2m, which the quotient misses (eta 1e-4, dt 0.01)."""
+        return self._law(dt, self.gamma_exponent - 1.0,
+                         2 * self.mass_per_axis)
+
+    def _law(self, dt: float, power: float,
+             per_mass: np.ndarray) -> np.ndarray:
+        """eta dt^power / per_mass.  Refuses dt <= 0, where the law has no
+        meaning, and a value past the largest float."""
         if not dt > 0:
             raise ValueError("dt must be positive")
-        return self.eta * dt**self.gamma_exponent / self.mass_per_axis
+        try:
+            scale = self.eta * dt**power
+        except OverflowError:  # a float power past the largest float
+            scale = np.inf
+        out = scale / per_mass
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"the fluctuation law overflows at eta = "
+                             f"{self.eta:g}, gamma = {self.gamma_exponent:g}, "
+                             f"dt = {dt:g}")
+        return out
 
     @property
     def process_label(self) -> str:

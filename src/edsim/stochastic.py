@@ -6,20 +6,15 @@ and arrival states, and a move by that drift plus, for an ensemble, a
 Gaussian fluctuation with the per-axis variance of
 `ParticleSystem.step_variances`.  Deterministic (Bohmian) paths are the
 sampled process of gamma = 3 at eta = 0, its eta -> 0 limit: the same step
-on the current velocity, with a fluctuation of zero variance.  The drift
-and fluctuation depend on gamma:
+on the current velocity, with a fluctuation of zero variance.  For every
+gamma the drift is the current velocity (grad Phi - A) / m plus the
+osmotic term D grad log rho, with the law's D = eta dt^(gamma - 1) / 2 m
+(`ParticleSystem.diffusion`), so the Fokker-Planck current equals the
+quantum current and the ensemble keeps tracking rho.
 
-* gamma = 3 ("OU"): differentiable velocities, fluctuations vanish fast, the
-  drift is the current velocity (grad Phi - A) / m;
-* gamma = 1 ("ES"): Brownian-like paths; the sampler drift gets an osmotic
-  correction ``+ (eta / 2 m) grad log rho`` so the Fokker-Planck current
-  equals the quantum current and the ensemble keeps tracking rho;
-* other gamma ("fractional"): sampled like OU, with no density-tracking
-  guarantee outside gamma in {1, 3}.
-
-Each fact of a run has one source: the `ParticleSystem` gives eta, gamma
-and with its process label the drift, and the timeline of wave states gives
-the step dt, its uniform spacing, the step of entropic time.
+Each fact of a run has one source: the `ParticleSystem` gives eta and
+gamma, and the timeline of wave states gives the step dt, its uniform
+spacing, the step of entropic time.
 
 Drift values come from current-ratio interpolation: the smooth pair
 (rho * v, rho) is interpolated and divided at the walker position, which
@@ -51,11 +46,11 @@ is its run at eta = 0.  `vanishing_noise_deviations` steps the whole limit
 study as one walk: block 0 is the eta = 0 run, the Bohmian reference, and
 one block per eta follows.  One generator, `_flow_tables`, builds each
 state's table: the rows that do not depend on eta once for all blocks,
-then every block, with the osmotic term at that block's eta when its
-process is ES.  Every walk is checked once on entry (`_check_run`): the
-timeline gives a positive, uniform step, the systems differ from the
-potentials' system in eta and gamma only, and given start positions hold
-one row per walker with one column per axis.
+then every block, with the osmotic term of that block's law.  Every walk
+is checked once on entry (`_check_run`): the timeline gives a positive,
+uniform step, the systems differ from the potentials' system in eta and
+gamma only, and given start positions hold one row per walker with one
+column per axis.
 """
 
 from __future__ import annotations
@@ -95,11 +90,7 @@ def with_eta(system: ParticleSystem, eta: float,
 def drift_velocity_field(pair: MadelungPair, pot: Potentials,
                          system: ParticleSystem) -> np.ndarray:
     """Current velocity v_A = (grad_A Phi - hbar beta_A A_A) / m_A, stacked
-    over the axes.
-
-    The ES drift adds the osmotic term (eta / 2 m_A) grad_A log rho to it
-    in each ES block of a run's flow table (`_flow_tables`).
-    """
+    over the axes; `_flow_tables` adds the osmotic term to it."""
     grid = pair.grid
     masses = system.mass_per_axis
     beta = system.beta_per_axis
@@ -206,25 +197,24 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
 
 
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
-                 systems: Sequence[ParticleSystem]):
+                 systems: Sequence[ParticleSystem], dt: float):
     """The run-stacked flow table of every state, one at a time, of shape
     (k, len(systems), *nodes): block r is the table of systems[r], with the
-    osmotic term at that system's eta when its process is ES.  The systems
+    osmotic term D grad log rho, D = `systems[r].diffusion(dt)`.  The systems
     differ in eta and gamma only (`_check_run`), so each state's eta-free
     rows are built once for all blocks: on a 1-D ring, on the refined
     lattice, rho v of the current velocity, Re(psi* psi') and rho;
     elsewhere the current velocity (`drift_velocity_field`), grad log rho
-    with rho raised to its density floor (when any block is ES) and rho.
+    with rho raised to its density floor (when any D > 0) and rho.
     """
     grid = timeline[0].grid
     system = systems[0]
-    osmotic = [block.process_label == "ES" for block in systems]
-    masses = system.mass_per_axis
+    coeffs = [block.diffusion(dt) for block in systems]
     ring = grid.dim == 1 and grid.periodic[0]
     if ring:
         # the potentials are static, so (hbar beta / m) A is resampled onto
         # the refined lattice once for the timeline
-        m = masses[0]
+        m = system.mass_per_axis[0]
         a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
         a_term = (system.hbar * system.beta_per_axis[0] / m) * a_f
         ik = 2j * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
@@ -238,28 +228,28 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
             num = (system.hbar / m) * cross.imag - a_term * rho
             out = np.empty((2, len(systems)) + rho.shape)
             out[1] = rho
-            for r, (block, osm) in enumerate(zip(systems, osmotic)):
-                if osm:
-                    # rho * (eta / 2 m) grad log rho = (eta / 2 m) grad rho,
-                    # and grad rho = 2 Re(psi* psi') needs no extra transform
-                    np.add(num, (block.eta / m) * cross.real, out=out[0, r])
+            for r, d in enumerate(coeffs):
+                if d[0]:
+                    # rho D grad log rho = D grad rho, and
+                    # grad rho = 2 Re(psi* psi') needs no extra transform
+                    np.add(num, (2 * d[0]) * cross.real, out=out[0, r])
                 else:
                     out[0, r] = num
         else:
             pair = madelung(state, hbar=system.hbar)
             v = drift_velocity_field(pair, pot, system)
             rho = pair.rho
-            if any(osmotic):
+            if np.any(coeffs):
                 log_rho = np.log(np.maximum(rho, density_floor(rho)))
                 dlog = [gradient(grid, log_rho, a) for a in range(grid.dim)]
             out = np.empty((len(v) + 1, len(systems)) + rho.shape)
             out[-1] = rho
-            for r, (block, osm) in enumerate(zip(systems, osmotic)):
+            for r, d in enumerate(coeffs):
                 for a, va in enumerate(v):
-                    if osm:
-                        # the osmotic term (eta / 2 m_A) grad_A log rho
-                        # cancels the diffusive flux of the gamma = 1 process
-                        va = va + ((block.eta / (2 * masses[a])) * dlog[a])
+                    if d[a]:
+                        # the osmotic term D_A grad_A log rho cancels the
+                        # diffusive flux of the step's fluctuation
+                        va = va + d[a] * dlog[a]
                     np.multiply(rho, va, out=out[a, r])
         yield out
 
@@ -389,8 +379,7 @@ class _Walk:
     counted per block.  Once more than `MAX_ESCAPE_FRACTION` of a block's
     walkers have escaped, `failure` holds its SafeguardError if no earlier
     block has failed; the failure of block 0 is raised at once, and any
-    later one is for the caller to raise when the walk is over, as no
-    earlier block may fail after it.
+    later one by `finish`, as no earlier block may fail after it.
     """
 
     def __init__(self, grid: ConfigGrid, tables, positions: np.ndarray,
@@ -510,6 +499,20 @@ class _Walk:
         if self.escaped.any():
             new[~alive] = old[~alive]
 
+    def finish(self) -> None:
+        """Raise the SafeguardError of the first block that failed, by its
+        escapes or by walkers at a non-finite position (an overflowed drift
+        or noise).  No step or wrap makes a non-finite position finite
+        again, so the final positions show every such walker."""
+        lost = (~np.isfinite(self.pos).all(axis=1)).reshape(
+            self.alive.shape).sum(axis=1)
+        (bad,) = np.nonzero(lost)
+        if bad.size and bad[0] < self.failed:
+            raise SafeguardError(
+                f"{lost[bad[0]]} walkers reached a non-finite position")
+        if self.failure is not None:
+            raise self.failure
+
 
 def _check_run(timeline: Sequence[WaveState], pot: Potentials,
                systems: Sequence[ParticleSystem],
@@ -546,21 +549,21 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
                       initial_positions: np.ndarray | None = None) -> Ensemble:
     """March an ensemble along a timeline of wave states.
 
-    The system is the one source of eta, gamma and the drift: the ES
-    process's carries the osmotic term, every other process's is the
-    current velocity.  The timeline is the one source of the step dt: its
-    spacing, which must be positive and uniform.  The system may differ
-    from the potentials' in eta and gamma only.  Each step is `_Walk.step`
+    The system is the one source of eta and gamma, and so of the noise
+    and of the drift's osmotic term (`_flow_tables`).  The timeline is the
+    one source of the step dt: its spacing, which must be positive and
+    uniform.  The system may differ from the potentials' in eta and gamma
+    only.  Each step is `_Walk.step`
     with the step's Philox noise, drawn in step order from the run's one
     noise generator: from NOISE_THREAD_WALKERS walkers on, one step ahead
     by a helper thread that is joined before the call returns or raises
     (`_noise_stream`).  Escaped walkers (hard walls only) are frozen in
-    place and counted; more than `MAX_ESCAPE_FRACTION` of them aborts with
-    a SafeguardError.
+    place and counted; more than `MAX_ESCAPE_FRACTION` of them, or a
+    walker at a non-finite position, aborts with a SafeguardError.
     """
     dt = _check_run(timeline, pot, [system], initial_positions, n_walkers)
     grid = timeline[0].grid
-    tables = _flow_tables(timeline, pot, [system])
+    tables = _flow_tables(timeline, pot, [system], dt)
     steps = len(timeline) - 1
     if initial_positions is None:
         init_seq = np.random.SeedSequence(seed).spawn(2)[0]
@@ -589,6 +592,7 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
                 drifts.append(v_mid.copy())
             if k + 1 in slot:
                 rec_positions[slot[k + 1]] = walk.pos
+    walk.finish()
 
     return Ensemble(
         grid, system, dt,
@@ -731,7 +735,7 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
     dt = _check_run(timeline, pot, runs, initial_positions,
                     len(initial_positions))
     grid = timeline[0].grid
-    tables = _flow_tables(timeline, pot, runs)
+    tables = _flow_tables(timeline, pot, runs, dt)
     x0 = np.array(initial_positions, dtype=float)
     blocks = len(runs)
     variances = np.array([run.step_variances(dt) for run in runs])
@@ -744,8 +748,7 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
             paths = walk.pos.reshape((blocks,) + x0.shape)
             dist = _wrapped_distance(grid, paths[1:] - paths[0])
             np.maximum(worst, dist, out=worst)
-    if walk.failure is not None:
-        raise walk.failure
+    walk.finish()
     return [float(w.mean()) for w in worst]
 
 

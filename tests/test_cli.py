@@ -301,12 +301,17 @@ def test_report_of_unparsable_manifest_is_one_line(tmp_path, capsys):
     ["evolve", "--preset", "free", "--steps", "2", "--dt", "1e307"],
     ["evolve", "--preset", "harmonic", "--steps", "2", "--dt", "1e308"],
     ["evolve", "--preset", "vortex_2d", "--steps", "2", "--dt", "1e308"],
+    # the drift or the noise overflows, and walkers reach NaN
+    ["ensemble", "--process", "ES", "--eta", "1e308", "--walkers", "1000",
+     "--steps", "3"],
+    ["ensemble", "--process", "fractional", "--gamma", "0.5", "--eta",
+     "1e308", "--dt", "2", "--steps", "2"],
 ])
 def test_tripped_safeguard_is_one_line_and_leaves_run_incomplete(
         tmp_path, capsys, argv):
-    """A Crank-Nicolson step that loses the norm or overflows and an
-    ensemble whose walkers escape end with exit 1, one line on stderr and
-    an aborted run."""
+    """A Crank-Nicolson step that loses the norm or overflows, an ensemble
+    whose walkers escape and one whose walkers reach a non-finite position
+    end with exit 1, one line on stderr and an aborted run."""
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -433,15 +438,23 @@ FLOAT_OPTIONS = {
     ["report", "empty"],
     ["geometry-check", "--probes", str(MAX_PROBES + 1)],
     ["geometry-check", "--probes", str(10**12)],
+    # each flag is in range, but dt^gamma overflows
+    ["ensemble", "--dt", "2", "--steps", "2", "--process", "fractional",
+     "--gamma", "2000"],
+    ["entropic-step", "--dt", "2", "--gamma", "2000"],
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
     """Exit 2 with a one-line message and no run written; `report` is given
-    a missing directory and an existing one without a manifest."""
+    a missing directory and an existing one without a manifest, and a
+    fluctuation law that overflows is refused before any run starts."""
     out = tmp_path / "run"
     if argv[0] == "report":
         (tmp_path / "empty").mkdir()
         code = main(["report", str(tmp_path / argv[1])])
         expect, tail = "is not a run directory", ""
+    elif argv[-2:] == ["--gamma", "2000"]:
+        code = main(argv + ["--out", str(out)])
+        expect, tail = "error: the fluctuation law overflows", "dt = 2"
     else:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])

@@ -36,6 +36,20 @@ def test_noise_sigma_formula():
     assert np.allclose(sig, np.sqrt(1e-3 * 0.01**3 / 2.0), rtol=1e-14)
 
 
+def test_diffusion_is_the_step_variance_over_2dt():
+    """D = eta dt^(gamma - 1) / 2m is Var / 2 dt for every gamma, and at
+    gamma = 1 exactly eta / 2m, which Var / 2 dt is not at eta = 1e-4,
+    dt = 0.01."""
+    sys1 = single_particle(eta=1e-4, gamma_exponent=1.0)
+    assert sys1.diffusion(0.01)[0] == 1e-4 / 2
+    assert sys1.step_variances(0.01)[0] / (2 * 0.01) != 1e-4 / 2
+    for gamma in (0.5, 1.5, 3.0):
+        system = with_eta(sys1, 1e-4, gamma_exponent=gamma)
+        assert np.allclose(system.diffusion(0.01),
+                           system.step_variances(0.01) / (2 * 0.01),
+                           rtol=1e-14)
+
+
 def test_with_eta_replaces_only_noise_constants():
     sys1 = single_particle(mass=1.5, eta=1e-3)
     sys2 = with_eta(sys1, 1e-6, gamma_exponent=1.0)
@@ -140,16 +154,25 @@ def test_current_drift_vanishes_for_real_state():
     assert np.max(np.abs(v)) < 1e-10
 
 
-def test_osmotic_drift_matches_log_density_gradient():
-    grid = ConfigGrid((256,), (24.0,), (True,), origin=(-12.0,))
-    s = 1.2
+@pytest.mark.parametrize("grid", [
+    ConfigGrid((256,), (24.0,), (True,), origin=(-12.0,)),
+    ConfigGrid((255,), (24.0,), (False,), origin=(-12.0,)),
+], ids=["ring", "wall"])
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
+def test_osmotic_drift_matches_log_density_gradient(grid, gamma):
+    """For every gamma, the drift of a packet at rest is the osmotic term
+    D grad log rho with D = eta dt^(gamma - 1) / 2 m: on a ring from the
+    spectral table on its finer lattice, by hard walls from the central
+    differences of log rho, which are exact for a Gaussian."""
+    s, eta, mass, dt = 1.2, 2e-3, 1.7, 0.5
     state = gaussian_packet(grid, 0.0, s)
-    sys1 = single_particle(mass=1.7, eta=2e-3, gamma_exponent=1.0)
-    # the ES flow table (rho v, rho); on a ring it lives on a finer lattice
-    (table,) = _flow_tables([state], free_potentials(grid, sys1), [sys1])
+    sys1 = single_particle(mass=mass, eta=eta, gamma_exponent=gamma)
+    # the flow table (rho v, rho) of one state
+    (table,) = _flow_tables([state], free_potentials(grid, sys1), [sys1], dt)
     v = table[0, 0] / table[1, 0]
-    x = -12.0 + (24.0 / v.size) * np.arange(v.size)
-    expect = (2e-3 / (2 * 1.7)) * (-x / s**2)
+    x = (-12.0 + (24.0 / v.size) * np.arange(v.size) if grid.periodic[0]
+         else grid.axis_coords(0))
+    expect = (eta * dt**(gamma - 1.0) / (2 * mass)) * (-x / s**2)
     inner = np.abs(x) < 4 * s
     assert np.max(np.abs(v[inner] - expect[inner])) < 1e-6
 
@@ -548,7 +571,7 @@ def _ref_midpoint(grid, t0, t_half, pos, h):
 
 def _ref_ensemble(timeline, pot, system, dt, seed, x0):
     grid = timeline[0].grid
-    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system])]
+    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system], dt)]
     noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
     rng = np.random.Generator(np.random.Philox(noise_seq))
     pos, alive, path = x0.copy(), np.ones(len(x0), dtype=bool), [x0]
@@ -570,9 +593,9 @@ def _ref_ensemble(timeline, pot, system, dt, seed, x0):
 
 def _ref_bohmian(timeline, pot, system, x0):
     grid = timeline[0].grid
-    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system])]
     # every step is the timeline's one spacing
     h = timeline[1].time - timeline[0].time
+    tables = [t[:, 0] for t in _flow_tables(timeline, pot, [system], h)]
     pos, path = x0.copy(), [x0]
     for k in range(len(timeline) - 1):
         v = _ref_midpoint(grid, 1.0 * tables[k] + 0.0 * tables[k + 1],
@@ -677,10 +700,10 @@ def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
 
 @pytest.mark.parametrize("name", ["free", "harmonic", "interference",
                                   "vortex_2d", "ring_constant_a"])
-@pytest.mark.parametrize("gamma", [3.0, 1.0])
+@pytest.mark.parametrize("gamma", [3.0, 1.0, 1.5])
 def test_noiseless_ensemble_follows_bohmian_paths(name, gamma):
-    """At eta = 0 the sampler's step is the deterministic step: the ensemble
-    ("current" drift for gamma = 3, "ES" drift for gamma = 1) lands on the
+    """At eta = 0 the sampler's step is the deterministic step for every
+    gamma: D = 0 leaves the current velocity, and the ensemble lands on the
     Bohmian paths from the same start; both step by the timeline's one
     spacing."""
     sc = build_preset(name, steps=30)
@@ -702,11 +725,13 @@ def test_noiseless_ensemble_follows_bohmian_paths(name, gamma):
 # the limit study in lockstep: shared flow rows, one pass over the states
 # ---------------------------------------------------------------------------
 
-def _reference_flow_tables(timeline, pot, system, mode):
+def _reference_flow_tables(timeline, pot, system, dt):
     """Every state's flow table built from scratch for one run: the current
-    velocity and, under ES, its osmotic term inline, with no rows shared."""
+    velocity and its osmotic term D grad log rho, D = eta dt^(gamma - 1) / 2m,
+    inline, with no rows shared."""
     grid = timeline[0].grid
     masses, beta = system.mass_per_axis, system.beta_per_axis
+    power = dt**(system.gamma_exponent - 1.0)
     if not (grid.dim == 1 and grid.periodic[0]):
         for state in timeline:
             pair = madelung(state, hbar=system.hbar)
@@ -715,13 +740,12 @@ def _reference_flow_tables(timeline, pot, system, mode):
                 mom = (phase_gradient(pair, a)
                        - system.hbar * beta[a] * pot.vector_a_nodes[a])
                 comps.append(mom / masses[a])
-            if mode == "ES":
-                rho = pair.rho
-                floored = np.maximum(rho, density_floor(rho))
-                log_rho = np.log(floored)
-                for a in range(grid.dim):
-                    comps[a] = comps[a] + ((system.eta / (2 * masses[a]))
-                                           * gradient(grid, log_rho, a))
+            rho = pair.rho
+            floored = np.maximum(rho, density_floor(rho))
+            log_rho = np.log(floored)
+            for a in range(grid.dim):
+                comps[a] = comps[a] + ((system.eta * power / (2 * masses[a]))
+                                       * gradient(grid, log_rho, a))
             v = np.stack(comps)
             yield np.concatenate([state.rho[None] * v, state.rho[None]])
         return
@@ -736,8 +760,8 @@ def _reference_flow_tables(timeline, pot, system, mode):
         cross = np.conj(psi_f) * dpsi_f
         rho_f = np.abs(psi_f) ** 2
         num = (system.hbar / m) * cross.imag - a_term * rho_f
-        if mode == "ES":
-            num = num + (system.eta / m) * cross.real
+        # rho D grad log rho = D grad rho = 2 D Re(psi* psi')
+        num = num + (system.eta * power / m) * cross.real
         yield np.stack([num, rho_f])
 
 
@@ -747,20 +771,21 @@ LOCKSTEP_CASES = [("free", {}), ("ring_constant_a", {}), ("harmonic", {}),
 
 @pytest.mark.parametrize("name, overrides", LOCKSTEP_CASES,
                          ids=[c[0] for c in LOCKSTEP_CASES])
-@pytest.mark.parametrize("mode", ["current", "ES"])
-def test_shared_rows_finish_to_the_per_run_tables(name, overrides, mode):
+@pytest.mark.parametrize("gamma", [pytest.param(1.0, id="ES"),
+                                   pytest.param(1.5, id="fractional"),
+                                   pytest.param(3.0, id="current")])
+def test_shared_rows_finish_to_the_per_run_tables(name, overrides, gamma):
     """Rows built once and finished for two eta into one run-stacked table
     give in each block, bit for bit, the table that run would have built on
-    its own."""
+    its own, osmotic term included, for every gamma."""
     sc, timeline, _ = _identity_case(name, **overrides)
-    gamma = 1.0 if mode == "ES" else 3.0
     systems = [with_eta(sc.system, eta, gamma_exponent=gamma)
                for eta in (0.05, 1e-3)]
-    got = list(_flow_tables(timeline, sc.potentials, systems))
+    got = list(_flow_tables(timeline, sc.potentials, systems, sc.dt))
     assert len(got) == len(timeline)
     for r, system in enumerate(systems):
         expect = list(_reference_flow_tables(timeline, sc.potentials, system,
-                                             mode))
+                                             sc.dt))
         for table, ref in zip(got, expect):
             assert table[:, r].shape == ref.shape
             assert table[:, r].tobytes() == ref.tobytes()
@@ -780,7 +805,7 @@ def test_flow_tables_build_no_checked_fields(name, monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(grids, "_check_values", counted)
-    tables = list(_flow_tables(timeline, sc.potentials, [system]))
+    tables = list(_flow_tables(timeline, sc.potentials, [system], sc.dt))
     assert len(tables) == len(timeline)
     assert checks == []
 
