@@ -30,7 +30,7 @@ from .entropic import (MaxEntProblem, bayes_reverse, chapman_kolmogorov_step,
                        maxent_transition, verify_maximizer)
 from .geometry import MAX_OUTCOMES, MAX_PROBES, geometry_battery
 from .grids import (MAX_POINTS_PER_AXIS, PROCESS_GAMMA, ConfigGrid,
-                    ScalarField, VectorField, process_label, single_particle)
+                    ScalarField, VectorField, single_particle)
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
 from .quantum import SafeguardError, _evolve_rows, evolve_trajectory
@@ -124,18 +124,9 @@ def density_checkpoints(sc, timeline, ens, n_calibration: int,
 
 
 def cmd_ensemble(args) -> int:
+    # --gamma gives any gamma; --process names 1 (ES) or 3 (OU, the default)
     gamma = (args.gamma if args.gamma is not None
-             else PROCESS_GAMMA.get(args.process))
-    if gamma is None:
-        print("error: --gamma is required for the fractional process",
-              file=sys.stderr)
-        return 2
-    label = process_label(gamma)
-    if label != args.process:
-        # a fractional run at gamma 1 or 3 would sample and report ES or OU
-        print(f"error: --gamma {gamma:g} is the {label} process, not "
-              f"{args.process}; use --process {label}", file=sys.stderr)
-        return 2
+             else PROCESS_GAMMA[args.process or "OU"])
     sc, config = _scenario_from_args(args)
     eta = args.eta if args.eta is not None else sc.system.eta
     system = with_eta(sc.system, eta, gamma_exponent=gamma)
@@ -146,7 +137,7 @@ def cmd_ensemble(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config.update({
-        "command": "ensemble", "process": args.process, "eta": eta,
+        "command": "ensemble", "process": system.process_label, "eta": eta,
         "gamma": gamma, "walkers": args.walkers, "seed": args.seed,
         "checkpoints": args.checkpoints,
     })
@@ -161,12 +152,8 @@ def cmd_ensemble(args) -> int:
                             record_stride=stride)
     reports = density_checkpoints(sc, timeline, ens, args.calibration,
                                   args.seed)
-    checkpoints = [{
-        "time": float(t), "tv": rep["tv"], "tv_band_95": rep["tv_band_95"],
-        "passed": rep["passed"], "underpowered": rep["underpowered"],
-        "kl_smoothed": rep["kl_smoothed"],
-        "chi2": rep["chi2"], "chi2_dof": rep["chi2_dof"],
-    } for t, rep in zip(ens.times[1:], reports)]
+    checkpoints = [{"time": float(t), **rep}
+                   for t, rep in zip(ens.times[1:], reports)]
     result = {
         "process": system.process_label,
         "walkers": args.walkers,
@@ -208,7 +195,8 @@ def limit_study(sc, timeline, walkers: int, seed: int) -> dict:
     mean largest distance of ES walkers at each of LIMIT_ETAS to their
     eta = 0 paths from one shared start, whether it falls monotonically
     with eta, and the exponent of its power law in eta with the fit's
-    stderr (1/2 for a Brownian displacement)."""
+    stderr (1/2 for a Brownian displacement).  A study in which some eta
+    moves no walker at all raises SafeguardError."""
     etas = list(LIMIT_ETAS)
     x0 = draw_initial_positions(timeline[0], walkers,
                                 np.random.default_rng(seed))
@@ -216,6 +204,10 @@ def limit_study(sc, timeline, walkers: int, seed: int) -> dict:
         timeline, sc.potentials,
         [with_eta(sc.system, eta, gamma_exponent=1.0) for eta in etas],
         seed, x0)
+    for eta, deviation in zip(etas, deviations):
+        if deviation == 0:  # the noise is below the positions' float spacing
+            raise SafeguardError(f"the noise at eta = {eta:g} moves no walker "
+                                 f"off its eta = 0 path: no power law to fit")
     fit = fit_power_law(np.array(etas), np.array(deviations))
     return {
         "etas": etas,
@@ -387,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="walker ensemble density tracking")
     _add_scenario_flags(p)
-    p.add_argument("--process", default="OU",
-                   choices=[*PROCESS_GAMMA, "fractional"])
-    p.add_argument("--gamma", type=_positive, default=None)
+    # no defaults: argparse lets a value that `is` its default pass the group
+    law = p.add_mutually_exclusive_group()
+    law.add_argument("--process", choices=sorted(PROCESS_GAMMA))
+    law.add_argument("--gamma", type=_positive)
     p.add_argument("--eta", type=_in_range(float, 0), default=None)
     p.add_argument("--walkers", type=_count, default=20000)
     p.add_argument("--checkpoints", type=_count, default=6)

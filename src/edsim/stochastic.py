@@ -503,7 +503,8 @@ class _Walk:
         """Raise the SafeguardError of the first block that failed, by its
         escapes or by walkers at a non-finite position (an overflowed drift
         or noise).  No step or wrap makes a non-finite position finite
-        again, so the final positions show every such walker."""
+        again, so the final positions show every such walker, and the
+        walks step with numpy's overflow and invalid-value warnings off."""
         lost = (~np.isfinite(self.pos).all(axis=1)).reshape(
             self.alive.shape).sum(axis=1)
         (bad,) = np.nonzero(lost)
@@ -581,8 +582,9 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
     velocities = [] if record_velocities else None
     drifts = [] if record_velocities else None
 
-    with _noise_stream(seed, system.step_variances(dt)[None], pos.shape,
-                       steps) as noises:
+    with (_noise_stream(seed, system.step_variances(dt)[None], pos.shape,
+                        steps) as noises,
+          np.errstate(over="ignore", invalid="ignore")):
         walk = _Walk(grid, tables, pos, noises)
         for k in range(steps):
             v_mid = walk.step(k, dt)
@@ -740,7 +742,8 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
     blocks = len(runs)
     variances = np.array([run.step_variances(dt) for run in runs])
     steps = len(timeline) - 1
-    with _noise_stream(seed, variances, x0.shape, steps) as noises:
+    with (_noise_stream(seed, variances, x0.shape, steps) as noises,
+          np.errstate(over="ignore", invalid="ignore")):
         walk = _Walk(grid, tables, np.tile(x0, (blocks, 1)), noises)
         worst = np.zeros((len(systems), len(x0)))
         for k in range(steps):

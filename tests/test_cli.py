@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -304,16 +305,21 @@ def test_report_of_unparsable_manifest_is_one_line(tmp_path, capsys):
     # the drift or the noise overflows, and walkers reach NaN
     ["ensemble", "--process", "ES", "--eta", "1e308", "--walkers", "1000",
      "--steps", "3"],
-    ["ensemble", "--process", "fractional", "--gamma", "0.5", "--eta",
-     "1e308", "--dt", "2", "--steps", "2"],
+    ["ensemble", "--gamma", "0.5", "--eta", "1e308", "--dt", "2", "--steps",
+     "2"],
+    # the noise moves no walker off its eta = 0 path
+    ["limits", "--dt", "1e-30", "--steps", "2", "--walkers", "5"],
 ])
 def test_tripped_safeguard_is_one_line_and_leaves_run_incomplete(
         tmp_path, capsys, argv):
     """A Crank-Nicolson step that loses the norm or overflows, an ensemble
-    whose walkers escape and one whose walkers reach a non-finite position
-    end with exit 1, one line on stderr and an aborted run."""
+    whose walkers escape and one whose walkers reach a non-finite position,
+    and a vanishing-noise study with a deviation of 0, end with exit 1, one
+    line on stderr (no numpy warning before it) and an aborted run."""
     out = tmp_path / "run"
-    assert main(argv + ["--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (out / INCOMPLETE_MARKER).exists()
@@ -354,30 +360,49 @@ def test_entropic_step_refuses_a_kernel_narrower_than_the_grid(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("process, code", [
-    (["--process", "fractional"], 2),
-    (["--process", "OU", "--gamma", "2.5"], 2),
-    (["--process", "ES", "--gamma", "3"], 2),
-    (["--process", "ES", "--gamma", "1"], 0),
-    (["--process", "fractional", "--gamma", "3"], 2),
-    (["--process", "fractional", "--gamma", "1"], 2),
+SMALL_ENSEMBLE = ["--steps", "2", "--walkers", "200", "--checkpoints", "1",
+                  "--calibration", "10"]
+BOTH = "argument --gamma: not allowed with argument --process"
+NOT_A_PROCESS = ("argument --process: invalid choice: 'fractional' "
+                 "(choose from 'ES', 'OU')")
+
+
+@pytest.mark.parametrize("law, error", [
+    pytest.param(["--process", "ES", "--gamma", "1"], BOTH, id="ES-gamma1"),
+    pytest.param(["--process", "ES", "--gamma", "3"], BOTH, id="ES-gamma3"),
+    pytest.param(["--process", "OU", "--gamma", "3"], BOTH, id="OU-gamma3"),
+    pytest.param(["--process", "OU", "--gamma", "2.5"], BOTH,
+                 id="OU-gamma2.5"),
+    pytest.param(["--process", "fractional"], NOT_A_PROCESS, id="fractional"),
+    pytest.param(["--process", "fractional", "--gamma", "1"], NOT_A_PROCESS,
+                 id="fractional-gamma1"),
+    pytest.param(["--process", "fractional", "--gamma", "3"], NOT_A_PROCESS,
+                 id="fractional-gamma3"),
 ])
-def test_ensemble_process_and_gamma_must_agree(tmp_path, capsys, process,
-                                               code):
-    """A fractional process without --gamma or with the gamma of a named
-    process, or a --gamma that contradicts a named process, exits 2 with
-    one line and writes no run; a --gamma equal to the named process' own
-    is accepted."""
+def test_ensemble_takes_process_or_gamma_never_both(tmp_path, capsys, law,
+                                                    error):
+    """gamma is the one input of the fluctuation law: --process and --gamma
+    together, or a --process that names no gamma, exit 2 with argparse's
+    error line and write no run."""
     out = tmp_path / "run"
-    small = ["--steps", "2", "--walkers", "200", "--checkpoints", "1",
-             "--calibration", "10"]
-    assert main(["ensemble"] + process + small + ["--out", str(out)]) == code
-    if code == 2:
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
-    else:
-        assert load_json(out / "report.json")["process"] == "ES"
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble"] + law + SMALL_ENSEMBLE + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(error)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("law, label", [
+    (["--gamma", "1"], "ES"),
+    (["--gamma", "3"], "OU"),
+    (["--gamma", "1.5"], "fractional"),
+    (["--process", "ES"], "ES"),
+])
+def test_ensemble_reads_the_process_label_off_gamma(tmp_path, law, label):
+    out = tmp_path / "run"
+    assert main(["ensemble"] + law + SMALL_ENSEMBLE + ["--out", str(out)]) == 0
+    assert load_json(out / "config.json")["process"] == label
+    assert load_json(out / "report.json")["process"] == label
 
 
 def test_every_preset_runs_every_scenario_subcommand(tmp_path, capsys):
@@ -423,7 +448,7 @@ FLOAT_OPTIONS = {
     ["evolve", "--dt", "nan"],
     ["ensemble", "--eta", "-1"],
     ["ensemble", "--eta", "nan"],
-    ["ensemble", "--process", "fractional", "--gamma", "-1"],
+    ["ensemble", "--gamma", "-1"],
     ["ensemble", "--seed", "-1"],
     ["entropic-step", "--mass", "0"],
     ["entropic-step", "--dt", "-0.1"],
@@ -439,8 +464,7 @@ FLOAT_OPTIONS = {
     ["geometry-check", "--probes", str(MAX_PROBES + 1)],
     ["geometry-check", "--probes", str(10**12)],
     # each flag is in range, but dt^gamma overflows
-    ["ensemble", "--dt", "2", "--steps", "2", "--process", "fractional",
-     "--gamma", "2000"],
+    ["ensemble", "--dt", "2", "--steps", "2", "--gamma", "2000"],
     ["entropic-step", "--dt", "2", "--gamma", "2000"],
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):

@@ -8,8 +8,8 @@ Runs, with the `edsim` of this checkout and at fixed seeds:
   ensemble --process ES --eta 0.05, limits} at the preset's defaults;
 * ensemble --preset free --dt 0.1 --steps 300, whose walkers cross the
   ring's seam (the shift branch of `grids.mod_period`);
-* ensemble --preset harmonic --process fractional --gamma 1.5 --eta 0.5,
-  a fluctuation law with gamma outside {1, 3};
+* ensemble --preset harmonic --gamma 1.5 --eta 0.5, a fluctuation law
+  with gamma outside {1, 3} (the fractional process);
 * geometry-check --outcomes 64 at seeds 0, 1 and 3;
 * entropic-step.
 
@@ -64,8 +64,7 @@ def matrix() -> dict[str, list[str]]:
     runs["ensemble-free-seam"] = ["ensemble", "--preset", "free",
                                   "--dt", "0.1", "--steps", "300"]
     runs["ensemble-fractional-harmonic"] = [
-        "ensemble", "--preset", "harmonic", "--process", "fractional",
-        "--gamma", "1.5", "--eta", "0.5"]
+        "ensemble", "--preset", "harmonic", "--gamma", "1.5", "--eta", "0.5"]
     for seed in (0, 1, 3):
         runs[f"geometry-check-seed{seed}"] = [
             "geometry-check", "--outcomes", "64", "--seed", str(seed)]
