@@ -45,6 +45,12 @@ MAX_MASS_DRIFT = 1e-6
 LIMIT_ETAS = (1e-2, 1e-3, 1e-4)
 # the ES walkers of the vanishing-noise study at each eta (`limits --walkers`)
 LIMIT_WALKERS = 300
+# the smallest deviation the vanishing-noise study fits, in float spacings
+# of the box's largest |coordinate|: a --dt sweep (1e-26 to 1e-18, five 1-D
+# presets, three seeds) read exponents 0.45-0.69 where the smallest
+# deviation was under 10 spacings, 0.497-0.500 from 10 to 16 and
+# 0.499-0.501 from 22 on, so below this the deviations count rounding steps
+LIMIT_MIN_SPACINGS = 16
 
 
 def _scenario_from_args(args) -> tuple:
@@ -196,7 +202,9 @@ def limit_study(sc, timeline, walkers: int, seed: int) -> dict:
     eta = 0 paths from one shared start, whether it falls monotonically
     with eta, and the exponent of its power law in eta with the fit's
     stderr (1/2 for a Brownian displacement).  A study in which some eta
-    moves no walker at all raises SafeguardError."""
+    moves the walkers by less than LIMIT_MIN_SPACINGS float spacings of
+    the box's largest |coordinate| raises SafeguardError: its deviations
+    measure the rounding of the positions, not the noise."""
     etas = list(LIMIT_ETAS)
     x0 = draw_initial_positions(timeline[0], walkers,
                                 np.random.default_rng(seed))
@@ -204,10 +212,17 @@ def limit_study(sc, timeline, walkers: int, seed: int) -> dict:
         timeline, sc.potentials,
         [with_eta(sc.system, eta, gamma_exponent=1.0) for eta in etas],
         seed, x0)
+    grid = sc.grid
+    edge = max(max(abs(lo), abs(lo + L))
+               for lo, L in zip(grid.origin, grid.extents))
+    smallest = LIMIT_MIN_SPACINGS * np.spacing(edge)
     for eta, deviation in zip(etas, deviations):
-        if deviation == 0:  # the noise is below the positions' float spacing
-            raise SafeguardError(f"the noise at eta = {eta:g} moves no walker "
-                                 f"off its eta = 0 path: no power law to fit")
+        if deviation < smallest:
+            raise SafeguardError(
+                f"the noise at eta = {eta:g} moves the walkers by "
+                f"{deviation:.3g}, under {LIMIT_MIN_SPACINGS} float spacings "
+                f"of the box's coordinates ({smallest:.3g}): rounding, "
+                f"not a power law to fit")
     fit = fit_power_law(np.array(etas), np.array(deviations))
     return {
         "etas": etas,

@@ -17,7 +17,11 @@ Node arrays meet a periodic seam or a hard wall by one rule, written once:
 `_shift` reads a node's neighbour at any offset (rolled across the seam,
 zero past a wall) and `_wall_ends` sets the one-sided first and last node
 on a wall.  Gradients, the quantum potential, the Hamiltonian's hopping and
-the Chapman-Kolmogorov scatter all go through them.
+the Chapman-Kolmogorov scatter all go through them.  Both take a negative
+axis as counted from the end, and `gradient` (like `quantum.phase_gradient`)
+indexes the grid's axes that way, so the node arrays may be the trailing
+axes of a stack: a block of states goes through one call, each of its rows
+with the bits of a call of its own.
 
 `ScalarField` and `VectorField` are the checked types where node values
 enter or leave the package: their values are finite, C-contiguous
@@ -237,13 +241,13 @@ class VectorField:
 
 
 def _shift(values: np.ndarray, axis: int, offset: int, periodic: bool) -> np.ndarray:
-    """values at index + offset along `axis`: rolled across a periodic seam,
-    zero past a hard wall, for any offset."""
+    """values at index + offset along `axis` (negative: from the end):
+    rolled across a periodic seam, zero past a hard wall, for any offset."""
     if periodic:
         return np.roll(values, -offset, axis=axis)
     n = values.shape[axis]
     k = max(n - abs(offset), 0)   # nodes whose neighbour is inside the walls
-    lead = (slice(None),) * axis
+    lead = (slice(None),) * (axis % values.ndim)
     dst, src, past = slice(0, k), slice(n - k, n), slice(k, n)
     if offset < 0:
         dst, src, past = src, dst, slice(0, n - k)
@@ -256,24 +260,26 @@ def _shift(values: np.ndarray, axis: int, offset: int, periodic: bool) -> np.nda
 def _wall_ends(out: np.ndarray, fwd: np.ndarray, axis: int) -> None:
     """One-sided ends on a hard wall: the first node of `axis` takes the
     first entry of the forward bond differences `fwd`, the last node the
-    last entry."""
-    lead = (slice(None),) * axis
+    last entry; a negative `axis` counts from the end."""
+    lead = (slice(None),) * (axis % out.ndim)
     out[lead + (0,)] = fwd[lead + (0,)]
     out[lead + (-1,)] = fwd[lead + (-1,)]
 
 
 def gradient(grid: ConfigGrid, v: np.ndarray, axis: int) -> np.ndarray:
-    """Second-order central difference of node values along one axis.
+    """Second-order central difference of node values along one grid axis.
 
+    The grid's axes are the trailing axes of `v`; leading axes stack fields.
     Periodic axes wrap.  On non-periodic axes the interior is central and the
     two boundary nodes fall back to one-sided differences.
     """
     h = grid.spacing[axis]
     per = grid.periodic[axis]
-    out = (_shift(v, axis, +1, per) - _shift(v, axis, -1, per)) / (2 * h)
+    ax = axis - grid.dim
+    out = (_shift(v, ax, +1, per) - _shift(v, ax, -1, per)) / (2 * h)
     if not per:
-        ends = np.take(v, [1, -1], axis) - np.take(v, [0, -2], axis)
-        _wall_ends(out, ends / h, axis)
+        ends = np.take(v, [1, -1], ax) - np.take(v, [0, -2], ax)
+        _wall_ends(out, ends / h, ax)
     return out
 
 

@@ -59,8 +59,9 @@ if TYPE_CHECKING:
 
 # relative residual and squared-norm change a Crank-Nicolson step may have
 CN_TOL = 1e-9
-# the bytes of psi whose `_evolve_rows` rows are computed together; a block
-# holds at least one state
+# the bytes of psi whose `_evolve_rows` rows, or whose flow tables
+# (`stochastic._flow_tables`), are computed together; a block holds at least
+# one state
 ROW_BLOCK_BYTES = 64 * 1024
 # `hamilton_residuals` skips nodes whose density is below this fraction of
 # the peak
@@ -567,7 +568,8 @@ class MadelungPair:
     """Density and phase node arrays, the phase stored modulo 2*pi*hbar.
 
     Phase-derived quantities are meaningful only where rho clears the
-    support floor (`grids.density_floor`).
+    support floor (`grids.density_floor`).  The arrays have the grid's
+    shape, or a leading axis of stacked states before it (`madelung`).
     """
 
     grid: ConfigGrid
@@ -576,9 +578,16 @@ class MadelungPair:
     hbar: float
 
 
-def madelung(state: WaveState, hbar: float) -> MadelungPair:
-    return MadelungPair(state.grid, state.rho, hbar * np.angle(state.psi),
-                        hbar)
+def madelung(state: WaveState | Sequence[WaveState],
+             hbar: float) -> MadelungPair:
+    """The (rho, phase) pair of a state, or of a sequence of states of one
+    grid stacked along a leading axis, each row with its own state's bits."""
+    if isinstance(state, WaveState):
+        grid, psi = state.grid, state.psi
+    else:
+        grid, psi = state[0].grid, np.stack([s.psi for s in state])
+    return MadelungPair(grid, psi.real**2 + psi.imag**2,
+                        hbar * np.angle(psi), hbar)
 
 
 def _wrap_branch(dphi: np.ndarray, hbar: float) -> np.ndarray:
@@ -588,16 +597,18 @@ def _wrap_branch(dphi: np.ndarray, hbar: float) -> np.ndarray:
 
 
 def phase_gradient(pair: MadelungPair, axis: int) -> np.ndarray:
-    """Unwrapped phase derivative: nearest-branch bond differences of phi,
-    averaged onto nodes (one-sided at hard walls)."""
+    """Unwrapped phase derivative along one grid axis: nearest-branch bond
+    differences of phi, averaged onto nodes (one-sided at hard walls).  The
+    grid's axes are the trailing axes of the pair's arrays."""
     grid = pair.grid
     h = grid.spacing[axis]
     phi = pair.phi
     per = grid.periodic[axis]
-    fwd = _wrap_branch(_shift(phi, axis, +1, per) - phi, pair.hbar) / h
-    out = 0.5 * (fwd + _shift(fwd, axis, -1, per))
+    ax = axis - grid.dim
+    fwd = _wrap_branch(_shift(phi, ax, +1, per) - phi, pair.hbar) / h
+    out = 0.5 * (fwd + _shift(fwd, ax, -1, per))
     if not per:
-        _wall_ends(out, np.take(fwd, [0, -2], axis), axis)
+        _wall_ends(out, np.take(fwd, [0, -2], ax), ax)
     return out
 
 

@@ -44,9 +44,11 @@ table through a flat offset.  Every block is a sampled run.
 `simulate_ensemble` steps a walk of one block, and `bohmian_trajectories`
 is its run at eta = 0.  `vanishing_noise_deviations` steps the whole limit
 study as one walk: block 0 is the eta = 0 run, the Bohmian reference, and
-one block per eta follows.  One generator, `_flow_tables`, builds each
-state's table: the rows that do not depend on eta once for all blocks,
-then every block, with the osmotic term of that block's law.  Every walk
+one block per eta follows.  One generator, `_flow_tables`, builds the
+tables a block of states at a time, in stacked numpy calls (one batched
+FFT resample on a ring, the lattice stencils on trailing axes elsewhere):
+the rows that do not depend on eta once for all runs, then every run's
+block of the table, with the osmotic term of that run's law.  Every walk
 is checked once on entry (`_check_run`): the timeline gives a positive,
 uniform step, the systems differ from the potentials' system in eta and
 gamma only, and given start positions hold one row per walker with one
@@ -66,8 +68,9 @@ import numpy as np
 from .grids import (ConfigGrid, ParticleSystem, density_floor, gradient,
                     mod_period, nearest_image, particles_on_line,
                     single_particle)
-from .quantum import (MadelungPair, Potentials, SafeguardError, WaveState,
-                      madelung, phase_gradient, quantum_potential)
+from .quantum import (ROW_BLOCK_BYTES, MadelungPair, Potentials,
+                      SafeguardError, WaveState, madelung, phase_gradient,
+                      quantum_potential)
 
 # resampling factor of the spectral flow tables of 1-D rings
 REFINE = 4
@@ -90,7 +93,9 @@ def with_eta(system: ParticleSystem, eta: float,
 def drift_velocity_field(pair: MadelungPair, pot: Potentials,
                          system: ParticleSystem) -> np.ndarray:
     """Current velocity v_A = (grad_A Phi - hbar beta_A A_A) / m_A, stacked
-    over the axes; `_flow_tables` adds the osmotic term to it."""
+    over the axes ahead of the pair's shape (a pair of stacked states gives
+    shape (dim, states, *nodes)); `_flow_tables` adds the osmotic term to
+    it."""
     grid = pair.grid
     masses = system.mass_per_axis
     beta = system.beta_per_axis
@@ -188,70 +193,87 @@ def interpolate_vector(walk: _Walk, values: np.ndarray,
 # solver output.
 
 def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
-    n = spec.size
+    """The REFINE-times finer samples of the spectra along the last axis
+    of `spec`, one transform for every row."""
+    n = spec.shape[-1]
     kpos = (n + 1) // 2
-    pad = np.zeros(n * REFINE, dtype=complex)
-    pad[:kpos] = spec[:kpos]
-    pad[-(n - kpos):] = spec[kpos:]
-    return np.fft.ifft(pad) * REFINE
+    pad = np.zeros(spec.shape[:-1] + (n * REFINE,), dtype=complex)
+    pad[..., :kpos] = spec[..., :kpos]
+    pad[..., -(n - kpos):] = spec[..., kpos:]
+    out = np.fft.ifft(pad)
+    out *= REFINE
+    return out
 
 
 def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
                  systems: Sequence[ParticleSystem], dt: float):
     """The run-stacked flow table of every state, one at a time, of shape
     (k, len(systems), *nodes): block r is the table of systems[r], with the
-    osmotic term D grad log rho, D = `systems[r].diffusion(dt)`.  The systems
-    differ in eta and gamma only (`_check_run`), so each state's eta-free
-    rows are built once for all blocks: on a 1-D ring, on the refined
-    lattice, rho v of the current velocity, Re(psi* psi') and rho;
-    elsewhere the current velocity (`drift_velocity_field`), grad log rho
-    with rho raised to its density floor (when any D > 0) and rho.
+    osmotic term D grad log rho, D = `systems[r].diffusion(dt)`.
+
+    The tables are built a block of states at a time, at most
+    `ROW_BLOCK_BYTES` of psi (one state at least), each step of the build
+    one stacked numpy call whose every row has the bits of that state's own
+    call.  The systems differ in eta and gamma only (`_check_run`), so each
+    state's eta-free rows are built once for all runs: on a 1-D ring, on
+    the refined lattice, rho v of the current velocity, Re(psi* psi') and
+    rho; elsewhere the current velocity (`drift_velocity_field`), grad log
+    rho with rho raised to the state's own density floor (when any D > 0)
+    and rho.  Each yielded table is a view of its block's own buffer.
     """
     grid = timeline[0].grid
     system = systems[0]
-    coeffs = [block.diffusion(dt) for block in systems]
-    ring = grid.dim == 1 and grid.periodic[0]
-    if ring:
+    coeffs = [run.diffusion(dt) for run in systems]
+    per_block = max(1, ROW_BLOCK_BYTES // timeline[0].psi.nbytes)
+    if grid.dim == 1 and grid.periodic[0]:
         # the potentials are static, so (hbar beta / m) A is resampled onto
         # the refined lattice once for the timeline
         m = system.mass_per_axis[0]
         a_f = _zero_pad_spectrum(np.fft.fft(pot.vector_a_nodes[0])).real
         a_term = (system.hbar * system.beta_per_axis[0] / m) * a_f
         ik = 2j * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
-    for state in timeline:
-        if ring:
-            spec = np.fft.fft(state.psi)
-            psi_f = _zero_pad_spectrum(spec)
-            dpsi_f = _zero_pad_spectrum(spec * ik)
+
+        def tables(block):
+            spec = np.fft.fft(np.stack([state.psi for state in block]))
+            psi_f, dpsi_f = _zero_pad_spectrum(np.stack([spec, spec * ik]))
             cross = np.conj(psi_f) * dpsi_f
             rho = np.abs(psi_f) ** 2
             num = (system.hbar / m) * cross.imag - a_term * rho
-            out = np.empty((2, len(systems)) + rho.shape)
-            out[1] = rho
+            out = np.empty((len(block), 2, len(systems)) + rho.shape[1:])
+            out[:, 1] = rho[:, None]
             for r, d in enumerate(coeffs):
                 if d[0]:
                     # rho D grad log rho = D grad rho, and
                     # grad rho = 2 Re(psi* psi') needs no extra transform
-                    np.add(num, (2 * d[0]) * cross.real, out=out[0, r])
+                    np.add(num, (2 * d[0]) * cross.real, out=out[:, 0, r])
                 else:
-                    out[0, r] = num
-        else:
-            pair = madelung(state, hbar=system.hbar)
+                    out[:, 0, r] = num
+            return out
+    else:
+        def tables(block):
+            pair = madelung(block, hbar=system.hbar)
             v = drift_velocity_field(pair, pot, system)
             rho = pair.rho
             if np.any(coeffs):
-                log_rho = np.log(np.maximum(rho, density_floor(rho)))
+                floors = np.array([density_floor(row) for row in rho])
+                log_rho = np.log(np.maximum(
+                    rho, floors.reshape((-1,) + (1,) * grid.dim)))
                 dlog = [gradient(grid, log_rho, a) for a in range(grid.dim)]
-            out = np.empty((len(v) + 1, len(systems)) + rho.shape)
-            out[-1] = rho
+            out = np.empty((len(block), len(v) + 1, len(systems))
+                           + rho.shape[1:])
+            out[:, -1] = rho[:, None]
             for r, d in enumerate(coeffs):
                 for a, va in enumerate(v):
                     if d[a]:
                         # the osmotic term D_A grad_A log rho cancels the
                         # diffusive flux of the step's fluctuation
                         va = va + d[a] * dlog[a]
-                    np.multiply(rho, va, out=out[a, r])
-        yield out
+                    np.multiply(rho, va, out=out[:, a, r])
+            return out
+    # a block's intermediates are freed when `tables` returns; its output
+    # lives while a table of it is held
+    for start in range(0, len(timeline), per_block):
+        yield from tables(timeline[start:start + per_block])
 
 
 def _ratio_drift(walk: _Walk, table: np.ndarray,

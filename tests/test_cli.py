@@ -309,13 +309,16 @@ def test_report_of_unparsable_manifest_is_one_line(tmp_path, capsys):
      "2"],
     # the noise moves no walker off its eta = 0 path
     ["limits", "--dt", "1e-30", "--steps", "2", "--walkers", "5"],
+    # the noise moves the walkers by 1-8 float spacings of the box's edge
+    ["limits", "--dt", "1e-26", "--steps", "2", "--walkers", "5"],
 ])
 def test_tripped_safeguard_is_one_line_and_leaves_run_incomplete(
         tmp_path, capsys, argv):
     """A Crank-Nicolson step that loses the norm or overflows, an ensemble
     whose walkers escape and one whose walkers reach a non-finite position,
-    and a vanishing-noise study with a deviation of 0, end with exit 1, one
-    line on stderr (no numpy warning before it) and an aborted run."""
+    and a vanishing-noise study whose deviations are float rounding, end
+    with exit 1, one line on stderr (no numpy warning before it) and an
+    aborted run."""
     out = tmp_path / "run"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -324,6 +327,26 @@ def test_tripped_safeguard_is_one_line_and_leaves_run_incomplete(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (out / INCOMPLETE_MARKER).exists()
     assert main(["report", str(out)]) == 1
+
+
+@pytest.mark.parametrize("dt, code, tail", [
+    ("1e-26", 1, "eta = 0.01 moves the walkers by 1.46e-14, under 16 float "
+                 "spacings of the box's coordinates (2.84e-14): rounding, "
+                 "not a power law to fit"),
+    ("1e-20", 0, "exponent 0.500"),
+])
+def test_limits_fits_only_deviations_above_float_rounding(tmp_path, capsys,
+                                                          dt, code, tail):
+    """At dt = 1e-26 the three deviations are 1-8 float spacings of the
+    box's edge and their exponent reads 0.457: the study names the first
+    eta under the bound and stops.  At dt = 1e-20, hundreds of spacings up,
+    the sqrt(eta) law reads 0.500 and the run exits 0."""
+    out = tmp_path / "run"
+    assert main(["limits", "--dt", dt, "--steps", "2", "--walkers", "5",
+                 "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).rstrip().endswith(
+        tail)
 
 
 @pytest.mark.parametrize("option, value, code", [

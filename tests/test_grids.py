@@ -215,6 +215,23 @@ def test_gradient_is_bit_identical_to_slab_reference(boundary_grid):
         assert got.tobytes() == gradient_reference(grid, f, axis).tobytes(), axis
 
 
+def test_stacked_stencils_give_each_row_its_own_bits(boundary_grid):
+    """A stack of fields along a leading axis goes through `_shift` (with
+    the grid's axes counted from the end) and `gradient` in one call, and
+    each row equals, byte for byte, the call on that row alone."""
+    grid = boundary_grid
+    stack = np.random.default_rng(11).normal(size=(3,) + grid.shape)
+    for axis, n in enumerate(grid.points):
+        for offset in (-n - 1, -1, 1, n + 1):
+            got = _shift(stack, axis - grid.dim, offset, grid.periodic[axis])
+            for row, values in zip(got, stack):
+                single = _shift(values, axis, offset, grid.periodic[axis])
+                assert row.tobytes() == single.tobytes(), (axis, offset)
+        got = gradient(grid, stack, axis)
+        for row, values in zip(got, stack):
+            assert row.tobytes() == gradient(grid, values, axis).tobytes()
+
+
 _LINE = ConfigGrid((8,), (1.0,), (True,))
 
 REFUSALS = {

@@ -612,6 +612,32 @@ def test_phase_gradient_is_bit_identical_to_slab_reference(boundary_grid):
         assert got.tobytes() == phase_gradient_reference(pair, axis).tobytes()
 
 
+def test_stacked_phase_gradient_gives_each_state_its_own_bits(
+        boundary_grid):
+    """Pairs stacked along a leading axis take one `phase_gradient` call per
+    axis, and each row equals, byte for byte, the call on its own pair."""
+    grid = boundary_grid
+    pairs = [random_pair(grid, 0.7, seed=grid.size + i) for i in range(3)]
+    stacked = MadelungPair(grid, np.stack([p.rho for p in pairs]),
+                           np.stack([p.phi for p in pairs]), 0.7)
+    for axis in range(grid.dim):
+        got = phase_gradient(stacked, axis)
+        for row, pair in zip(got, pairs):
+            assert row.tobytes() == phase_gradient(pair, axis).tobytes()
+
+
+def test_madelung_of_states_stacks_each_states_pair():
+    """`madelung` of a sequence of states stacks, bit for bit, the rho and
+    phase of each state's own pair."""
+    sc = build_preset("vortex_2d", points=16, steps=3)
+    states = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
+    stacked = madelung(states, hbar=0.9)
+    for i, state in enumerate(states):
+        pair = madelung(state, hbar=0.9)
+        assert stacked.rho[i].tobytes() == pair.rho.tobytes()
+        assert stacked.phi[i].tobytes() == pair.phi.tobytes()
+
+
 def test_hamiltonian_is_bit_identical_to_bond_slice_reference(boundary_grid):
     grid = boundary_grid
     rng = np.random.default_rng(grid.size)

@@ -15,9 +15,9 @@ from edsim.geometry import transition_information_metric
 from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, density_floor, gradient,
                          nearest_image, single_particle)
 from edsim.presets import build_preset
-from edsim.quantum import (SafeguardError, WaveState, evolve_trajectory,
-                           free_potentials, gaussian_packet, madelung,
-                           phase_gradient)
+from edsim.quantum import (ROW_BLOCK_BYTES, SafeguardError, WaveState,
+                           evolve_trajectory, free_potentials,
+                           gaussian_packet, madelung, phase_gradient)
 from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
                               Ensemble,
                               bohmian_trajectories, center_of_mass_report,
@@ -610,7 +610,7 @@ IDENTITY_CASES = [("free", 3.0, 1e-3), ("harmonic", 1.0, 0.05),
 
 
 def _identity_case(name, walkers=400, **overrides):
-    sc = build_preset(name, steps=12, **overrides)
+    sc = build_preset(name, **{"steps": 12, **overrides})
     timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
     x0 = draw_initial_positions(timeline[0], walkers,
                                 np.random.default_rng(2))
@@ -767,10 +767,35 @@ def _reference_flow_tables(timeline, pot, system, dt):
 
 LOCKSTEP_CASES = [("free", {}), ("ring_constant_a", {}), ("harmonic", {}),
                   ("vortex_2d", {"points": 32})]
+# timelines that span several blocks of states and end mid-block:
+# 16 + 16 + 9 states on the 256-node wall, 8 + 8 + 5 on the 512-node ring
+# and 4 + 4 + 4 + 1 on the 32 x 32 vortex
+BLOCK_CASES = [("harmonic-41-states", "harmonic", {"steps": 40}),
+               ("interference-21-states", "interference", {"steps": 20}),
+               ("vortex_2d", "vortex_2d", {"points": 32})]
+TABLE_CASES = [(name, name, overrides)
+               for name, overrides in LOCKSTEP_CASES[:3]] + BLOCK_CASES
 
 
-@pytest.mark.parametrize("name, overrides", LOCKSTEP_CASES,
-                         ids=[c[0] for c in LOCKSTEP_CASES])
+def _states_per_block(timeline):
+    """The states `_flow_tables` stacks into one block: at most
+    ROW_BLOCK_BYTES of psi, and one at least."""
+    return max(1, ROW_BLOCK_BYTES // timeline[0].psi.nbytes)
+
+
+@pytest.mark.parametrize("name, overrides", [c[1:] for c in BLOCK_CASES],
+                         ids=[c[0] for c in BLOCK_CASES])
+def test_block_cases_span_several_blocks_of_states(name, overrides):
+    """Each block case of the table identity ends mid-block after at least
+    two full blocks, so it crosses the build's block boundaries."""
+    sc = build_preset(name, **{"steps": 12, **overrides})
+    states, per_block = sc.steps + 1, _states_per_block([sc.state])
+    assert 1 < per_block and 2 * per_block < states and states % per_block
+
+
+@pytest.mark.parametrize("name, overrides",
+                         [c[1:] for c in TABLE_CASES],
+                         ids=[c[0] for c in TABLE_CASES])
 @pytest.mark.parametrize("gamma", [pytest.param(1.0, id="ES"),
                                    pytest.param(1.5, id="fractional"),
                                    pytest.param(3.0, id="current")])
@@ -878,28 +903,34 @@ def test_lockstep_draws_every_runs_noise_from_one_generator(monkeypatch):
     assert len(built) == 1
 
 
-# per case, the function of the eta-free row work, its calls per state and
-# its calls once per timeline: on a ring psi and psi' are resampled per
-# state and A once, elsewhere each state is split into (rho, phase) once
-ROW_WORK = [("free", "_zero_pad_spectrum", 2, 1),
-            ("harmonic", "madelung", 1, 0)]
+# per case, the function of the eta-free row work and the number of states
+# in what one call takes, and the states it takes once per timeline: on a
+# ring psi and psi' of a block of states are resampled in one call and A
+# once, elsewhere each block of states is split into (rho, phase) once
+ROW_WORK = [("free", "_zero_pad_spectrum",
+             lambda spec: spec.shape[-2] if spec.ndim > 1 else 1, 1),
+            ("harmonic", "madelung",
+             lambda states: 1 if isinstance(states, WaveState)
+             else len(states), 0)]
 
 
-@pytest.mark.parametrize("name, work, per_state, once", ROW_WORK,
+@pytest.mark.parametrize("name, work, states_in, once", ROW_WORK,
                          ids=[c[0] for c in ROW_WORK])
-def test_lockstep_builds_each_states_rows_once(name, work, per_state, once,
+def test_lockstep_builds_each_states_rows_once(name, work, states_in, once,
                                                monkeypatch):
     """One pass over the states builds each state's eta-free rows once for
     the reference and three ES runs, stepped as the blocks of one walk that
-    holds two padded tables: rows built per block would call the row work
-    four times per state."""
-    sc, timeline, x0 = _identity_case(name)
+    holds two padded tables, and it builds them a block of states per call:
+    rows built per run would pass every state four times, and rows built
+    per state would take one call per state."""
+    sc, timeline, x0 = _identity_case(name, steps=40)
+    per_block = _states_per_block(timeline)
     calls, walks = [], []
     row_work = getattr(stochastic, work)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return row_work(*args, **kwargs)
+    def counted(arg, *args, **kwargs):
+        calls.append(states_in(arg))
+        return row_work(arg, *args, **kwargs)
 
     class Walk(_Walk):
         def __init__(self, *args):
@@ -911,7 +942,9 @@ def test_lockstep_builds_each_states_rows_once(name, work, per_state, once,
     systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
                for eta in (1e-2, 1e-3, 1e-4)]
     vanishing_noise_deviations(timeline, sc.potentials, systems, 7, x0)
-    assert len(calls) == per_state * len(timeline) + once
+    assert sum(calls) == len(timeline) + once
+    assert len(calls) == math.ceil(len(timeline) / per_block) + once
+    assert max(calls) == per_block
     (walk,) = walks
     # two slots, each of 1 + len(systems) blocks
     assert walk.padded.shape[0] == 2
