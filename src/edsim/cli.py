@@ -33,11 +33,12 @@ from .grids import (MAX_POINTS_PER_AXIS, PROCESS_GAMMA, ConfigGrid,
                     ScalarField, VectorField, single_particle)
 from .io import INCOMPLETE_MARKER, RunWriter, load_json, verify_run_dir
 from .presets import PRESETS, build_preset
-from .quantum import SafeguardError, _evolve_rows, evolve_trajectory
+from .quantum import (SafeguardError, _evolve_rows, _Timeline,
+                      evolve_trajectory)
 from .stats import compare_density, fit_power_law, histogram_on_grid
-from .stochastic import (center_of_mass_report, draw_initial_positions,
-                         simulate_ensemble, vanishing_noise_deviations,
-                         with_eta)
+from .stochastic import (_recorded_steps, center_of_mass_report,
+                         draw_initial_positions, simulate_ensemble,
+                         vanishing_noise_deviations, with_eta)
 
 # the largest step-kernel mass gap and CK mass drift that entropic-step accepts
 MAX_MASS_DRIFT = 1e-6
@@ -115,16 +116,17 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def density_checkpoints(sc, timeline, ens, n_calibration: int,
+def density_checkpoints(sc, states, ens, n_calibration: int,
                         seed: int) -> list[dict]:
     """The `compare_density` report of every snapshot of `ens` after the
     first against |psi|^2 of its state on the preset's timeline, seeded
-    seed + j at snapshot j."""
+    seed + j at snapshot j.  `states[k]` is the state after step k, for
+    every step the ensemble recorded."""
     reports = []
     for j, t in enumerate(ens.times[1:], start=1):
-        k = int(round((t - timeline[0].time) / sc.dt))
+        k = int(round((t - sc.state.time) / sc.dt))
         reports.append(compare_density(
-            ens.positions[j], ScalarField(sc.grid, timeline[k].rho),
+            ens.positions[j], ScalarField(sc.grid, states[k].rho),
             n_calibration=n_calibration, seed=seed + j))
     return reports
 
@@ -150,13 +152,16 @@ def cmd_ensemble(args) -> int:
     writer = RunWriter(args.out)
     writer.write_config(config)
 
-    timeline = evolve_trajectory(sc.state, sc.potentials, sc.dt, sc.steps)
-    # at most --checkpoints states after the first, the last the final one
+    # at most --checkpoints states after the first, the last the final
+    # one; the walk reads the states as they are stepped, and only these
+    # are kept
     stride = math.ceil(sc.steps / args.checkpoints)
+    timeline = _Timeline(sc.state, sc.potentials, sc.dt, sc.steps,
+                         keep=set(_recorded_steps(sc.steps, stride)))
     ens = simulate_ensemble(timeline, sc.potentials, system,
                             n_walkers=args.walkers, seed=args.seed,
                             record_stride=stride)
-    reports = density_checkpoints(sc, timeline, ens, args.calibration,
+    reports = density_checkpoints(sc, timeline.kept, ens, args.calibration,
                                   args.seed)
     checkpoints = [{"time": float(t), **rep}
                    for t, rep in zip(ens.times[1:], reports)]
@@ -167,7 +172,7 @@ def cmd_ensemble(args) -> int:
         "checkpoints": checkpoints,
         "n_passed": sum(c["passed"] for c in checkpoints),
         "final_histogram": histogram_on_grid(sc.grid, ens.positions[-1]),
-        "max_cn_residual": timeline[-1].meta["cn_residual"],
+        "max_cn_residual": timeline.kept[sc.steps].meta["cn_residual"],
     }
     writer.write_json("report.json", result)
     writer.finish()

@@ -22,12 +22,14 @@ only in the LU branch of `CrankNicolson.__init__`.  Importing the module,
 building potentials or presets, and the commands that step no wave load
 neither; the per-axis mode path loads no LU.
 
-`evolve_trajectory` keeps every state of a run, for the walker ensembles
-and limit studies that index the timeline.  `edsim evolve` takes its rows
-from `_evolve_rows` instead, which reads the raw stream of `_cn_steps` a
-block of states at a time: `_energies` and `_moments`, the stacked forms of
-`energy` and `position_moments`, serve a whole block, and a `WaveState` is
-built only for each snapshot, so memory stays flat in the step count.
+`evolve_trajectory` keeps every state of a run, for the limit studies and
+other callers that index the timeline.  `_Timeline` gives the same states
+one at a time as they are stepped, keeping only the ones asked for:
+`edsim ensemble` walks its walkers along it.  `edsim evolve` takes its rows
+from `_evolve_rows`, which reads the raw stream of `_cn_steps` a block of
+states at a time: `_energies` and `_moments`, the stacked forms of `energy`
+and `position_moments`, serve a whole block, and a `WaveState` is built
+only for each snapshot.  Both keep memory flat in the step count.
 
 Gauge data lives on lattice links: the hopping term between nodes x and
 x + e_A carries the phase exp(-i * theta_A(x)) with
@@ -475,13 +477,39 @@ def evolve(state: WaveState, pot: Potentials, dt: float,
     return _stepped_state(state.grid, *last)
 
 
+class _Timeline:
+    """`state`, then the state after each of `steps` Crank-Nicolson steps,
+    each computed as it is read: the states of `evolve_trajectory` without
+    the list.  len() is their count.  Each state whose index is in `keep`
+    stays in `kept` (index -> state); the others are freed once their
+    reader lets go of them, so memory stays flat in the step count.  Each
+    pass over it steps the run afresh, with the same bits."""
+
+    def __init__(self, state: WaveState, pot: Potentials, dt: float,
+                 steps: int, keep=()):
+        self._run = (state, pot, dt, steps)
+        self.keep = keep
+        self.kept = {}
+
+    def __len__(self) -> int:
+        return self._run[3] + 1
+
+    def __iter__(self):
+        state = self._run[0]
+        stepped = (_stepped_state(state.grid, *s)
+                   for s in _cn_steps(*self._run))
+        for i, s in enumerate(itertools.chain([state], stepped)):
+            if i in self.keep:
+                self.kept[i] = s
+            yield s
+
+
 def evolve_trajectory(state: WaveState, pot: Potentials, dt: float,
                       steps: int) -> list[WaveState]:
     """`state`, then the state after each of `steps` Crank-Nicolson steps,
     as a list, for callers that index the timeline or walk it more than
     once."""
-    return [state] + [_stepped_state(state.grid, *s)
-                      for s in _cn_steps(state, pot, dt, steps)]
+    return list(_Timeline(state, pot, dt, steps))
 
 
 def position_moments(state: WaveState) -> dict:
@@ -578,6 +606,14 @@ class MadelungPair:
     hbar: float
 
 
+def _psi_stack(states: Sequence[WaveState]) -> np.ndarray:
+    """The psi of states of one grid stacked along a leading axis: a view
+    of a lone state's psi, a copy of several."""
+    if len(states) == 1:
+        return states[0].psi[None]
+    return np.stack([s.psi for s in states])
+
+
 def madelung(state: WaveState | Sequence[WaveState],
              hbar: float) -> MadelungPair:
     """The (rho, phase) pair of a state, or of a sequence of states of one
@@ -585,7 +621,7 @@ def madelung(state: WaveState | Sequence[WaveState],
     if isinstance(state, WaveState):
         grid, psi = state.grid, state.psi
     else:
-        grid, psi = state[0].grid, np.stack([s.psi for s in state])
+        grid, psi = state[0].grid, _psi_stack(state)
     return MadelungPair(grid, psi.real**2 + psi.imag**2,
                         hbar * np.angle(psi), hbar)
 

@@ -26,7 +26,9 @@ The noise of a walk comes from its one generator in step order: one
 standard normal fill per step, scaled by each block's deviation.
 From NOISE_THREAD_WALKERS walkers on, a helper thread draws step k + 1's
 noise while step k runs (the fill releases the GIL); below, each step draws
-its own.  Both ways draw the same bits.  The helper's
+its own.  Both ways draw the same bits.  At 1e5 walkers on a 2-core x86-64
+box the overlap takes a walk from about 1.0 s to 0.7 s, at 1.6 CPU
+seconds per wall second (BENCH_34.json).  The helper's
 `concurrent.futures` is imported only when a run has that many walkers.
 
 Periodic coordinates wrap by one rule, `grids.mod_period`: a masked add or
@@ -38,21 +40,29 @@ drifts and escape counts are byte-identical to it.
 A walk is one object, `_Walk`: R blocks of walkers over a stream of
 run-stacked flow tables of shape (k, R, *nodes), streamed through two
 padded slots (it builds the table of state k + 1 at step k), its lookup
-and step buffers, allocated once, its positions, noise, alive mask and
-per-block escape counts.  A walker of block r reads its own block of the
-table through a flat offset.  Every block is a sampled run.
-`simulate_ensemble` steps a walk of one block, and `bohmian_trajectories`
-is its run at eta = 0.  `vanishing_noise_deviations` steps the whole limit
-study as one walk: block 0 is the eta = 0 run, the Bohmian reference, and
-one block per eta follows.  One generator, `_flow_tables`, builds the
-tables a block of states at a time, in stacked numpy calls (one batched
-FFT resample on a ring, the lattice stencils on trailing axes elsewhere):
-the rows that do not depend on eta once for all runs, then every run's
-block of the table, with the osmotic term of that run's law.  Every walk
-is checked once on entry (`_check_run`): the timeline gives a positive,
-uniform step, the systems differ from the potentials' system in eta and
-gamma only, and given start positions hold one row per walker with one
-column per axis.
+and step buffers, its positions, noise, alive mask and per-block escape
+counts.  A walker of block r reads its own block of the table through a
+flat offset.  Every block is a sampled run.  A step looks up and moves
+the walkers a batch of at most WALKER_BATCH at a time, so the lookup and
+step buffers, allocated once, hold one batch.  `simulate_ensemble` steps
+a walk of one block, and `bohmian_trajectories` is its run at eta = 0.
+`vanishing_noise_deviations` steps the whole limit study as one walk:
+block 0 is the eta = 0 run, the Bohmian reference, and one block per eta
+follows.  One generator, `_flow_tables`, builds the tables a block of
+states at a time, in stacked numpy calls (one batched FFT resample on a
+ring, the lattice stencils on trailing axes elsewhere): the rows that do
+not depend on eta once for all runs, then every run's block of the table,
+with the osmotic term of that run's law.
+
+A walk reads its timeline once, in order, a block of states at a time: a
+list, or any iterable of states with a len(), such as `quantum._Timeline`,
+whose states are stepped as the walk reads them, so that a walk holds no
+state beyond the block of states it is reading.  Every walk is checked on
+entry (`_check_run`): the timeline's first spacing is positive, the
+systems differ from the potentials' system in eta and gamma only, and
+given start positions hold one row per walker with one column per axis;
+each later spacing is checked, as its state is read, to be positive and
+equal to the first.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,8 +79,8 @@ from .grids import (ConfigGrid, ParticleSystem, density_floor, gradient,
                     mod_period, nearest_image, particles_on_line,
                     single_particle)
 from .quantum import (ROW_BLOCK_BYTES, MadelungPair, Potentials,
-                      SafeguardError, WaveState, madelung, phase_gradient,
-                      quantum_potential)
+                      SafeguardError, WaveState, _psi_stack, madelung,
+                      phase_gradient, quantum_potential)
 
 # resampling factor of the spectral flow tables of 1-D rings
 REFINE = 4
@@ -79,6 +89,11 @@ MAX_ESCAPE_FRACTION = 0.01
 # walkers from which a run draws its noise one step ahead in a helper
 # thread; below, the hand-offs between threads cost more than they hide
 NOISE_THREAD_WALKERS = 10_000
+# the walkers a walk looks up and moves at a time, so that its lookup and
+# step buffers hold one batch, not every walker; in a sweep at 1e5 walkers
+# on a 2-core x86-64 box (BENCH_34.json) 16,384 and 32,768 read fastest,
+# 16,384 with less memory, and 8,192 slowest
+WALKER_BATCH = 16_384
 
 
 def with_eta(system: ParticleSystem, eta: float,
@@ -136,40 +151,42 @@ def _cell(grid: ConfigGrid, axis: int, n: int, x: np.ndarray,
 
 
 def interpolate_vector(walk: _Walk, values: np.ndarray,
-                       positions: np.ndarray) -> np.ndarray:
+                       positions: np.ndarray, batch: _Batch) -> np.ndarray:
     """Multilinear interpolation of stacked node tables at walker positions.
 
     `values` has shape (k, R * padded nodes): one of `walk.slots` or their
     blend, k component tables per block on a lattice over the grid's box,
     laid out by the grid's conventions with `walk.nodes` nodes per axis
-    (which may differ from grid.points, e.g. for a refined table).  The
-    walkers of block r read block r.  Returns shape (R * m, k), a view of
-    `walk.acc`.  Periodic axes wrap; non-periodic axes clamp to the node
-    range (constant extrapolation past the outermost nodes).
+    (which may differ from grid.points, e.g. for a refined table).
+    `positions` are those of the walkers of `batch`, one of
+    `walk.batches`, and the walkers of block r read block r.  Returns
+    shape (len(positions), k), a view of `batch.acc`.  Periodic
+    axes wrap; non-periodic axes clamp to the node range (constant
+    extrapolation past the outermost nodes).
     """
     grid = walk.grid
+    upper, lower, lo = batch.upper, batch.lower, batch.lo
     # flat index of each walker's lowest cell corner; the corner with the
     # upper node on the axes `up` sits sum(strides[up]) further on
-    base = walk.lo[0]
+    base = lo[0]
     for a, n in enumerate(walk.nodes):
-        lo = walk.lo[a]
-        _cell(grid, a, n, positions[:, a], walk.upper[a], walk.lower[a], lo)
+        _cell(grid, a, n, positions[:, a], upper[a], lower[a], lo[a])
         if walk.strides[a] > 1:
-            lo *= walk.strides[a]
+            lo[a] *= walk.strides[a]
         if a:
-            base += lo
-    if walk.offsets is not None:
-        base += walk.offsets
+            base += lo[a]
+    if batch.offsets is not None:
+        base += batch.offsets
     # mode="clip" lets take write straight into the buffer (its default
     # gathers into a temporary first); every index is in range already
-    acc, tmp = walk.acc, walk.tmp
+    acc, tmp = batch.acc, batch.tmp
     for i, up in enumerate(itertools.product((False, True), repeat=grid.dim)):
         offset = sum(s for s, u in zip(walk.strides, up) if u)
         weight = None  # the product of the axis weights, in axis order
         for a, u in enumerate(up):
-            w = walk.upper[a] if u else walk.lower[a]
+            w = upper[a] if u else lower[a]
             weight = w if weight is None else np.multiply(weight, w,
-                                                          out=walk.weight)
+                                                          out=batch.weight)
         dest = tmp if i else acc
         values[:, offset:].take(base, axis=1, out=dest, mode="clip")
         dest *= weight
@@ -205,14 +222,14 @@ def _zero_pad_spectrum(spec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
+def _flow_tables(states: Iterable[WaveState], pot: Potentials,
                  systems: Sequence[ParticleSystem], dt: float):
     """The run-stacked flow table of every state, one at a time, of shape
     (k, len(systems), *nodes): block r is the table of systems[r], with the
     osmotic term D grad log rho, D = `systems[r].diffusion(dt)`.
 
-    The tables are built a block of states at a time, at most
-    `ROW_BLOCK_BYTES` of psi (one state at least), each step of the build
+    The states are read from their iterator a block at a time, at most
+    `ROW_BLOCK_BYTES` of psi (one state at least), and each step of the build
     one stacked numpy call whose every row has the bits of that state's own
     call.  The systems differ in eta and gamma only (`_check_run`), so each
     state's eta-free rows are built once for all runs: on a 1-D ring, on
@@ -221,10 +238,13 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
     rho with rho raised to the state's own density floor (when any D > 0)
     and rho.  Each yielded table is a view of its block's own buffer.
     """
-    grid = timeline[0].grid
+    states = iter(states)
+    first = next(states)
+    grid = first.grid
+    states = itertools.chain([first], states)
     system = systems[0]
     coeffs = [run.diffusion(dt) for run in systems]
-    per_block = max(1, ROW_BLOCK_BYTES // timeline[0].psi.nbytes)
+    per_block = max(1, ROW_BLOCK_BYTES // first.psi.nbytes)
     if grid.dim == 1 and grid.periodic[0]:
         # the potentials are static, so (hbar beta / m) A is resampled onto
         # the refined lattice once for the timeline
@@ -234,7 +254,7 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
         ik = 2j * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
 
         def tables(block):
-            spec = np.fft.fft(np.stack([state.psi for state in block]))
+            spec = np.fft.fft(_psi_stack(block))
             psi_f, dpsi_f = _zero_pad_spectrum(np.stack([spec, spec * ik]))
             cross = np.conj(psi_f) * dpsi_f
             rho = np.abs(psi_f) ** 2
@@ -272,19 +292,19 @@ def _flow_tables(timeline: Sequence[WaveState], pot: Potentials,
             return out
     # a block's intermediates are freed when `tables` returns; its output
     # lives while a table of it is held
-    for start in range(0, len(timeline), per_block):
-        yield from tables(timeline[start:start + per_block])
+    while block := list(itertools.islice(states, per_block)):
+        yield from tables(block)
 
 
-def _ratio_drift(walk: _Walk, table: np.ndarray,
-                 positions: np.ndarray) -> np.ndarray:
-    """Drift at the positions, shape (m, dim): the interpolated rho v over
-    the interpolated rho, floored by the table's density floor; a view of
-    `walk.acc`."""
-    interpolate_vector(walk, table, positions)
-    acc = walk.acc
+def _ratio_drift(walk: _Walk, table: np.ndarray, floor: float,
+                 positions: np.ndarray, batch: _Batch) -> np.ndarray:
+    """Drift at the positions of the walkers of `batch`, shape (m, dim):
+    the interpolated rho v over the interpolated rho, raised to `floor`,
+    the table's density floor; a view of `batch.acc`."""
+    interpolate_vector(walk, table, positions, batch)
+    acc = batch.acc
     den = acc[-1]
-    np.maximum(den, density_floor(table[-1]), out=den)
+    np.maximum(den, floor, out=den)
     np.divide(acc[:-1], den, out=acc[:-1])
     return acc[:-1].T
 
@@ -380,6 +400,23 @@ def _noise_stream(seed: int, variances: np.ndarray, shape: tuple[int, int],
         yield ahead()
 
 
+class _Batch(NamedTuple):
+    """A batch of a walk's walkers: its rows of the positions, the flat
+    block offset of each walker (None at R = 1), and the walk's lookup and
+    step buffers cut to its size: per axis the upper and lower node weight
+    and the lower node index, the weight of one corner of a multi-axis
+    cell, the lookup's (k, size) sum and scratch, and the half-step."""
+    rows: slice
+    offsets: np.ndarray | None
+    upper: np.ndarray
+    lower: np.ndarray
+    lo: np.ndarray
+    weight: np.ndarray
+    acc: np.ndarray
+    tmp: np.ndarray
+    half: np.ndarray
+
+
 class _Walk:
     """One walk: R blocks of m walkers stepped along a stream of run-stacked
     flow tables of shape (k, R, *nodes), block r along its own lattice r.
@@ -391,9 +428,11 @@ class _Walk:
     of block r reads its own lattice through the flat offset r * (padded
     nodes) added to its lowest cell corner, an add skipped at R = 1.
     `positions` holds the blocks one after another, shape (R * m, dim).
-    Every temporary of a lookup and of a step lives in buffers allocated
-    once; results read from them (lookups, drifts) are valid until the
-    next call that writes the same buffer.
+    A step looks up and moves the walkers a batch of at most `WALKER_BATCH`
+    at a time (`batches`), so every temporary of a lookup and of a step
+    lives in buffers of one batch, allocated once; results read from them
+    (lookups, drifts) are valid until the next call that writes the same
+    buffer.  Each table's density floor is taken once, not per batch.
 
     `noises` is an iterator of per-step arrays of shape (R, m, dim); a
     block at eta = 0 takes zeros, and its walkers follow the deterministic
@@ -416,24 +455,30 @@ class _Walk:
         self.strides = [math.prod(shape[a + 1:]) for a in range(grid.dim)]
         self.padded = np.empty((2, k, blocks) + shape)
         self.slots = self.padded.reshape(2, k, -1)
+        # the density floor of the table in each slot
+        self.floors = [0.0, 0.0]
         self.loaded = 0
         self.load(first)
         n, dim = positions.shape
         m = n // blocks
         # the flat offset of each walker's own block in a slot row
-        self.offsets = (np.repeat(np.arange(blocks) * math.prod(shape), m)
-                        if blocks > 1 else None)
-        # per axis: upper and lower node weight, lower node index
-        self.upper = np.empty((dim, n))
-        self.lower = np.empty((dim, n))
-        self.lo = np.empty((dim, n), dtype=np.intp)
-        # the weight of one corner of a multi-axis cell
-        self.weight = np.empty(n)
-        self.acc = np.empty((k, n))
-        self.tmp = np.empty((k, n))
+        offsets = (np.repeat(np.arange(blocks) * math.prod(shape), m)
+                   if blocks > 1 else None)
+        batch = min(n, WALKER_BATCH)
+        upper, lower = np.empty((dim, batch)), np.empty((dim, batch))
+        lo = np.empty((dim, batch), dtype=np.intp)
+        # flat, so that a batch of b walkers reads a contiguous (k, b)
+        acc, tmp = np.empty(k * batch), np.empty(k * batch)
+        weight, half = np.empty(batch), np.empty((batch, dim))
+        self.batches = [
+            _Batch(slice(s, s + b),
+                   None if offsets is None else offsets[s:s + b],
+                   upper[:, :b], lower[:, :b], lo[:, :b], weight[:b],
+                   acc[:k * b].reshape(k, b), tmp[:k * b].reshape(k, b),
+                   half[:b])
+            for s in range(0, n, batch) for b in [min(batch, n - s)]]
         # the blend of two adjacent tables and its scratch
         self.mid = np.empty_like(self.slots)
-        self.half = np.empty((n, dim))
         self.pos = positions
         self.new = np.empty_like(positions)
         self.noises = noises
@@ -448,44 +493,52 @@ class _Walk:
         nodes 0 and 1 of each periodic axis after its node n - 1, so the two
         nodes of a cell are i0 and i0 + 1 with no integer mod and every
         corner of a cell is a fixed offset from its lowest corner."""
-        out = self.padded[self.loaded % 2]
+        slot = self.loaded % 2
+        out = self.padded[slot]
         out[tuple(slice(0, n) for n in table.shape)] = table
         for a, periodic in enumerate(self.grid.periodic):
             if periodic:
                 n = table.shape[a + 2]
                 axes = (slice(None),) * (a + 2)
                 out[axes + (slice(n, n + 2),)] = out[axes + (slice(0, 2),)]
+        self.floors[slot] = density_floor(self.slots[slot][-1])
         self.loaded += 1
 
-    def step(self, k: int, dt: float) -> np.ndarray:
+    def step(self, k: int, dt: float, drift: np.ndarray | None = None):
         """One midpoint step of length dt from table k to table k + 1.
 
         Steps run in order k = 0, 1, ..., and step k first loads table
         k + 1.  A predictor half-step on table k, the corrector drift v on
         the average of tables k and k + 1, then new = pos + v dt (+ noise),
-        wrapped on periodic axes.  Afterwards `pos` holds the new positions
-        and `new` the old ones.  Returns v, a view of `acc`.
+        wrapped on periodic axes, a batch of walkers at a time.  Afterwards
+        `pos` holds the new positions and `new` the old ones, and `drift`,
+        when given, the v of every walker.
         """
-        noise = next(self.noises)
+        noise = next(self.noises).reshape(self.pos.shape)
         self.load(next(self.tables))
-        grid, half, pos, out = self.grid, self.half, self.pos, self.new
+        grid = self.grid
         now, after = self.slots[k % 2], self.slots[(k + 1) % 2]
-        v0 = _ratio_drift(self, now, pos)
-        np.multiply(v0, 0.5 * dt, out=half)
-        np.add(pos, half, out=half)
-        grid.wrap(half, out=half)
         mid, scratch = self.mid
         np.multiply(now, 0.5, out=mid)
         np.multiply(after, 0.5, out=scratch)
         np.add(mid, scratch, out=mid)
-        v = _ratio_drift(self, mid, half)
-        np.multiply(v, dt, out=out)
-        np.add(pos, out, out=out)
-        np.add(out, noise.reshape(out.shape), out=out)
-        grid.wrap(out, out=out)
+        floor_now, floor_mid = self.floors[k % 2], density_floor(mid[-1])
+        for batch in self.batches:
+            rows, half = batch.rows, batch.half
+            pos, out = self.pos[rows], self.new[rows]
+            v0 = _ratio_drift(self, now, floor_now, pos, batch)
+            np.multiply(v0, 0.5 * dt, out=half)
+            np.add(pos, half, out=half)
+            grid.wrap(half, out=half)
+            v = _ratio_drift(self, mid, floor_mid, half, batch)
+            if drift is not None:
+                drift[rows] = v
+            np.multiply(v, dt, out=out)
+            np.add(pos, out, out=out)
+            np.add(out, noise[rows], out=out)
+            grid.wrap(out, out=out)
         self._check_walls()
-        self.pos, self.new = out, pos
-        return v
+        self.pos, self.new = self.new, self.pos
 
     def _check_walls(self) -> None:
         """Freeze and count, per block, the walkers of `new` on or beyond a
@@ -537,68 +590,99 @@ class _Walk:
             raise self.failure
 
 
-def _check_run(timeline: Sequence[WaveState], pot: Potentials,
+def _check_run(timeline: Iterable[WaveState], pot: Potentials,
                systems: Sequence[ParticleSystem],
-               positions: np.ndarray | None, n_walkers: int) -> float:
-    """The step dt of a sampled run: the timeline's first spacing.  Refuses
-    a timeline of fewer than two states, or whose spacing is not positive
-    or not uniform; any system whose particles differ from those the
-    potentials (and so the wave states) were built for, as a run's systems
-    may differ from `pot.system` in eta and gamma only; and start positions
-    (None when they are drawn) of any shape but (n_walkers, dim)."""
-    if len(timeline) < 2:
+               positions: np.ndarray | None, n_walkers: int,
+               recorded: Collection[int] = ()) -> tuple:
+    """Check a sampled run on entry and open its timeline, which is read
+    once.  Returns the step dt, the timeline's first spacing; its first
+    state; an iterator over every state, the first included; and a dict
+    that gets the time of state k, for k in `recorded`, as it is read.
+
+    Refuses, on entry, a timeline of fewer than two states or whose first
+    spacing is not positive; any system whose particles differ from those
+    the potentials (and so the wave states) were built for, as a run's
+    systems may differ from `pot.system` in eta and gamma only; and start
+    positions (None when they are drawn) of any shape but (n_walkers, dim).
+    The iterator refuses, as it reads it, a state whose spacing is not
+    positive or not dt to a relative 1e-9 (an absolute 1e-12)."""
+    states = iter(timeline)
+    head = list(itertools.islice(states, 2))
+    if len(head) < 2:
         raise ValueError("timeline needs at least two states")
-    dts = np.diff([s.time for s in timeline])
-    dt = float(dts[0])
-    if not np.all(dts > 0):
+    dt = float(head[1].time - head[0].time)
+    if not dt > 0:
         raise ValueError("timeline times must increase")
-    if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("timeline spacing is not uniform")
     base = pot.system
     for system in systems:
         if with_eta(system, base.eta, base.gamma_exponent) != base:
             raise ValueError("a run's systems may differ from the potentials' "
                              "system in eta and gamma only")
     if (positions is not None
-            and np.shape(positions) != (n_walkers, timeline[0].grid.dim)):
+            and np.shape(positions) != (n_walkers, head[0].grid.dim)):
         raise ValueError("initial_positions shape mismatch")
-    return dt
+    times = {}
+    tol = 1e-12 + 1e-9 * dt
+
+    def read():
+        last = None
+        for k, state in enumerate(itertools.chain(head, states)):
+            if k:
+                step = state.time - last
+                if not step > 0:
+                    raise ValueError("timeline times must increase")
+                if not abs(step - dt) <= tol:
+                    raise ValueError("timeline spacing is not uniform")
+            last = state.time
+            if k in recorded:
+                times[k] = last
+            yield state
+    return dt, head[0], read(), times
 
 
-def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
+def _recorded_steps(steps: int, record_stride: int) -> list[int]:
+    """The states an ensemble records: the first, every record_stride-th
+    and the last."""
+    return [0] + [k for k in range(1, steps + 1)
+                  if k % record_stride == 0 or k == steps]
+
+
+def simulate_ensemble(timeline: Collection[WaveState], pot: Potentials,
                       system: ParticleSystem, n_walkers: int, seed: int,
                       record_stride: int = 1,
                       record_velocities: bool = False,
                       initial_positions: np.ndarray | None = None) -> Ensemble:
     """March an ensemble along a timeline of wave states.
 
-    The system is the one source of eta and gamma, and so of the noise
-    and of the drift's osmotic term (`_flow_tables`).  The timeline is the
-    one source of the step dt: its spacing, which must be positive and
-    uniform.  The system may differ from the potentials' in eta and gamma
-    only.  Each step is `_Walk.step`
-    with the step's Philox noise, drawn in step order from the run's one
-    noise generator: from NOISE_THREAD_WALKERS walkers on, one step ahead
-    by a helper thread that is joined before the call returns or raises
-    (`_noise_stream`).  Escaped walkers (hard walls only) are frozen in
-    place and counted; more than `MAX_ESCAPE_FRACTION` of them, or a
-    walker at a non-finite position, aborts with a SafeguardError.
+    The timeline is any iterable of states with a len(): a list, or a
+    `quantum._Timeline` whose states are stepped as the walk reads them.
+    It is read once, a state at a time, and no state is kept.  The system
+    is the one source of eta and gamma, and so of the noise and of the
+    drift's osmotic term (`_flow_tables`).  The timeline is the one source
+    of the step dt: its spacing, which must be positive and uniform.  The
+    system may differ from the potentials' in eta and gamma only.  Each
+    step is `_Walk.step` with the step's Philox noise, drawn in step order
+    from the run's one noise generator: from NOISE_THREAD_WALKERS walkers
+    on, one step ahead by a helper thread, which overlaps the draw with the
+    step and is joined before the call returns or raises (`_noise_stream`).
+    Escaped walkers (hard walls only) are frozen in place and counted;
+    more than `MAX_ESCAPE_FRACTION` of them, or a walker at a non-finite
+    position, aborts with a SafeguardError.
     """
-    dt = _check_run(timeline, pot, [system], initial_positions, n_walkers)
-    grid = timeline[0].grid
-    tables = _flow_tables(timeline, pot, [system], dt)
     steps = len(timeline) - 1
+    recorded = _recorded_steps(steps, record_stride)
+    slot = {k: r for r, k in enumerate(recorded)}
+    dt, first, states, times = _check_run(
+        timeline, pot, [system], initial_positions, n_walkers, slot)
+    grid = first.grid
+    tables = _flow_tables(states, pot, [system], dt)
     if initial_positions is None:
         init_seq = np.random.SeedSequence(seed).spawn(2)[0]
         init_rng = np.random.Generator(np.random.Philox(init_seq))
-        pos = draw_initial_positions(timeline[0], n_walkers, init_rng)
+        pos = draw_initial_positions(first, n_walkers, init_rng)
     else:
         pos = np.array(initial_positions, dtype=float)
 
-    # recorded states: the first, every record_stride-th and the last
-    recorded = [0] + [k for k in range(1, steps + 1)
-                      if k % record_stride == 0 or k == steps]
-    slot = {k: r for r, k in enumerate(recorded)}
     rec_positions = np.empty((len(recorded),) + pos.shape)
     rec_positions[0] = pos
     velocities = [] if record_velocities else None
@@ -609,18 +693,19 @@ def simulate_ensemble(timeline: Sequence[WaveState], pot: Potentials,
           np.errstate(over="ignore", invalid="ignore")):
         walk = _Walk(grid, tables, pos, noises)
         for k in range(steps):
-            v_mid = walk.step(k, dt)
+            drift = np.empty_like(pos) if record_velocities else None
+            walk.step(k, dt, drift)
             if record_velocities:
                 velocities.append(_nearest_displacement(
                     grid, walk.pos - walk.new) / dt)
-                drifts.append(v_mid.copy())
+                drifts.append(drift)
             if k + 1 in slot:
                 rec_positions[slot[k + 1]] = walk.pos
     walk.finish()
 
     return Ensemble(
         grid, system, dt,
-        times=np.array([timeline[k].time for k in recorded]),
+        times=np.array([times[k] for k in recorded]),
         positions=rec_positions,
         velocities=None if velocities is None else np.array(velocities),
         drifts=None if drifts is None else np.array(drifts),
@@ -687,7 +772,7 @@ def scaling_exponent(system: ParticleSystem, dt_grid: Sequence[float],
 # deterministic (eta -> 0) trajectories
 # ---------------------------------------------------------------------------
 
-def bohmian_trajectories(timeline: Sequence[WaveState], pot: Potentials,
+def bohmian_trajectories(timeline: Collection[WaveState], pot: Potentials,
                          system: ParticleSystem,
                          initial_positions: np.ndarray) -> np.ndarray:
     """Integrate dx/dt = v(x, t) along the timeline: `simulate_ensemble` of
@@ -731,7 +816,8 @@ def max_deviation_from_deterministic(ens: Ensemble,
     return float(per_walker.mean())
 
 
-def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
+def vanishing_noise_deviations(timeline: Collection[WaveState],
+                               pot: Potentials,
                                systems: Sequence[ParticleSystem], seed: int,
                                initial_positions: np.ndarray) -> list[float]:
     """Per system, how far its ensemble strays from the deterministic paths:
@@ -756,10 +842,10 @@ def vanishing_noise_deviations(timeline: Sequence[WaveState], pot: Potentials,
     distance to the reference is folded in as the walk goes.
     """
     runs = [with_eta(pot.system, 0.0, gamma_exponent=3.0), *systems]
-    dt = _check_run(timeline, pot, runs, initial_positions,
-                    len(initial_positions))
-    grid = timeline[0].grid
-    tables = _flow_tables(timeline, pot, runs, dt)
+    dt, first, states, _ = _check_run(timeline, pot, runs, initial_positions,
+                                      len(initial_positions))
+    grid = first.grid
+    tables = _flow_tables(states, pot, runs, dt)
     x0 = np.array(initial_positions, dtype=float)
     blocks = len(runs)
     variances = np.array([run.step_variances(dt) for run in runs])

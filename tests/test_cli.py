@@ -142,6 +142,42 @@ def test_evolve_memory_is_flat_in_its_step_count(tmp_path):
     assert at_200 - at_20 <= 10 * 32**2 * 16, (at_20, at_200)
 
 
+def test_ensemble_memory_is_flat_in_its_step_count(tmp_path):
+    """`ensemble` walks its walkers along the states as they are stepped
+    and keeps only its checkpoint states: after a warm-up, its traced peak
+    at 400 steps of a 32^2 vortex stays within twenty states of its peak at
+    50 steps (a timeline list adds 350; under tracemalloc the walk's peak
+    creeps by about 250 bytes a step, 90 KB here, with no growth in RSS)."""
+    def peak(steps: int, out: str) -> int:
+        tracemalloc.reset_peak()
+        assert main(["ensemble", "--preset", "vortex_2d", "--points", "32",
+                     "--steps", str(steps), "--walkers", "2000",
+                     "--calibration", "10", "--seed", "1",
+                     "--out", str(tmp_path / out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(50, "warm")
+        at_50, at_400 = peak(50, "s50"), peak(400, "s400")
+    finally:
+        tracemalloc.stop()
+    assert at_400 - at_50 <= 20 * 32**2 * 16, (at_50, at_400)
+
+
+def test_ensemble_steps_its_states_once(tmp_path, monkeypatch):
+    """`ensemble` reads its stream of states once: Crank-Nicolson steps
+    exactly --steps times."""
+    steps = []
+    step = CrankNicolson.step
+    monkeypatch.setattr(CrankNicolson, "step",
+                        lambda self, psi: steps.append(1) or step(self, psi))
+    assert main(["ensemble", "--points", "64", "--steps", "37",
+                 "--walkers", "50", "--calibration", "5",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert len(steps) == 37
+
+
 def test_ensemble_runs_reproduce_byte_for_byte(tmp_path):
     args = ["ensemble", "--preset", "free", "--points", "64", "--steps", "20",
             "--walkers", "500", "--checkpoints", "2", "--seed", "5"]

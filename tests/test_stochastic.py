@@ -16,10 +16,10 @@ from edsim.grids import (RHO_FLOOR_REL, ConfigGrid, density_floor, gradient,
                          nearest_image, single_particle)
 from edsim.presets import build_preset
 from edsim.quantum import (ROW_BLOCK_BYTES, SafeguardError, WaveState,
-                           evolve_trajectory, free_potentials,
+                           _Timeline, evolve_trajectory, free_potentials,
                            gaussian_packet, madelung, phase_gradient)
 from edsim.stochastic import (MAX_ESCAPE_FRACTION, NOISE_THREAD_WALKERS,
-                              Ensemble,
+                              WALKER_BATCH, Ensemble,
                               bohmian_trajectories, center_of_mass_report,
                               draw_initial_positions, drift_velocity_field,
                               fluctuation_covariance, interpolate_vector,
@@ -61,7 +61,8 @@ def _lookup(grid, values, positions):
     """`interpolate_vector` at the positions on a one-block walk whose first
     table is `values`."""
     walk = _Walk(grid, [values[:, None]], positions, iter(()))
-    return interpolate_vector(walk, walk.slots[0], positions)
+    return interpolate_vector(walk, walk.slots[0], positions,
+                              walk.batches[0])
 
 
 def test_interpolation_exact_for_linear_fields():
@@ -696,6 +697,116 @@ def test_bohmian_paths_are_bit_identical_to_np_mod_stepper(name):
     paths = bohmian_trajectories(timeline, sc.potentials, system, x0)
     assert np.array_equal(paths, _ref_bohmian(timeline, sc.potentials,
                                               system, x0))
+
+
+# a ring, a hard wall (its escaping walker included) and a plane
+BATCH_CASES = [("free", 3.0, 1e-3), ("harmonic", 1.0, 0.05),
+               ("vortex_2d", 1.0, 0.05)]
+# walkers over two full batches and part of a third
+BATCH_WALKERS = 2 * WALKER_BATCH + 123
+
+
+@pytest.mark.parametrize("name, gamma, eta", BATCH_CASES)
+def test_batched_walk_is_bit_identical_to_np_mod_stepper(name, gamma, eta):
+    """A walk of several batches of walkers and a remainder, looked up and
+    moved a batch at a time through one batch's buffers, keeps the bits of
+    the reference stepper, which moves every walker at once: ensemble
+    paths, escape count and Bohmian paths."""
+    sc, timeline, x0 = _identity_case(name, BATCH_WALKERS)
+    system = with_eta(sc.system, eta, gamma_exponent=gamma)
+    ens = simulate_ensemble(timeline, sc.potentials, system, BATCH_WALKERS,
+                            seed=7, initial_positions=x0)
+    path, escaped = _ref_ensemble(timeline, sc.potentials, system, sc.dt, 7,
+                                  x0)
+    assert np.array_equal(ens.positions, path)
+    assert ens.meta["escaped"] == escaped
+    still = with_eta(sc.system, 0.0, gamma_exponent=3.0)
+    paths = bohmian_trajectories(timeline, sc.potentials, still, x0)
+    assert np.array_equal(paths, _ref_bohmian(timeline, sc.potentials,
+                                              still, x0))
+
+
+@pytest.mark.parametrize("name", ["free", "harmonic"])
+def test_batched_lockstep_is_bit_identical_to_np_mod_steppers(name):
+    """A limit study of four runs whose walkers fill two batches and part
+    of a third, with batch edges inside a run's block, gives with == the
+    deviations of the reference steppers run one by one: each walker reads
+    its own run's block of the table wherever its batch starts."""
+    walkers = WALKER_BATCH // 2 + 77
+    sc, timeline, x0 = _identity_case(name, walkers)
+    assert 4 * walkers > 2 * WALKER_BATCH and WALKER_BATCH % walkers
+    systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
+               for eta in (0.05, 1e-2, 1e-3)]
+    got = vanishing_noise_deviations(timeline, sc.potentials, systems, 7, x0)
+    ref = _ref_bohmian(timeline, sc.potentials,
+                       with_eta(sc.system, 0.0, gamma_exponent=3.0), x0)
+    expect = []
+    for system in systems:
+        path, _ = _ref_ensemble(timeline, sc.potentials, system, sc.dt, 7, x0)
+        dist = stochastic._wrapped_distance(sc.grid, path[1:] - ref[1:])
+        expect.append(float(np.max(dist, axis=0).mean()))
+    assert got == expect
+
+
+def _ensemble_fields(ens):
+    return (ens.grid, ens.system, ens.dt, ens.times, ens.positions,
+            ens.velocities, ens.drifts, ens.meta)
+
+
+@pytest.mark.parametrize("name, overrides", [("free", {}),
+                                             ("vortex_2d", {"points": 32})])
+def test_a_stream_of_states_walks_as_their_list(name, overrides):
+    """States stepped as the walk reads them give the `Ensemble` and the
+    limit study of the same states in a list, and the stream keeps, with
+    their bits, just the states asked for."""
+    sc = build_preset(name, **{"steps": 30, **overrides})
+    run = (sc.state, sc.potentials, sc.dt, sc.steps)
+    states = evolve_trajectory(*run)
+    system = with_eta(sc.system, 0.05, gamma_exponent=1.0)
+    ensembles = []
+    for timeline in (states, _Timeline(*run, keep={0, 7, 30})):
+        ensembles.append(simulate_ensemble(
+            timeline, sc.potentials, system, 500, seed=3, record_stride=7,
+            record_velocities=True))
+    for got, expect in zip(*map(_ensemble_fields, ensembles)):
+        assert np.array_equal(got, expect) if isinstance(got, np.ndarray) \
+            else got == expect
+    assert sorted(timeline.kept) == [0, 7, 30]
+    for k, state in timeline.kept.items():
+        assert state.psi.tobytes() == states[k].psi.tobytes()
+        assert state.time == states[k].time and state.meta == states[k].meta
+    x0 = draw_initial_positions(sc.state, 200, np.random.default_rng(1))
+    systems = [with_eta(sc.system, eta, gamma_exponent=1.0)
+               for eta in (1e-2, 1e-3)]
+    assert (vanishing_noise_deviations(_Timeline(*run), sc.potentials,
+                                       systems, 3, x0)
+            == vanishing_noise_deviations(states, sc.potentials, systems, 3,
+                                          x0))
+
+
+def test_a_stream_is_checked_as_its_states_are_read():
+    """An uneven spacing late in a stream is refused with the message a
+    list gets, when the walk reaches it."""
+    grid = ConfigGrid((64,), (16.0,), (True,), origin=(-8.0,))
+    psi = gaussian_packet(grid, 0.0, 1.5).psi
+    times = 0.1 * np.arange(40)
+    times[33] += 0.05
+    sys1 = single_particle(eta=1e-3)
+    pot = free_potentials(grid, sys1)
+    read = []
+
+    class Stream:
+        def __len__(self):
+            return len(times)
+
+        def __iter__(self):
+            for t in times:
+                read.append(t)
+                yield WaveState(grid, psi, time=t)
+
+    with pytest.raises(ValueError, match="not uniform"):
+        simulate_ensemble(Stream(), pot, sys1, 10, seed=0)
+    assert len(read) == 34
 
 
 @pytest.mark.parametrize("name", ["free", "harmonic", "interference",

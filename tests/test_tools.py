@@ -52,7 +52,9 @@ def test_limit_sweep_runs_a_short_case(monkeypatch, capsys):
 
 def test_run_matrix_imports():
     matrix = _load("run_matrix").matrix()
-    assert len(matrix) == 30
+    assert len(matrix) == 31
+    # one walk of several batches of walkers
+    assert "100000" in matrix["ensemble-ES-harmonic-1e5"]
 
 
 def test_cold_start_times_one_fresh_run(tmp_path):

@@ -10,6 +10,9 @@ Runs, with the `edsim` of this checkout and at fixed seeds:
   ring's seam (the shift branch of `grids.mod_period`);
 * ensemble --preset harmonic --gamma 1.5 --eta 0.5, a fluctuation law
   with gamma outside {1, 3} (the fractional process);
+* ensemble --preset harmonic --process ES --eta 0.05 --walkers 100000, a
+  walk of several batches of walkers (`stochastic.WALKER_BATCH`) with
+  the noise drawn by a helper thread;
 * geometry-check --outcomes 64 at seeds 0, 1 and 3;
 * entropic-step.
 
@@ -65,6 +68,9 @@ def matrix() -> dict[str, list[str]]:
                                   "--dt", "0.1", "--steps", "300"]
     runs["ensemble-fractional-harmonic"] = [
         "ensemble", "--preset", "harmonic", "--gamma", "1.5", "--eta", "0.5"]
+    runs["ensemble-ES-harmonic-1e5"] = [
+        "ensemble", "--preset", "harmonic", "--process", "ES", "--eta",
+        "0.05", "--walkers", "100000"]
     for seed in (0, 1, 3):
         runs[f"geometry-check-seed{seed}"] = [
             "geometry-check", "--outcomes", "64", "--seed", str(seed)]
